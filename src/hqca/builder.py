@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitProgram, InstanceParseError, parse_circuit_text
+from .circuit import (CircuitProgram, InstanceParseError, _parse_int,
+                      parse_circuit_text)
 from .state import ChainState, DenseData, WorkState
 from .symbols import BULLET, C, C2, CP, D, P, QUANTUM, T, TURN
 
@@ -180,7 +181,8 @@ def full_width_offset(length: int, x: int) -> int:
 # plus free run options (budget, seed, tau, tau_star, samples,
 # snapshot_every) that the caller interprets.
 
-_RUN_KEYS = ("budget", "seed", "samples", "snapshot_every")
+# integer run options and their smallest allowed values
+_RUN_KEYS = {"budget": 1, "seed": 0, "samples": 1, "snapshot_every": 1}
 _RUN_FLOAT_KEYS = ("tau", "tau_star")
 
 
@@ -203,13 +205,13 @@ def parse_instance_text(text: str) -> Instance:
                 raise InstanceParseError(lineno, f"unknown construction {value!r}")
             tier = value
         elif key == "target":
-            target = _int_at(value, lineno)
+            target = _parse_int(value, lineno)
         elif key == "bullet_offset":
-            bullet_offset = _int_at(value, lineno)
+            bullet_offset = _parse_int(value, lineno)
         elif key == "dense":
             dense = value not in ("0", "false", "no")
         elif key in _RUN_KEYS:
-            options[key] = _int_at(value, lineno)
+            options[key] = _parse_int(value, lineno, minimum=_RUN_KEYS[key])
         elif key in _RUN_FLOAT_KEYS:
             try:
                 options[key] = float(value)
@@ -226,13 +228,6 @@ def parse_instance_text(text: str) -> Instance:
 def parse_instance_file(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance_text(fh.read())
-
-
-def _int_at(value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise InstanceParseError(lineno, f"expected integer, got {value!r}")
 
 
 def worked_example_circuit() -> CircuitProgram:

@@ -29,6 +29,20 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
 def _out_path(path: str) -> str:
     """Relative output files land in $HQCA_OUT when it is set."""
     base = os.environ.get("HQCA_OUT")
@@ -87,19 +101,16 @@ def cmd_run(args) -> int:
     ck = clock_value(traj.final)
     print(f"steps={traj.n_steps} status={traj.stop_reason}"
           f" clock={ck if ck is not None else '-'}")
-    for label in sorted(traj.markers):
-        if label in ("28", "30"):
-            for t in traj.markers[label]:
-                print(f"marker Rx rule {label} at step {t}")
+    markers = traj.markers
+    for label in ("28", "30"):
+        for t in markers.get(label, ()):
+            print(f"marker Rx rule {label} at step {t}")
     return EXIT_OK
 
 
 def cmd_walk(args) -> int:
     instance = _load(args.instance)
     opts = instance.options
-    if args.samples == 0:
-        print("error: --samples must be positive", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     if args.length:
         l = args.length
     else:
@@ -139,10 +150,11 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = VerificationReport()
+    state = _build(instance)  # also rejects a bad instance for every suite
     budget = StepBudget(instance.options.get("budget", 200_000), "dead_end")
     if {"uog", "oracle"} & set(wanted):
-        state = _build(instance)
-        traj = run(state, budget, keep_states=True, check_uog=True)
+        # verify_uog re-checks every kept state, so run skips check_uog
+        traj = run(state, budget, keep_states=True)
         window = work_window(spec.tier, spec.circuit.n_qubits,
                              spec.circuit.depth)
         if "uog" in wanted:
@@ -152,7 +164,7 @@ def cmd_verify(args) -> int:
                           f"states={uog.checked_states}",
                           violations=[str(v) for v in uog.violations]))
         if "oracle" in wanted:
-            work_in = _work_input(spec)
+            work_in = spec.work_state(window).amps
             if spec.tier in ("I", "II"):
                 report.add(check_work_oracle(traj, spec.circuit, work_in,
                                              window, spec.tier))
@@ -163,26 +175,13 @@ def cmd_verify(args) -> int:
     if "comparator" in wanted:
         report.add(check_comparator(min(args.l_bits, 4)))
     if "backends" in wanted:
-        if 2 ** (build_initial(spec).L) <= 1 << 16:
+        if 2 ** state.L <= 1 << 16:
             report.add(cross_check_backends(spec, steps=500))
         else:
             print("backends suite skipped: chain too long for the dense"
                   " backend", file=sys.stderr)
     print(report.format())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-
-
-def _work_input(spec) -> np.ndarray:
-    n = spec.circuit.n_qubits
-    if spec.work is None:
-        v = np.zeros(2 ** n, dtype=complex)
-        v[0] = 1.0
-        return v
-    if isinstance(spec.work, str):
-        v = np.zeros(2 ** n, dtype=complex)
-        v[int(spec.work, 2)] = 1.0
-        return v
-    return np.asarray(spec.work, dtype=complex)
 
 
 def _as_check(name, passed, measured, violations=()):
@@ -195,6 +194,7 @@ def main(argv=None) -> int:
         prog="hqca",
         description="layered qudit-chain automaton simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_at_least(1)
 
     p = sub.add_parser("compile", help="build and print the initial state")
     p.add_argument("instance")
@@ -202,8 +202,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="drive the unique forward trajectory")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--snapshot-every", type=int, default=None)
+    p.add_argument("--budget", type=positive, default=None)
+    p.add_argument("--snapshot-every", type=positive, default=None)
     p.add_argument("--trace", help="write a trace file")
     p.add_argument("--keep-states", action="store_true")
     p.set_defaults(func=cmd_run)
@@ -212,10 +212,10 @@ def main(argv=None) -> int:
     p.add_argument("instance")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--tau-star", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=positive, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--length", type=int, default=None,
+    p.add_argument("--length", type=positive, default=None,
                    help="line length (skip the trajectory run)")
     p.add_argument("--dump", action="store_true")
     p.set_defaults(func=cmd_walk)
@@ -224,13 +224,13 @@ def main(argv=None) -> int:
     p.add_argument("instance")
     p.add_argument("--suite", default="all",
                    help="uog | oracle | clock | comparator | backends | all")
-    p.add_argument("--l-bits", type=int, default=4)
+    p.add_argument("--l-bits", type=_int_at_least(3), default=4)
     p.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as err:  # input helpers bail out with an exit code
+    except SystemExit as err:  # argparse and the input helpers bail out
         return err.code if isinstance(err.code, int) else EXIT_INPUT_ERROR
     except BrokenPipeError:
         return EXIT_OK

@@ -4,8 +4,10 @@ A valid chain state has exactly one applicable forward rule (or none, at a
 dead end) and exactly one reverse rule (the start state of tiers I-III has
 none; the tier-IV start state admits a short reverse tail of at most 3L
 steps before a dead end).  run() walks the unique forward path, recording
-rule labels as markers; long runs can drop full states and keep rolling
-digests plus periodic snapshots so that memory stays O(L) per step.
+the fired rule label, window site and configuration digest of every step;
+long runs can drop full states and keep only those records plus periodic
+snapshots, so memory is O(L) for the current state plus roughly a hundred
+bytes per step for the records.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rules import FORWARD, REVERSE, RuleSet, applicable, apply, rule_set
+from .rules import (FORWARD, REVERSE, RuleSet, _rewrite, applicable, apply,
+                    rule_set)
 from .state import ChainState
 from .symbols import BULLET, C, CP
 
@@ -35,14 +38,18 @@ class Ambiguous(Exception):
 
 def step_forward(state: ChainState, rules: RuleSet | None = None,
                  promote: bool = False):
-    """(successor, match) along the unique forward transition."""
+    """(successor, match) along the unique forward transition.
+
+    The match comes from applicable() on this very state, so the rewrite
+    skips apply()'s stale-match check.
+    """
     matches = applicable(state, FORWARD, rules)
     if not matches:
         raise DeadEnd
     if len(matches) > 1:
         raise Ambiguous(state, matches, FORWARD)
     m = matches[0]
-    return apply(state, m, promote=promote), m
+    return _rewrite(state, m, promote), m
 
 
 @dataclass
@@ -63,9 +70,9 @@ class Trajectory:
     """Forward path from a start state, with step metadata.
 
     states is populated only when keep_states was set; long runs instead
-    carry digests (uint64 per state), sparse snapshots, and markers (rule
-    label -> list of step indices; step t is the transition from state t to
-    state t+1).
+    carry digests (uint64 per state) and sparse snapshots.  labels[t] and
+    sites[t] name the rule and window of step t, the transition from state
+    t to state t+1; markers is derived from them.
     """
 
     start: ChainState
@@ -73,7 +80,6 @@ class Trajectory:
     labels: list = field(default_factory=list)
     sites: list = field(default_factory=list)
     digests: list = field(default_factory=list)
-    markers: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)
     final: ChainState = None
     stop_reason: str = None
@@ -92,11 +98,17 @@ class Trajectory:
             raise ValueError("states were not kept for this run")
         return self.states[t]
 
+    @property
+    def markers(self) -> dict:
+        """Rule label -> step indices at which it fired, in step order."""
+        out = {}
+        for t, lab in enumerate(self.labels):
+            out.setdefault(lab, []).append(t)
+        return out
+
     def marker_steps(self, *labels) -> list:
-        out = []
-        for lab in labels:
-            out.extend(self.markers.get(lab, ()))
-        return sorted(out)
+        wanted = set(labels)
+        return [t for t, lab in enumerate(self.labels) if lab in wanted]
 
     # rule labels behind the named events of a run
     EVENT_LABELS = {
@@ -114,9 +126,8 @@ class Trajectory:
 
     def events(self) -> dict:
         """Named-event view of the markers (event -> sorted step indices)."""
-        return {name: self.marker_steps(*labels)
-                for name, labels in self.EVENT_LABELS.items()
-                if self.marker_steps(*labels)}
+        return {name: steps for name, labels in self.EVENT_LABELS.items()
+                if (steps := self.marker_steps(*labels))}
 
 
 def run(start: ChainState, budget: StepBudget, rules: RuleSet | None = None,
@@ -124,43 +135,37 @@ def run(start: ChainState, budget: StepBudget, rules: RuleSet | None = None,
         check_uog: bool = False, observer=None, promote: bool = False) -> Trajectory:
     """Drive the unique forward path until the budget's stop condition.
 
-    check_uog verifies, on the fly, that every non-final state has exactly
-    one forward match, every non-initial state exactly one reverse match,
-    and that no configuration digest repeats; violations are recorded, not
-    raised.  observer(t, state, match_or_None) is called on every state.
+    A state with several forward matches raises Ambiguous.  check_uog
+    verifies, on the fly, that every non-initial state has exactly one
+    reverse match and that no configuration digest repeats; violations are
+    recorded, not raised.  observer(t, state, match_or_None) is called on
+    every state.
     """
     rs = rules if rules is not None else rule_set(start.tier)
     traj = Trajectory(start, states=[start] if keep_states else None)
-    seen = {start.digest()}
+    seen = {start.digest()} if check_uog else None
     traj.digests.append(start.digest())
     state = start
     support0 = _support_size(start)
     if observer is not None:
         observer(0, state, None)
     for t in range(budget.max_steps):
-        matches = applicable(state, FORWARD, rs)
-        if not matches:
+        try:
+            state, m = step_forward(state, rs, promote)
+        except DeadEnd:
             traj.stop_reason = "dead_end"
             break
-        if len(matches) > 1:
-            if check_uog:
-                traj.uog_violations.append(
-                    (t, f"{len(matches)} forward matches"))
-            raise Ambiguous(state, matches, FORWARD)
-        m = matches[0]
-        state = apply(state, m, promote=promote)
         traj.labels.append(m.label)
         traj.sites.append(m.site)
-        traj.markers.setdefault(m.label, []).append(t)
         dg = state.digest()
         if check_uog:
             if dg in seen:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
+            seen.add(dg)
             rev = applicable(state, REVERSE, rs)
             if len(rev) != 1:
                 traj.uog_violations.append(
                     (t + 1, f"{len(rev)} reverse matches"))
-        seen.add(dg)
         traj.digests.append(dg)
         if keep_states:
             traj.states.append(state)

@@ -109,7 +109,8 @@ def _compile_checks(side):
 class Rule:
     """One two-site rewrite rule; matching data is precompiled at build time."""
 
-    __slots__ = ("label", "tier", "lhs", "rhs", "gate", "note", "_checks")
+    __slots__ = ("label", "tier", "lhs", "rhs", "gate", "note", "_checks",
+                 "_sort_key")
 
     def __init__(self, label, tier, lhs, rhs, gate=None, note=""):
         self.label = label
@@ -120,6 +121,8 @@ class Rule:
         self.note = note
         self._checks = {FORWARD: _compile_checks(lhs),
                         REVERSE: _compile_checks(rhs)}
+        num = "".join(ch for ch in label if ch.isdigit())
+        self._sort_key = (int(num), label[len(num):])  # "4a" -> (4, "a")
 
     def __repr__(self):
         return f"<Rule {self.label} ({self.tier})>"
@@ -296,7 +299,9 @@ def _build_rules_tier_IV():
                          CP: (lit(BULLET), lit("C")), T: (lit(BULLET), eq(a))},
            {P: tt, C: (not_(BULLET), bit(a)),
             CP: (lit("←C"), lit(BULLET)), T: (lit(BULLET), eq(a))},
-           note="start compare sweep: LSB matches a one-digit target"),
+           note="start compare sweep: LSB matches a one-digit target;"
+                " unreachable on built chains (target_row rejects a one-site"
+                " digit field)"),
         _r("23c", "IV", {P: tt, C: (lit(BULLET), bit(a)),
                          CP: (lit(BULLET), lit("C")), T: (not_(BULLET), eq(a))},
            {P: tt, C: (lit(BULLET), bit(a)),
@@ -449,16 +454,10 @@ def rule_set(tier: str) -> RuleSet:
     if tier == "IV":
         for r in _build_rules_tier_IV():
             rules[r.label] = r  # replaces the tier-III 21
-    ordered = sorted(rules.values(), key=_label_sort_key)
+    ordered = sorted(rules.values(), key=lambda r: r._sort_key)
     rs = RuleSet(tier, ordered)
     _RULESET_CACHE[tier] = rs
     return rs
-
-
-def _label_sort_key(rule: Rule):
-    num = "".join(ch for ch in rule.label if ch.isdigit())
-    suffix = rule.label[len(num):]
-    return (int(num), suffix)
 
 
 # -- matching -----------------------------------------------------------------
@@ -530,27 +529,20 @@ def applicable(state: ChainState, direction: str, rules: RuleSet | None = None,
     scan (used by the test suite to validate the shortcut).
     """
     rs = rules if rules is not None else rule_set(state.tier)
-    found = []
-    seen = set()
     if full_scan:
-        for rule in rs.rules:
-            for i in range(1, state.L):
-                b = try_match(rule, state, i, direction)
-                if b is not None:
-                    found.append(Match(rule, i, direction, tuple(sorted(b.items()))))
-        found.sort(key=lambda m: (m.site, _label_sort_key(m.rule)))
-        return found
-    for site, _reg, s in active_sites(state):
-        for rule, offset in rs.candidates(direction, s):
-            i = site - offset
-            key = (rule.label, i)
-            if key in seen:
-                continue
-            seen.add(key)
-            b = try_match(rule, state, i, direction)
-            if b is not None:
-                found.append(Match(rule, i, direction, tuple(sorted(b.items()))))
-    found.sort(key=lambda m: (m.site, _label_sort_key(m.rule)))
+        windows = ((rule, i) for rule in rs.rules for i in range(1, state.L))
+    else:
+        # a rule anchors one active cell and the P and CP active pools are
+        # disjoint, so no (rule, window) pair comes up twice
+        windows = ((rule, site - offset)
+                   for site, _reg, s in active_sites(state)
+                   for rule, offset in rs.candidates(direction, s))
+    found = []
+    for rule, i in windows:
+        b = try_match(rule, state, i, direction)
+        if b is not None:
+            found.append(Match(rule, i, direction, tuple(sorted(b.items()))))
+    found.sort(key=lambda m: (m.site, m.rule._sort_key))
     return found
 
 
@@ -622,10 +614,17 @@ def apply(state: ChainState, match: Match, promote: bool = False) -> ChainState:
     NonClassicalGateError when a gate would break the classical data
     invariant (promote=True instead grows the quantum support).
     """
-    rule, i, direction = match.rule, match.site, match.direction
-    fresh = try_match(rule, state, i, direction)
+    rule, i = match.rule, match.site
+    fresh = try_match(rule, state, i, match.direction)
     if fresh is None or tuple(sorted(fresh.items())) != match.bindings:
         raise StaleMatchError(f"rule {rule.label} no longer matches at {i}")
+    return _rewrite(state, match, promote)
+
+
+def _rewrite(state: ChainState, match: Match, promote: bool) -> ChainState:
+    """apply() without the stale-match check, for a match just found on
+    this very state."""
+    rule, i, direction = match.rule, match.site, match.direction
     bindings = dict(match.bindings)
     out = rule.out_side(direction)
     patch = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols as sym
-from .circuit import gate_matrix
+from .circuit import _apply_two_qubit, gate_matrix
 from .symbols import CP, D, P, QUANTUM, REGISTERS_BY_TIER
 
 PHASE_TOL = 1e-12
@@ -25,17 +25,6 @@ NORM_TOL = 1e-12
 
 class StateError(ValueError):
     pass
-
-
-def _apply_two_site(amps: np.ndarray, n: int, p0: int, p1: int,
-                    mat: np.ndarray) -> np.ndarray:
-    """4x4 matrix on axes p0 < p1 of an n-qubit vector (axis 0 = leftmost)."""
-    a = amps.reshape([2] * n)
-    a = np.moveaxis(a, (p0, p1), (0, 1))
-    shape = a.shape
-    a = mat @ a.reshape(4, -1)
-    a = np.moveaxis(a.reshape(shape), (0, 1), (p0, p1))
-    return np.ascontiguousarray(a).reshape(-1)
 
 
 def phase_aligned_equal(a: np.ndarray, b: np.ndarray, tol: float = PHASE_TOL) -> bool:
@@ -79,8 +68,8 @@ class WorkState:
         p1 = self.support.index(site_j)
         if p1 != p0 + 1:
             raise StateError("gate window must cover adjacent support slots")
-        out = _apply_two_site(self.amps, len(self.support), p0, p1,
-                              gate_matrix(kind, adjoint))
+        out = _apply_two_qubit(self.amps, gate_matrix(kind, adjoint), p0, p1,
+                               len(self.support))
         return WorkState(self.support, out)
 
     def promote(self, site: int, bit: str) -> "WorkState":
@@ -156,8 +145,8 @@ class DenseData:
 
     def apply_gate(self, kind: str, site_i: int, site_j: int,
                    adjoint: bool = False) -> "DenseData":
-        out = _apply_two_site(self.amps, self.n_sites, site_i - 1, site_j - 1,
-                              gate_matrix(kind, adjoint))
+        out = _apply_two_qubit(self.amps, gate_matrix(kind, adjoint),
+                               site_i - 1, site_j - 1, self.n_sites)
         return DenseData(self.n_sites, out)
 
     def norm(self) -> float:
@@ -207,12 +196,14 @@ class ChainState:
 
     def config_key(self) -> tuple:
         """Hashable classical content; distinct keys mean orthogonal states."""
-        if self.dense:
-            data = tuple(self.work.read_bit(s) for s in range(1, self.L + 1))
-        else:
-            data = self.rows[D]
         regs = tuple(self.rows[r] for r in REGISTERS_BY_TIER[self.tier] if r != D)
-        return (self.tier, data) + regs
+        return (self.tier, self._data_cells()) + regs
+
+    def _data_cells(self) -> tuple:
+        """The data row, read out of the amplitudes on the dense backend."""
+        if self.dense:
+            return tuple(self.work.read_bit(s) for s in range(1, self.L + 1))
+        return self.rows[D]
 
     def digest(self) -> int:
         """64-bit digest of config_key, cached per state."""
@@ -238,17 +229,9 @@ class ChainState:
 
     def snapshot(self) -> str:
         """One line per register, sites separated by single spaces."""
-        lines = []
-        for reg in REGISTERS_BY_TIER[self.tier]:
-            if reg == D:
-                cells = [self.data_bit(s) if self.data_bit(s) != QUANTUM else QUANTUM
-                         for s in range(1, self.L + 1)]
-                if not self.dense:
-                    cells = list(self.rows[D])
-            else:
-                cells = list(self.rows[reg])
-            lines.append(f"{reg}: " + " ".join(cells))
-        return "\n".join(lines)
+        return "\n".join(
+            f"{reg}: " + " ".join(self._data_cells() if reg == D else self.rows[reg])
+            for reg in REGISTERS_BY_TIER[self.tier])
 
     def __repr__(self):
         return f"<ChainState tier {self.tier} L={self.L} digest={self.digest():016x}>"

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builder import BuildSpec, build_initial
-from .circuit import CircuitProgram, apply_circuit_power, apply_rounds_prefix
+from .circuit import (CircuitProgram, apply_circuit_power, apply_rounds_prefix,
+                      fidelity)
 from .engine import (DeadEnd, StepBudget, Trajectory, clock_value, run,
                      step_forward)
 from .rules import rule_set
@@ -54,10 +55,6 @@ class VerificationReport:
             if not r.passed:
                 lines.extend(f"  {d}" for d in r.details[:10])
         return "\n".join(lines)
-
-
-def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def _work_vector(state: ChainState, window) -> np.ndarray:
@@ -101,7 +98,7 @@ def check_work_oracle(traj: Trajectory, circuit: CircuitProgram,
         else:
             expect = apply_circuit_power(work_in.copy(), circuit, count)
         got = _work_vector(traj.state(t), window)
-        f = _fidelity(expect, got)
+        f = fidelity(expect, got)
         worst = min(worst, f)
         if f < 1.0 - FIDELITY_TOL:
             details.append(f"t={t} {kind}={count}: fidelity {f:.3e}")
@@ -133,7 +130,7 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram,
             for _ in range(k - prev):
                 v = apply_circuit_power(v.copy(), circuit, 1)
             cache[k] = v
-        f = _fidelity(cache[k], _work_vector(st, window))
+        f = fidelity(cache[k], _work_vector(st, window))
         worst = min(worst, f)
         checked.append((t, k))
         if f < 1.0 - FIDELITY_TOL:

@@ -1,3 +1,5 @@
+import pytest
+
 from hqca.cli import main
 
 TIER1 = """n=3
@@ -132,3 +134,38 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
                "--keep-states", "--trace", "t.tsv"])
     assert rc == 0
     assert (out / "t.tsv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{inst}", "--suite", "clock", "--l-bits", "2"],
+    ["verify", "{inst}", "--suite", "comparator", "--l-bits", "0"],
+    ["run", "{inst}", "--budget", "-3"],
+    ["run", "{inst}", "--budget", "0"],
+    ["run", "{inst}", "--snapshot-every", "0"],
+    ["walk", "{inst}", "--length", "0"],
+    ["walk", "{inst}", "--length", "4", "--samples", "-5"],
+    ["walk", "{inst}", "--length", "4", "--seed", "-1"],
+])
+def test_bad_numbers_exit_2(tmp_path, capsys, argv):
+    inst = write(tmp_path, TIER1)
+    rc = main([a.format(inst=inst) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "CHECK" not in captured.out and "Traceback" not in captured.err
+
+
+def test_verify_bad_instance_exit_2(tmp_path, capsys):
+    # the backends suite alone used to reach the builder unguarded
+    inst = write(tmp_path, TIER4.replace("target=3", "target=0"))
+    rc = main(["verify", inst, "--suite", "backends"])
+    assert rc == 2
+    assert "target must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["budget", "samples", "snapshot_every"])
+def test_instance_non_positive_option_exit_2(tmp_path, capsys, key):
+    inst = write(tmp_path, TIER1 + f"{key}=0\n")
+    rc = main(["run", inst])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "line 7" in err and "below minimum 1" in err

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqca import (Ambiguous, BuildSpec, DeadEnd, StepBudget, build_initial,
-                  clock_value, predicted_cycle_steps,
-                  predicted_oscillation_steps, predicted_single_pass_steps,
-                  restricted_hamiltonian, run, step_forward, verify_uog)
+from hqca import (FORWARD, Ambiguous, BuildSpec, DeadEnd, StepBudget,
+                  applicable, apply, build_initial, clock_value,
+                  predicted_cycle_steps, predicted_oscillation_steps,
+                  predicted_single_pass_steps, restricted_hamiltonian,
+                  rule_set, run, step_forward, verify_uog)
 from hqca.engine import write_trace
 
-from conftest import small_circuit
+from conftest import random_state, small_circuit
 
 
 def test_single_pass_step_count_small():
@@ -81,6 +84,58 @@ def test_verify_uog_clean_and_negative(example_circuit):
     rep2 = verify_uog(traj)
     assert not rep2.ok
     assert any("configuration" in v[1] for v in rep2.violations)
+
+
+def test_verify_uog_alone_catches_missing_rule(example_circuit):
+    # hqca verify runs without check_uog, so verify_uog must on its own
+    # report both the forward and the reverse count defects
+    traj = run(build_initial(BuildSpec(example_circuit, "I")),
+               StepBudget(200, "dead_end"))
+    fired = traj.marker_steps("5a")
+    assert fired and not traj.uog_violations
+    rep = verify_uog(traj, rules=rule_set("I").without("5a"))
+    assert {(t, "0 forward matches") for t in fired} <= set(rep.violations)
+    assert {(t + 1, "0 reverse matches") for t in fired} <= set(rep.violations)
+
+
+def _reference_walk(start, max_steps):
+    """run() rebuilt from the public applicable() and the checked apply()."""
+    rs = rule_set(start.tier)
+    state, labels, sites, digests, markers = start, [], [], [start.digest()], {}
+    for t in range(max_steps):
+        matches = applicable(state, FORWARD, rs)
+        if not matches:
+            break
+        assert len(matches) == 1
+        m = matches[0]
+        state = apply(state, m)
+        labels.append(m.label)
+        sites.append(m.site)
+        digests.append(state.digest())
+        markers.setdefault(m.label, []).append(t)
+    return labels, sites, digests, markers, state
+
+
+@settings(max_examples=30, deadline=None)
+@given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6), dense=st.booleans(),
+       target=st.integers(1, 3), steps=st.integers(1, 300))
+def test_run_matches_reference_step_path(tier, n, k, seed, dense, target,
+                                         steps):
+    # random circuits on every tier and both backends (L <= 16)
+    extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
+    start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
+                                    random_state(n, seed), dense=dense,
+                                    **extra))
+    if dense:  # a dense step costs O(2^L): keep to about 2^20 amplitude-steps
+        steps = min(steps, 2 ** (20 - start.L))
+    labels, sites, digests, markers, final = _reference_walk(start, steps)
+    traj = run(start, StepBudget(steps, "dead_end"), keep_states=False)
+    assert traj.labels == labels and traj.sites == sites
+    assert traj.digests == digests
+    assert traj.markers == markers
+    assert traj.final.snapshot() == final.snapshot()
+    assert np.array_equal(traj.final.work.amps, final.work.amps)
 
 
 def test_restricted_hamiltonian_is_path_adjacency():

@@ -131,8 +131,8 @@ def test_dimension_audit_values():
 
 def test_active_symbol_partition():
     # static symbols never appear in the active sets
-    from hqca.symbols import (ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, GATES,
-                              TURN, alphabet)
+    from hqca.symbols import (ACTIVE_CP_ALL, ACTIVE_CP_BY_TIER, ACTIVE_P_ALL,
+                              ACTIVE_P_BY_TIER, GATES, TURN, alphabet)
     for tier in ("I", "II", "III", "IV"):
         act = ACTIVE_P_BY_TIER[tier]
         assert act <= set(alphabet("P", tier))
@@ -140,3 +140,6 @@ def test_active_symbol_partition():
             assert s not in act
     assert ACTIVE_CP_BY_TIER["IV"] == {"L", "R", "C", "←C", "CX",
                                        "Lx", "Rx", "Cx"}
+    # applicable's active-site index is keyed by symbol alone, so a symbol
+    # must never be active in both registers
+    assert ACTIVE_P_ALL.isdisjoint(ACTIVE_CP_ALL)
