@@ -178,8 +178,9 @@ def full_width_offset(length: int, x: int) -> int:
 #   target=<int>              (tier IV)
 #   bullet_offset=<int>       (tier IV, default 3)
 #   dense=<0|1>
-# plus free run options (budget, seed, tau, tau_star, samples,
-# snapshot_every) that the caller interprets.
+# plus run options that the CLI reads, each overridden by its flag:
+#   budget, snapshot_every (run; budget also walk and verify),
+#   seed, tau, tau_star, samples (walk).
 
 # integer run options and their smallest allowed values
 _RUN_KEYS = {"budget": 1, "seed": 0, "samples": 1, "snapshot_every": 1}

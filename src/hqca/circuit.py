@@ -102,14 +102,12 @@ def _apply_two_qubit(state: np.ndarray, mat: np.ndarray, q0: int, q1: int,
     return np.ascontiguousarray(a).reshape(-1)
 
 
-def apply_round(state: np.ndarray, circuit: CircuitProgram, k: int,
-                adjoint: bool = False) -> np.ndarray:
+def apply_round(state: np.ndarray, circuit: CircuitProgram, k: int) -> np.ndarray:
     """Apply round k (1-based) to a dense N-qubit state."""
     n = circuit.n_qubits
     rnd = circuit.rounds[k - 1]
-    order = range(n - 1) if adjoint else range(n - 2, -1, -1)
-    for m in order:
-        state = _apply_two_qubit(state, gate_matrix(rnd[m], adjoint), m, m + 1, n)
+    for m in range(n - 2, -1, -1):
+        state = _apply_two_qubit(state, gate_matrix(rnd[m]), m, m + 1, n)
     return state
 
 

@@ -117,14 +117,19 @@ def cmd_walk(args) -> int:
         state = _build(instance)
         budget = StepBudget(opts.get("budget", 10 ** 6), "dead_end")
         traj = run(state, budget, keep_states=False)
+        if traj.stop_reason != "dead_end":
+            print(f"error: the run reached its {budget.max_steps}-step limit"
+                  " before a dead end; give --length", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         l = traj.n_steps + 1
     line = WalkLine(l)
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else opts.get("seed", 0))
     print(f"line l={l}")
-    if args.tau is not None:
-        amps = evolve(line, args.tau)
-        print(f"p_tau tau={args.tau}")
+    tau = args.tau if args.tau is not None else opts.get("tau")
+    if tau is not None:
+        amps = evolve(line, tau)
+        print(f"p_tau tau={tau}")
         print(distribution_dump(WalkDistribution(np.abs(amps) ** 2)))
     tau_star = args.tau_star if args.tau_star is not None else \
         opts.get("tau_star", 100.0 * l)
@@ -148,6 +153,10 @@ def cmd_verify(args) -> int:
     wanted = suites if args.suite == "all" else (args.suite,)
     if args.suite != "all" and args.suite not in suites:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if spec.dense and "oracle" in wanted:
+        print("error: the oracle suite reads the hybrid work register;"
+              " drop dense=1 or pick another suite", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = VerificationReport()
     state = _build(instance)  # also rejects a bad instance for every suite

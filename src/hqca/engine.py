@@ -36,8 +36,7 @@ class Ambiguous(Exception):
         self.matches = matches
 
 
-def step_forward(state: ChainState, rules: RuleSet | None = None,
-                 promote: bool = False):
+def step_forward(state: ChainState, rules: RuleSet | None = None):
     """(successor, match) along the unique forward transition.
 
     The match comes from applicable() on this very state, so the rewrite
@@ -49,7 +48,7 @@ def step_forward(state: ChainState, rules: RuleSet | None = None,
     if len(matches) > 1:
         raise Ambiguous(state, matches, FORWARD)
     m = matches[0]
-    return _rewrite(state, m, promote), m
+    return _rewrite(state, m), m
 
 
 @dataclass
@@ -61,6 +60,8 @@ class StepBudget:
     def __post_init__(self):
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        if self.stop_on not in ("dead_end", "step_limit", "clock_equals"):
+            raise ValueError(f"unknown stop_on {self.stop_on!r}")
         if self.stop_on == "clock_equals" and self.clock_target is None:
             raise ValueError("clock_equals needs a clock_target")
 
@@ -83,7 +84,6 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
     final: ChainState = None
     stop_reason: str = None
-    support_growth: int = 0
     uog_violations: list = field(default_factory=list)
 
     @property
@@ -130,28 +130,28 @@ class Trajectory:
                 if (steps := self.marker_steps(*labels))}
 
 
-def run(start: ChainState, budget: StepBudget, rules: RuleSet | None = None,
-        keep_states: bool = True, snapshot_every: int = None,
-        check_uog: bool = False, observer=None, promote: bool = False) -> Trajectory:
+def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
+        snapshot_every: int = None, check_uog: bool = False,
+        observer=None) -> Trajectory:
     """Drive the unique forward path until the budget's stop condition.
 
     A state with several forward matches raises Ambiguous.  check_uog
     verifies, on the fly, that every non-initial state has exactly one
     reverse match and that no configuration digest repeats; violations are
     recorded, not raised.  observer(t, state, match_or_None) is called on
-    every state.
+    every state.  snapshot_every=n keeps (t, state) in traj.snapshots for
+    every step t divisible by n.
     """
-    rs = rules if rules is not None else rule_set(start.tier)
+    rs = rule_set(start.tier)
     traj = Trajectory(start, states=[start] if keep_states else None)
     seen = {start.digest()} if check_uog else None
     traj.digests.append(start.digest())
     state = start
-    support0 = _support_size(start)
     if observer is not None:
         observer(0, state, None)
     for t in range(budget.max_steps):
         try:
-            state, m = step_forward(state, rs, promote)
+            state, m = step_forward(state, rs)
         except DeadEnd:
             traj.stop_reason = "dead_end"
             break
@@ -183,12 +183,7 @@ def run(start: ChainState, budget: StepBudget, rules: RuleSet | None = None,
     else:
         traj.stop_reason = "step_limit"
     traj.final = state
-    traj.support_growth = _support_size(state) - support0
     return traj
-
-
-def _support_size(state: ChainState) -> int:
-    return 0 if state.dense else len(state.work.support)
 
 
 # -- step-count closed forms ----------------------------------------------------
@@ -214,13 +209,13 @@ def predicted_cycle_steps(n_qubits: int, depth: int) -> int:
 # -- clock readout ---------------------------------------------------------------
 
 
-def clock_value(state: ChainState, register: str = C):
-    """Integer stored in a clock-style register, or None if malformed.
+def clock_value(state: ChainState):
+    """Integer stored in the clock register, or None if malformed.
 
     The register must be bullets followed by bits; significance increases
     right to left.  Returns None for tiers without the register.
     """
-    row = state.rows.get(register)
+    row = state.rows.get(C)
     if row is None:
         return None
     bits = []
@@ -264,12 +259,12 @@ def verify_uog(traj: Trajectory, rules: RuleSet | None = None,
     Conditions: pairwise-distinct configurations, exactly one forward match
     on every non-final state (zero on a dead-end final), exactly one
     reverse match on every non-initial state, and classical data everywhere
-    outside the declared work window.
+    outside the declared work window.  A streamed run has no states to
+    check; run(check_uog=True) checks it on the fly instead.
     """
     if traj.states is None:
-        return UOGReport(len(traj.digests),
-                         list(traj.uog_violations)
-                         + _digest_violations(traj.digests))
+        raise ValueError("verify_uog needs kept states; stream with"
+                         " run(check_uog=True) instead")
     violations = list(traj.uog_violations)
     rs = rules if rules is not None else rule_set(traj.start.tier)
     keys = {}
@@ -294,17 +289,7 @@ def verify_uog(traj: Trajectory, rules: RuleSet | None = None,
     return UOGReport(len(traj.states), violations)
 
 
-def _digest_violations(digests):
-    seen = {}
-    out = []
-    for t, d in enumerate(digests):
-        if d in seen:
-            out.append((t, f"digest repeats state {seen[d]}"))
-        seen[d] = t
-    return out
-
-
-def restricted_hamiltonian(traj: Trajectory, rules: RuleSet | None = None):
+def restricted_hamiltonian(traj: Trajectory):
     """Matrix of the rule terms (plus adjoints) on the trajectory basis.
 
     Entry (s, t) collects `<state_s | term | state_t>` over every rule term
@@ -314,7 +299,7 @@ def restricted_hamiltonian(traj: Trajectory, rules: RuleSet | None = None):
     """
     if traj.states is None:
         raise ValueError("restricted_hamiltonian needs kept states")
-    rs = rules if rules is not None else rule_set(traj.start.tier)
+    rs = rule_set(traj.start.tier)
     states = traj.states
     index = {}
     for t, st in enumerate(states):
@@ -350,21 +335,23 @@ def _work_overlap(a: ChainState, b: ChainState) -> complex:
 # -- trace output -------------------------------------------------------------
 
 
-def write_trace(traj: Trajectory, fh, snapshot_every: int = None):
-    """Tab-separated trace: step, rule, site, active after step, clock, digest."""
+def write_trace(traj: Trajectory, fh):
+    """Tab-separated trace: step, rule, site, active after step, clock, digest.
+
+    The active and clock columns read '-' unless the run kept its states.
+    Each snapshot of traj.snapshots follows the line of the step it was
+    taken after.
+    """
     from .state import active_sites
     states = traj.states
+    snapshots = dict(traj.snapshots)
     for t in range(traj.n_steps):
+        active = ck = "-"
         if states is not None:
-            st = states[t + 1]
-            act = active_sites(st)
+            act = active_sites(states[t + 1])
             active = f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?"
-            ck = clock_value(st)
-            fh.write(f"{t}\t{traj.labels[t]}\t{traj.sites[t]}\t{active}\t"
-                     f"{ck if ck is not None else '-'}\t{traj.digests[t + 1]:016x}\n")
-        else:
-            fh.write(f"{t}\t{traj.labels[t]}\t{traj.sites[t]}\t-\t-\t"
-                     f"{traj.digests[t + 1]:016x}\n")
-        if (states is not None and snapshot_every
-                and (t + 1) % snapshot_every == 0):
-            fh.write(states[t + 1].snapshot() + "\n")
+            ck = clock_value(states[t + 1])
+        fh.write(f"{t}\t{traj.labels[t]}\t{traj.sites[t]}\t{active}\t"
+                 f"{ck if ck is not None else '-'}\t{traj.digests[t + 1]:016x}\n")
+        if t + 1 in snapshots:
+            fh.write(snapshots[t + 1].snapshot() + "\n")

@@ -119,6 +119,9 @@ class Rule:
         self.rhs = rhs
         self.gate = gate
         self.note = note
+        if lhs.get(D) != rhs.get(D):
+            # gates are the one channel that rewrites data
+            raise RuleError(f"rule {label} rewrites data cells directly")
         self._checks = {FORWARD: _compile_checks(lhs),
                         REVERSE: _compile_checks(rhs)}
         num = "".join(ch for ch in label if ch.isdigit())
@@ -126,9 +129,6 @@ class Rule:
 
     def __repr__(self):
         return f"<Rule {self.label} ({self.tier})>"
-
-    def side(self, direction):
-        return self.lhs if direction == FORWARD else self.rhs
 
     def out_side(self, direction):
         return self.rhs if direction == FORWARD else self.lhs
@@ -170,9 +170,6 @@ class Match:
     @property
     def label(self):
         return self.rule.label
-
-    def binding(self, name):
-        return dict(self.bindings)[name]
 
 
 def _r(label, tier, lhs, rhs, gate=None, note=""):
@@ -575,8 +572,7 @@ def _instantiate(cell, bindings, current):
     return current  # any / guards keep the current symbol
 
 
-def _apply_gate_effect(state: ChainState, kind: str, i: int, adjoint: bool,
-                       promote: bool):
+def _apply_gate_effect(state: ChainState, kind: str, i: int, adjoint: bool):
     """Apply a bound gate to data sites (i, i+1); returns (rows_patch, work)."""
     if state.dense:
         return {}, state.work.apply_gate(kind, i, i + 1, adjoint)
@@ -594,34 +590,26 @@ def _apply_gate_effect(state: ChainState, kind: str, i: int, adjoint: bool,
         return {}, state.work
     elif lb == QUANTUM and rb == QUANTUM:
         return {}, state.work.apply_gate(kind, i, i + 1, adjoint)
-    if not promote:
-        raise NonClassicalGateError(
-            f"gate {kind} on data sites ({i},{i + 1}) = ({lb},{rb}) leaves the"
-            " computational basis; valid chains never do this")
-    ws = state.work
-    nd = list(d)
-    for site, b in ((i, lb), (i + 1, rb)):
-        if b != QUANTUM:
-            ws = ws.promote(site, b)
-            nd[site - 1] = QUANTUM
-    return {D: tuple(nd)}, ws.apply_gate(kind, i, i + 1, adjoint)
+    raise NonClassicalGateError(
+        f"gate {kind} on data sites ({i},{i + 1}) = ({lb},{rb}) leaves the"
+        " computational basis; valid chains never do this")
 
 
-def apply(state: ChainState, match: Match, promote: bool = False) -> ChainState:
+def apply(state: ChainState, match: Match) -> ChainState:
     """Rewrite the state at the matched window; gates run on the data qubits.
 
     Raises StaleMatchError when the match no longer fits the state and
     NonClassicalGateError when a gate would break the classical data
-    invariant (promote=True instead grows the quantum support).
+    invariant.
     """
     rule, i = match.rule, match.site
     fresh = try_match(rule, state, i, match.direction)
     if fresh is None or tuple(sorted(fresh.items())) != match.bindings:
         raise StaleMatchError(f"rule {rule.label} no longer matches at {i}")
-    return _rewrite(state, match, promote)
+    return _rewrite(state, match)
 
 
-def _rewrite(state: ChainState, match: Match, promote: bool) -> ChainState:
+def _rewrite(state: ChainState, match: Match) -> ChainState:
     """apply() without the stale-match check, for a match just found on
     this very state."""
     rule, i, direction = match.rule, match.site, match.direction
@@ -629,13 +617,7 @@ def _rewrite(state: ChainState, match: Match, promote: bool) -> ChainState:
     out = rule.out_side(direction)
     patch = {}
     for reg, (cl, cr) in out.items():
-        if reg == D:
-            # data cells only ever appear as guards; gates are the one
-            # channel that rewrites data
-            for off, cell in ((0, cl), (1, cr)):
-                cur = state.data_bit(i + off)
-                if _instantiate(cell, bindings, cur) != cur:
-                    raise RuleError("rules must not rewrite data cells directly")
+        if reg == D:  # a guard: Rule() checks both sides agree
             continue
         row = list(state.rows[reg])
         row[i - 1] = _instantiate(cl, bindings, row[i - 1])
@@ -644,7 +626,7 @@ def _rewrite(state: ChainState, match: Match, promote: bool) -> ChainState:
     work = state.work
     if rule.gate is not None:
         gate_patch, work = _apply_gate_effect(
-            state, bindings[rule.gate], i, direction == REVERSE, promote)
+            state, bindings[rule.gate], i, direction == REVERSE)
         patch.update(gate_patch)
     return state.replace(rows=patch, work=work)
 

@@ -72,22 +72,6 @@ class WorkState:
                                len(self.support))
         return WorkState(self.support, out)
 
-    def promote(self, site: int, bit: str) -> "WorkState":
-        """Grow the support by one classical site (exploratory mode only)."""
-        pos = 0
-        while pos < len(self.support) and self.support[pos] < site:
-            pos += 1
-        if pos < len(self.support) and self.support[pos] == site:
-            return self
-        e = np.zeros(2, dtype=complex)
-        e[int(bit)] = 1.0
-        n = len(self.support)
-        a = self.amps.reshape([2] * n if n else [1])
-        a = np.tensordot(a, e, axes=0)  # new axis appended at the end
-        a = np.moveaxis(a.reshape([2] * (n + 1)), n, pos)
-        return WorkState(self.support[:pos] + (site,) + self.support[pos:],
-                         np.ascontiguousarray(a).reshape(-1))
-
     def phase_equal(self, other: "WorkState", tol: float = PHASE_TOL) -> bool:
         return self.support == other.support and phase_aligned_equal(
             self.amps, other.amps, tol)
@@ -133,10 +117,8 @@ class DenseData:
 
     def read_bit(self, site: int) -> str:
         """Classical readout of one site: '0', '1', or '?' when impure."""
-        axis = site - 1
-        a = self.amps.reshape([2] * self.n_sites)
-        a = np.moveaxis(a, axis, 0).reshape(2, -1)
-        p1 = float(np.linalg.norm(a[1]) ** 2)
+        x = self.amps.reshape(2 ** (site - 1), 2, -1)[:, 1, :]
+        p1 = float((x.real ** 2 + x.imag ** 2).sum())
         if p1 < self.PURITY_TOL:
             return "0"
         if p1 > 1.0 - self.PURITY_TOL:
@@ -176,9 +158,6 @@ class ChainState:
     @property
     def dense(self) -> bool:
         return isinstance(self.work, DenseData)
-
-    def row(self, reg: str) -> tuple:
-        return self.rows[reg]
 
     def data_bit(self, site: int) -> str:
         """'0' / '1' for classical data sites, '?' where amplitude lives."""

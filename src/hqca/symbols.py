@@ -38,11 +38,6 @@ MOVE = "m"
 QUANTUM = "?"  # data-row marker: amplitude lives in the work state, not a symbol
 
 
-def marked(gate: str, arrow: str, cross: str = "") -> str:
-    """Compose a marked program symbol, e.g. marked('W', '→') == '→W'."""
-    return arrow + gate + cross
-
-
 _P_TIER_I = ("W", "S", "I", "→W", "→S", "→I", GATE_APPLY, MOVE, BULLET, "→")
 _P_TIER_II_EXTRA = (TURN, "←W", "←S", "←I", "▷", "←")
 _P_TIER_III_EXTRA = ("⇓",)

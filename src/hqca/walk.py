@@ -49,11 +49,10 @@ class WalkLine:
                 np.outer(t + 1, k) * np.pi / (self.l + 1))
         return self._eigenvectors
 
-    def eigenbasis_coeffs(self, start: int) -> np.ndarray:
-        """Row <k|start> of the eigenbasis for one position state."""
+    def eigenbasis_coeffs(self) -> np.ndarray:
+        """Row <k|0> of the eigenbasis: the walk starts at position 0."""
         k = np.arange(1, self.l + 1)
-        return np.sqrt(2.0 / (self.l + 1)) * np.sin(
-            k * (start + 1) * np.pi / (self.l + 1))
+        return np.sqrt(2.0 / (self.l + 1)) * np.sin(k * np.pi / (self.l + 1))
 
     def hamiltonian(self) -> np.ndarray:
         """Dense -adjacency matrix (for oracle comparisons)."""
@@ -63,21 +62,21 @@ class WalkLine:
         return h
 
 
-def evolve(line: WalkLine, tau: float, start: int = 0) -> np.ndarray:
-    """Amplitudes <m| exp(-i H tau) |start> on all positions."""
-    coeff = line.eigenbasis_coeffs(start) * np.exp(-1j * line.eigenvalues * tau)
+def evolve(line: WalkLine, tau: float) -> np.ndarray:
+    """Amplitudes <m| exp(-i H tau) |0> on all positions."""
+    coeff = line.eigenbasis_coeffs() * np.exp(-1j * line.eigenvalues * tau)
     return dst(coeff, type=1, norm="ortho")
 
 
-def evolve_many(line: WalkLine, taus, start: int = 0) -> np.ndarray:
+def evolve_many(line: WalkLine, taus) -> np.ndarray:
     """Amplitude matrix, one column per time point (vectorized evolve)."""
     phases = np.exp(-1j * np.outer(line.eigenvalues, np.asarray(taus)))
-    coeffs = phases * line.eigenbasis_coeffs(start)[:, None]
+    coeffs = phases * line.eigenbasis_coeffs()[:, None]
     return dst(coeffs, type=1, norm="ortho", axis=0)
 
 
-def position_distribution(line: WalkLine, tau: float, start: int = 0) -> np.ndarray:
-    return np.abs(evolve(line, tau, start)) ** 2
+def position_distribution(line: WalkLine, tau: float) -> np.ndarray:
+    return np.abs(evolve(line, tau)) ** 2
 
 
 @dataclass
@@ -106,7 +105,7 @@ def limiting_distribution(line: WalkLine) -> WalkDistribution:
 
 
 def time_averaged_distribution(line: WalkLine, tau_star: float, samples: int,
-                               rng, start: int = 0) -> WalkDistribution:
+                               rng) -> WalkDistribution:
     """Monte-Carlo estimate of the tau-uniform average of |psi_m(tau)|^2.
 
     Sampling in chunks keeps memory at O(l * chunk) for long lines.
@@ -120,7 +119,7 @@ def time_averaged_distribution(line: WalkLine, tau_star: float, samples: int,
     while done < samples:
         n = min(chunk, samples - done)
         taus = rng.uniform(0.0, tau_star, size=n)
-        probs = np.abs(evolve_many(line, taus, start)) ** 2
+        probs = np.abs(evolve_many(line, taus)) ** 2
         total += probs.sum(axis=1)
         total_sq += (probs ** 2).sum(axis=1)
         done += n
@@ -133,8 +132,8 @@ def time_averaged_distribution(line: WalkLine, tau_star: float, samples: int,
     return WalkDistribution(mean / mean.sum(), err)
 
 
-def exact_time_averaged_distribution(line: WalkLine, tau_star: float,
-                                     start: int = 0) -> WalkDistribution:
+def exact_time_averaged_distribution(line: WalkLine,
+                                     tau_star: float) -> WalkDistribution:
     """Closed-form quadrature of the time average (no sampling error).
 
     The average of exp(-i(lambda_j - lambda_k) tau) over tau in [0, tau*]
@@ -143,7 +142,7 @@ def exact_time_averaged_distribution(line: WalkLine, tau_star: float,
     for the sweep sizes used in the run-time analysis.
     """
     lam = line.eigenvalues
-    m0 = line.eigenvectors * line.eigenbasis_coeffs(start)
+    m0 = line.eigenvectors * line.eigenbasis_coeffs()
     d = lam[:, None] - lam[None, :]
     kernel = np.ones_like(d, dtype=complex)
     nz = np.abs(d) > 1e-14
@@ -154,7 +153,7 @@ def exact_time_averaged_distribution(line: WalkLine, tau_star: float,
 
 
 def success_probability(line: WalkLine, far_fraction: float, tau_star: float,
-                        samples: int, rng, start: int = 0):
+                        samples: int, rng):
     """Estimated probability of measuring m > (1 - F) l at a uniform time.
 
     Returns (p_star, deficit) where deficit = F - p_star is the quantity the
@@ -164,7 +163,7 @@ def success_probability(line: WalkLine, far_fraction: float, tau_star: float,
         raise ValueError("far_fraction must lie in [0, 1]")
     if far_fraction == 0.0:
         return 0.0, 0.0
-    avg = time_averaged_distribution(line, tau_star, samples, rng, start)
+    avg = time_averaged_distribution(line, tau_star, samples, rng)
     cut = (1.0 - far_fraction) * line.l
     p_star = float(avg.probabilities[np.arange(line.l) > cut].sum())
     return p_star, far_fraction - p_star

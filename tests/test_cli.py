@@ -93,6 +93,28 @@ def test_walk_two_site(tmp_path, capsys):
     assert float(p1.split()[1]) > 1.0 - 1e-9
 
 
+def test_walk_instance_tau(tmp_path, capsys):
+    inst = write(tmp_path, TIER1 + "tau=3.0\n")
+    rc = main(["walk", inst, "--length", "4", "--samples", "10"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "p_tau tau=3.0" in out
+    # the flag wins over the key
+    rc = main(["walk", inst, "--length", "4", "--samples", "10",
+               "--tau", "1.0"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "p_tau tau=1.0" in out and "tau=3.0" not in out
+
+
+def test_walk_without_dead_end_exit_2(tmp_path, capsys):
+    # tier II never dead-ends, so the budget, not the chain, ends the run
+    rc = main(["walk", write(tmp_path, TIER2 + "budget=50\n"),
+               "--samples", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "line l=" not in captured.out
+    assert "50-step limit" in captured.err and "--length" in captured.err
+
+
 def test_walk_zero_samples_rejected(tmp_path, capsys):
     rc = main(["walk", write(tmp_path, TIER1), "--length", "4",
                "--samples", "0"])
@@ -109,6 +131,33 @@ def test_verify_suites(tmp_path, capsys):
     assert rc == 0 and "CHECK clock_counter[4b] PASS" in out
     rc = main(["verify", write(tmp_path, TIER1), "--suite", "nonsense"])
     assert rc == 2
+
+
+def test_run_snapshot_blocks(tmp_path, capsys):
+    inst = write(tmp_path, TIER1)
+    trace = tmp_path / "t.tsv"
+    rc = main(["run", inst, "--snapshot-every", "10", "--trace", str(trace)])
+    assert rc == 0
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    # 93 steps: snapshots after steps 10, 20, ..., 90
+    assert sum(ln.startswith("P: ") for ln in lines) == 9
+    assert sum(ln.startswith("D: ") for ln in lines) == 9
+    # the instance key does the same
+    rc = main(["run", write(tmp_path, TIER1 + "snapshot_every=10\n", "b.txt"),
+               "--trace", str(trace)])
+    assert rc == 0
+    assert trace.read_text(encoding="utf-8").splitlines() == lines
+
+
+@pytest.mark.parametrize("suite", ["oracle", "all"])
+def test_verify_dense_oracle_exit_2(tmp_path, capsys, suite):
+    inst = write(tmp_path, TIER1 + "dense=1\n")
+    rc = main(["verify", inst, "--suite", suite])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "CHECK" not in captured.out
+    assert captured.err.count("\n") == 1
+    assert "oracle suite reads the hybrid work register" in captured.err
 
 
 def test_verify_all_tier1(tmp_path, capsys):

@@ -51,6 +51,12 @@ def test_run_stop_reasons(example_circuit):
     assert clock_value(t3.final) == 2
 
 
+@pytest.mark.parametrize("stop_on", ["dead-end", "steps", ""])
+def test_unknown_stop_on_rejected(stop_on):
+    with pytest.raises(ValueError, match="stop_on"):
+        StepBudget(10, stop_on)
+
+
 def test_markers_from_labels(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(100, "dead_end"))
@@ -223,6 +229,9 @@ def test_streaming_run_matches_full(example_circuit):
     assert not lean.uog_violations
     snap_t, snap_state = lean.snapshots[1]
     assert snap_state.config_equal(full.state(snap_t))
+    # a streamed run was checked on the fly; there are no states to recheck
+    with pytest.raises(ValueError, match="check_uog"):
+        verify_uog(lean)
 
 
 def test_trace_format(tmp_path, example_circuit):
@@ -236,11 +245,14 @@ def test_trace_format(tmp_path, example_circuit):
     first = lines[0].split("\t")
     assert first[0] == "0" and first[1] == "1" and first[2] == "1"
     assert first[3] == "P:→S" and len(first[5]) == 16
-    # snapshot blocks interleave at the requested interval
+    # the run's snapshots interleave after the steps they follow
+    traj = run(build_initial(BuildSpec(example_circuit, "I")),
+               StepBudget(5, "step_limit"), snapshot_every=2)
     with open(path, "w", encoding="utf-8") as fh:
-        write_trace(traj, fh, snapshot_every=2)
-    text = path.read_text(encoding="utf-8")
-    assert text.count("P: ") == 2  # snapshots after steps 2 and 4
+        write_trace(traj, fh)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [i for i, ln in enumerate(lines) if ln.startswith("P: ")] == [2, 6]
+    assert lines[3] == traj.snapshots[0][1].snapshot().splitlines()[1]
 
 
 def test_predicted_cycle(example_circuit):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hqca import BuildSpec, StepBudget, build_initial, run
-from hqca.rules import (FORWARD, REVERSE, NonClassicalGateError, applicable,
-                        apply, classical_gate_action, dump_rule_table,
-                        rule_set, try_match)
+from hqca.rules import (FORWARD, REVERSE, NonClassicalGateError, Rule,
+                        RuleError, applicable, apply, classical_gate_action,
+                        dump_rule_table, lit, rule_set, try_match)
 from hqca.state import ChainState, WorkState
 from hqca.symbols import BULLET
 
@@ -121,7 +121,7 @@ def test_classical_gate_action():
 
 def _gate_violation_state():
     # g head about to apply W to classical (1, 0): never happens on valid
-    # chains, so the engine must refuse (or promote on request)
+    # chains, so the engine must refuse
     rows = {"P": ("W", "g", BULLET, BULLET),
             "D": ("1", "0", "0", "0")}
     return ChainState("I", rows, WorkState((), np.ones(1, dtype=complex)))
@@ -133,17 +133,6 @@ def test_nonclassical_gate_aborts():
     assert [x.label for x in m] == ["5a"]
     with pytest.raises(NonClassicalGateError):
         apply(s, m[0])
-
-
-def test_nonclassical_gate_promotes_on_request():
-    s = _gate_violation_state()
-    m = applicable(s, FORWARD)[0]
-    out = apply(s, m, promote=True)
-    assert out.work.support == (1, 2)
-    assert out.rows["D"][:2] == ("?", "?")
-    from hqca.circuit import basis_state, gate_matrix
-    assert np.max(np.abs(out.work.amps
-                         - gate_matrix("W") @ basis_state("10"))) < 1e-12
 
 
 def test_swap_updates_classical_bits():
@@ -175,9 +164,17 @@ def test_rule_dump_lines():
 
 
 def test_gate_effects_confined_to_work_window(example_circuit):
-    # on a valid run the quantum support never grows and no promotion is
-    # needed even with promote enabled
+    # on a valid run every gate lands on the work window or on classical
+    # bits it keeps classical; anything else raises NonClassicalGateError
     traj = run(build_initial(BuildSpec(example_circuit, "II")),
-               StepBudget(400, "step_limit"), promote=True)
-    assert traj.support_growth == 0
+               StepBudget(400, "step_limit"))
     assert traj.final.work.support == (7, 8, 9)
+
+
+def test_rule_rewriting_data_rejected():
+    # data cells are guards; only a gate may change the data register
+    with pytest.raises(RuleError, match="rewrites data cells"):
+        Rule("99", "I", {"P": (lit("→"), lit(BULLET)), "D": (lit("1"), lit("0"))},
+             {"P": (lit("m"), lit(BULLET)), "D": (lit("0"), lit("0"))})
+    Rule("99", "I", {"P": (lit("→"), lit(BULLET)), "D": (lit("1"), lit("0"))},
+         {"P": (lit("m"), lit(BULLET)), "D": (lit("1"), lit("0"))})

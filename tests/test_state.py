@@ -108,10 +108,18 @@ def test_dense_round_trip(example_circuit):
     dense = as_dense_vector(s)
     assert abs(np.linalg.norm(dense) - 1.0) < 1e-12
     d = DenseData(s.L, dense)
-    # classical sites read back their bits exactly
+    # classical sites read back their bits exactly, and the random work
+    # vector leaves every work site impure
     for site, b in enumerate(s.rows["D"], start=1):
-        if b != "?":
-            assert d.read_bit(site) == b
+        assert d.read_bit(site) == b
+    # a work site in a basis state reads as that bit, the others stay '?'
+    for bit, one in (("0", [1.0, 0.0]), ("1", [0.0, 1.0])):
+        s2 = build_initial(BuildSpec(example_circuit, "I",
+                                     np.kron(one, w[:4] / np.linalg.norm(w[:4]))))
+        d2 = DenseData(s2.L, as_dense_vector(s2))
+        first = s2.work.support[0]
+        assert d2.read_bit(first) == bit
+        assert [d2.read_bit(x) for x in s2.work.support[1:]] == ["?", "?"]
 
 
 def test_dimension_audit_values():

@@ -152,6 +152,23 @@ def test_backends_match_small_runs(example_circuit, random_work):
     assert res.passed, res.details
 
 
+def test_backends_dense_spec_compares_both_backends(example_circuit,
+                                                    random_work, monkeypatch):
+    # a dense spec still runs the hybrid side against the dense one
+    import hqca.verify as verify
+    built = []
+
+    def spy(spec, orig=verify.build_initial):
+        built.append(spec.dense)
+        return orig(spec)
+
+    monkeypatch.setattr(verify, "build_initial", spy)
+    res = cross_check_backends(
+        BuildSpec(example_circuit, "I", random_work, dense=True), 100)
+    assert built == [False, True]
+    assert res.passed, res.details
+
+
 def test_posttarget_freeze(example_circuit):
     off = full_width_offset(16, 3)
     s = build_initial(BuildSpec(example_circuit, "IV", "000", target_x=3,
