@@ -13,13 +13,14 @@ length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import (CircuitProgram, InstanceParseError, _parse_int,
                       parse_circuit_text)
-from .state import ChainState, DenseData, WorkState
+from .state import ChainState, WorkState
 from .symbols import BULLET, C, C2, CP, D, P, QUANTUM, T, TURN
 
 
@@ -50,7 +51,6 @@ class BuildSpec:
     work: str | np.ndarray = None  # bitstring or dense 2^N vector; default 0^N
     target_x: int = None           # tier IV only
     bullet_offset: int = 3         # sites between target bullet and its MSB
-    dense: bool = False            # use the full-dense data backend
 
     def work_state(self, support) -> WorkState:
         n = self.circuit.n_qubits
@@ -127,12 +127,7 @@ def build_initial(spec: BuildSpec) -> ChainState:
                          + ["1"] * (length - bullet_site))
 
     assert len(rows[P]) == length
-    work = spec.work_state(support)
-    state = ChainState(tier, rows, work)
-    if spec.dense:
-        dense = DenseData.from_bits_and_work(length, rows[D], work)
-        state = ChainState(tier, rows, dense)
-    return state
+    return ChainState(tier, rows, spec.work_state(support))
 
 
 def target_row(length: int, x: int, bullet_offset: int):
@@ -177,14 +172,13 @@ def full_width_offset(length: int, x: int) -> int:
 #   construction=<I|II|III|IV>
 #   target=<int>              (tier IV)
 #   bullet_offset=<int>       (tier IV, default 3)
-#   dense=<0|1>
 # plus run options that the CLI reads, each overridden by its flag:
 #   budget, snapshot_every (run; budget also walk and verify),
 #   seed, tau, tau_star, samples (walk).
 
-# integer run options and their smallest allowed values
+# integer and real run options and their smallest allowed values
 _RUN_KEYS = {"budget": 1, "seed": 0, "samples": 1, "snapshot_every": 1}
-_RUN_FLOAT_KEYS = ("tau", "tau_star")
+_RUN_FLOAT_KEYS = {"tau": -math.inf, "tau_star": 0.0}
 
 
 @dataclass
@@ -198,7 +192,6 @@ def parse_instance_text(text: str) -> Instance:
     tier = "I"
     target = None
     bullet_offset = 3
-    dense = False
     options = {}
     for key, (value, lineno) in extra.items():
         if key == "construction":
@@ -209,21 +202,28 @@ def parse_instance_text(text: str) -> Instance:
             target = _parse_int(value, lineno)
         elif key == "bullet_offset":
             bullet_offset = _parse_int(value, lineno)
-        elif key == "dense":
-            dense = value not in ("0", "false", "no")
         elif key in _RUN_KEYS:
             options[key] = _parse_int(value, lineno, minimum=_RUN_KEYS[key])
         elif key in _RUN_FLOAT_KEYS:
-            try:
-                options[key] = float(value)
-            except ValueError:
-                raise InstanceParseError(lineno, f"expected number, got {value!r}")
+            options[key] = _parse_float(value, lineno, _RUN_FLOAT_KEYS[key])
         else:
             raise InstanceParseError(lineno, f"unknown key {key!r}")
     if tier == "IV" and target is None:
         raise InstanceParseError(0, "construction IV needs target=<int>")
-    spec = BuildSpec(circuit, tier, work, target, bullet_offset, dense)
+    spec = BuildSpec(circuit, tier, work, target, bullet_offset)
     return Instance(spec, options)
+
+
+def _parse_float(value: str, lineno: int, minimum: float) -> float:
+    try:
+        v = float(value)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise InstanceParseError(lineno, f"expected a finite number, got {value!r}")
+    if v < minimum:
+        raise InstanceParseError(lineno, f"value {v} below minimum {minimum}")
+    return v
 
 
 def parse_instance_file(path) -> Instance:

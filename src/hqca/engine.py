@@ -282,7 +282,7 @@ def verify_uog(traj: Trajectory, rules: RuleSet | None = None,
             rev = applicable(st, REVERSE, rs)
             if len(rev) != 1:
                 violations.append((t, f"{len(rev)} reverse matches"))
-        if work_window is not None and not st.dense:
+        if work_window is not None:
             extra = set(st.work.support) - set(work_window)
             if extra:
                 violations.append((t, f"quantum support leaked to {sorted(extra)}"))
@@ -314,7 +314,7 @@ def restricted_hamiltonian(traj: Trajectory):
                     other = states[s]
                     if not other.config_equal(img):
                         continue
-                    amp = _work_overlap(other, img)
+                    amp = other.work.overlap(img.work)
                     if abs(amp) < 1e-12:
                         continue
                     if abs(s - t) != 1:
@@ -323,13 +323,6 @@ def restricted_hamiltonian(traj: Trajectory):
                             " off-path matrix element")
                     h[s, t] += amp.real
     return h
-
-
-def _work_overlap(a: ChainState, b: ChainState) -> complex:
-    if a.dense or b.dense:
-        from .state import as_dense_vector
-        return complex(np.vdot(as_dense_vector(a), as_dense_vector(b)))
-    return a.work.overlap(b.work)
 
 
 # -- trace output -------------------------------------------------------------

@@ -461,8 +461,6 @@ def rule_set(tier: str) -> RuleSet:
 
 
 def _read_cell(state: ChainState, reg: str, site: int) -> str:
-    if reg == D:
-        return state.data_bit(site)
     row = state.rows.get(reg)
     return row[site - 1] if row is not None else None
 
@@ -574,8 +572,6 @@ def _instantiate(cell, bindings, current):
 
 def _apply_gate_effect(state: ChainState, kind: str, i: int, adjoint: bool):
     """Apply a bound gate to data sites (i, i+1); returns (rows_patch, work)."""
-    if state.dense:
-        return {}, state.work.apply_gate(kind, i, i + 1, adjoint)
     d = state.rows[D]
     lb, rb = d[i - 1], d[i]
     if lb != QUANTUM and rb != QUANTUM:

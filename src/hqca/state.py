@@ -1,11 +1,11 @@
-"""Chain states: classical register rows plus a hybrid or dense data backend.
+"""Chain states: classical register rows plus a hybrid data register.
 
 A ChainState is immutable; every transition produces a new state.  The data
 register is special: most of its sites provably stay in computational basis
-states, so the default (hybrid) backend keeps one classical bit per site and
-a small amplitude vector over a quantum-support set, normally the N work
-qubits.  A full-dense backend that keeps the whole data register as one 2^L
-amplitude vector exists for cross-validation at small L.
+states, so a state keeps one classical bit per data site and a small
+amplitude vector over a quantum-support set, normally the N work qubits.
+DenseData, the whole data register as one 2^L amplitude vector, is the
+oracle that verify.cross_check_backends checks this claim against at small L.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class WorkState:
 
 
 class DenseData:
-    """Full data register as one 2^L amplitude vector (cross-check backend)."""
+    """Full data register as one 2^L amplitude vector: the oracle of
+    verify.cross_check_backends."""
 
     __slots__ = ("n_sites", "amps")
 
@@ -125,14 +126,10 @@ class DenseData:
             return "1"
         return QUANTUM
 
-    def apply_gate(self, kind: str, site_i: int, site_j: int,
-                   adjoint: bool = False) -> "DenseData":
-        out = _apply_two_qubit(self.amps, gate_matrix(kind, adjoint),
+    def apply_gate(self, kind: str, site_i: int, site_j: int) -> "DenseData":
+        out = _apply_two_qubit(self.amps, gate_matrix(kind),
                                site_i - 1, site_j - 1, self.n_sites)
         return DenseData(self.n_sites, out)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 class ChainState:
@@ -155,16 +152,6 @@ class ChainState:
             if reg not in self.rows:
                 raise StateError(f"tier {tier} state is missing register {reg}")
 
-    @property
-    def dense(self) -> bool:
-        return isinstance(self.work, DenseData)
-
-    def data_bit(self, site: int) -> str:
-        """'0' / '1' for classical data sites, '?' where amplitude lives."""
-        if self.dense:
-            return self.work.read_bit(site)
-        return self.rows[D][site - 1]
-
     def replace(self, rows=None, work=None) -> "ChainState":
         new_rows = dict(self.rows)
         if rows:
@@ -176,13 +163,7 @@ class ChainState:
     def config_key(self) -> tuple:
         """Hashable classical content; distinct keys mean orthogonal states."""
         regs = tuple(self.rows[r] for r in REGISTERS_BY_TIER[self.tier] if r != D)
-        return (self.tier, self._data_cells()) + regs
-
-    def _data_cells(self) -> tuple:
-        """The data row, read out of the amplitudes on the dense backend."""
-        if self.dense:
-            return tuple(self.work.read_bit(s) for s in range(1, self.L + 1))
-        return self.rows[D]
+        return (self.tier, self.rows[D]) + regs
 
     def digest(self) -> int:
         """64-bit digest of config_key, cached per state."""
@@ -196,20 +177,14 @@ class ChainState:
 
     def state_equal(self, other: "ChainState", tol: float = PHASE_TOL) -> bool:
         """Config equality plus work-vector equality up to global phase."""
-        if not self.config_equal(other):
-            return False
-        if self.dense or other.dense:
-            a = as_dense_vector(self)
-            b = as_dense_vector(other)
-            return phase_aligned_equal(a, b, tol)
-        return self.work.phase_equal(other.work, tol)
+        return self.config_equal(other) and self.work.phase_equal(other.work, tol)
 
     # -- snapshot text format ----------------------------------------------
 
     def snapshot(self) -> str:
         """One line per register, sites separated by single spaces."""
         return "\n".join(
-            f"{reg}: " + " ".join(self._data_cells() if reg == D else self.rows[reg])
+            f"{reg}: " + " ".join(self.rows[reg])
             for reg in REGISTERS_BY_TIER[self.tier])
 
     def __repr__(self):
@@ -217,9 +192,8 @@ class ChainState:
 
 
 def as_dense_vector(state: ChainState) -> np.ndarray:
-    """Full 2^L data-register vector of either backend."""
-    if state.dense:
-        return state.work.amps
+    """Full 2^L data-register vector: the classical bits with the work
+    amplitudes embedded at their support sites."""
     return DenseData.from_bits_and_work(state.L, state.rows[D], state.work).amps
 
 
@@ -278,11 +252,11 @@ def validate_config(state: ChainState) -> ValidationReport:
         if len(state.rows[reg]) != state.L:
             v.append(f"register {reg} has length {len(state.rows[reg])} != {state.L}")
             continue
-        if reg == D and not state.dense:
+        if reg == D:
             bad = [s for s in state.rows[D] if s not in ("0", "1", QUANTUM)]
             if bad:
                 v.append(f"data row holds non-bit symbols {sorted(set(bad))}")
-        elif reg != D:
+        else:
             alphabet = set(sym.alphabet(reg, state.tier))
             bad = sorted({s for s in state.rows[reg] if s not in alphabet})
             if bad:
@@ -290,13 +264,12 @@ def validate_config(state: ChainState) -> ValidationReport:
     n_active = len(active_sites(state))
     if n_active != 1:
         v.append(f"active count {n_active}")
-    if not state.dense:
-        support = state.work.support
-        marked = tuple(i for i, s in enumerate(state.rows[D], start=1) if s == QUANTUM)
-        if support != marked:
-            v.append(f"quantum support {support} != data-row markers {marked}")
-        if any(not 1 <= s <= state.L for s in support):
-            v.append("quantum support outside the chain")
+    support = state.work.support
+    marked = tuple(i for i, s in enumerate(state.rows[D], start=1) if s == QUANTUM)
+    if support != marked:
+        v.append(f"quantum support {support} != data-row markers {marked}")
+    if any(not 1 <= s <= state.L for s in support):
+        v.append("quantum support outside the chain")
     if abs(state.work.norm() - 1.0) > NORM_TOL:
         v.append(f"work norm {state.work.norm()!r} != 1")
     return ValidationReport(v)

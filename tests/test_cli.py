@@ -149,17 +149,6 @@ def test_run_snapshot_blocks(tmp_path, capsys):
     assert trace.read_text(encoding="utf-8").splitlines() == lines
 
 
-@pytest.mark.parametrize("suite", ["oracle", "all"])
-def test_verify_dense_oracle_exit_2(tmp_path, capsys, suite):
-    inst = write(tmp_path, TIER1 + "dense=1\n")
-    rc = main(["verify", inst, "--suite", suite])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "CHECK" not in captured.out
-    assert captured.err.count("\n") == 1
-    assert "oracle suite reads the hybrid work register" in captured.err
-
-
 def test_verify_all_tier1(tmp_path, capsys):
     rc = main(["verify", write(tmp_path, TIER1), "--suite", "all",
                "--l-bits", "3"])
@@ -194,6 +183,12 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     ["walk", "{inst}", "--length", "0"],
     ["walk", "{inst}", "--length", "4", "--samples", "-5"],
     ["walk", "{inst}", "--length", "4", "--seed", "-1"],
+    ["walk", "{inst}", "--length", "4", "--tau-star", "-1"],
+    ["walk", "{inst}", "--length", "4", "--tau-star", "nan"],
+    ["walk", "{inst}", "--length", "4", "--tau-star", "inf"],
+    ["walk", "{inst}", "--length", "4", "--fraction", "2"],
+    ["walk", "{inst}", "--length", "4", "--fraction", "nan"],
+    ["walk", "{inst}", "--length", "4", "--tau", "nan"],
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, argv):
     inst = write(tmp_path, TIER1)
@@ -218,3 +213,12 @@ def test_instance_non_positive_option_exit_2(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert rc == 2
     assert "line 7" in err and "below minimum 1" in err
+
+
+@pytest.mark.parametrize("line", ["tau_star=-3", "tau_star=inf", "tau=nan"])
+def test_instance_bad_float_exit_2(tmp_path, capsys, line):
+    inst = write(tmp_path, TIER1 + line + "\n")
+    rc = main(["walk", inst, "--length", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "line 7" in captured.err and "Traceback" not in captured.err

@@ -124,17 +124,13 @@ def _reference_walk(start, max_steps):
 
 @settings(max_examples=30, deadline=None)
 @given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
-       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6), dense=st.booleans(),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
        target=st.integers(1, 3), steps=st.integers(1, 300))
-def test_run_matches_reference_step_path(tier, n, k, seed, dense, target,
-                                         steps):
-    # random circuits on every tier and both backends (L <= 16)
+def test_run_matches_reference_step_path(tier, n, k, seed, target, steps):
+    # random circuits on every tier (L <= 16)
     extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
     start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
-                                    random_state(n, seed), dense=dense,
-                                    **extra))
-    if dense:  # a dense step costs O(2^L): keep to about 2^20 amplitude-steps
-        steps = min(steps, 2 ** (20 - start.L))
+                                    random_state(n, seed), **extra))
     labels, sites, digests, markers, final = _reference_walk(start, steps)
     traj = run(start, StepBudget(steps, "dead_end"), keep_states=False)
     assert traj.labels == labels and traj.sites == sites

@@ -152,21 +152,45 @@ def test_backends_match_small_runs(example_circuit, random_work):
     assert res.passed, res.details
 
 
-def test_backends_dense_spec_compares_both_backends(example_circuit,
-                                                    random_work, monkeypatch):
-    # a dense spec still runs the hybrid side against the dense one
-    import hqca.verify as verify
-    built = []
-
-    def spy(spec, orig=verify.build_initial):
-        built.append(spec.dense)
-        return orig(spec)
-
-    monkeypatch.setattr(verify, "build_initial", spy)
-    res = cross_check_backends(
-        BuildSpec(example_circuit, "I", random_work, dense=True), 100)
-    assert built == [False, True]
+@settings(max_examples=30, deadline=None)
+@given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       target=st.integers(1, 3), steps=st.integers(1, 300))
+def test_backends_match_random_circuits(tier, n, k, seed, target, steps):
+    # the draws of test_run_matches_reference_step_path (L <= 16)
+    extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
+    res = cross_check_backends(BuildSpec(small_circuit(n, k, seed), tier,
+                                         random_state(n, seed), **extra),
+                               steps)
     assert res.passed, res.details
+
+
+def test_backends_catch_adjoint_work_gates(example_circuit, monkeypatch):
+    from hqca.state import WorkState
+    orig = WorkState.apply_gate
+
+    def adjoint_gate(work, kind, site_i, site_j, adjoint=False):
+        return orig(work, kind, site_i, site_j, not adjoint)
+
+    monkeypatch.setattr(WorkState, "apply_gate", adjoint_gate)
+    res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
+    assert not res.passed
+    assert res.measured.startswith("steps=12 ")
+
+
+def test_backends_catch_swapping_identity(example_circuit, monkeypatch):
+    import hqca.rules as rules
+    orig = rules.classical_gate_action
+
+    def swapping_identity(kind, left_bit, right_bit):
+        if kind == "I":
+            return (right_bit, left_bit)
+        return orig(kind, left_bit, right_bit)
+
+    monkeypatch.setattr(rules, "classical_gate_action", swapping_identity)
+    res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
+    assert not res.passed
+    assert res.measured.startswith("steps=14 ")
 
 
 def test_posttarget_freeze(example_circuit):
