@@ -13,12 +13,11 @@ length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (CircuitProgram, InstanceParseError, _parse_int,
+from .circuit import (CircuitProgram, InstanceParseError, _parse_number,
                       parse_circuit_text)
 from .state import ChainState, WorkState
 from .symbols import BULLET, C, C2, CP, D, P, QUANTUM, T, TURN
@@ -176,9 +175,13 @@ def full_width_offset(length: int, x: int) -> int:
 #   budget, snapshot_every (run; budget also walk and verify),
 #   seed, tau, tau_star, samples (walk).
 
-# integer and real run options and their smallest allowed values
-_RUN_KEYS = {"budget": 1, "seed": 0, "samples": 1, "snapshot_every": 1}
-_RUN_FLOAT_KEYS = {"tau": -math.inf, "tau_star": 0.0}
+# `hqca walk` draws every sample before it prints, so the count is capped
+MAX_SAMPLES = 10 ** 8
+
+# run options: type and allowed range
+_RUN_KEYS = {"budget": (int, 1), "seed": (int, 0),
+             "samples": (int, 1, MAX_SAMPLES), "snapshot_every": (int, 1),
+             "tau": (float,), "tau_star": (float, 0.0)}
 
 
 @dataclass
@@ -199,31 +202,17 @@ def parse_instance_text(text: str) -> Instance:
                 raise InstanceParseError(lineno, f"unknown construction {value!r}")
             tier = value
         elif key == "target":
-            target = _parse_int(value, lineno)
+            target = _parse_number(value, lineno)
         elif key == "bullet_offset":
-            bullet_offset = _parse_int(value, lineno)
+            bullet_offset = _parse_number(value, lineno)
         elif key in _RUN_KEYS:
-            options[key] = _parse_int(value, lineno, minimum=_RUN_KEYS[key])
-        elif key in _RUN_FLOAT_KEYS:
-            options[key] = _parse_float(value, lineno, _RUN_FLOAT_KEYS[key])
+            options[key] = _parse_number(value, lineno, *_RUN_KEYS[key])
         else:
             raise InstanceParseError(lineno, f"unknown key {key!r}")
     if tier == "IV" and target is None:
         raise InstanceParseError(0, "construction IV needs target=<int>")
     spec = BuildSpec(circuit, tier, work, target, bullet_offset)
     return Instance(spec, options)
-
-
-def _parse_float(value: str, lineno: int, minimum: float) -> float:
-    try:
-        v = float(value)
-    except ValueError:
-        v = math.nan
-    if not math.isfinite(v):
-        raise InstanceParseError(lineno, f"expected a finite number, got {value!r}")
-    if v < minimum:
-        raise InstanceParseError(lineno, f"value {v} below minimum {minimum}")
-    return v
 
 
 def parse_instance_file(path) -> Instance:

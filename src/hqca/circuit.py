@@ -18,6 +18,7 @@ highest qubit pair acts first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,9 +211,9 @@ def parse_circuit_text(text: str):
         key = key.strip()
         value = value.strip()
         if key == "n":
-            n = _parse_int(value, lineno, minimum=2)
+            n = _parse_number(value, lineno, int, 2)
         elif key == "k":
-            k = _parse_int(value, lineno, minimum=1)
+            k = _parse_number(value, lineno, int, 1)
         elif key == "work":
             if set(value) - {"0", "1"}:
                 raise InstanceParseError(lineno, "work must be a bitstring")
@@ -240,11 +241,24 @@ def parse_circuit_text(text: str):
     return CircuitProgram(n, tuple(round_list)), work, extra
 
 
-def _parse_int(value: str, lineno: int, minimum: int | None = None) -> int:
+def parse_number(text: str, kind=int, low=-math.inf, high=math.inf):
+    """A finite int or float (kind) in [low, high]; ValueError otherwise."""
     try:
-        v = int(value)
+        v = kind(text)
     except ValueError:
-        raise InstanceParseError(lineno, f"expected integer, got {value!r}")
-    if minimum is not None and v < minimum:
-        raise InstanceParseError(lineno, f"value {v} below minimum {minimum}")
+        v = math.nan
+    if not abs(v) < math.inf:
+        raise ValueError(f"expected a finite {kind.__name__}, got {text!r}")
+    if v < low:
+        raise ValueError(f"value {v} below minimum {low}")
+    if v > high:
+        raise ValueError(f"value {v} above maximum {high}")
     return v
+
+
+def _parse_number(text: str, lineno: int, *bounds):
+    """parse_number on an instance-file value; errors carry the line."""
+    try:
+        return parse_number(text, *bounds)
+    except ValueError as err:
+        raise InstanceParseError(lineno, str(err)) from None

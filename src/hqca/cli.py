@@ -7,16 +7,17 @@ deterministic for a fixed instance file and seed.
 from __future__ import annotations
 
 import argparse
-import math
+import contextlib
 import os
 import sys
 
 import numpy as np
 
-from .builder import build_initial, parse_instance_file, work_window
-from .circuit import InstanceParseError
-from .engine import (Ambiguous, StepBudget, clock_value, run, verify_uog,
-                     write_trace)
+from .builder import (MAX_SAMPLES, build_initial, parse_instance_file,
+                      work_window)
+from .circuit import InstanceParseError, parse_number
+from .engine import (Ambiguous, StepBudget, clock_value, run,
+                     trace_observer, verify_uog)
 from .state import validate_config
 from .symbols import format_dimension_audit
 from .verify import (VerificationReport, check_claim_b, check_clock_counter,
@@ -30,18 +31,13 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _number(kind, low=-math.inf, high=math.inf):
-    """argparse type: a finite int or float (kind) in [low, high]."""
+def _number(*bounds):
+    """argparse type: circuit.parse_number(text, kind, low, high)."""
     def parse(text: str):
         try:
-            value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not (low <= value <= high and abs(value) < math.inf):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite {kind.__name__} in [{low}, {high}],"
-                f" got {text!r}")
-        return value
+            return parse_number(text, *bounds)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
     return parse
 
 
@@ -90,16 +86,20 @@ def cmd_run(args) -> int:
     state = _build(instance)
     budget = StepBudget(args.budget or instance.options.get("budget", 10 ** 6),
                         "dead_end")
+    every = args.snapshot_every or instance.options.get("snapshot_every")
     try:
-        traj = run(state, budget, keep_states=args.keep_states,
-                   snapshot_every=args.snapshot_every
-                   or instance.options.get("snapshot_every"))
-    except Ambiguous as err:
-        print(f"error: ambiguous transition: {err}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    if args.trace:
-        with open(_out_path(args.trace), "w", encoding="utf-8") as fh:
-            write_trace(traj, fh)
+        fh = (open(_out_path(args.trace), "w", encoding="utf-8")
+              if args.trace else None)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    with fh or contextlib.nullcontext():
+        try:
+            traj = run(state, budget, keep_states=False,
+                       observer=trace_observer(fh, every) if fh else None)
+        except Ambiguous as err:
+            print(f"error: ambiguous transition: {err}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
     ck = clock_value(traj.final)
     print(f"steps={traj.n_steps} status={traj.stop_reason}"
           f" clock={ck if ck is not None else '-'}")
@@ -212,17 +212,18 @@ def main(argv=None) -> int:
     p.add_argument("--budget", type=positive, default=None)
     p.add_argument("--snapshot-every", type=positive, default=None)
     p.add_argument("--trace", help="write a trace file")
-    p.add_argument("--keep-states", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("walk", help="quantum-walk distributions and bounds")
     p.add_argument("instance")
     p.add_argument("--tau", type=_number(float), default=None)
     p.add_argument("--tau-star", type=_number(float, 0), default=None)
-    p.add_argument("--samples", type=positive, default=None)
+    p.add_argument("--samples", type=_number(int, 1, MAX_SAMPLES),
+                   default=None)
     p.add_argument("--seed", type=_number(int, 0), default=None)
     p.add_argument("--fraction", type=_number(float, 0, 1), default=0.5)
-    p.add_argument("--length", type=positive, default=None,
+    # a line of 10^7 positions already takes 80 MB per dense vector
+    p.add_argument("--length", type=_number(int, 1, 10 ** 7), default=None,
                    help="line length (skip the trajectory run)")
     p.add_argument("--dump", action="store_true")
     p.set_defaults(func=cmd_walk)

@@ -4,10 +4,10 @@ A valid chain state has exactly one applicable forward rule (or none, at a
 dead end) and exactly one reverse rule (the start state of tiers I-III has
 none; the tier-IV start state admits a short reverse tail of at most 3L
 steps before a dead end).  run() walks the unique forward path, recording
-the fired rule label, window site and configuration digest of every step;
-long runs can drop full states and keep only those records plus periodic
-snapshots, so memory is O(L) for the current state plus roughly a hundred
-bytes per step for the records.
+the fired rule label and window site of every step; it digests
+configurations only under check_uog, to catch repeats.  Long runs can drop
+full states and keep only those records; anything else a caller wants per
+step (a trace file, say) comes from an observer while the run goes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .rules import (FORWARD, REVERSE, RuleSet, _rewrite, applicable, apply,
                     rule_set)
-from .state import ChainState
+from .state import ChainState, active_sites
 from .symbols import BULLET, C, CP
 
 
@@ -70,8 +70,7 @@ class StepBudget:
 class Trajectory:
     """Forward path from a start state, with step metadata.
 
-    states is populated only when keep_states was set; long runs instead
-    carry digests (uint64 per state) and sparse snapshots.  labels[t] and
+    states is populated only when keep_states was set.  labels[t] and
     sites[t] name the rule and window of step t, the transition from state
     t to state t+1; markers is derived from them.
     """
@@ -80,8 +79,6 @@ class Trajectory:
     states: list = None
     labels: list = field(default_factory=list)
     sites: list = field(default_factory=list)
-    digests: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
     final: ChainState = None
     stop_reason: str = None
     uog_violations: list = field(default_factory=list)
@@ -131,21 +128,18 @@ class Trajectory:
 
 
 def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
-        snapshot_every: int = None, check_uog: bool = False,
-        observer=None) -> Trajectory:
+        check_uog: bool = False, observer=None) -> Trajectory:
     """Drive the unique forward path until the budget's stop condition.
 
     A state with several forward matches raises Ambiguous.  check_uog
     verifies, on the fly, that every non-initial state has exactly one
     reverse match and that no configuration digest repeats; violations are
     recorded, not raised.  observer(t, state, match_or_None) is called on
-    every state.  snapshot_every=n keeps (t, state) in traj.snapshots for
-    every step t divisible by n.
+    every state.
     """
     rs = rule_set(start.tier)
     traj = Trajectory(start, states=[start] if keep_states else None)
     seen = {start.digest()} if check_uog else None
-    traj.digests.append(start.digest())
     state = start
     if observer is not None:
         observer(0, state, None)
@@ -157,8 +151,8 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
             break
         traj.labels.append(m.label)
         traj.sites.append(m.site)
-        dg = state.digest()
         if check_uog:
+            dg = state.digest()
             if dg in seen:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
             seen.add(dg)
@@ -166,11 +160,8 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
             if len(rev) != 1:
                 traj.uog_violations.append(
                     (t + 1, f"{len(rev)} reverse matches"))
-        traj.digests.append(dg)
         if keep_states:
             traj.states.append(state)
-        if snapshot_every and (t + 1) % snapshot_every == 0:
-            traj.snapshots.append((t + 1, state))
         if observer is not None:
             observer(t + 1, state, m)
         # carry sweeps pass through transient bit patterns, so the clock
@@ -328,23 +319,21 @@ def restricted_hamiltonian(traj: Trajectory):
 # -- trace output -------------------------------------------------------------
 
 
-def write_trace(traj: Trajectory, fh):
-    """Tab-separated trace: step, rule, site, active after step, clock, digest.
+def trace_observer(fh, snapshot_every: int = None):
+    """run() observer writing a tab-separated trace to fh as the run goes.
 
-    The active and clock columns read '-' unless the run kept its states.
-    Each snapshot of traj.snapshots follows the line of the step it was
-    taken after.
+    One line per step: step, rule, site, active symbol after the step,
+    clock, digest.  After every step divisible by snapshot_every the
+    state's snapshot block follows its line.
     """
-    from .state import active_sites
-    states = traj.states
-    snapshots = dict(traj.snapshots)
-    for t in range(traj.n_steps):
-        active = ck = "-"
-        if states is not None:
-            act = active_sites(states[t + 1])
-            active = f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?"
-            ck = clock_value(states[t + 1])
-        fh.write(f"{t}\t{traj.labels[t]}\t{traj.sites[t]}\t{active}\t"
-                 f"{ck if ck is not None else '-'}\t{traj.digests[t + 1]:016x}\n")
-        if t + 1 in snapshots:
-            fh.write(snapshots[t + 1].snapshot() + "\n")
+    def observe(t, state, m):
+        if m is None:
+            return
+        act = active_sites(state)
+        active = f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?"
+        ck = clock_value(state)
+        fh.write(f"{t - 1}\t{m.label}\t{m.site}\t{active}\t"
+                 f"{ck if ck is not None else '-'}\t{state.digest():016x}\n")
+        if snapshot_every and t % snapshot_every == 0:
+            fh.write(state.snapshot() + "\n")
+    return observe

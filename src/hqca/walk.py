@@ -86,7 +86,8 @@ class WalkDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        if (not np.all(np.isfinite(p)) or np.any(p < -1e-12)
+                or abs(p.sum() - 1.0) > 1e-9):
             raise ValueError("not a probability distribution")
         self.probabilities = p
 
@@ -136,19 +137,16 @@ def exact_time_averaged_distribution(line: WalkLine,
                                      tau_star: float) -> WalkDistribution:
     """Closed-form quadrature of the time average (no sampling error).
 
-    The average of exp(-i(lambda_j - lambda_k) tau) over tau in [0, tau*]
-    integrates to (1 - exp(-i d tau*)) / (i d tau*), so the averaged
-    distribution is an exact double sum over eigenpairs; O(l^3) work, fine
-    for the sweep sizes used in the run-time analysis.
+    The average of exp(-i d tau) over tau in [0, tau*] is
+    (sin(d tau*) - i (1 - cos(d tau*))) / (d tau*).  The imaginary part is
+    odd in d = lambda_j - lambda_k and cancels in the double sum over
+    eigenpairs, which is symmetric in j and k, so the averaged distribution
+    is a real quadratic form; O(l^3) work in one matrix product.
     """
     lam = line.eigenvalues
     m0 = line.eigenvectors * line.eigenbasis_coeffs()
-    d = lam[:, None] - lam[None, :]
-    kernel = np.ones_like(d, dtype=complex)
-    nz = np.abs(d) > 1e-14
-    kernel[nz] = (1.0 - np.exp(-1j * d[nz] * tau_star)) / (1j * d[nz] * tau_star)
-    p = np.einsum("mj,jk,mk->m", m0, kernel, m0).real
-    p = np.maximum(p, 0.0)
+    kernel = np.sinc(np.subtract.outer(lam, lam) * tau_star / np.pi)
+    p = np.maximum(((m0 @ kernel) * m0).sum(1), 0.0)
     return WalkDistribution(p / p.sum(), np.zeros(line.l))
 
 

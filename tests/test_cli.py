@@ -1,5 +1,7 @@
 import pytest
 
+from hqca import (StepBudget, active_sites, build_initial, clock_value,
+                  parse_instance_text, run)
 from hqca.cli import main
 
 TIER1 = """n=3
@@ -11,6 +13,8 @@ construction=I
 """
 
 TIER2 = TIER1.replace("construction=I", "construction=II")
+
+TIER3 = TIER1.replace("construction=I", "construction=III")
 
 TIER4 = TIER1.replace("construction=I",
                       "construction=IV\ntarget=3\nbullet_offset=3")
@@ -73,14 +77,39 @@ def test_run_tier4_rx_marker(tmp_path, capsys):
 def test_run_trace_deterministic(tmp_path, capsys):
     inst = write(tmp_path, TIER1)
     t1, t2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    main(["run", inst, "--budget", "200", "--keep-states",
-          "--trace", str(t1)])
+    main(["run", inst, "--budget", "200", "--trace", str(t1)])
     out1 = capsys.readouterr().out
-    main(["run", inst, "--budget", "200", "--keep-states",
-          "--trace", str(t2)])
+    main(["run", inst, "--budget", "200", "--trace", str(t2)])
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert t1.read_bytes() == t2.read_bytes()
+
+
+@pytest.mark.parametrize("text", [TIER3, TIER4], ids=["III", "IV"])
+def test_trace_columns_read_each_state(tmp_path, capsys, text):
+    inst = write(tmp_path, text)
+    trace = tmp_path / "t.tsv"
+    assert main(["run", inst, "--budget", "600", "--trace", str(trace)]) == 0
+    states = run(build_initial(parse_instance_text(text).spec),
+                 StepBudget(600, "dead_end"), keep_states=True).states
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(states) - 1
+    for t, line in enumerate(lines):
+        _, _, _, active, clock, digest = line.split("\t")
+        (_, reg, sym), = active_sites(states[t + 1])
+        ck = clock_value(states[t + 1])
+        assert active == f"{reg}:{sym}" and clock == str(ck)
+        assert digest == f"{states[t + 1].digest():016x}"
+
+
+def test_run_unwritable_trace_exit_2(tmp_path, capsys):
+    trace = tmp_path / "missing" / "t.tsv"
+    rc = main(["run", write(tmp_path, TIER1), "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    # the run never started
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_walk_two_site(tmp_path, capsys):
@@ -169,7 +198,7 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     out.mkdir()
     monkeypatch.setenv("HQCA_OUT", str(out))
     rc = main(["run", write(tmp_path, TIER1), "--budget", "20",
-               "--keep-states", "--trace", "t.tsv"])
+               "--trace", "t.tsv"])
     assert rc == 0
     assert (out / "t.tsv").exists()
 
@@ -189,6 +218,9 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     ["walk", "{inst}", "--length", "4", "--fraction", "2"],
     ["walk", "{inst}", "--length", "4", "--fraction", "nan"],
     ["walk", "{inst}", "--length", "4", "--tau", "nan"],
+    ["walk", "{inst}", "--length", "4", "--samples", "100000001"],
+    ["walk", "{inst}", "--length", "10000001"],
+    ["walk", "{inst}", "--length", "100000000000"],
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, argv):
     inst = write(tmp_path, TIER1)
@@ -206,13 +238,19 @@ def test_verify_bad_instance_exit_2(tmp_path, capsys):
     assert "target must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["budget", "samples", "snapshot_every"])
-def test_instance_non_positive_option_exit_2(tmp_path, capsys, key):
-    inst = write(tmp_path, TIER1 + f"{key}=0\n")
+@pytest.mark.parametrize("key, value, message", [
+    ("budget", "0", "below minimum 1"),
+    ("samples", "0", "below minimum 1"),
+    ("snapshot_every", "0", "below minimum 1"),
+    ("samples", "100000001", "above maximum 100000000"),
+], ids=["budget", "samples", "snapshot_every", "samples_above_maximum"])
+def test_instance_non_positive_option_exit_2(tmp_path, capsys, key, value,
+                                             message):
+    inst = write(tmp_path, TIER1 + f"{key}={value}\n")
     rc = main(["run", inst])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "line 7" in err and "below minimum 1" in err
+    assert "line 7" in err and message in err
 
 
 @pytest.mark.parametrize("line", ["tau_star=-3", "tau_star=inf", "tau=nan"])

@@ -8,7 +8,7 @@ from hqca import (FORWARD, Ambiguous, BuildSpec, DeadEnd, StepBudget,
                   predicted_cycle_steps, predicted_oscillation_steps,
                   predicted_single_pass_steps, restricted_hamiltonian,
                   rule_set, run, step_forward, verify_uog)
-from hqca.engine import write_trace
+from hqca.engine import trace_observer
 
 from conftest import random_state, small_circuit
 
@@ -132,9 +132,11 @@ def test_run_matches_reference_step_path(tier, n, k, seed, target, steps):
     start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
                                     random_state(n, seed), **extra))
     labels, sites, digests, markers, final = _reference_walk(start, steps)
-    traj = run(start, StepBudget(steps, "dead_end"), keep_states=False)
+    seen = []
+    traj = run(start, StepBudget(steps, "dead_end"), keep_states=False,
+               observer=lambda t, state, m: seen.append(state.digest()))
     assert traj.labels == labels and traj.sites == sites
-    assert traj.digests == digests
+    assert seen == digests
     assert traj.markers == markers
     assert traj.final.snapshot() == final.snapshot()
     assert np.array_equal(traj.final.work.amps, final.work.amps)
@@ -217,38 +219,32 @@ def test_streaming_run_matches_full(example_circuit):
                StepBudget(200, "dead_end"))
     lean = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"), keep_states=False,
-               snapshot_every=20, check_uog=True)
+               check_uog=True)
     assert lean.states is None
     assert lean.labels == full.labels
-    assert lean.digests == [s.digest() for s in full.states]
-    assert [t for t, _ in lean.snapshots] == [20, 40, 60, 80]
     assert not lean.uog_violations
-    snap_t, snap_state = lean.snapshots[1]
-    assert snap_state.config_equal(full.state(snap_t))
     # a streamed run was checked on the fly; there are no states to recheck
     with pytest.raises(ValueError, match="check_uog"):
         verify_uog(lean)
 
 
 def test_trace_format(tmp_path, example_circuit):
-    traj = run(build_initial(BuildSpec(example_circuit, "I")),
-               StepBudget(5, "step_limit"))
     path = tmp_path / "trace.tsv"
     with open(path, "w", encoding="utf-8") as fh:
-        write_trace(traj, fh)
+        traj = run(build_initial(BuildSpec(example_circuit, "I")),
+                   StepBudget(5, "step_limit"), observer=trace_observer(fh))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 5
     first = lines[0].split("\t")
     assert first[0] == "0" and first[1] == "1" and first[2] == "1"
     assert first[3] == "P:→S" and len(first[5]) == 16
-    # the run's snapshots interleave after the steps they follow
-    traj = run(build_initial(BuildSpec(example_circuit, "I")),
-               StepBudget(5, "step_limit"), snapshot_every=2)
+    # snapshot blocks interleave after the steps they follow
     with open(path, "w", encoding="utf-8") as fh:
-        write_trace(traj, fh)
+        run(build_initial(BuildSpec(example_circuit, "I")),
+            StepBudget(5, "step_limit"), observer=trace_observer(fh, 2))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [i for i, ln in enumerate(lines) if ln.startswith("P: ")] == [2, 6]
-    assert lines[3] == traj.snapshots[0][1].snapshot().splitlines()[1]
+    assert lines[3] == traj.state(2).snapshot().splitlines()[1]
 
 
 def test_predicted_cycle(example_circuit):

@@ -105,6 +105,22 @@ def test_exact_average_is_sampling_limit():
     assert far.total_variation(limiting_distribution(line)) < 1e-4
 
 
+@pytest.mark.parametrize("l", [1, 2, 12])
+@pytest.mark.parametrize("tau_star", [0.0, 0.5, 7.3])
+def test_exact_average_matches_gauss_legendre(l, tau_star):
+    from hqca.walk import exact_time_averaged_distribution
+    line = WalkLine(l)
+    if tau_star == 0.0:
+        want = position_distribution(line, 0.0)
+    else:
+        x, w = np.polynomial.legendre.leggauss(200)
+        taus = 0.5 * tau_star * (x + 1.0)
+        want = sum(wi * position_distribution(line, t)
+                   for wi, t in zip(w, taus)) / 2.0
+    got = exact_time_averaged_distribution(line, tau_star).probabilities
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
 def test_estimator_reports_stderr():
     rng = np.random.default_rng(5)
     avg = time_averaged_distribution(WalkLine(8), 1000.0, 500, rng)
@@ -115,6 +131,8 @@ def test_estimator_reports_stderr():
 def test_distribution_validation():
     with pytest.raises(ValueError):
         WalkDistribution(np.array([0.7, 0.7]))
+    with pytest.raises(ValueError):
+        WalkDistribution(np.array([np.nan, np.nan]))
     text = distribution_dump(limiting_distribution(WalkLine(3)))
     assert text.splitlines()[0].startswith("0 ")
 
