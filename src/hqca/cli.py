@@ -30,6 +30,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+# `hqca walk` costs about 0.25-0.5 us per sample and line position
+# (2-core x86_64, one BLAS thread), so capping samples x length keeps
+# a walk under about ten minutes of sampling
+MAX_POSITION_SAMPLES = 10 ** 9
+
 
 def _number(*bounds):
     """argparse type: circuit.parse_number(text, kind, low, high)."""
@@ -113,6 +118,7 @@ def cmd_run(args) -> int:
 def cmd_walk(args) -> int:
     instance = _load(args.instance)
     opts = instance.options
+    samples = args.samples or opts.get("samples", 10 ** 4)
     if args.length:
         l = args.length
     else:
@@ -124,6 +130,10 @@ def cmd_walk(args) -> int:
                   " before a dead end; give --length", file=sys.stderr)
             return EXIT_INPUT_ERROR
         l = traj.n_steps + 1
+    if samples * l > MAX_POSITION_SAMPLES:
+        print(f"error: {samples} samples x line length {l} exceeds"
+              f" {MAX_POSITION_SAMPLES} position-samples", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     line = WalkLine(l)
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else opts.get("seed", 0))
@@ -135,7 +145,6 @@ def cmd_walk(args) -> int:
         print(distribution_dump(WalkDistribution(np.abs(amps) ** 2)))
     tau_star = args.tau_star if args.tau_star is not None else \
         opts.get("tau_star", 100.0 * l)
-    samples = args.samples or opts.get("samples", 10 ** 4)
     avg = time_averaged_distribution(line, tau_star, samples, rng)
     pi = limiting_distribution(line)
     tv = avg.total_variation(pi)

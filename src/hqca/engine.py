@@ -4,22 +4,33 @@ A valid chain state has exactly one applicable forward rule (or none, at a
 dead end) and exactly one reverse rule (the start state of tiers I-III has
 none; the tier-IV start state admits a short reverse tail of at most 3L
 steps before a dead end).  run() walks the unique forward path, recording
-the fired rule label and window site of every step; it digests
-configurations only under check_uog, to catch repeats.  Long runs can drop
+the fired rule label and window site of every step.  Long runs can drop
 full states and keep only those records; anything else a caller wants per
 step (a trace file, say) comes from an observer while the run goes.
+
+run() steps a per-run cursor rather than building a ChainState per step:
+mutable register rows rewritten in the two window cells, the active sites
+kept up to date from the window alone, and, under check_uog, a Zobrist hash
+of the configuration updated by XOR over the changed cells for the repeat
+check.  So the cost of a step does not grow with the chain length L, with
+or without check_uog; rows are read whole only by the clock readout of a
+clock_equals stop, once the pointer reads C.  ChainState snapshots are
+built only for kept states, observers, Ambiguous and the final state.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rules import (FORWARD, REVERSE, RuleSet, _rewrite, applicable, apply,
-                    rule_set)
+from .rules import (FORWARD, REVERSE, RuleSet, _apply_gate_effect,
+                    _instantiate, _rewrite, anchored_matches, applicable,
+                    apply, rule_set)
 from .state import ChainState, active_sites
-from .symbols import BULLET, C, CP
+from .symbols import (ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, BULLET, C, CP, D,
+                      P)
 
 
 class DeadEnd(Exception):
@@ -127,53 +138,152 @@ class Trajectory:
                 if (steps := self.marker_steps(*labels))}
 
 
+class _Cursor:
+    """Mutable per-run view of a chain state, which run() steps in place.
+
+    rows maps each register to a list that a step rewrites in its two
+    window cells only, through the same _instantiate and _apply_gate_effect
+    as the public rewrite; try_match reads a cursor like a ChainState.
+    active equals active_sites() of the current state at all times: a step
+    can change active cells only inside its window, so it drops the window's
+    entries and rescans those two sites.  With hashed set, zobrist is a
+    64-bit Zobrist hash of the configuration (Zobrist 1970), kept by XOR
+    over the cells each step changes.  snapshot() builds a ChainState that
+    reuses the row tuples of registers no step touched since the last one.
+    """
+
+    __slots__ = ("tier", "L", "rows", "work", "active", "zobrist", "_pools",
+                 "_frozen", "_stale")
+
+    def __init__(self, state: ChainState, hashed: bool):
+        self.tier, self.L, self.work = state.tier, state.L, state.work
+        self.rows = {reg: list(row) for reg, row in state.rows.items()}
+        self._frozen = dict(state.rows)
+        self._stale = set()
+        self.active = active_sites(state)
+        self._pools = [(P, ACTIVE_P_BY_TIER[state.tier])]
+        if CP in self.rows:
+            self._pools.append((CP, ACTIVE_CP_BY_TIER[state.tier]))
+        self.zobrist = None
+        if hashed:
+            h = 0
+            for reg, row in state.rows.items():
+                for site, s in enumerate(row, start=1):
+                    h ^= _zobrist_key(reg, site, s)
+            self.zobrist = h
+
+    def _put(self, reg, row, site, s):
+        old = row[site - 1]
+        if s == old:
+            return
+        row[site - 1] = s
+        self._stale.add(reg)
+        if self.zobrist is not None:
+            self.zobrist ^= (_zobrist_key(reg, site, old)
+                             ^ _zobrist_key(reg, site, s))
+
+    def advance(self, m):
+        """Rewrite the matched window in place, as rules._rewrite does."""
+        rule, i = m.rule, m.site
+        bindings = dict(m.bindings)
+        for reg, (cl, cr) in rule.out_side(m.direction).items():
+            if reg == D:  # a guard: Rule() checks both sides agree
+                continue
+            row = self.rows[reg]
+            self._put(reg, row, i, _instantiate(cl, bindings, row[i - 1]))
+            self._put(reg, row, i + 1, _instantiate(cr, bindings, row[i]))
+        if rule.gate is not None:
+            patch, self.work = _apply_gate_effect(
+                self, bindings[rule.gate], i, m.direction == REVERSE)
+            if patch:
+                row, new = self.rows[D], patch[D]
+                self._put(D, row, i, new[i - 1])
+                self._put(D, row, i + 1, new[i])
+        active = [a for a in self.active if a[0] != i and a[0] != i + 1]
+        for reg, pool in self._pools:
+            row = self.rows[reg]
+            for site in (i, i + 1):
+                if row[site - 1] in pool:
+                    active.append((site, reg, row[site - 1]))
+        if len(active) > 1:
+            active.sort(key=lambda a: (a[1] != P, a[0]))
+        self.active = active
+
+    def snapshot(self) -> ChainState:
+        for reg in self._stale:
+            self._frozen[reg] = tuple(self.rows[reg])
+        self._stale.clear()
+        return ChainState(self.tier, self._frozen, self.work)
+
+
+_ZOBRIST_KEYS = {}
+
+
+def _zobrist_key(reg: str, site: int, symbol: str) -> int:
+    """Fixed 64-bit key of one (register, site, symbol) cell.
+
+    Derived with blake2b rather than hash(), whose value changes between
+    processes; computed on first use and cached.
+    """
+    cell = (reg, site, symbol)
+    key = _ZOBRIST_KEYS.get(cell)
+    if key is None:
+        raw = hashlib.blake2b(repr(cell).encode(), digest_size=8).digest()
+        key = _ZOBRIST_KEYS[cell] = int.from_bytes(raw, "big")
+    return key
+
+
 def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
         check_uog: bool = False, observer=None) -> Trajectory:
     """Drive the unique forward path until the budget's stop condition.
 
     A state with several forward matches raises Ambiguous.  check_uog
     verifies, on the fly, that every non-initial state has exactly one
-    reverse match and that no configuration digest repeats; violations are
+    reverse match and that no configuration repeats; violations are
     recorded, not raised.  observer(t, state, match_or_None) is called on
     every state.
     """
     rs = rule_set(start.tier)
     traj = Trajectory(start, states=[start] if keep_states else None)
-    seen = {start.digest()} if check_uog else None
-    state = start
+    cur = _Cursor(start, hashed=check_uog)
+    seen = {cur.zobrist} if check_uog else None
     if observer is not None:
-        observer(0, state, None)
+        observer(0, start, None)
     for t in range(budget.max_steps):
-        try:
-            state, m = step_forward(state, rs)
-        except DeadEnd:
+        matches = anchored_matches(cur, FORWARD, rs, cur.active)
+        if not matches:
             traj.stop_reason = "dead_end"
             break
+        if len(matches) > 1:
+            raise Ambiguous(cur.snapshot(), matches, FORWARD)
+        m = matches[0]
+        cur.advance(m)
         traj.labels.append(m.label)
         traj.sites.append(m.site)
         if check_uog:
-            dg = state.digest()
-            if dg in seen:
+            if cur.zobrist in seen:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
-            seen.add(dg)
-            rev = applicable(state, REVERSE, rs)
+            seen.add(cur.zobrist)
+            rev = anchored_matches(cur, REVERSE, rs, cur.active)
             if len(rev) != 1:
                 traj.uog_violations.append(
                     (t + 1, f"{len(rev)} reverse matches"))
-        if keep_states:
-            traj.states.append(state)
-        if observer is not None:
-            observer(t + 1, state, m)
+        if keep_states or observer is not None:
+            state = cur.snapshot()
+            if keep_states:
+                traj.states.append(state)
+            if observer is not None:
+                observer(t + 1, state, m)
         # carry sweeps pass through transient bit patterns, so the clock
         # only counts as reading k once the pointer confirms in C mode
         if (budget.stop_on == "clock_equals"
-                and "C" in state.rows.get(CP, ())
-                and clock_value(state) == budget.clock_target):
+                and any(reg == CP and s == "C" for _, reg, s in cur.active)
+                and clock_value(cur) == budget.clock_target):
             traj.stop_reason = "clock_equals"
             break
     else:
         traj.stop_reason = "step_limit"
-    traj.final = state
+    traj.final = cur.snapshot()
     return traj
 
 

@@ -524,21 +524,42 @@ def applicable(state: ChainState, direction: str, rules: RuleSet | None = None,
     scan (used by the test suite to validate the shortcut).
     """
     rs = rules if rules is not None else rule_set(state.tier)
-    if full_scan:
-        windows = ((rule, i) for rule in rs.rules for i in range(1, state.L))
-    else:
-        # a rule anchors one active cell and the P and CP active pools are
-        # disjoint, so no (rule, window) pair comes up twice
-        windows = ((rule, site - offset)
-                   for site, _reg, s in active_sites(state)
-                   for rule, offset in rs.candidates(direction, s))
-    found = []
-    for rule, i in windows:
-        b = try_match(rule, state, i, direction)
-        if b is not None:
-            found.append(Match(rule, i, direction, tuple(sorted(b.items()))))
-    found.sort(key=lambda m: (m.site, m.rule._sort_key))
+    if not full_scan:
+        return anchored_matches(state, direction, rs, active_sites(state))
+    found = [_match(rule, i, direction, b)
+             for rule in rs.rules for i in range(1, state.L)
+             if (b := try_match(rule, state, i, direction)) is not None]
+    found.sort(key=_match_order)
     return found
+
+
+def anchored_matches(state, direction: str, rs: RuleSet, sites):
+    """applicable() on the windows anchored at the given active sites.
+
+    sites lists (site, register, symbol) as active_sites() returns it; a
+    caller that tracks the active sites itself saves the row scan.  state
+    is read through try_match only, so any object with ChainState's L and
+    rows mapping will do.
+    """
+    # a rule anchors one active cell and the P and CP active pools are
+    # disjoint, so no (rule, window) pair comes up twice
+    found = []
+    for site, _reg, s in sites:
+        for rule, offset in rs.candidates(direction, s):
+            b = try_match(rule, state, site - offset, direction)
+            if b is not None:
+                found.append(_match(rule, site - offset, direction, b))
+    if len(found) > 1:
+        found.sort(key=_match_order)
+    return found
+
+
+def _match(rule, i, direction, bindings):
+    return Match(rule, i, direction, tuple(sorted(bindings.items())))
+
+
+def _match_order(m):
+    return m.site, m.rule._sort_key
 
 
 # -- rewriting ----------------------------------------------------------------

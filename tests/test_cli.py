@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hqca import (StepBudget, active_sites, build_initial, clock_value,
@@ -221,6 +223,7 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     ["walk", "{inst}", "--length", "4", "--samples", "100000001"],
     ["walk", "{inst}", "--length", "10000001"],
     ["walk", "{inst}", "--length", "100000000000"],
+    ["walk", "{inst}", "--length", "1000000"],
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, argv):
     inst = write(tmp_path, TIER1)
@@ -228,6 +231,20 @@ def test_bad_numbers_exit_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert rc == 2
     assert "CHECK" not in captured.out and "Traceback" not in captured.err
+
+
+def test_walk_cost_bound_exit_2(tmp_path, capsys):
+    # 10^6 positions at the default 10^4 samples would sample for hours
+    t0 = time.monotonic()
+    rc = main(["walk", write(tmp_path, TIER1), "--length", "1000000"])
+    err = capsys.readouterr().err
+    assert rc == 2 and time.monotonic() - t0 < 1.0
+    assert "10000 samples x line length 1000000" in err
+    # without --length the bound applies once the run fixes l = 94
+    rc = main(["walk", write(tmp_path, TIER1 + "samples=20000000\n")])
+    captured = capsys.readouterr()
+    assert rc == 2 and "line l=" not in captured.out
+    assert "20000000 samples x line length 94" in captured.err
 
 
 def test_verify_bad_instance_exit_2(tmp_path, capsys):

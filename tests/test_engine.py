@@ -1,14 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqca import (FORWARD, Ambiguous, BuildSpec, DeadEnd, StepBudget,
-                  applicable, apply, build_initial, clock_value,
-                  predicted_cycle_steps, predicted_oscillation_steps,
-                  predicted_single_pass_steps, restricted_hamiltonian,
-                  rule_set, run, step_forward, verify_uog)
-from hqca.engine import trace_observer
+from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, DeadEnd,
+                  StepBudget, active_sites, applicable, apply, build_initial,
+                  clock_value, predicted_cycle_steps,
+                  predicted_oscillation_steps, predicted_single_pass_steps,
+                  restricted_hamiltonian, rule_set, run, step_forward,
+                  verify_uog)
+from hqca.engine import _Cursor, trace_observer
+from hqca.rules import anchored_matches
 
 from conftest import random_state, small_circuit
 
@@ -104,42 +108,177 @@ def test_verify_uog_alone_catches_missing_rule(example_circuit):
     assert {(t + 1, "0 reverse matches") for t in fired} <= set(rep.violations)
 
 
-def _reference_walk(start, max_steps):
-    """run() rebuilt from the public applicable() and the checked apply()."""
+def _reference_walk(start, max_steps, check_uog=False, clock_target=None):
+    """run() rebuilt from the public applicable() and the checked apply().
+
+    check_uog counts reverse matches with applicable() and finds repeats in
+    a set of config_key()s; clock_target stops at the first state whose
+    pointer reads C and whose clock_value() is the target.
+    """
     rs = rule_set(start.tier)
-    state, labels, sites, digests, markers = start, [], [], [start.digest()], {}
+    ref = SimpleNamespace(labels=[], sites=[], digests=[start.digest()],
+                          markers={}, violations=[], stop="step_limit",
+                          ambiguous=None)
+    keys = {start.config_key()}
+    state = start
     for t in range(max_steps):
         matches = applicable(state, FORWARD, rs)
         if not matches:
+            ref.stop = "dead_end"
             break
-        assert len(matches) == 1
+        if len(matches) > 1:
+            ref.stop, ref.ambiguous = "ambiguous", matches
+            break
         m = matches[0]
         state = apply(state, m)
-        labels.append(m.label)
-        sites.append(m.site)
-        digests.append(state.digest())
-        markers.setdefault(m.label, []).append(t)
-    return labels, sites, digests, markers, state
+        ref.labels.append(m.label)
+        ref.sites.append(m.site)
+        ref.digests.append(state.digest())
+        ref.markers.setdefault(m.label, []).append(t)
+        if check_uog:
+            key = state.config_key()
+            if key in keys:
+                ref.violations.append((t + 1, "configuration repeats"))
+            keys.add(key)
+            rev = applicable(state, REVERSE, rs)
+            if len(rev) != 1:
+                ref.violations.append((t + 1, f"{len(rev)} reverse matches"))
+        if (clock_target is not None and "C" in state.rows.get("CP", ())
+                and clock_value(state) == clock_target):
+            ref.stop = "clock_equals"
+            break
+    ref.final = state
+    return ref
+
+
+def _assert_run_matches_reference(start, budget, check_uog=False):
+    """run() takes the reference loop's path, checks and stop."""
+    ref = _reference_walk(start, budget.max_steps, check_uog,
+                          budget.clock_target)
+    seen, labels = [], []
+
+    def observe(t, state, m):
+        seen.append(state.digest())
+        if m is not None:
+            labels.append(m.label)
+
+    try:
+        traj = run(start, budget, keep_states=False, check_uog=check_uog,
+                   observer=observe)
+    except Ambiguous as err:
+        assert ref.stop == "ambiguous"
+        assert labels == ref.labels and seen == ref.digests
+        assert [(m.label, m.site) for m in err.matches] == [
+            (m.label, m.site) for m in ref.ambiguous]
+        assert err.state.snapshot() == ref.final.snapshot()
+        return None
+    assert traj.stop_reason == ref.stop
+    assert traj.labels == ref.labels and traj.sites == ref.sites
+    assert seen == ref.digests
+    assert traj.markers == ref.markers
+    assert traj.uog_violations == ref.violations
+    assert traj.final.snapshot() == ref.final.snapshot()
+    assert traj.final.digest() == ref.final.digest()
+    assert np.array_equal(traj.final.work.amps, ref.final.work.amps)
+    # without an observer run builds no snapshot until the final state
+    bare = run(start, budget, keep_states=False, check_uog=check_uog)
+    assert bare.labels == traj.labels
+    assert bare.uog_violations == traj.uog_violations
+    assert bare.final.snapshot() == traj.final.snapshot()
+    return traj
 
 
 @settings(max_examples=30, deadline=None)
 @given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
        k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
-       target=st.integers(1, 3), steps=st.integers(1, 300))
-def test_run_matches_reference_step_path(tier, n, k, seed, target, steps):
-    # random circuits on every tier (L <= 16)
+       target=st.integers(1, 3), steps=st.integers(1, 300),
+       check_uog=st.booleans())
+def test_run_matches_reference_step_path(tier, n, k, seed, target, steps,
+                                         check_uog):
+    # random circuits on every tier (L <= 16); tier II repeats its
+    # configurations after one cycle, so check_uog draws find violations
     extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
     start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
                                     random_state(n, seed), **extra))
-    labels, sites, digests, markers, final = _reference_walk(start, steps)
-    seen = []
-    traj = run(start, StepBudget(steps, "dead_end"), keep_states=False,
-               observer=lambda t, state, m: seen.append(state.digest()))
-    assert traj.labels == labels and traj.sites == sites
-    assert seen == digests
-    assert traj.markers == markers
-    assert traj.final.snapshot() == final.snapshot()
-    assert np.array_equal(traj.final.work.amps, final.work.amps)
+    _assert_run_matches_reference(start, StepBudget(steps, "dead_end"),
+                                  check_uog)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 3), k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       target=st.integers(1, 3))
+def test_clock_equals_stop_matches_clock_scan(n, k, seed, target):
+    start = build_initial(BuildSpec(small_circuit(n, k, seed), "III",
+                                    random_state(n, seed)))
+    traj = _assert_run_matches_reference(
+        start, StepBudget(5000, "clock_equals", clock_target=target))
+    assert traj.stop_reason == "clock_equals"
+    assert clock_value(traj.final) == target
+
+
+def test_check_uog_flags_tier2_repeats_from_the_period(example_circuit):
+    # negative control: tier II returns to its start configuration after
+    # one cycle, so the on-the-fly check must flag exactly the steps from
+    # the period on
+    period = predicted_cycle_steps(3, 2)
+    start = build_initial(BuildSpec(example_circuit, "II",
+                                    random_state(3, 4)))
+    traj = run(start, StepBudget(period + 3, "step_limit"),
+               keep_states=False, check_uog=True)
+    assert traj.uog_violations == [(t, "configuration repeats")
+                                   for t in range(period, period + 4)]
+
+
+# a second active symbol away from the head, and how the run goes on
+STRAYS = [
+    ("I", "P", 14, "→", StepBudget(200, "dead_end")),  # dead end at 76
+    ("III", "P", 1, "g", StepBudget(200, "dead_end")),  # dead end at 108
+    # inert pointer: C holds all run long, so clock_equals reads the clock
+    ("III", "CP", 1, "C", StepBudget(3000, "clock_equals", clock_target=5)),
+    # its S gate swaps two classical data bits, then two rules match
+    ("IV", "P", 14, "g", StepBudget(200, "dead_end")),
+]
+STRAY_IDS = ["tier1_dead_end", "tier3_dead_end", "tier3_inert_pointer",
+             "tier4_ambiguous"]
+
+
+def _stray_start(circuit, tier, reg, site, symbol):
+    extra = {"target_x": 3, "bullet_offset": 3} if tier == "IV" else {}
+    start = build_initial(BuildSpec(circuit, tier, **extra))
+    row = list(start.rows[reg])
+    row[site - 1] = symbol
+    stray = start.replace(rows={reg: tuple(row)})
+    assert len(active_sites(stray)) == 2
+    return stray
+
+
+@pytest.mark.parametrize("tier, reg, site, symbol, budget", STRAYS,
+                         ids=STRAY_IDS)
+def test_stray_active_symbol_run_matches_reference(example_circuit, tier, reg,
+                                                   site, symbol, budget):
+    # run must track both active symbols, so its matches, reverse counts
+    # and clock stop equal those of a full row scan
+    start = _stray_start(example_circuit, tier, reg, site, symbol)
+    _assert_run_matches_reference(start, budget, check_uog=True)
+
+
+@pytest.mark.parametrize("tier, reg, site, symbol, budget", STRAYS,
+                         ids=STRAY_IDS)
+def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
+                                     budget):
+    # after every step the cursor's active list and Zobrist hash equal
+    # those recomputed from its snapshot, data bits flipped by gates too
+    cur = _Cursor(_stray_start(example_circuit, tier, reg, site, symbol),
+                  hashed=True)
+    rs = rule_set(tier)
+    for _ in range(budget.max_steps):
+        matches = anchored_matches(cur, FORWARD, rs, cur.active)
+        if len(matches) != 1:
+            break
+        cur.advance(matches[0])
+        snap = cur.snapshot()
+        assert cur.active == active_sites(snap)
+        assert cur.zobrist == _Cursor(snap, hashed=True).zobrist
 
 
 def test_restricted_hamiltonian_is_path_adjacency():
