@@ -30,9 +30,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-# `hqca walk` costs about 0.25-0.5 us per sample and line position
-# (2-core x86_64, one BLAS thread), so capping samples x length keeps
-# a walk under about ten minutes of sampling
+# cap on samples x line length for `hqca walk`.  A sample costs
+# O(l log l), so the cap sets no time: one sample took 1.2 s at l = 10^6
+# (2-core x86_64 VM, one BLAS thread), and the longest accepted walks
+# sample for tens of minutes
 MAX_POSITION_SAMPLES = 10 ** 9
 
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rules import (FORWARD, REVERSE, RuleSet, _apply_gate_effect,
-                    _instantiate, _rewrite, anchored_matches, applicable,
-                    apply, rule_set)
+from .rules import (FORWARD, REVERSE, RuleSet, _rewrite, _window_writes,
+                    anchored_matches, applicable, apply, rule_set)
 from .state import ChainState, active_sites
 from .symbols import (ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, BULLET, C, CP, D,
                       P)
@@ -142,8 +141,8 @@ class _Cursor:
     """Mutable per-run view of a chain state, which run() steps in place.
 
     rows maps each register to a list that a step rewrites in its two
-    window cells only, through the same _instantiate and _apply_gate_effect
-    as the public rewrite; try_match reads a cursor like a ChainState.
+    window cells only, writing the cells rules._window_writes yields (the
+    rewrite behind apply() too); try_match reads a cursor like a ChainState.
     active equals active_sites() of the current state at all times: a step
     can change active cells only inside its window, so it drops the window's
     entries and rescans those two sites.  With hashed set, zobrist is a
@@ -172,7 +171,8 @@ class _Cursor:
                     h ^= _zobrist_key(reg, site, s)
             self.zobrist = h
 
-    def _put(self, reg, row, site, s):
+    def _put(self, reg, site, s):
+        row = self.rows[reg]
         old = row[site - 1]
         if s == old:
             return
@@ -183,22 +183,11 @@ class _Cursor:
                              ^ _zobrist_key(reg, site, s))
 
     def advance(self, m):
-        """Rewrite the matched window in place, as rules._rewrite does."""
-        rule, i = m.rule, m.site
-        bindings = dict(m.bindings)
-        for reg, (cl, cr) in rule.out_side(m.direction).items():
-            if reg == D:  # a guard: Rule() checks both sides agree
-                continue
-            row = self.rows[reg]
-            self._put(reg, row, i, _instantiate(cl, bindings, row[i - 1]))
-            self._put(reg, row, i + 1, _instantiate(cr, bindings, row[i]))
-        if rule.gate is not None:
-            patch, self.work = _apply_gate_effect(
-                self, bindings[rule.gate], i, m.direction == REVERSE)
-            if patch:
-                row, new = self.rows[D], patch[D]
-                self._put(D, row, i, new[i - 1])
-                self._put(D, row, i + 1, new[i])
+        """Fire the match in place: write its cells, refresh the window."""
+        writes, self.work = _window_writes(self, m)
+        for reg, site, s in writes:
+            self._put(reg, site, s)
+        i = m.site
         active = [a for a in self.active if a[0] != i and a[0] != i + 1]
         for reg, pool in self._pools:
             row = self.rows[reg]

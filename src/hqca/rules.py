@@ -592,21 +592,21 @@ def _instantiate(cell, bindings, current):
 
 
 def _apply_gate_effect(state: ChainState, kind: str, i: int, adjoint: bool):
-    """Apply a bound gate to data sites (i, i+1); returns (rows_patch, work)."""
+    """Apply a bound gate to data sites (i, i+1).
+
+    Returns (cells, work): cells is the new (D_i, D_i+1) pair when a
+    classical gate changes the data bits, else None.
+    """
     d = state.rows[D]
     lb, rb = d[i - 1], d[i]
     if lb != QUANTUM and rb != QUANTUM:
         res = classical_gate_action(kind, lb, rb)
         if res is not None:
-            if res == (lb, rb):
-                return {}, state.work
-            nd = list(d)
-            nd[i - 1], nd[i] = res
-            return {D: tuple(nd)}, state.work
+            return (res if res != (lb, rb) else None), state.work
     elif kind == "I":
-        return {}, state.work
+        return None, state.work
     elif lb == QUANTUM and rb == QUANTUM:
-        return {}, state.work.apply_gate(kind, i, i + 1, adjoint)
+        return None, state.work.apply_gate(kind, i, i + 1, adjoint)
     raise NonClassicalGateError(
         f"gate {kind} on data sites ({i},{i + 1}) = ({lb},{rb}) leaves the"
         " computational basis; valid chains never do this")
@@ -629,23 +629,41 @@ def apply(state: ChainState, match: Match) -> ChainState:
 def _rewrite(state: ChainState, match: Match) -> ChainState:
     """apply() without the stale-match check, for a match just found on
     this very state."""
+    writes, work = _window_writes(state, match)
+    rows = {}
+    for reg, site, s in writes:
+        row = rows.get(reg)
+        if row is None:
+            row = rows[reg] = list(state.rows[reg])
+        row[site - 1] = s
+    return state.replace(rows={reg: tuple(row) for reg, row in rows.items()},
+                         work=work)
+
+
+def _window_writes(state, match: Match):
+    """(writes, work) of firing the match: the one rewrite of the rules.
+
+    writes lists (register, site, symbol) for the window cells the rule's
+    output side sets, and for data cells a classical gate changes; work is
+    the work state after the gate.  state is read through its rows and
+    work only, so the engine's in-place cursor shares this rewrite.
+    """
     rule, i, direction = match.rule, match.site, match.direction
     bindings = dict(match.bindings)
-    out = rule.out_side(direction)
-    patch = {}
-    for reg, (cl, cr) in out.items():
+    writes = []
+    for reg, (cl, cr) in rule.out_side(direction).items():
         if reg == D:  # a guard: Rule() checks both sides agree
             continue
-        row = list(state.rows[reg])
-        row[i - 1] = _instantiate(cl, bindings, row[i - 1])
-        row[i] = _instantiate(cr, bindings, row[i])
-        patch[reg] = tuple(row)
+        row = state.rows[reg]
+        writes.append((reg, i, _instantiate(cl, bindings, row[i - 1])))
+        writes.append((reg, i + 1, _instantiate(cr, bindings, row[i])))
     work = state.work
     if rule.gate is not None:
-        gate_patch, work = _apply_gate_effect(
+        cells, work = _apply_gate_effect(
             state, bindings[rule.gate], i, direction == REVERSE)
-        patch.update(gate_patch)
-    return state.replace(rows=patch, work=work)
+        if cells is not None:
+            writes += [(D, i, cells[0]), (D, i + 1, cells[1])]
+    return writes, work
 
 
 # -- audit dump ----------------------------------------------------------------

@@ -223,7 +223,6 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     ["walk", "{inst}", "--length", "4", "--samples", "100000001"],
     ["walk", "{inst}", "--length", "10000001"],
     ["walk", "{inst}", "--length", "100000000000"],
-    ["walk", "{inst}", "--length", "1000000"],
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, argv):
     inst = write(tmp_path, TIER1)
