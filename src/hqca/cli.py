@@ -36,6 +36,10 @@ EXIT_INPUT_ERROR = 2
 # sample for tens of minutes
 MAX_POSITION_SAMPLES = 10 ** 9
 
+# cap on --l-bits.  The clock suite walks all 2^l_bits - 1 increments, and
+# every 2 more bits cost about 4x: 16 bits took 2.3 s (2-core x86_64 VM)
+MAX_CLOCK_BITS = 16
+
 
 def _number(*bounds):
     """argparse type: circuit.parse_number(text, kind, low, high)."""
@@ -159,6 +163,11 @@ def cmd_walk(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.l_bits > MAX_CLOCK_BITS:
+        print(f"error: --l-bits {args.l_bits} exceeds {MAX_CLOCK_BITS}; the"
+              " clock suite walks all 2^l_bits - 1 increments",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     instance = _load(args.instance)
     spec = instance.spec
     suites = ("uog", "oracle", "clock", "comparator", "backends")

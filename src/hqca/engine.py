@@ -14,8 +14,12 @@ kept up to date from the window alone, and, under check_uog, a Zobrist hash
 of the configuration updated by XOR over the changed cells for the repeat
 check.  So the cost of a step does not grow with the chain length L, with
 or without check_uog; rows are read whole only by the clock readout of a
-clock_equals stop, once the pointer reads C.  ChainState snapshots are
-built only for kept states, observers, Ambiguous and the final state.
+clock_equals stop, once the pointer reads C.  Each step, and each reverse
+count under check_uog, is one lookup in the rule set's compiled matcher,
+keyed by the few cells around the active site; try_match runs only when
+the memo meets a window content for the first time.  ChainState snapshots
+are built only for kept states, observers, Ambiguous and the final state,
+and Match objects only for observers and Ambiguous.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rules import (FORWARD, REVERSE, RuleSet, _rewrite, _window_writes,
-                    anchored_matches, applicable, apply, rule_set)
+                    anchored_matches, applicable, apply, as_match, rule_set)
 from .state import ChainState, active_sites
 from .symbols import (ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, BULLET, C, CP, D,
                       P)
@@ -49,16 +53,21 @@ class Ambiguous(Exception):
 def step_forward(state: ChainState, rules: RuleSet | None = None):
     """(successor, match) along the unique forward transition.
 
-    The match comes from applicable() on this very state, so the rewrite
-    skips apply()'s stale-match check.
+    The hit comes from the compiled matcher on this very state, so the
+    rewrite skips apply()'s stale-match check.
     """
-    matches = applicable(state, FORWARD, rules)
-    if not matches:
+    rs = rules if rules is not None else rule_set(state.tier)
+    hits = anchored_matches(state, FORWARD, rs, active_sites(state))
+    if not hits:
         raise DeadEnd
-    if len(matches) > 1:
-        raise Ambiguous(state, matches, FORWARD)
-    m = matches[0]
-    return _rewrite(state, m), m
+    if len(hits) > 1:
+        raise Ambiguous(state, _as_matches(hits), FORWARD)
+    i, hit = hits[0]
+    return _rewrite(state, i, hit, FORWARD), as_match(i, hit, FORWARD)
+
+
+def _as_matches(hits):
+    return [as_match(i, hit, FORWARD) for i, hit in hits]
 
 
 @dataclass
@@ -141,8 +150,9 @@ class _Cursor:
     """Mutable per-run view of a chain state, which run() steps in place.
 
     rows maps each register to a list that a step rewrites in its two
-    window cells only, writing the cells rules._window_writes yields (the
-    rewrite behind apply() too); try_match reads a cursor like a ChainState.
+    window cells only: advance() writes the cells of a Hit from the rule
+    set's compiled matcher, through rules._window_writes (the rewrite
+    behind apply() too), and the matcher reads a cursor like a ChainState.
     active equals active_sites() of the current state at all times: a step
     can change active cells only inside its window, so it drops the window's
     entries and rescans those two sites.  With hashed set, zobrist is a
@@ -171,29 +181,28 @@ class _Cursor:
                     h ^= _zobrist_key(reg, site, s)
             self.zobrist = h
 
-    def _put(self, reg, site, s):
-        row = self.rows[reg]
-        old = row[site - 1]
-        if s == old:
-            return
-        row[site - 1] = s
-        self._stale.add(reg)
-        if self.zobrist is not None:
-            self.zobrist ^= (_zobrist_key(reg, site, old)
-                             ^ _zobrist_key(reg, site, s))
-
-    def advance(self, m):
-        """Fire the match in place: write its cells, refresh the window."""
-        writes, self.work = _window_writes(self, m)
+    def advance(self, i, hit):
+        """Fire a forward hit on window (i, i+1) in place: write its
+        cells, refresh the window's active entries."""
+        writes, self.work = _window_writes(self, i, hit, FORWARD)
+        rows, zobrist = self.rows, self.zobrist
         for reg, site, s in writes:
-            self._put(reg, site, s)
-        i = m.site
-        active = [a for a in self.active if a[0] != i and a[0] != i + 1]
+            row = rows[reg]
+            old = row[site - 1]
+            if s != old:
+                row[site - 1] = s
+                self._stale.add(reg)
+                if zobrist is not None:
+                    zobrist ^= (_zobrist_key(reg, site, old)
+                                ^ _zobrist_key(reg, site, s))
+        self.zobrist = zobrist
+        active = [a for a in self.active if not i <= a[0] <= i + 1]
         for reg, pool in self._pools:
-            row = self.rows[reg]
-            for site in (i, i + 1):
-                if row[site - 1] in pool:
-                    active.append((site, reg, row[site - 1]))
+            row = rows[reg]
+            if row[i - 1] in pool:
+                active.append((i, reg, row[i - 1]))
+            if row[i] in pool:
+                active.append((i + 1, reg, row[i]))
         if len(active) > 1:
             active.sort(key=lambda a: (a[1] != P, a[0]))
         self.active = active
@@ -239,16 +248,16 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
     if observer is not None:
         observer(0, start, None)
     for t in range(budget.max_steps):
-        matches = anchored_matches(cur, FORWARD, rs, cur.active)
-        if not matches:
+        hits = anchored_matches(cur, FORWARD, rs, cur.active)
+        if not hits:
             traj.stop_reason = "dead_end"
             break
-        if len(matches) > 1:
-            raise Ambiguous(cur.snapshot(), matches, FORWARD)
-        m = matches[0]
-        cur.advance(m)
-        traj.labels.append(m.label)
-        traj.sites.append(m.site)
+        if len(hits) > 1:
+            raise Ambiguous(cur.snapshot(), _as_matches(hits), FORWARD)
+        i, hit = hits[0]
+        cur.advance(i, hit)
+        traj.labels.append(hit.rule.label)
+        traj.sites.append(i)
         if check_uog:
             if cur.zobrist in seen:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
@@ -262,7 +271,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
             if keep_states:
                 traj.states.append(state)
             if observer is not None:
-                observer(t + 1, state, m)
+                observer(t + 1, state, as_match(i, hit, FORWARD))
         # carry sweeps pass through transient bit patterns, so the clock
         # only counts as reading k once the pointer confirms in C mode
         if (budget.stop_on == "clock_equals"

@@ -25,11 +25,18 @@ Cell kinds
 
 Guard cells appear identically on both sides.  A window is the site pair
 (i, i+1), 1-indexed.
+
+try_match is the one hand-written matcher.  A RuleSet compiles it lazily
+into a memo keyed by the cells around an active site (RuleSet.hits), which
+applicable() and the engine's run cursor look windows up in; the memo's
+Hits carry the cells a firing writes, and _window_writes is the one
+rewrite that apply() and the cursor share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import symbols as sym
 from .state import ChainState, active_sites
@@ -170,6 +177,20 @@ class Match:
     @property
     def label(self):
         return self.rule.label
+
+
+class Hit(NamedTuple):
+    """A rule firing on one window, as the matcher compiled it.
+
+    bindings are sorted (name, value) pairs; writes lists (register,
+    window offset 0 or 1, symbol) for each non-data cell the rule changes;
+    gate is the bound gate kind, None for a rule without a gate.
+    """
+
+    rule: Rule
+    bindings: tuple
+    writes: tuple
+    gate: str | None
 
 
 def _r(label, tier, lhs, rhs, gate=None, note=""):
@@ -404,11 +425,18 @@ def _build_rules_tier_IV():
 
 
 class RuleSet:
-    """Effective rule list for one tier, with active-symbol match indexes.
+    """Effective rule list for one tier, with a lazily compiled matcher.
 
-    Immutable once built and safe to share between threads; scans return
-    matches in deterministic (site, label) order regardless of how the
-    candidate windows were enumerated.
+    The rules and their active-symbol index never change once built; the
+    matcher's memo fills as windows come up.  For each (direction, active
+    symbol) a probe lists the (register, offset -1/0/+1) cells around the
+    active site that any candidate rule reads or keeps.  The memo maps the
+    probe's values (None off the chain or for a missing register), with
+    the flags site == 1 and site == L, to the Hits that try_match finds
+    there, so the table stays the only hand-written matcher.  Each
+    instance owns its memo: a copy from without() drops rules, so it
+    must not see its parent's hits.  Two threads filling one entry store
+    equal values.  Matches come in deterministic (site, label) order.
     """
 
     def __init__(self, tier: str, rules):
@@ -421,6 +449,7 @@ class RuleSet:
                 symbols, offset = rule.active_anchor(direction)
                 for s in symbols:
                     self._index[direction].setdefault(s, []).append((rule, offset))
+        self._compiled = {FORWARD: {}, REVERSE: {}}
 
     def labels(self):
         return tuple(r.label for r in self.rules)
@@ -432,6 +461,57 @@ class RuleSet:
         """Copy with some rules removed (for negative-control experiments)."""
         drop = set(labels)
         return RuleSet(self.tier, [r for r in self.rules if r.label not in drop])
+
+    def hits(self, direction, state, site, symbol):
+        """((offset, Hit), ...) for the candidates anchored at the active
+        site whose window (site - offset, site - offset + 1) matches.
+
+        state is read through its L and rows mapping only.
+        """
+        compiled = self._compiled[direction].get(symbol)
+        if compiled is None:
+            compiled = self._compiled[direction][symbol] = (
+                self._probe(direction, symbol), {})
+        probe, memo = compiled
+        rows, last = state.rows, state.L
+        key = None
+        if 1 < site < last:
+            # an interior key leaves out the two False flags: it is two
+            # shorter than every flagged key, so the two kinds never meet
+            try:
+                key = tuple([rows[reg][site + shift] for reg, shift in probe])
+            except KeyError:  # a register the state lacks
+                pass
+        if key is None:
+            key = (*[row[site + shift] if (row := rows.get(reg)) is not None
+                     and 0 <= site + shift < last else None
+                     for reg, shift in probe], site == 1, site == last)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = self._fill(direction, symbol, state, site)
+        return found
+
+    def _probe(self, direction, symbol):
+        """((register, shift), ...) of every cell a candidate reads, and of
+        every non-data output cell it may keep; the cell at site + offset
+        is row[site + shift] with shift = offset - 1."""
+        cells = set()
+        for rule, offset in self.candidates(direction, symbol):
+            for reg, off, _cell in rule.checks(direction):
+                cells.add((reg, off - offset))
+            for reg in rule.out_side(direction):
+                if reg != D:
+                    cells.update(((reg, -offset), (reg, 1 - offset)))
+        return tuple(sorted((reg, rel - 1) for reg, rel in cells))
+
+    def _fill(self, direction, symbol, state, site):
+        found = []
+        for rule, offset in self.candidates(direction, symbol):
+            hit = _hit(rule, direction, state, site - offset)
+            if hit is not None:
+                found.append((offset, hit))
+        found.sort(key=lambda f: (-f[0], f[1].rule._sort_key))
+        return tuple(found)
 
 
 _RULESET_CACHE = {}
@@ -518,14 +598,16 @@ def applicable(state: ChainState, direction: str, rules: RuleSet | None = None,
                full_scan: bool = False):
     """All matches of the tier's rules on the state, ordered by (site, label).
 
-    The default path only inspects windows touching an active symbol, which
-    is equivalent to the full scan because every rule side anchors exactly
-    one active symbol; full_scan=True forces the literal window-by-window
-    scan (used by the test suite to validate the shortcut).
+    The default path looks up the windows touching an active symbol in the
+    rule set's compiled matcher, which is equivalent to the full scan
+    because every rule side anchors exactly one active symbol;
+    full_scan=True forces the literal window-by-window try_match scan,
+    without the memo (the test suite's oracle for the compiled path).
     """
     rs = rules if rules is not None else rule_set(state.tier)
     if not full_scan:
-        return anchored_matches(state, direction, rs, active_sites(state))
+        return [as_match(i, hit, direction) for i, hit in
+                anchored_matches(state, direction, rs, active_sites(state))]
     found = [_match(rule, i, direction, b)
              for rule in rs.rules for i in range(1, state.L)
              if (b := try_match(rule, state, i, direction)) is not None]
@@ -534,24 +616,48 @@ def applicable(state: ChainState, direction: str, rules: RuleSet | None = None,
 
 
 def anchored_matches(state, direction: str, rs: RuleSet, sites):
-    """applicable() on the windows anchored at the given active sites.
+    """[(window site, Hit)] anchored at the given active sites, in (site,
+    label) order, from the rule set's compiled matcher.
 
     sites lists (site, register, symbol) as active_sites() returns it; a
     caller that tracks the active sites itself saves the row scan.  state
-    is read through try_match only, so any object with ChainState's L and
-    rows mapping will do.
+    is read through its L and rows mapping only, so any object with
+    ChainState's L and rows will do.
     """
     # a rule anchors one active cell and the P and CP active pools are
     # disjoint, so no (rule, window) pair comes up twice
     found = []
     for site, _reg, s in sites:
-        for rule, offset in rs.candidates(direction, s):
-            b = try_match(rule, state, site - offset, direction)
-            if b is not None:
-                found.append(_match(rule, site - offset, direction, b))
+        for offset, hit in rs.hits(direction, state, site, s):
+            found.append((site - offset, hit))
     if len(found) > 1:
-        found.sort(key=_match_order)
+        found.sort(key=lambda f: (f[0], f[1].rule._sort_key))
     return found
+
+
+def as_match(i, hit: Hit, direction: str) -> Match:
+    """The Match of a hit on window (i, i+1)."""
+    return Match(hit.rule, i, direction, hit.bindings)
+
+
+def _hit(rule: Rule, direction: str, state, i: int):
+    """The rule's Hit on window (i, i+1) by try_match, or None: the one
+    place a match turns into writes, for the memo and for apply()."""
+    b = try_match(rule, state, i, direction)
+    if b is None:
+        return None
+    writes = []
+    for reg, cells in rule.out_side(direction).items():
+        if reg == D:  # a guard: Rule() checks both sides agree
+            continue
+        row = state.rows[reg]
+        for off, cell in enumerate(cells):
+            old = row[i - 1 + off]
+            new = _instantiate(cell, b, old)
+            if new != old:
+                writes.append((reg, off, new))
+    return Hit(rule, tuple(sorted(b.items())), tuple(writes),
+               b[rule.gate] if rule.gate is not None else None)
 
 
 def _match(rule, i, direction, bindings):
@@ -619,17 +725,16 @@ def apply(state: ChainState, match: Match) -> ChainState:
     NonClassicalGateError when a gate would break the classical data
     invariant.
     """
-    rule, i = match.rule, match.site
-    fresh = try_match(rule, state, i, match.direction)
-    if fresh is None or tuple(sorted(fresh.items())) != match.bindings:
-        raise StaleMatchError(f"rule {rule.label} no longer matches at {i}")
-    return _rewrite(state, match)
+    hit = _hit(match.rule, match.direction, state, match.site)
+    if hit is None or hit.bindings != match.bindings:
+        raise StaleMatchError(
+            f"rule {match.label} no longer matches at {match.site}")
+    return _rewrite(state, match.site, hit, match.direction)
 
 
-def _rewrite(state: ChainState, match: Match) -> ChainState:
-    """apply() without the stale-match check, for a match just found on
-    this very state."""
-    writes, work = _window_writes(state, match)
+def _rewrite(state: ChainState, i: int, hit: Hit, direction: str) -> ChainState:
+    """The state after firing a hit just found on window (i, i+1)."""
+    writes, work = _window_writes(state, i, hit, direction)
     rows = {}
     for reg, site, s in writes:
         row = rows.get(reg)
@@ -640,27 +745,19 @@ def _rewrite(state: ChainState, match: Match) -> ChainState:
                          work=work)
 
 
-def _window_writes(state, match: Match):
-    """(writes, work) of firing the match: the one rewrite of the rules.
+def _window_writes(state, i: int, hit: Hit, direction: str):
+    """(writes, work) of firing a hit on window (i, i+1): the one rewrite.
 
-    writes lists (register, site, symbol) for the window cells the rule's
-    output side sets, and for data cells a classical gate changes; work is
-    the work state after the gate.  state is read through its rows and
-    work only, so the engine's in-place cursor shares this rewrite.
+    writes lists (register, site, symbol) for the cells the hit changes
+    and for data cells a classical gate changes; work is the work state
+    after the gate.  state is read through its rows and work only, so the
+    engine's in-place cursor shares this rewrite.
     """
-    rule, i, direction = match.rule, match.site, match.direction
-    bindings = dict(match.bindings)
-    writes = []
-    for reg, (cl, cr) in rule.out_side(direction).items():
-        if reg == D:  # a guard: Rule() checks both sides agree
-            continue
-        row = state.rows[reg]
-        writes.append((reg, i, _instantiate(cl, bindings, row[i - 1])))
-        writes.append((reg, i + 1, _instantiate(cr, bindings, row[i])))
+    writes = [(reg, i + off, s) for reg, off, s in hit.writes]
     work = state.work
-    if rule.gate is not None:
-        cells, work = _apply_gate_effect(
-            state, bindings[rule.gate], i, direction == REVERSE)
+    if hit.gate is not None:
+        cells, work = _apply_gate_effect(state, hit.gate, i,
+                                         direction == REVERSE)
         if cells is not None:
             writes += [(D, i, cells[0]), (D, i + 1, cells[1])]
     return writes, work

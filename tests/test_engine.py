@@ -109,10 +109,12 @@ def test_verify_uog_alone_catches_missing_rule(example_circuit):
 
 
 def _reference_walk(start, max_steps, check_uog=False, clock_target=None):
-    """run() rebuilt from the public applicable() and the checked apply().
+    """run() rebuilt from applicable(full_scan=True) and the checked apply().
 
-    check_uog counts reverse matches with applicable() and finds repeats in
-    a set of config_key()s; clock_target stops at the first state whose
+    The full scan tries every rule on every window with try_match and no
+    memo, so the reference shares no compiled matcher with run().
+    check_uog counts reverse matches the same way and finds repeats in a
+    set of config_key()s; clock_target stops at the first state whose
     pointer reads C and whose clock_value() is the target.
     """
     rs = rule_set(start.tier)
@@ -122,7 +124,7 @@ def _reference_walk(start, max_steps, check_uog=False, clock_target=None):
     keys = {start.config_key()}
     state = start
     for t in range(max_steps):
-        matches = applicable(state, FORWARD, rs)
+        matches = applicable(state, FORWARD, rs, full_scan=True)
         if not matches:
             ref.stop = "dead_end"
             break
@@ -140,7 +142,7 @@ def _reference_walk(start, max_steps, check_uog=False, clock_target=None):
             if key in keys:
                 ref.violations.append((t + 1, "configuration repeats"))
             keys.add(key)
-            rev = applicable(state, REVERSE, rs)
+            rev = applicable(state, REVERSE, rs, full_scan=True)
             if len(rev) != 1:
                 ref.violations.append((t + 1, f"{len(rev)} reverse matches"))
         if (clock_target is not None and "C" in state.rows.get("CP", ())
@@ -279,10 +281,10 @@ def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
                   hashed=True)
     rs = rule_set(tier)
     for _ in range(budget.max_steps):
-        matches = anchored_matches(cur, FORWARD, rs, cur.active)
-        if len(matches) != 1:
+        hits = anchored_matches(cur, FORWARD, rs, cur.active)
+        if len(hits) != 1:
             break
-        cur.advance(matches[0])
+        cur.advance(*hits[0])
         snap = cur.snapshot()
         assert cur.active == active_sites(snap)
         assert cur.zobrist == _Cursor(snap, hashed=True).zobrist

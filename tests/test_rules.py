@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqca import BuildSpec, StepBudget, build_initial, run
+from hqca import symbols as sym
 from hqca.rules import (FORWARD, REVERSE, NonClassicalGateError, Rule,
-                        RuleError, applicable, apply, classical_gate_action,
-                        dump_rule_table, lit, rule_set, try_match)
-from hqca.state import ChainState, WorkState
-from hqca.symbols import BULLET
+                        RuleError, _instantiate, anchored_matches, applicable,
+                        apply, classical_gate_action, dump_rule_table, lit,
+                        rule_set, try_match)
+from hqca.state import ChainState, WorkState, active_sites
+from hqca.symbols import BULLET, D, GATES, QUANTUM, REGISTERS_BY_TIER
+from hqca.verify import clock_increment
 
 from conftest import random_state
 
@@ -178,3 +183,116 @@ def test_rule_rewriting_data_rejected():
              {"P": (lit("m"), lit(BULLET)), "D": (lit("0"), lit("0"))})
     Rule("99", "I", {"P": (lit("→"), lit(BULLET)), "D": (lit("1"), lit("0"))},
          {"P": (lit("m"), lit(BULLET)), "D": (lit("1"), lit("0"))})
+
+
+def _alphabet(reg, tier):
+    # the data row also holds the quantum-support marker
+    return sym.alphabet(reg, tier) + ((QUANTUM,) if reg == D else ())
+
+
+def _satisfying(draw, cell, bindings, alphabet):
+    """A symbol the cell accepts under the bindings (any one for 'any')."""
+    kind = cell[0]
+    if kind == "lit":
+        return cell[1]
+    if kind in ("gv", "bit", "eq"):
+        return bindings[cell[1]]
+    if kind == "mgv":
+        return cell[2] + bindings[cell[1]] + cell[3]
+    if kind == "not":
+        pool = [s for s in alphabet if s != cell[1]]
+    elif kind == "mis":
+        b = bindings[cell[1]]
+        pool = ["0" if b == "1" else "1"] + ([BULLET] if b == "1" else [])
+    elif kind == "ok":
+        b = bindings[cell[1]]
+        pool = [b] + ([BULLET] if b == "0" else [])
+    else:
+        pool = alphabet
+    return draw(st.sampled_from(pool))
+
+
+@st.composite
+def _matched_window(draw):
+    """(tier, direction, state, window site): a chain of length 2-5 with
+    random symbols from each register's alphabet, whose window matches a
+    random rule's side; anchors land on sites 1 and L too."""
+    tier = draw(st.sampled_from(sym.TIERS))
+    direction = draw(st.sampled_from((FORWARD, REVERSE)))
+    rule = draw(st.sampled_from(rule_set(tier).rules))
+    length = draw(st.integers(2, 5))
+    i = draw(st.integers(1, length - 1))
+    rows = {reg: [draw(st.sampled_from(_alphabet(reg, tier)))
+                  for _ in range(length)] for reg in REGISTERS_BY_TIER[tier]}
+    bindings = {"A": draw(st.sampled_from(GATES)),
+                "B": draw(st.sampled_from(GATES)),
+                "a": draw(st.sampled_from("01"))}
+    for reg, cells in (rule.lhs if direction == FORWARD else rule.rhs).items():
+        for off, cell in enumerate(cells):
+            rows[reg][i - 1 + off] = _satisfying(draw, cell, bindings,
+                                                 _alphabet(reg, tier))
+    state = ChainState(tier, {r: tuple(v) for r, v in rows.items()},
+                       WorkState((), np.ones(1, dtype=complex)))
+    return tier, direction, state, i
+
+
+def _one_cell_edits(state, i):
+    """The state with each cell of sites i-1..i+2 set to each symbol of
+    its register's alphabet in turn, one cell at a time."""
+    for reg, row in state.rows.items():
+        for site in range(max(1, i - 1), min(state.L, i + 2) + 1):
+            for s in _alphabet(reg, state.tier):
+                if s != row[site - 1]:
+                    edited = row[:site - 1] + (s,) + row[site:]
+                    yield state.replace(rows={reg: edited})
+
+
+def _plain_matches(state, direction, rs):
+    """Candidate-by-candidate try_match at every active site, with the
+    cells each match would change, read straight off the rule table."""
+    found = []
+    for site, _reg, s in active_sites(state):
+        for rule, offset in rs.candidates(direction, s):
+            i = site - offset
+            b = try_match(rule, state, i, direction)
+            if b is None:
+                continue
+            writes = []
+            for reg, cells in rule.out_side(direction).items():
+                for off, cell in enumerate(cells):
+                    old = state.rows[reg][i - 1 + off]
+                    new = _instantiate(cell, b, old)
+                    if new != old:
+                        writes.append((reg, off, new))
+            found.append((i, rule._sort_key, rule.label, tuple(sorted(b.items())),
+                          tuple(sorted(writes)),
+                          b[rule.gate] if rule.gate else None))
+    return [f[:1] + f[2:] for f in sorted(found)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matched_window())
+def test_compiled_lookup_equals_plain_try_match(case):
+    # a fresh rule set per example: the matched state fills the memo
+    # first, so an edit of a cell the probe left out would be answered by
+    # the stale entry
+    tier, direction, start, i = case
+    rs = rule_set(tier).without()
+    for state in (start, *_one_cell_edits(start, i)):
+        got = [(j, h.rule.label, h.bindings, tuple(sorted(h.writes)), h.gate)
+               for j, h in anchored_matches(state, direction, rs,
+                                            active_sites(state))]
+        assert got == _plain_matches(state, direction, rs)
+    assert [(m.label, m.site, m.bindings) for m in
+            applicable(start, direction, rs)] == [
+        (m.label, m.site, m.bindings) for m in
+        applicable(start, direction, rs, full_scan=True)]
+
+
+def test_without_copy_keeps_its_own_memo():
+    # the tier's shared rule set learns the trailing-01 carry first; a copy
+    # without rule 16 must still strand the same value
+    got, _, labels, _ = clock_increment("0101", rules=rule_set("III"))
+    assert got == "0110" and "16" in labels
+    got, _, _, _ = clock_increment("0101", rules=rule_set("III").without("16"))
+    assert got is None
