@@ -13,10 +13,10 @@ from .builder import (BuildSpec, build_initial, chain_length,
 from .circuit import (CircuitProgram, apply_circuit_power, basis_state,
                       circuit_unitary, fidelity, gate_matrix,
                       parse_circuit_text)
-from .engine import (Ambiguous, DeadEnd, StepBudget, Trajectory, clock_value,
+from .engine import (Ambiguous, StepBudget, Trajectory, clock_value,
                      predicted_cycle_steps, predicted_oscillation_steps,
                      predicted_single_pass_steps, restricted_hamiltonian,
-                     run, step_forward, verify_uog)
+                     run, verify_uog)
 from .rules import (FORWARD, REVERSE, Match, NonClassicalGateError, Rule,
                     RuleSet, applicable, apply, classical_gate_action,
                     dump_rule_table, rule_set)

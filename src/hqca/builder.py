@@ -75,18 +75,6 @@ def _data_row_tier_I(n: int, k: int) -> list:
     return row
 
 
-def _program_positions(tier: str, n: int, k: int):
-    """(arrow_site, program_start) for the tier's initial program placement."""
-    length = chain_length(tier, n, k)
-    prog_len = k * (n + 1) - 1
-    if tier == "I":
-        return 1, 2
-    if tier == "II":
-        return 2, 3
-    # III and IV park the program against the right sentinels
-    return None, length - 1 - prog_len
-
-
 def build_initial(spec: BuildSpec) -> ChainState:
     """The start state of the requested tier; always passes validate_config."""
     n, k = spec.circuit.n_qubits, spec.circuit.depth
@@ -107,7 +95,8 @@ def build_initial(spec: BuildSpec) -> ChainState:
             p_row = [TURN, "→"] + program
             p_row += [BULLET] * (length - 1 - len(p_row)) + [TURN]
         else:
-            _, start = _program_positions(tier, n, k)
+            # park the program against the right sentinels
+            start = length - k * (n + 1)
             tail = [TURN, TURN] if tier == "III" else ["←", TURN]
             p_row = ([TURN] + [BULLET] * (start - 2) + program + tail)
         rows = {P: tuple(p_row), D: tuple(d_row)}

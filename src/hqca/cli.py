@@ -20,8 +20,8 @@ from .engine import (Ambiguous, StepBudget, clock_value, run,
                      trace_observer, verify_uog)
 from .state import validate_config
 from .symbols import format_dimension_audit
-from .verify import (VerificationReport, check_claim_b, check_clock_counter,
-                     check_comparator, check_work_oracle,
+from .verify import (MAX_DENSE_SITES, VerificationReport, check_claim_b,
+                     check_clock_counter, check_comparator, check_work_oracle,
                      cross_check_backends)
 from .walk import (WalkDistribution, WalkLine, distribution_dump, evolve,
                    limiting_distribution, time_averaged_distribution)
@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
     if "comparator" in wanted:
         report.add(check_comparator(min(args.l_bits, 4)))
     if "backends" in wanted:
-        if 2 ** state.L <= 1 << 16:
+        if state.L <= MAX_DENSE_SITES:
             report.add(cross_check_backends(spec, steps=500))
         else:
             print("backends suite skipped: chain too long for the dense"

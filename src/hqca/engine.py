@@ -8,7 +8,8 @@ the fired rule label and window site of every step.  Long runs can drop
 full states and keep only those records; anything else a caller wants per
 step (a trace file, say) comes from an observer while the run goes.
 
-run() steps a per-run cursor rather than building a ChainState per step:
+run() and the harnesses in verify take every forward step through
+_Cursor.step, on a per-run cursor rather than a ChainState per step:
 mutable register rows rewritten in the two window cells, the active sites
 kept up to date from the window alone, and, under check_uog, a Zobrist hash
 of the configuration updated by XOR over the changed cells for the repeat
@@ -29,15 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rules import (FORWARD, REVERSE, RuleSet, _rewrite, _window_writes,
+from .rules import (FORWARD, REVERSE, RuleSet, _window_writes,
                     anchored_matches, applicable, apply, as_match, rule_set)
 from .state import ChainState, active_sites
 from .symbols import (ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, BULLET, C, CP, D,
                       P)
-
-
-class DeadEnd(Exception):
-    """No forward rule applies: the walk line ends here."""
 
 
 class Ambiguous(Exception):
@@ -48,26 +45,6 @@ class Ambiguous(Exception):
         super().__init__(f"{len(matches)} {direction} matches: {labels}")
         self.state = state
         self.matches = matches
-
-
-def step_forward(state: ChainState, rules: RuleSet | None = None):
-    """(successor, match) along the unique forward transition.
-
-    The hit comes from the compiled matcher on this very state, so the
-    rewrite skips apply()'s stale-match check.
-    """
-    rs = rules if rules is not None else rule_set(state.tier)
-    hits = anchored_matches(state, FORWARD, rs, active_sites(state))
-    if not hits:
-        raise DeadEnd
-    if len(hits) > 1:
-        raise Ambiguous(state, _as_matches(hits), FORWARD)
-    i, hit = hits[0]
-    return _rewrite(state, i, hit, FORWARD), as_match(i, hit, FORWARD)
-
-
-def _as_matches(hits):
-    return [as_match(i, hit, FORWARD) for i, hit in hits]
 
 
 @dataclass
@@ -147,12 +124,12 @@ class Trajectory:
 
 
 class _Cursor:
-    """Mutable per-run view of a chain state, which run() steps in place.
+    """Mutable per-run view of a chain state; step() is the one forward step.
 
     rows maps each register to a list that a step rewrites in its two
-    window cells only: advance() writes the cells of a Hit from the rule
-    set's compiled matcher, through rules._window_writes (the rewrite
-    behind apply() too), and the matcher reads a cursor like a ChainState.
+    window cells only: step() looks the window up in the rule set's
+    compiled matcher, which reads a cursor like a ChainState, and writes
+    the Hit's cells through rules._window_writes (apply()'s rewrite too).
     active equals active_sites() of the current state at all times: a step
     can change active cells only inside its window, so it drops the window's
     entries and rescans those two sites.  With hashed set, zobrist is a
@@ -164,7 +141,7 @@ class _Cursor:
     __slots__ = ("tier", "L", "rows", "work", "active", "zobrist", "_pools",
                  "_frozen", "_stale")
 
-    def __init__(self, state: ChainState, hashed: bool):
+    def __init__(self, state: ChainState, hashed: bool = False):
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
         self._frozen = dict(state.rows)
@@ -181,9 +158,16 @@ class _Cursor:
                     h ^= _zobrist_key(reg, site, s)
             self.zobrist = h
 
-    def advance(self, i, hit):
-        """Fire a forward hit on window (i, i+1) in place: write its
-        cells, refresh the window's active entries."""
+    def step(self, rs: RuleSet):
+        """Fire the unique forward hit in place: (site, Hit), or None at a
+        dead end.  Several hits raise Ambiguous before any cell changes."""
+        hits = anchored_matches(self, FORWARD, rs, self.active)
+        if not hits:
+            return None
+        if len(hits) > 1:
+            matches = [as_match(i, hit, FORWARD) for i, hit in hits]
+            raise Ambiguous(self.snapshot(), matches, FORWARD)
+        i, hit = fired = hits[0]
         writes, self.work = _window_writes(self, i, hit, FORWARD)
         rows, zobrist = self.rows, self.zobrist
         for reg, site, s in writes:
@@ -206,6 +190,7 @@ class _Cursor:
         if len(active) > 1:
             active.sort(key=lambda a: (a[1] != P, a[0]))
         self.active = active
+        return fired
 
     def snapshot(self) -> ChainState:
         for reg in self._stale:
@@ -248,14 +233,11 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
     if observer is not None:
         observer(0, start, None)
     for t in range(budget.max_steps):
-        hits = anchored_matches(cur, FORWARD, rs, cur.active)
-        if not hits:
+        fired = cur.step(rs)
+        if fired is None:
             traj.stop_reason = "dead_end"
             break
-        if len(hits) > 1:
-            raise Ambiguous(cur.snapshot(), _as_matches(hits), FORWARD)
-        i, hit = hits[0]
-        cur.advance(i, hit)
+        i, hit = fired
         traj.labels.append(hit.rule.label)
         traj.sites.append(i)
         if check_uog:

@@ -28,7 +28,7 @@ Guard cells appear identically on both sides.  A window is the site pair
 
 try_match is the one hand-written matcher.  A RuleSet compiles it lazily
 into a memo keyed by the cells around an active site (RuleSet.hits), which
-applicable() and the engine's run cursor look windows up in; the memo's
+applicable() and the engine's cursor step look windows up in; the memo's
 Hits carry the cells a firing writes, and _window_writes is the one
 rewrite that apply() and the cursor share.
 """
@@ -608,10 +608,10 @@ def applicable(state: ChainState, direction: str, rules: RuleSet | None = None,
     if not full_scan:
         return [as_match(i, hit, direction) for i, hit in
                 anchored_matches(state, direction, rs, active_sites(state))]
-    found = [_match(rule, i, direction, b)
+    found = [as_match(i, hit, direction)
              for rule in rs.rules for i in range(1, state.L)
-             if (b := try_match(rule, state, i, direction)) is not None]
-    found.sort(key=_match_order)
+             if (hit := _hit(rule, direction, state, i)) is not None]
+    found.sort(key=lambda m: (m.site, m.rule._sort_key))
     return found
 
 
@@ -642,7 +642,8 @@ def as_match(i, hit: Hit, direction: str) -> Match:
 
 def _hit(rule: Rule, direction: str, state, i: int):
     """The rule's Hit on window (i, i+1) by try_match, or None: the one
-    place a match turns into writes, for the memo and for apply()."""
+    place a match turns into writes, for the memo, the full scan and
+    apply()."""
     b = try_match(rule, state, i, direction)
     if b is None:
         return None
@@ -658,14 +659,6 @@ def _hit(rule: Rule, direction: str, state, i: int):
                 writes.append((reg, off, new))
     return Hit(rule, tuple(sorted(b.items())), tuple(writes),
                b[rule.gate] if rule.gate is not None else None)
-
-
-def _match(rule, i, direction, bindings):
-    return Match(rule, i, direction, tuple(sorted(bindings.items())))
-
-
-def _match_order(m):
-    return m.site, m.rule._sort_key
 
 
 # -- rewriting ----------------------------------------------------------------
@@ -729,12 +722,7 @@ def apply(state: ChainState, match: Match) -> ChainState:
     if hit is None or hit.bindings != match.bindings:
         raise StaleMatchError(
             f"rule {match.label} no longer matches at {match.site}")
-    return _rewrite(state, match.site, hit, match.direction)
-
-
-def _rewrite(state: ChainState, i: int, hit: Hit, direction: str) -> ChainState:
-    """The state after firing a hit just found on window (i, i+1)."""
-    writes, work = _window_writes(state, i, hit, direction)
+    writes, work = _window_writes(state, match.site, hit, match.direction)
     rows = {}
     for reg, site, s in writes:
         row = rows.get(reg)

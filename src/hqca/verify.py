@@ -16,13 +16,13 @@ import numpy as np
 from .builder import BuildSpec, build_initial
 from .circuit import (CircuitProgram, apply_circuit_power, apply_rounds_prefix,
                       fidelity)
-from .engine import (DeadEnd, StepBudget, Trajectory, clock_value, run,
-                     step_forward)
+from .engine import StepBudget, Trajectory, _Cursor, clock_value, run
 from .rules import rule_set
 from .state import ChainState, DenseData, WorkState, as_dense_vector
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
 
 FIDELITY_TOL = 1e-10
+MAX_DENSE_SITES = 16  # the dense oracle holds 2^L amplitudes, 1 MiB at 16
 
 
 @dataclass
@@ -164,22 +164,22 @@ def build_clock_chain(bits: str, pointer: str = "L") -> ChainState:
 
 
 def clock_increment(bits: str, rules=None):
-    """Run one full clock transition; returns (bits', steps, labels).
+    """One full clock transition: (bits', steps, labels, final state).
 
     bits' is None when the chain dead-ends instead (the all-ones value has
     no successor and the pointer parks at the left edge).
     """
-    state = build_clock_chain(bits)
+    cur = _Cursor(build_clock_chain(bits))
     rs = rules if rules is not None else rule_set("III")
     labels = []
     for _ in range(8 * len(bits) + 8):
-        try:
-            state, m = step_forward(state, rs)
-        except DeadEnd:
-            return None, len(labels), labels, state
-        labels.append(m.label)
-        if state.rows[CP][-1] == "C":
-            return "".join(state.rows[C][1:]), len(labels), labels, state
+        fired = cur.step(rs)
+        if fired is None:
+            return None, len(labels), labels, cur.snapshot()
+        labels.append(fired[1].rule.label)
+        if cur.rows[CP][-1] == "C":
+            return ("".join(cur.rows[C][1:]), len(labels), labels,
+                    cur.snapshot())
     raise RuntimeError("clock transition did not terminate")
 
 
@@ -236,15 +236,18 @@ _VERDICT_MISMATCH = frozenset(("25", "26"))
 def comparator_verdict(clock_bits: str, target_digits: str):
     """Run the compare sweep to its verdict: 'match' (crossed return mode)
     or 'mismatch' (failure flag raised)."""
-    state = build_comparator_chain(clock_bits, target_digits)
+    cur = _Cursor(build_comparator_chain(clock_bits, target_digits))
     rs = rule_set("IV")
     labels = []
     for _ in range(4 * len(clock_bits) + 8):
-        state, m = step_forward(state, rs)
-        labels.append(m.label)
-        if m.label in _VERDICT_MATCH:
+        fired = cur.step(rs)
+        if fired is None:
+            break
+        label = fired[1].rule.label
+        labels.append(label)
+        if label in _VERDICT_MATCH:
             return "match", labels
-        if m.label in _VERDICT_MISMATCH:
+        if label in _VERDICT_MISMATCH:
             return "mismatch", labels
     raise RuntimeError("comparator sweep did not reach a verdict")
 
@@ -282,27 +285,29 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     would fire the same rules as the hybrid run.
     """
     hybrid = build_initial(spec)
-    if 2 ** hybrid.L > 1 << 20:
-        raise ValueError("dense backend cross-check needs a small chain")
+    if hybrid.L > MAX_DENSE_SITES:
+        raise ValueError(f"dense oracle needs L <= {MAX_DENSE_SITES}")
     dense = DenseData(hybrid.L, as_dense_vector(hybrid))
+    cur = _Cursor(hybrid)
     rs = rule_set(spec.tier)
     details = []
     worst = 0.0
+    compared = 0
     for t in range(steps):
-        try:
-            hybrid, m = step_forward(hybrid, rs)
-        except DeadEnd:
+        fired = cur.step(rs)
+        if fired is None:
             break
-        if m.rule.gate is not None:
-            kind = dict(m.bindings)[m.rule.gate]
-            dense = dense.apply_gate(kind, m.site, m.site + 1)
-        diff = float(np.linalg.norm(as_dense_vector(hybrid) - dense.amps))
+        compared = t + 1
+        i, hit = fired
+        if hit.gate is not None:
+            dense = dense.apply_gate(hit.gate, i, i + 1)
+        diff = float(np.linalg.norm(as_dense_vector(cur) - dense.amps))
         worst = max(worst, diff)
         if diff > 1e-10:
             details.append(f"t={t}: data vectors differ by {diff:.3e}")
             break
     return CheckResult("backend_equivalence", not details,
-                       f"steps={t + 1 if steps else 0} max|dv|={worst:.2e}",
+                       f"steps={compared} max|dv|={worst:.2e}",
                        "<=1e-10", details)
 
 

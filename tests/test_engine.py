@@ -1,3 +1,4 @@
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, DeadEnd,
-                  StepBudget, active_sites, applicable, apply, build_initial,
+from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, StepBudget,
+                  active_sites, applicable, apply, build_initial,
                   clock_value, predicted_cycle_steps,
                   predicted_oscillation_steps, predicted_single_pass_steps,
-                  restricted_hamiltonian, rule_set, run, step_forward,
-                  verify_uog)
+                  restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca.engine import _Cursor, trace_observer
-from hqca.rules import anchored_matches
 
 from conftest import random_state, small_circuit
 
@@ -28,8 +27,8 @@ def test_single_pass_step_count_small():
 def test_dead_end_raises(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"))
-    with pytest.raises(DeadEnd):
-        step_forward(traj.final)
+    again = run(traj.final, StepBudget(1))
+    assert again.n_steps == 0 and again.stop_reason == "dead_end"
 
 
 def test_corrupted_state_reported(example_circuit):
@@ -39,10 +38,10 @@ def test_corrupted_state_reported(example_circuit):
     bad = s.replace(rows={"P": tuple(row)})
     # never silently picks one: either several matches or none
     try:
-        nxt, m = step_forward(bad)
-        raise AssertionError("corrupted state stepped silently")
-    except (Ambiguous, DeadEnd):
-        pass
+        traj = run(bad, StepBudget(1))
+    except Ambiguous:
+        return
+    assert traj.stop_reason == "dead_end", "corrupted state stepped silently"
 
 
 def test_run_stop_reasons(example_circuit):
@@ -280,14 +279,13 @@ def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
     cur = _Cursor(_stray_start(example_circuit, tier, reg, site, symbol),
                   hashed=True)
     rs = rule_set(tier)
-    for _ in range(budget.max_steps):
-        hits = anchored_matches(cur, FORWARD, rs, cur.active)
-        if len(hits) != 1:
-            break
-        cur.advance(*hits[0])
-        snap = cur.snapshot()
-        assert cur.active == active_sites(snap)
-        assert cur.zobrist == _Cursor(snap, hashed=True).zobrist
+    with contextlib.suppress(Ambiguous):  # one stray start turns ambiguous
+        for _ in range(budget.max_steps):
+            if cur.step(rs) is None:
+                break
+            snap = cur.snapshot()
+            assert cur.active == active_sites(snap)
+            assert cur.zobrist == _Cursor(snap, hashed=True).zobrist
 
 
 def test_restricted_hamiltonian_is_path_adjacency():

@@ -1,0 +1,48 @@
+"""Smoke test of how the benchmark harness in perfbench/ couples to hqca.
+
+The harness's traced runs rebuild the stepping loop from public calls
+(perfbench/spans.py), and its verify workload wraps hqca.cli's verify
+calls by name (perfbench/worker.py).  A refactor that breaks either shows
+up here, not only in a benchmark run.  The harness is imported, never
+edited.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hqca import BuildSpec, StepBudget, build_initial, cli, rule_set, run
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import worker
+    return spans, worker
+
+
+@pytest.mark.parametrize("tier, budget, check_uog", [
+    ("I", StepBudget(1000, "dead_end"), False),
+    ("III", StepBudget(300, "step_limit"), True),
+], ids=["tier1_dead_end", "tier3_300_check_uog"])
+def test_step_tracer_walks_like_run(perfbench, example_circuit, random_work,
+                                    tier, budget, check_uog):
+    spans, _ = perfbench
+    start = build_initial(BuildSpec(example_circuit, tier, random_work))
+    traj = run(start, budget, keep_states=False, check_uog=check_uog)
+    tracer = spans.StepTracer(rule_set(tier))
+    final, stop = tracer.run(start, budget.max_steps, check_uog=check_uog)
+    assert tracer.labels == traj.labels
+    assert tracer.sites == traj.sites
+    assert stop == traj.stop_reason
+    assert final.snapshot() == traj.final.snapshot()
+    assert tracer.uog_violations == traj.uog_violations == []
+
+
+def test_verify_calls_are_cli_attributes(perfbench):
+    _, worker = perfbench
+    assert [name for name in worker.VERIFY_CALLS
+            if not hasattr(cli, name)] == []

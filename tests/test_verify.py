@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqca import (BuildSpec, StepBudget, apply_circuit_power, build_initial,
-                  clock_value, run, work_window)
+                  clock_value, predicted_single_pass_steps, run, work_window)
 from hqca.builder import full_width_offset
-from hqca.engine import DeadEnd
 from hqca.rules import rule_set
 from hqca.verify import (build_clock_chain, build_comparator_chain,
                          check_claim_b, check_clock_counter, check_comparator,
@@ -86,9 +85,7 @@ def test_clock_saturation():
     assert new is None
     assert set(labels) == {"17"} and len(labels) == 3
     assert final.rows["CP"][1] == "L"
-    with pytest.raises(DeadEnd):
-        from hqca.engine import step_forward
-        step_forward(final)
+    assert run(final, StepBudget(1)).stop_reason == "dead_end"
 
 
 def test_clock_counter_sweeps():
@@ -163,6 +160,15 @@ def test_backends_match_random_circuits(tier, n, k, seed, target, steps):
                                          random_state(n, seed), **extra),
                                steps)
     assert res.passed, res.details
+
+
+def test_backends_count_steps_to_the_dead_end(example_circuit):
+    # the tier-I chain dead-ends before the step budget: the report names
+    # the steps actually compared, not one more
+    res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 500)
+    assert res.passed, res.details
+    assert predicted_single_pass_steps(3, 2) == 93
+    assert res.measured.startswith("steps=93 ")
 
 
 def test_backends_catch_adjoint_work_gates(example_circuit, monkeypatch):
