@@ -23,9 +23,9 @@ from .rules import (FORWARD, REVERSE, Match, NonClassicalGateError, Rule,
 from .state import (ChainState, DenseData, WorkState, active_site,
                     active_sites, as_dense_vector, validate_config)
 from .symbols import alphabet, alphabet_dimension, format_dimension_audit
-from .walk import (WalkDistribution, WalkLine, evolve, evolve_many,
-                   fit_success_envelope, fit_tv_envelope,
-                   limiting_distribution, position_distribution,
+from .walk import (WalkDistribution, WalkLine, evolve, fit_success_envelope,
+                   fit_tv_envelope, limiting_distribution,
+                   position_distribution, position_distributions,
                    simulate_measurement, success_probability,
                    time_averaged_distribution)
 

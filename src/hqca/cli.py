@@ -23,17 +23,18 @@ from .symbols import format_dimension_audit
 from .verify import (MAX_DENSE_SITES, VerificationReport, check_claim_b,
                      check_clock_counter, check_comparator, check_work_oracle,
                      cross_check_backends)
-from .walk import (WalkDistribution, WalkLine, distribution_dump, evolve,
-                   limiting_distribution, time_averaged_distribution)
+from .walk import (WalkDistribution, WalkLine, distribution_dump,
+                   limiting_distribution, position_distribution,
+                   time_averaged_distribution)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 # cap on samples x line length for `hqca walk`.  A sample costs
-# O(l log l), so the cap sets no time: one sample took 1.2 s at l = 10^6
-# (2-core x86_64 VM, one BLAS thread), and the longest accepted walks
-# sample for tens of minutes
+# O(l log l), so the cap sets no time: one sample took 0.46-0.64 s at
+# l = 10^6 (2-core x86_64 VM, one BLAS thread), and the longest accepted
+# walks sample for about ten minutes
 MAX_POSITION_SAMPLES = 10 ** 9
 
 # cap on --l-bits.  The clock suite walks all 2^l_bits - 1 increments, and
@@ -145,9 +146,8 @@ def cmd_walk(args) -> int:
     print(f"line l={l}")
     tau = args.tau if args.tau is not None else opts.get("tau")
     if tau is not None:
-        amps = evolve(line, tau)
-        print(f"p_tau tau={tau}")
-        print(distribution_dump(WalkDistribution(np.abs(amps) ** 2)))
+        p_tau = WalkDistribution(position_distribution(line, tau))
+        print(f"p_tau tau={tau}\n{distribution_dump(p_tau)}")
     tau_star = args.tau_star if args.tau_star is not None else \
         opts.get("tau_star", 100.0 * l)
     avg = time_averaged_distribution(line, tau_star, samples, rng)

@@ -1,11 +1,17 @@
 """Continuous-time quantum walk on a path, in its exact eigenbasis.
 
 The Hamiltonian is minus the adjacency matrix of the path on l positions;
-its eigenpairs are known in closed form, so evolution is a single dense
-matrix product with no time-stepping error:
+its eigenpairs are known in closed form, so evolution is one transform into
+the eigenbasis with no time-stepping error:
 
     lambda_k = -2 cos(k pi / (l+1)),            k = 1..l
     v_k(t)   = sqrt(2/(l+1)) sin(k (t+1) pi / (l+1)),   t = 0..l-1
+
+The path is bipartite: lambda_{l+1-k} = -lambda_k, c_{l+1-k} = c_k for
+c_k = <k|0>, and v_{l+1-k}(m) = (-1)^m v_k(m), so psi_m(tau) is real for
+even m and imaginary for odd m, and in real arithmetic
+
+    |psi_m(tau)|^2 = (sum_k v_k(m) c_k sqrt(2) cos(lambda_k tau + pi/4))^2
 
 The time average of the position distribution converges to the limiting
 distribution pi(m) = (2 + [m=0] + [m=l-1]) / (2(l+1)); the deviation decays
@@ -18,36 +24,37 @@ over a sweep instead of assuming them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst
+
+# Longest line whose batched probabilities use the dense eigenvector product,
+# not the DST-I: on 1e4 columns, one BLAS thread (2-core x86_64 VM), dense/DST
+# time was 0.07-1.02 at l <= 512 (0.11 at 256) and 1.4-1.6 at l = 1000-1500.
+DENSE_MAX_LENGTH = 512
 
 
 class WalkLine:
     """Path of l positions with its exact eigendecomposition.
 
-    Evolution goes through the orthonormal type-I sine transform, which is
-    exactly this Hamiltonian's eigenbasis, so states of any length evolve
-    in O(l log l) without materializing the eigenvector matrix; the dense
-    matrix stays available (lazily) for structural tests at small l.
+    The orthonormal type-I sine transform is exactly this Hamiltonian's
+    eigenbasis (O(l log l)); lines up to DENSE_MAX_LENGTH use the cached
+    eigenvector matrix (<= 2 MB).  Eigenvalues are exactly odd in k -> l+1-k.
     """
 
     def __init__(self, l: int):
         if l < 1:
             raise ValueError("need at least one position")
         self.l = l
-        k = np.arange(1, l + 1)
-        self.eigenvalues = -2.0 * np.cos(k * np.pi / (l + 1))
-        self._eigenvectors = None
+        c = np.cos(np.arange(1, l + 1) * np.pi / (l + 1))
+        self.eigenvalues = c[::-1] - c
 
-    @property
+    @cached_property
     def eigenvectors(self) -> np.ndarray:
-        if self._eigenvectors is None:
-            k = np.arange(1, self.l + 1)
-            t = np.arange(self.l)
-            self._eigenvectors = np.sqrt(2.0 / (self.l + 1)) * np.sin(
-                np.outer(t + 1, k) * np.pi / (self.l + 1))
-        return self._eigenvectors
+        k = np.arange(1, self.l + 1)
+        return np.sqrt(2.0 / (self.l + 1)) * np.sin(
+            np.outer(k, k) * np.pi / (self.l + 1))
 
     def eigenbasis_coeffs(self) -> np.ndarray:
         """Row <k|0> of the eigenbasis: the walk starts at position 0."""
@@ -56,10 +63,7 @@ class WalkLine:
 
     def hamiltonian(self) -> np.ndarray:
         """Dense -adjacency matrix (for oracle comparisons)."""
-        h = np.zeros((self.l, self.l))
-        for i in range(self.l - 1):
-            h[i, i + 1] = h[i + 1, i] = -1.0
-        return h
+        return -np.eye(self.l, k=1) - np.eye(self.l, k=-1)
 
 
 def evolve(line: WalkLine, tau: float) -> np.ndarray:
@@ -68,15 +72,30 @@ def evolve(line: WalkLine, tau: float) -> np.ndarray:
     return dst(coeff, type=1, norm="ortho")
 
 
-def evolve_many(line: WalkLine, taus) -> np.ndarray:
-    """Amplitude matrix, one column per time point (vectorized evolve)."""
-    phases = np.exp(-1j * np.outer(line.eigenvalues, np.asarray(taus)))
-    coeffs = phases * line.eigenbasis_coeffs()[:, None]
-    return dst(coeffs, type=1, norm="ortho", axis=0)
+def position_distributions(line: WalkLine, taus) -> np.ndarray:
+    """|<m| exp(-i H tau) |0>|^2 in real arithmetic, one column per tau.
+
+    Rows k and l+1-k take cos and sin of one rounded phase, as cos(-t + pi/4)
+    = sin(t + pi/4): one trig call per entry, and column norms stay exact.
+    """
+    taus = np.asarray(taus, dtype=float)
+    l, h = line.l, line.l // 2
+    x = np.empty((l, taus.size))
+    theta = np.multiply.outer(line.eigenvalues[:h], taus)
+    theta += np.pi / 4
+    np.cos(theta, out=x[:h])
+    np.sin(theta, out=x[::-1][:h])
+    x[h:l - h] = np.sqrt(0.5)  # the zero eigenvalue of an odd line
+    x *= np.sqrt(2.0) * line.eigenbasis_coeffs()[:, None]
+    if l <= DENSE_MAX_LENGTH:
+        p = line.eigenvectors @ x
+    else:
+        p = dst(x, type=1, norm="ortho", axis=0, overwrite_x=True)
+    return np.square(p, out=p)
 
 
 def position_distribution(line: WalkLine, tau: float) -> np.ndarray:
-    return np.abs(evolve(line, tau)) ** 2
+    return position_distributions(line, [tau])[:, 0]
 
 
 @dataclass
@@ -109,28 +128,22 @@ def time_averaged_distribution(line: WalkLine, tau_star: float, samples: int,
                                rng) -> WalkDistribution:
     """Monte-Carlo estimate of the tau-uniform average of |psi_m(tau)|^2.
 
-    Sampling in chunks keeps memory at O(l * chunk) for long lines.
+    Averages position_distributions at `samples` uniform times in [0, tau*],
+    with per-position stderr, in chunks of O(l * chunk) memory.
     """
     if tau_star < 0 or samples < 1:
         raise ValueError("need tau_star >= 0 and samples >= 1")
-    chunk = max(1, 4_000_000 // max(line.l, 1))
-    total = np.zeros(line.l)
-    total_sq = np.zeros(line.l)
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        taus = rng.uniform(0.0, tau_star, size=n)
-        probs = np.abs(evolve_many(line, taus)) ** 2
+    chunk = max(1, 4_000_000 // line.l)
+    total, total_sq = np.zeros(line.l), np.zeros(line.l)
+    for done in range(0, samples, chunk):
+        taus = rng.uniform(0.0, tau_star, size=min(chunk, samples - done))
+        probs = position_distributions(line, taus)
         total += probs.sum(axis=1)
-        total_sq += (probs ** 2).sum(axis=1)
-        done += n
+        total_sq += np.square(probs, out=probs).sum(axis=1)
     mean = total / samples
-    if samples > 1:
-        var = (total_sq - samples * mean ** 2) / (samples - 1)
-        err = np.sqrt(np.maximum(var, 0.0) / samples)
-    else:
-        err = np.zeros(line.l)
-    return WalkDistribution(mean / mean.sum(), err)
+    var = (total_sq - samples * mean ** 2) / max(samples - 1, 1)
+    return WalkDistribution(mean / mean.sum(),
+                            np.sqrt(np.maximum(var, 0.0) / samples))
 
 
 def exact_time_averaged_distribution(line: WalkLine,
@@ -173,13 +186,13 @@ def fit_tv_envelope(lines, tau_factor: float, samples: int, rng):
     tau* = tau_factor * l for each line.  Returns (c, per-line TVs, relative
     residuals of the one-parameter fit).
     """
-    ls, tvs = [], []
+    xs, tvs = [], []
     for line in lines:
         tau_star = tau_factor * line.l
         avg = time_averaged_distribution(line, tau_star, samples, rng)
         tvs.append(avg.total_variation(limiting_distribution(line)))
-        ls.append(line.l)
-    x = np.array([l / (tau_factor * l) for l in ls])  # = 1/tau_factor each
+        xs.append(line.l / tau_star)  # = 1/tau_factor for every line
+    x = np.array(xs)
     tvs = np.array(tvs)
     c = float((x @ tvs) / (x @ x))
     residuals = (tvs - c * x) / np.maximum(tvs, 1e-12)
@@ -201,9 +214,7 @@ def fit_success_envelope(lines, far_fraction: float, tau_factor: float,
         rows.append((line.l / tau_star, 1.0 / line.l))
         raw.append(deficit)
         deficits.append(max(deficit, 0.0))
-    a = np.array(rows)
-    b = np.array(deficits)
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+    coef, *_ = np.linalg.lstsq(np.array(rows), np.array(deficits), rcond=None)
     c1, c2 = (float(max(c, 0.0)) for c in coef)
     return {"c1": c1, "c2": c2, "deficits": raw,
             "bound": [c1 * r[0] + c2 * r[1] for r in rows]}
@@ -217,8 +228,7 @@ def simulate_measurement(trajectory, tau: float, rng):
     not depend on scheduling.
     """
     l = len(trajectory)
-    line = WalkLine(l)
-    probs = position_distribution(line, tau)
+    probs = position_distribution(WalkLine(l), tau)
     m = int(rng.choice(l, p=probs / probs.sum()))
     state = trajectory.state(m)
     from .engine import clock_value

@@ -1,10 +1,11 @@
 """Smoke test of how the benchmark harness in perfbench/ couples to hqca.
 
 The harness's traced runs rebuild the stepping loop from public calls
-(perfbench/spans.py), and its verify workload wraps hqca.cli's verify
-calls by name (perfbench/worker.py).  A refactor that breaks either shows
-up here, not only in a benchmark run.  The harness is imported, never
-edited.
+(perfbench/spans.py), its verify workload wraps hqca.cli's verify calls by
+name (perfbench/worker.py), and its workload inputs and oracles import
+hqca names directly (perfbench/workloads.py).  A refactor that breaks any
+of them shows up here, not only in a benchmark run.  The harness is
+imported, never edited.
 """
 
 from pathlib import Path
@@ -21,6 +22,7 @@ def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
     import worker
+    import workloads  # noqa: F401 - fails on a removed or renamed hqca name
     return spans, worker
 
 

@@ -275,11 +275,11 @@ def test_tier4_walk_measurement_bound(example_circuit):
     l = len(traj)
     hit = np.array([clock_value(st) == 3 for st in traj.states])
     frac = hit.mean()
-    from hqca.walk import WalkLine, evolve_many
+    from hqca.walk import WalkLine, position_distributions
     rng = np.random.default_rng(77)
     tau_star = 50.0 * l
     taus = rng.uniform(0, tau_star, size=1000)
-    probs = np.abs(evolve_many(WalkLine(l), taus)) ** 2
+    probs = position_distributions(WalkLine(l), taus)
     freq = float(hit @ probs.sum(axis=1) / 1000.0)
     # generous envelope: l/tau_star decay plus finite-size and MC slack
     assert freq >= frac - 2.0 * l / tau_star - 2.0 / l - 0.05

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hqca import (BuildSpec, StepBudget, WalkLine, build_initial, evolve,
                   limiting_distribution, position_distribution,
-                  run, simulate_measurement, success_probability,
-                  time_averaged_distribution)
-from hqca.walk import WalkDistribution, distribution_dump
+                  position_distributions, run, simulate_measurement,
+                  success_probability, time_averaged_distribution)
+from hqca.walk import DENSE_MAX_LENGTH, WalkDistribution, distribution_dump
 
 from conftest import small_circuit
 
@@ -53,6 +53,32 @@ def test_norm_preserved(l, tau):
     assert abs(np.linalg.norm(evolve(WalkLine(l), tau)) - 1.0) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(l=st.integers(1, 700),
+       taus=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4))
+@example(l=1, taus=[0.0, 2.5, 1e6])
+@example(l=2, taus=[0.4, np.pi / 2, 1e6])
+@example(l=DENSE_MAX_LENGTH, taus=[0.0, 37.0, 1e6])
+@example(l=DENSE_MAX_LENGTH + 1, taus=[0.0, 37.0, 1e6])
+def test_position_distributions_match_evolve(l, taus):
+    # both sides of the dense/DST crossover against the complex amplitudes
+    line = WalkLine(l)
+    got = position_distributions(line, taus)
+    want = np.stack([np.abs(evolve(line, t)) ** 2 for t in taus], axis=1)
+    assert got.shape == (l, len(taus))
+    assert np.max(np.abs(got - want)) < 1e-10
+    assert np.max(np.abs(got.sum(axis=0) - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("l", [3, DENSE_MAX_LENGTH + 1])
+def test_position_distributions_match_expm(l):
+    line = WalkLine(l)
+    taus = [0.0, 0.7, 13.1, 50.0]
+    want = np.stack([np.abs(expm(-1j * line.hamiltonian() * t)[:, 0]) ** 2
+                     for t in taus], axis=1)
+    assert np.max(np.abs(position_distributions(line, taus) - want)) < 1e-10
+
+
 def test_limiting_distribution_values():
     pi2 = limiting_distribution(WalkLine(2)).probabilities
     assert np.allclose(pi2, [0.5, 0.5])
@@ -95,11 +121,21 @@ def test_success_probability_edges():
 
 def test_exact_average_is_sampling_limit():
     from hqca.walk import exact_time_averaged_distribution
-    line = WalkLine(12)
-    exact = exact_time_averaged_distribution(line, 500.0)
     rng = np.random.default_rng(8)
-    mc = time_averaged_distribution(line, 500.0, 200_000, rng)
-    assert exact.total_variation(mc) < 0.005
+    # one line on each side of the dense/DST crossover
+    for l, tau_star, samples in ((12, 500.0, 200_000),
+                                 (600, 6e4, 20_000)):
+        line = WalkLine(l)
+        exact = exact_time_averaged_distribution(line, tau_star)
+        mc = time_averaged_distribution(line, tau_star, samples, rng)
+        # |p_hat - p|_1 / 2 from the estimator's own per-position stderr s:
+        # mean sqrt(2/pi) sum s plus 6 standard deviations,
+        # sqrt((1 - 2/pi) sum s^2) each
+        s = mc.stderr
+        tol = 0.5 * (np.sqrt(2.0 / np.pi) * s.sum()
+                     + 6.0 * np.sqrt((1.0 - 2.0 / np.pi) * (s ** 2).sum()))
+        assert exact.total_variation(mc) < tol
+    line = WalkLine(12)
     # and it reproduces the limiting distribution as tau* grows
     far = exact_time_averaged_distribution(line, 1e7)
     assert far.total_variation(limiting_distribution(line)) < 1e-4
