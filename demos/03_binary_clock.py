@@ -15,11 +15,10 @@ import numpy as np
 from hqca import (BuildSpec, StepBudget, build_initial, clock_value, run,
                   worked_example_circuit)
 from hqca.verify import check_claim_b, clock_increment
-from hqca.builder import work_window
 
 print("standalone increments (pointer path shown as rule labels):")
 for bits in ("0110", "0101", "0111", "1111"):
-    new, steps, labels, _ = clock_increment(bits)
+    new, labels, _ = clock_increment(bits)
     print(f"  {bits} -> {new or 'saturated'}  via {labels}")
 
 circuit = worked_example_circuit()
@@ -34,5 +33,5 @@ print(state.snapshot())
 traj = run(state, StepBudget(10 ** 4, "clock_equals", clock_target=9))
 print(f"\n{traj.n_steps} steps to reach clock 9;"
       f" final clock: {clock_value(traj.final)}")
-res = check_claim_b(traj, circuit, w, work_window("III", 3, 2))
+res = check_claim_b(traj, circuit)
 print(res.line())

@@ -16,13 +16,14 @@ from .circuit import (CircuitProgram, apply_circuit_power, basis_state,
 from .engine import (Ambiguous, StepBudget, Trajectory, clock_value,
                      predicted_cycle_steps, predicted_oscillation_steps,
                      predicted_single_pass_steps, restricted_hamiltonian,
-                     run, verify_uog)
+                     run)
 from .rules import (FORWARD, REVERSE, Match, NonClassicalGateError, Rule,
                     RuleSet, applicable, apply, classical_gate_action,
                     dump_rule_table, rule_set)
 from .state import (ChainState, DenseData, WorkState, active_site,
                     active_sites, as_dense_vector, validate_config)
 from .symbols import alphabet, alphabet_dimension, format_dimension_audit
+from .verify import verify_uog
 from .walk import (WalkDistribution, WalkLine, evolve, fit_success_envelope,
                    fit_tv_envelope, limiting_distribution,
                    position_distribution, position_distributions,

@@ -13,16 +13,15 @@ import sys
 
 import numpy as np
 
-from .builder import (MAX_SAMPLES, build_initial, parse_instance_file,
-                      work_window)
+from .builder import MAX_SAMPLES, build_initial, parse_instance_file
 from .circuit import InstanceParseError, parse_number
-from .engine import (Ambiguous, StepBudget, clock_value, run,
-                     trace_observer, verify_uog)
+from .engine import (Ambiguous, StepBudget, Trajectory, clock_value, run,
+                     trace_observer)
 from .state import validate_config
 from .symbols import format_dimension_audit
 from .verify import (MAX_DENSE_SITES, VerificationReport, check_claim_b,
                      check_clock_counter, check_comparator, check_work_oracle,
-                     cross_check_backends)
+                     cross_check_backends, verify_uog)
 from .walk import (WalkDistribution, WalkLine, distribution_dump,
                    limiting_distribution, position_distribution,
                    time_averaged_distribution)
@@ -114,9 +113,8 @@ def cmd_run(args) -> int:
     ck = clock_value(traj.final)
     print(f"steps={traj.n_steps} status={traj.stop_reason}"
           f" clock={ck if ck is not None else '-'}")
-    markers = traj.markers
-    for label in ("28", "30"):
-        for t in markers.get(label, ()):
+    for label in Trajectory.EVENT_LABELS["compare_match"]:
+        for t in traj.marker_steps(label):
             print(f"marker Rx rule {label} at step {t}")
     return EXIT_OK
 
@@ -181,21 +179,13 @@ def cmd_verify(args) -> int:
     if {"uog", "oracle"} & set(wanted):
         # verify_uog re-checks every kept state, so run skips check_uog
         traj = run(state, budget, keep_states=True)
-        window = work_window(spec.tier, spec.circuit.n_qubits,
-                             spec.circuit.depth)
         if "uog" in wanted:
-            uog = verify_uog(traj, work_window=window)
-            report.add(
-                _as_check("uog", uog.ok,
-                          f"states={uog.checked_states}",
-                          violations=[str(v) for v in uog.violations]))
+            report.add(verify_uog(traj))
         if "oracle" in wanted:
-            work_in = spec.work_state(window).amps
             if spec.tier in ("I", "II"):
-                report.add(check_work_oracle(traj, spec.circuit, work_in,
-                                             window, spec.tier))
+                report.add(check_work_oracle(traj, spec.circuit))
             else:
-                report.add(check_claim_b(traj, spec.circuit, work_in, window))
+                report.add(check_claim_b(traj, spec.circuit))
     if "clock" in wanted:
         report.add(check_clock_counter(args.l_bits))
     if "comparator" in wanted:
@@ -208,11 +198,6 @@ def cmd_verify(args) -> int:
                   " oracle", file=sys.stderr)
     print(report.format())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-
-
-def _as_check(name, passed, measured, violations=()):
-    from .verify import CheckResult
-    return CheckResult(name, passed, measured, "clean", list(violations))
 
 
 def main(argv=None) -> int:

@@ -1,14 +1,21 @@
-"""Trajectory engine: unique-forward stepping, markers, and structure checks.
+"""Trajectory engine: unique-forward stepping, markers and trace output.
 
 A valid chain state has exactly one applicable forward rule (or none, at a
-dead end) and exactly one reverse rule (the start state of tiers I-III has
-none; the tier-IV start state admits a short reverse tail of at most 3L
-steps before a dead end).  run() walks the unique forward path, recording
-the fired rule label and window site of every step.  Long runs can drop
-full states and keep only those records; anything else a caller wants per
-step (a trace file, say) comes from an observer while the run goes.
+dead end) and exactly one reverse rule, the start state aside.  On the
+worked example the start states of tiers I and III have no reverse rule;
+tier II's has one (13b at site 1): its configurations recur with period
+predicted_cycle_steps (188 there), and 13b, the rule that closes each
+cycle, leads into the start as well; tier IV's has one (21), the first
+step of a short reverse tail of at most 3L steps before a dead end.
 
-run() and the harnesses in verify take every forward step through
+run() walks the unique forward path, recording the fired rule label and
+window site of every step.  Long runs can drop full states and keep only
+those records; anything else a caller wants per step (a trace file, a
+replay on another backend) comes from an observer while the run goes.
+
+run() is the package's one stepping loop: the harnesses and checks in
+verify drive the chain through it and read their answers from the
+trajectory.  It takes every forward step through the private
 _Cursor.step, on a per-run cursor rather than a ChainState per step:
 mutable register rows rewritten in the two window cells, the active sites
 kept up to date from the window alone, and, under check_uog, a Zobrist hash
@@ -49,8 +56,14 @@ class Ambiguous(Exception):
 
 @dataclass
 class StepBudget:
+    """run() stops at a dead end or after max_steps, under any stop_on:
+    "dead_end" and "step_limit" behave alike and only name the stop the
+    caller expects.  "clock_equals" also stops at the first state whose
+    pointer reads C and whose clock reads clock_target.  stop_reason names
+    the stop that was hit."""
+
     max_steps: int
-    stop_on: str = "dead_end"  # dead_end | clock_equals | step_limit
+    stop_on: str = "dead_end"
     clock_target: int = None
 
     def __post_init__(self):
@@ -315,59 +328,7 @@ def clock_value(state: ChainState):
     return int("".join(bits), 2)
 
 
-# -- structural verification ------------------------------------------------------
-
-
-@dataclass
-class UOGReport:
-    checked_states: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        head = f"UOG over {self.checked_states} states: "
-        return head + ("clean" if self.ok else f"{len(self.violations)} violations"
-                       f" (first: {self.violations[0]})")
-
-
-def verify_uog(traj: Trajectory, rules: RuleSet | None = None,
-               work_window=None) -> UOGReport:
-    """Check the walk-line structure of a stored trajectory.
-
-    Conditions: pairwise-distinct configurations, exactly one forward match
-    on every non-final state (zero on a dead-end final), exactly one
-    reverse match on every non-initial state, and classical data everywhere
-    outside the declared work window.  A streamed run has no states to
-    check; run(check_uog=True) checks it on the fly instead.
-    """
-    if traj.states is None:
-        raise ValueError("verify_uog needs kept states; stream with"
-                         " run(check_uog=True) instead")
-    violations = list(traj.uog_violations)
-    rs = rules if rules is not None else rule_set(traj.start.tier)
-    keys = {}
-    for t, st in enumerate(traj.states):
-        key = st.config_key()
-        if key in keys:
-            violations.append((t, f"configuration equals state {keys[key]}"))
-        keys[key] = t
-        fwd = applicable(st, FORWARD, rs)
-        if t < traj.n_steps and len(fwd) != 1:
-            violations.append((t, f"{len(fwd)} forward matches"))
-        if t == traj.n_steps and traj.stop_reason == "dead_end" and fwd:
-            violations.append((t, "final state still has forward matches"))
-        if t > 0:
-            rev = applicable(st, REVERSE, rs)
-            if len(rev) != 1:
-                violations.append((t, f"{len(rev)} reverse matches"))
-        if work_window is not None:
-            extra = set(st.work.support) - set(work_window)
-            if extra:
-                violations.append((t, f"quantum support leaked to {sorted(extra)}"))
-    return UOGReport(len(traj.states), violations)
+# -- trajectory Hamiltonian ------------------------------------------------------
 
 
 def restricted_hamiltonian(traj: Trajectory):

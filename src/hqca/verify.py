@@ -4,7 +4,11 @@ Each check compares engine behaviour against a second computational path
 that shares no code with the rule engine: dense circuit algebra for the
 work qubits, plain integer arithmetic for the clock, exhaustive sweeps for
 the comparator, and, as the oracle for the hybrid data register, a full
-2^L statevector that replays every gate the chain fires.
+2^L statevector that replays every gate the chain fires.  verify_uog
+re-derives the walk-line structure state by state through applicable().
+The harnesses step through run() and read their answers from the
+trajectory; the checks take the tier, the work window and the input work
+vector from traj.start, and each reports one CheckResult.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 from .builder import BuildSpec, build_initial
 from .circuit import (CircuitProgram, apply_circuit_power, apply_rounds_prefix,
                       fidelity)
-from .engine import StepBudget, Trajectory, _Cursor, clock_value, run
-from .rules import rule_set
+from .engine import StepBudget, Trajectory, clock_value, run
+from .rules import FORWARD, REVERSE, applicable
 from .state import ChainState, DenseData, WorkState, as_dense_vector
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
 
@@ -58,45 +62,87 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _work_vector(state: ChainState, window) -> np.ndarray:
-    if state.work.support != tuple(window):
+def _work_vector(state: ChainState, start: ChainState) -> np.ndarray:
+    if state.work.support != start.work.support:
         raise ValueError(f"work support {state.work.support} is not the"
-                         f" expected window {tuple(window)}")
+                         f" start's window {start.work.support}")
     return state.work.amps
+
+
+# -- walk-line structure ---------------------------------------------------------
+
+
+def verify_uog(traj: Trajectory) -> CheckResult:
+    """Check the walk-line structure of a stored trajectory.
+
+    Conditions: pairwise-distinct configurations, exactly one forward match
+    on every non-final state (zero on a dead-end final), exactly one
+    reverse match on every non-initial state, and classical data everywhere
+    outside the start state's work window.  The details list the
+    (step, message) violations, run's own check_uog ones first.  A
+    streamed run has no states to check; run(check_uog=True) checks it on
+    the fly instead.
+    """
+    if traj.states is None:
+        raise ValueError("verify_uog needs kept states; stream with"
+                         " run(check_uog=True) instead")
+    violations = list(traj.uog_violations)
+    window = set(traj.start.work.support)
+    keys = {}
+    for t, st in enumerate(traj.states):
+        key = st.config_key()
+        if key in keys:
+            violations.append((t, f"configuration equals state {keys[key]}"))
+        keys[key] = t
+        fwd = applicable(st, FORWARD)
+        if t < traj.n_steps and len(fwd) != 1:
+            violations.append((t, f"{len(fwd)} forward matches"))
+        if t == traj.n_steps and traj.stop_reason == "dead_end" and fwd:
+            violations.append((t, "final state still has forward matches"))
+        if t > 0:
+            rev = applicable(st, REVERSE)
+            if len(rev) != 1:
+                violations.append((t, f"{len(rev)} reverse matches"))
+        extra = set(st.work.support) - window
+        if extra:
+            violations.append((t, f"quantum support leaked to {sorted(extra)}"))
+    return CheckResult("uog", not violations, f"states={len(traj.states)}",
+                       "clean", violations)
 
 
 # -- work-qubit oracle ---------------------------------------------------------
 
 
-def check_work_oracle(traj: Trajectory, circuit: CircuitProgram,
-                      work_in: np.ndarray, window,
-                      tier: str) -> CheckResult:
+def check_work_oracle(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     """Compare the work register against dense circuit algebra at every
     point with a predicted value: oscillation ends and the final state for
     tier I (round prefixes), reset completions for tier II (circuit powers).
     """
     if traj.states is None:
         raise ValueError("needs a trajectory with kept states")
+    start = traj.start
     worst = 1.0
     details = []
     checkpoints = []
-    if tier == "I":
+    if start.tier == "I":
         gate_turns = traj.markers.get("4a", ())
         for t in sorted(traj.marker_steps("6a", "6b")):
             rounds_done = sum(1 for g in gate_turns if g < t)
             checkpoints.append((t + 1, ("rounds", rounds_done)))
         checkpoints.append((traj.n_steps, ("rounds", len(gate_turns))))
-    elif tier == "II":
+    elif start.tier == "II":
         for x, t in enumerate(traj.markers.get("13b", ()), start=1):
             checkpoints.append((t + 1, ("power", x)))
     else:
         raise ValueError("use check_claim_b for the clocked tiers")
     for t, (kind, count) in checkpoints:
         if kind == "rounds":
-            expect = apply_rounds_prefix(work_in.copy(), circuit, count)
+            expect = apply_rounds_prefix(start.work.amps.copy(), circuit,
+                                         count)
         else:
-            expect = apply_circuit_power(work_in.copy(), circuit, count)
-        got = _work_vector(traj.state(t), window)
+            expect = apply_circuit_power(start.work.amps.copy(), circuit,
+                                         count)
+        got = _work_vector(traj.state(t), start)
         f = fidelity(expect, got)
         worst = min(worst, f)
         if f < 1.0 - FIDELITY_TOL:
@@ -106,16 +152,15 @@ def check_work_oracle(traj: Trajectory, circuit: CircuitProgram,
                        details)
 
 
-def check_claim_b(traj: Trajectory, circuit: CircuitProgram,
-                  work_in: np.ndarray, window) -> CheckResult:
+def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     """Wherever the clock pointer shows C with the clock reading k, the work
-    register must equal the k-th circuit power of the input."""
+    register must equal the k-th circuit power of the start state's."""
     if traj.states is None:
         raise ValueError("needs a trajectory with kept states")
     worst = 1.0
     checked = []
     details = []
-    cache = {0: work_in.copy()}
+    cache = {0: traj.start.work.amps.copy()}
     for t, st in enumerate(traj.states):
         if "C" not in st.rows[CP]:
             continue
@@ -129,7 +174,7 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram,
             for _ in range(k - prev):
                 v = apply_circuit_power(v.copy(), circuit, 1)
             cache[k] = v
-        f = fidelity(cache[k], _work_vector(st, window))
+        f = fidelity(cache[k], _work_vector(st, traj.start))
         worst = min(worst, f)
         checked.append((t, k))
         if f < 1.0 - FIDELITY_TOL:
@@ -163,23 +208,24 @@ def build_clock_chain(bits: str, pointer: str = "L") -> ChainState:
     return ChainState("III", rows, WorkState((), np.ones(1, dtype=complex)))
 
 
-def clock_increment(bits: str, rules=None):
-    """One full clock transition: (bits', steps, labels, final state).
+def clock_increment(bits: str):
+    """One full clock transition: (bits', labels, final state).
 
-    bits' is None when the chain dead-ends instead (the all-ones value has
-    no successor and the pointer parks at the left edge).
+    labels end at the transition's first clock-done label (15, 16 or 20).
+    The run goes on through a 21 -> 10 -> dead-end tail that leaves the
+    clock row unchanged, so bits' is read from the final state.  bits' is
+    None when the chain dead-ends before a clock-done label (the all-ones
+    value has no successor and the pointer parks at the left edge).
     """
-    cur = _Cursor(build_clock_chain(bits))
-    rs = rules if rules is not None else rule_set("III")
-    labels = []
-    for _ in range(8 * len(bits) + 8):
-        fired = cur.step(rs)
-        if fired is None:
-            return None, len(labels), labels, cur.snapshot()
-        labels.append(fired[1].rule.label)
-        if cur.rows[CP][-1] == "C":
-            return ("".join(cur.rows[C][1:]), len(labels), labels,
-                    cur.snapshot())
+    traj = run(build_clock_chain(bits),
+               StepBudget(8 * len(bits) + 8, "step_limit"), keep_states=False)
+    done = Trajectory.EVENT_LABELS["clock_done"]
+    for t, label in enumerate(traj.labels):
+        if label in done:
+            return ("".join(traj.final.rows[C][1:]), traj.labels[:t + 1],
+                    traj.final)
+    if traj.stop_reason == "dead_end":
+        return None, traj.labels, traj.final
     raise RuntimeError("clock transition did not terminate")
 
 
@@ -189,10 +235,10 @@ def check_clock_counter(l_bits: int) -> CheckResult:
     top = 2 ** l_bits - 1
     details = []
     for v in range(top):
-        got, _steps, _labels, _ = clock_increment(format(v, f"0{l_bits}b"))
+        got, _labels, _ = clock_increment(format(v, f"0{l_bits}b"))
         if got is None or int(got, 2) != v + 1:
             details.append(f"{v} -> {got!r}, expected {v + 1}")
-    got, _steps, labels, final = clock_increment("1" * l_bits)
+    got, labels, final = clock_increment("1" * l_bits)
     if got is not None:
         details.append(f"all-ones incremented to {got!r}, expected saturation")
     else:
@@ -229,26 +275,22 @@ def build_comparator_chain(clock_bits: str, target_digits: str) -> ChainState:
     return ChainState("IV", rows, WorkState((), np.ones(1, dtype=complex)))
 
 
-_VERDICT_MATCH = frozenset(("28", "30"))
-_VERDICT_MISMATCH = frozenset(("25", "26"))
+# the compare sweep's verdict, by the label that ends it
+_VERDICTS = {
+    **dict.fromkeys(Trajectory.EVENT_LABELS["compare_match"], "match"),
+    **dict.fromkeys(Trajectory.EVENT_LABELS["compare_fail"], "mismatch")}
 
 
 def comparator_verdict(clock_bits: str, target_digits: str):
     """Run the compare sweep to its verdict: 'match' (crossed return mode)
-    or 'mismatch' (failure flag raised)."""
-    cur = _Cursor(build_comparator_chain(clock_bits, target_digits))
-    rs = rule_set("IV")
-    labels = []
-    for _ in range(4 * len(clock_bits) + 8):
-        fired = cur.step(rs)
-        if fired is None:
-            break
-        label = fired[1].rule.label
-        labels.append(label)
-        if label in _VERDICT_MATCH:
-            return "match", labels
-        if label in _VERDICT_MISMATCH:
-            return "mismatch", labels
+    or 'mismatch' (failure flag raised), with the labels up to the
+    verdict's."""
+    traj = run(build_comparator_chain(clock_bits, target_digits),
+               StepBudget(4 * len(clock_bits) + 8, "step_limit"),
+               keep_states=False)
+    for t, label in enumerate(traj.labels):
+        if label in _VERDICTS:
+            return _VERDICTS[label], traj.labels[:t + 1]
     raise RuntimeError("comparator sweep did not reach a verdict")
 
 
@@ -278,8 +320,9 @@ def check_comparator(l_bits: int) -> CheckResult:
 
 
 def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
-    """Step the hybrid chain, replay each fired gate on the full 2^L
-    data-register vector, and compare the two vectors after every step.
+    """Run the hybrid chain, replay each fired gate on the full 2^L
+    data-register vector from a run() observer, and compare the two
+    vectors after every step up to the first difference.
 
     Equal vectors also mean equal classical data readouts, so the oracle
     would fire the same rules as the hybrid run.
@@ -288,24 +331,26 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     if hybrid.L > MAX_DENSE_SITES:
         raise ValueError(f"dense oracle needs L <= {MAX_DENSE_SITES}")
     dense = DenseData(hybrid.L, as_dense_vector(hybrid))
-    cur = _Cursor(hybrid)
-    rs = rule_set(spec.tier)
     details = []
     worst = 0.0
-    compared = 0
-    for t in range(steps):
-        fired = cur.step(rs)
-        if fired is None:
-            break
-        compared = t + 1
-        i, hit = fired
-        if hit.gate is not None:
-            dense = dense.apply_gate(hit.gate, i, i + 1)
-        diff = float(np.linalg.norm(as_dense_vector(cur) - dense.amps))
+    failed_at = None
+
+    def replay(t, state, match):
+        nonlocal dense, worst, failed_at
+        if match is None or failed_at is not None:
+            return
+        if match.rule.gate is not None:
+            kind = dict(match.bindings)[match.rule.gate]
+            dense = dense.apply_gate(kind, match.site, match.site + 1)
+        diff = float(np.linalg.norm(as_dense_vector(state) - dense.amps))
         worst = max(worst, diff)
         if diff > 1e-10:
-            details.append(f"t={t}: data vectors differ by {diff:.3e}")
-            break
+            details.append(f"t={t - 1}: data vectors differ by {diff:.3e}")
+            failed_at = t
+
+    traj = run(hybrid, StepBudget(steps, "step_limit"), keep_states=False,
+               observer=replay)
+    compared = failed_at if failed_at is not None else traj.n_steps
     return CheckResult("backend_equivalence", not details,
                        f"steps={compared} max|dv|={worst:.2e}",
                        "<=1e-10", details)
@@ -321,7 +366,8 @@ def check_posttarget_freeze(start: ChainState, max_steps: int) -> CheckResult:
     details = []
 
     def observer(t, state, match):
-        if match is not None and match.label in _VERDICT_MATCH and not frozen:
+        if (match is not None and not frozen
+                and match.label in Trajectory.EVENT_LABELS["compare_match"]):
             frozen["at"] = t
             frozen["d"] = state.rows[D]
             frozen["c"] = state.rows[C]
@@ -342,7 +388,8 @@ def check_posttarget_freeze(start: ChainState, max_steps: int) -> CheckResult:
 
     traj = run(start, StepBudget(max_steps, "step_limit"), keep_states=False,
                observer=observer)
-    n_match = len(traj.marker_steps(*_VERDICT_MATCH))
+    n_match = len(traj.marker_steps(
+        *Trajectory.EVENT_LABELS["compare_match"]))
     if n_match != 1:
         details.append(f"{n_match} compare-success markers, expected 1")
     return CheckResult(

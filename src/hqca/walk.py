@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dst
 
 # Longest line whose batched probabilities use the dense eigenvector product,
 # not the DST-I: on 1e4 columns, one BLAS thread (2-core x86_64 VM), dense/DST
@@ -68,6 +67,7 @@ class WalkLine:
 
 def evolve(line: WalkLine, tau: float) -> np.ndarray:
     """Amplitudes <m| exp(-i H tau) |0> on all positions."""
+    from scipy.fft import dst  # imported here: it costs most of a cold import
     coeff = line.eigenbasis_coeffs() * np.exp(-1j * line.eigenvalues * tau)
     return dst(coeff, type=1, norm="ortho")
 
@@ -90,6 +90,7 @@ def position_distributions(line: WalkLine, taus) -> np.ndarray:
     if l <= DENSE_MAX_LENGTH:
         p = line.eigenvectors @ x
     else:
+        from scipy.fft import dst
         p = dst(x, type=1, norm="ortho", axis=0, overwrite_x=True)
     return np.square(p, out=p)
 

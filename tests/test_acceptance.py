@@ -109,17 +109,20 @@ def test_criterion_04_uog():
     circuit = worked_example_circuit()
     # single-pass trajectory: fully unique and orthogonal
     t1 = run(build_initial(BuildSpec(circuit, "I")), StepBudget(200, "dead_end"))
-    r1 = verify_uog(t1, work_window=work_window("I", 3, 2))
-    if not r1.ok:
-        problems.append(("I", r1.violations[:2]))
+    # verify_uog checks the work support against the start state's
+    assert t1.start.work.support == tuple(work_window("I", 3, 2))
+    r1 = verify_uog(t1)
+    if not r1.passed:
+        problems.append(("I", r1.details[:2]))
     # repetition tier: unique transitions hold for ever; configurations are
     # distinct exactly within one period (they repeat across periods, which
     # is the documented reason the clocked tier exists)
     t2 = run(build_initial(BuildSpec(circuit, "II", random_state(3, 4))),
              StepBudget(2 * 93 + 1, "step_limit"))
-    r2 = verify_uog(t2, work_window=work_window("II", 3, 2))
-    if not r2.ok:
-        problems.append(("II", r2.violations[:2]))
+    assert t2.start.work.support == tuple(work_window("II", 3, 2))
+    r2 = verify_uog(t2)
+    if not r2.passed:
+        problems.append(("II", r2.details[:2]))
     # clocked tier: 10^6-step prefix, streaming, checked on the fly
     t3 = run(build_initial(BuildSpec(circuit, "III")),
              StepBudget(10 ** 6, "step_limit"), keep_states=False,
@@ -152,7 +155,7 @@ def test_criterion_06_claim_b():
     circuit = worked_example_circuit()
     traj = run(build_initial(BuildSpec(circuit, "III", w)),
                StepBudget(10 ** 4, "clock_equals", clock_target=16))
-    res = check_claim_b(traj, circuit, w, work_window("III", 3, 2))
+    res = check_claim_b(traj, circuit)
     ok = res.passed and "k_max=16" in str(res.measured)
     report(6, ok, res.measured)
 

@@ -12,6 +12,8 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, StepBudget,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca.engine import _Cursor, trace_observer
+from hqca.rules import _RULESET_CACHE
+from hqca.state import WorkState
 
 from conftest import random_state, small_circuit
 
@@ -86,25 +88,51 @@ def test_clock_value_readout(example_circuit):
 def test_verify_uog_clean_and_negative(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"))
-    rep = verify_uog(traj, work_window=range(6, 9))
-    assert rep.ok and rep.checked_states == 94
+    assert traj.start.work.support == (6, 7, 8)  # the window it checks
+    rep = verify_uog(traj)
+    assert rep.passed and rep.measured == "states=94"
     # duplicated configuration must be flagged
     traj.states[40] = traj.states[12]
     rep2 = verify_uog(traj)
-    assert not rep2.ok
-    assert any("configuration" in v[1] for v in rep2.violations)
+    assert not rep2.passed
+    assert rep2.details == [(40, "configuration equals state 12")]
 
 
-def test_verify_uog_alone_catches_missing_rule(example_circuit):
+def test_verify_uog_alone_catches_missing_rule(example_circuit, monkeypatch):
     # hqca verify runs without check_uog, so verify_uog must on its own
     # report both the forward and the reverse count defects
     traj = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"))
     fired = traj.marker_steps("5a")
     assert fired and not traj.uog_violations
-    rep = verify_uog(traj, rules=rule_set("I").without("5a"))
-    assert {(t, "0 forward matches") for t in fired} <= set(rep.violations)
-    assert {(t + 1, "0 reverse matches") for t in fired} <= set(rep.violations)
+    monkeypatch.setitem(_RULESET_CACHE, "I", rule_set("I").without("5a"))
+    rep = verify_uog(traj)
+    assert not rep.passed
+    assert {(t, "0 forward matches") for t in fired} <= set(rep.details)
+    assert {(t + 1, "0 reverse matches") for t in fired} <= set(rep.details)
+
+
+def test_verify_uog_catches_leaked_support(example_circuit):
+    # a work register that spreads past the start state's window is a leak
+    traj = run(build_initial(BuildSpec(example_circuit, "I")),
+               StepBudget(200, "dead_end"))
+    st = traj.states[30]
+    traj.states[30] = st.replace(work=WorkState((5, 6, 7), st.work.amps))
+    rep = verify_uog(traj)
+    assert rep.details == [(30, "quantum support leaked to [5]")]
+
+
+@pytest.mark.parametrize("tier, expect", [("I", []), ("II", [("13b", 1)]),
+                                          ("III", []), ("IV", [("21", 15)])])
+def test_start_state_reverse_rules(example_circuit, tier, expect):
+    # tier II's start closes a 188-step cycle, so 13b leads into it; tier
+    # IV's start opens a short reverse tail
+    extra = {"target_x": 3, "bullet_offset": 3} if tier == "IV" else {}
+    start = build_initial(BuildSpec(example_circuit, tier, **extra))
+    assert [(m.label, m.site) for m in applicable(start, REVERSE)] == expect
+    if tier == "II":
+        traj = run(start, StepBudget(predicted_cycle_steps(3, 2), "step_limit"))
+        assert traj.final.config_equal(start) and traj.labels[-1] == "13b"
 
 
 def _reference_walk(start, max_steps, check_uog=False, clock_target=None):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +16,19 @@ from hqca import (BuildSpec, StepBudget, WalkLine, build_initial, evolve,
 from hqca.walk import DENSE_MAX_LENGTH, WalkDistribution, distribution_dump
 
 from conftest import small_circuit
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.fft is imported only where a DST runs; the package, its CLI and
+    # the lines the benchmark walks load no scipy at all
+    code = ("import sys, hqca, hqca.cli\n"
+            "hqca.position_distributions(hqca.WalkLine(16), [1.0])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    import hqca
+    env = dict(os.environ, PYTHONPATH=str(Path(hqca.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_eigenpairs():
