@@ -4,8 +4,11 @@ A ChainState is immutable; every transition produces a new state.  The data
 register is special: most of its sites provably stay in computational basis
 states, so a state keeps one classical bit per data site and a small
 amplitude vector over a quantum-support set, normally the N work qubits.
-DenseData, the whole data register as one 2^L amplitude vector, is the
-oracle that verify.cross_check_backends checks this claim against at small L.
+DenseData, the whole data register as one 2^L amplitude vector (site 1 the
+most significant bit), is the oracle that verify.cross_check_backends checks
+this claim against at small L; as_dense_vector embeds a hybrid state in it.
+Both apply gates to adjacent sites through circuit's one kernel, which never
+aliases its input, so a gate leaves the old state's amplitudes untouched.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class WorkState:
         p1 = self.support.index(site_j)
         if p1 != p0 + 1:
             raise StateError("gate window must cover adjacent support slots")
-        out = _apply_two_qubit(self.amps, gate_matrix(kind, adjoint), p0, p1,
+        out = _apply_two_qubit(self.amps, gate_matrix(kind, adjoint), p0,
                                len(self.support))
         return WorkState(self.support, out)
 
@@ -96,26 +99,6 @@ class DenseData:
         if self.amps.shape != (2 ** n_sites,):
             raise StateError("dense amplitude dimension mismatch")
 
-    @classmethod
-    def from_bits_and_work(cls, n_sites: int, bits, work: WorkState) -> "DenseData":
-        """Embed classical bits plus a work-state vector at its support sites."""
-        amps = np.zeros(2 ** n_sites, dtype=complex)
-        base = 0
-        for site in range(1, n_sites + 1):
-            b = bits[site - 1]
-            if b == QUANTUM:
-                continue
-            base |= int(b) << (n_sites - site)
-        for k, a in enumerate(work.amps):
-            if a == 0:
-                continue
-            idx = base
-            for pos, site in enumerate(work.support):
-                bit = (k >> (len(work.support) - 1 - pos)) & 1
-                idx |= bit << (n_sites - site)
-            amps[idx] = a
-        return cls(n_sites, amps)
-
     def read_bit(self, site: int) -> str:
         """Classical readout of one site: '0', '1', or '?' when impure."""
         x = self.amps.reshape(2 ** (site - 1), 2, -1)[:, 1, :]
@@ -127,8 +110,10 @@ class DenseData:
         return QUANTUM
 
     def apply_gate(self, kind: str, site_i: int, site_j: int) -> "DenseData":
-        out = _apply_two_qubit(self.amps, gate_matrix(kind),
-                               site_i - 1, site_j - 1, self.n_sites)
+        if site_j != site_i + 1:
+            raise StateError("gate window must cover adjacent sites")
+        out = _apply_two_qubit(self.amps, gate_matrix(kind), site_i - 1,
+                               self.n_sites)
         return DenseData(self.n_sites, out)
 
 
@@ -193,8 +178,15 @@ class ChainState:
 
 def as_dense_vector(state: ChainState) -> np.ndarray:
     """Full 2^L data-register vector: the classical bits with the work
-    amplitudes embedded at their support sites."""
-    return DenseData.from_bits_and_work(state.L, state.rows[D], state.work).amps
+    amplitudes embedded at their support sites (site 1 most significant)."""
+    L, k = state.L, np.arange(len(state.work.amps))
+    idx = np.full_like(k, sum(1 << (L - site) for site, b
+                              in enumerate(state.rows[D], start=1) if b == "1"))
+    for pos, site in enumerate(reversed(state.work.support)):
+        idx |= ((k >> pos) & 1) << (L - site)
+    out = np.zeros(2 ** L, dtype=complex)
+    out[idx] = state.work.amps
+    return out
 
 
 # -- active-site bookkeeping -------------------------------------------------
@@ -213,16 +205,6 @@ def active_sites(state: ChainState):
             if s in active_cp:
                 out.append((i, CP, s))
     return out
-
-
-def active_site(state: ChainState):
-    """The unique active location, or StateError when 0 or several exist."""
-    found = active_sites(state)
-    if not found:
-        raise StateError("no active symbol")
-    if len(found) > 1:
-        raise StateError(f"multiple active symbols: {found}")
-    return found[0]
 
 
 @dataclass

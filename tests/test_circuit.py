@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqca.circuit import (CircuitProgram, InstanceParseError,
-                          apply_circuit_power, basis_state, circuit_unitary,
-                          gate_matrix, parse_circuit_text)
+                          apply_circuit_power, apply_round, basis_state,
+                          circuit_unitary, gate_matrix, parse_circuit_text)
+from hqca.state import DenseData, WorkState
+from hqca.symbols import GATES
 
 from conftest import random_state, small_circuit
 
@@ -39,6 +41,62 @@ def test_w_adjoint_inverts():
     v = random_state(2, 5)
     w = gate_matrix("W") @ v
     assert np.max(np.abs(gate_matrix("W", adjoint=True) @ w - v)) < 1e-12
+
+
+def test_gate_matrices_read_only_and_real():
+    for g in GATES:
+        for adjoint in (False, True):
+            m = gate_matrix(g, adjoint)
+            assert m.dtype == np.float64
+            with pytest.raises(ValueError):
+                m[2, 3] = 0
+    assert gate_matrix("W")[2, 3] < 0
+
+
+def kron_gate(kind, m, n):
+    """Gate `kind` on qubits (m, m+1) of n as an explicit 2^n matrix."""
+    return np.kron(np.kron(np.eye(2 ** m), gate_matrix(kind)),
+                   np.eye(2 ** (n - m - 2)))
+
+
+def mat_vec(op, v):
+    # a real op times the real and imaginary parts, as numpy would otherwise
+    # copy op to complex
+    return op @ v.real + 1j * (op @ v.imag)
+
+
+# the kernel's gemm branch needs 256 rows before the pair: n = 10 reaches it
+# with two floats after the pair, n = 11 with four
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2 ** 16),
+       strided=st.booleans())
+@example(n=10, seed=1, strided=False)
+@example(n=11, seed=0, strided=True)
+def test_kernel_matches_kron_oracle(n, seed, strided):
+    rng = np.random.default_rng(seed)
+    big = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+    v = big[::2] if strided else big[:2 ** n]
+    assert v.flags.c_contiguous != strided
+    keep = v.copy()
+    sites = tuple(range(3, n + 3))
+
+    def check(out, want):
+        assert np.max(np.abs(out - want)) <= 1e-12
+        assert not np.shares_memory(out, big)
+        assert np.array_equal(v, keep)
+
+    ops = {(g, m): kron_gate(g, m, n) for g in GATES for m in range(n - 1)}
+    for (g, m), op in ops.items():
+        work = WorkState(sites, v)
+        check(work.apply_gate(g, sites[m], sites[m + 1]).amps, mat_vec(op, keep))
+        check(work.apply_gate(g, sites[m], sites[m + 1], adjoint=True).amps,
+              mat_vec(op.T, keep))
+        check(DenseData(n, v).apply_gate(g, m + 1, m + 2).amps, mat_vec(op, keep))
+    rnd = tuple(str(g) for g in rng.choice(GATES, size=n - 1))
+    want = keep
+    for m in range(n - 2, -1, -1):
+        want = mat_vec(ops[rnd[m], m], want)
+    check(apply_round(v, CircuitProgram(n, (rnd,)), 1), want)
 
 
 def test_program_string_worked_example():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hqca import BuildSpec, StepBudget, build_initial, run
-from hqca.state import (ChainState, DenseData, WorkState, active_site,
-                        as_dense_vector, validate_config)
+from hqca.state import (ChainState, DenseData, StateError, WorkState,
+                        active_sites, as_dense_vector, validate_config)
 from hqca.symbols import (BULLET, alphabet_dimension, format_dimension_audit)
 
 from conftest import small_circuit
@@ -16,7 +16,7 @@ def tier1_start():
 def test_start_state_valid(example_circuit):
     s = build_initial(BuildSpec(example_circuit, "I"))
     assert validate_config(s).ok
-    assert active_site(s) == (1, "P", "→")
+    assert active_sites(s) == [(1, "P", "→")]
 
 
 def test_two_arrows_flagged(example_circuit):
@@ -27,8 +27,6 @@ def test_two_arrows_flagged(example_circuit):
     rep = validate_config(bad)
     assert not rep.ok
     assert any("active count 2" in v for v in rep.violations)
-    with pytest.raises(ValueError):
-        active_site(bad)
 
 
 def test_tier_register_mismatch(example_circuit):
@@ -44,13 +42,11 @@ def test_no_active_symbol_flagged(example_circuit):
     row[0] = BULLET
     bad = s.replace(rows={"P": tuple(row)})
     assert any("active count 0" in v for v in validate_config(bad).violations)
-    with pytest.raises(ValueError):
-        active_site(bad)
 
 
 def test_tier3_active_site(example_circuit):
     s = build_initial(BuildSpec(example_circuit, "III"))
-    assert active_site(s) == (2, "CP", "R")
+    assert active_sites(s) == [(2, "CP", "R")]
 
 
 def test_state_equality_is_equivalence(example_circuit):
@@ -120,6 +116,30 @@ def test_dense_round_trip(example_circuit):
         first = s2.work.support[0]
         assert d2.read_bit(first) == bit
         assert [d2.read_bit(x) for x in s2.work.support[1:]] == ["?", "?"]
+
+
+def test_dense_vector_matches_loop_embedding(example_circuit):
+    rng = np.random.default_rng(3)
+    for tier in ("I", "II", "III"):
+        w = rng.normal(size=8) + 1j * rng.normal(size=8)
+        s = build_initial(BuildSpec(example_circuit, tier, w / np.linalg.norm(w)))
+        want = np.zeros(2 ** s.L, dtype=complex)
+        base = sum(int(b) << (s.L - site)
+                   for site, b in enumerate(s.rows["D"], start=1) if b != "?")
+        for k, a in enumerate(s.work.amps):
+            idx = base
+            for pos, site in enumerate(s.work.support):
+                idx |= ((k >> (len(s.work.support) - 1 - pos)) & 1) << (s.L - site)
+            want[idx] = a
+        assert np.array_equal(as_dense_vector(s), want)
+
+
+def test_gates_need_adjacent_sites():
+    e0 = np.eye(8)[0]
+    with pytest.raises(StateError):
+        WorkState((1, 2, 3), e0).apply_gate("W", 1, 3)
+    with pytest.raises(StateError):
+        DenseData(3, e0).apply_gate("W", 1, 3)
 
 
 def test_dimension_audit_values():
