@@ -20,8 +20,8 @@ from .engine import (Ambiguous, StepBudget, Trajectory, clock_value,
 from .rules import (FORWARD, REVERSE, Match, NonClassicalGateError, Rule,
                     RuleSet, applicable, apply, classical_gate_action,
                     dump_rule_table, rule_set)
-from .state import (ChainState, DenseData, WorkState, active_sites,
-                    as_dense_vector, validate_config)
+from .state import (ChainState, DenseData, WorkState, active_site,
+                    active_sites, as_dense_vector, validate_config)
 from .symbols import alphabet, alphabet_dimension, format_dimension_audit
 from .verify import verify_uog
 from .walk import (WalkDistribution, WalkLine, evolve, fit_success_envelope,

@@ -48,8 +48,7 @@ for _m in _GATE_MATRIX.values():
 
 
 def gate_matrix(kind: str, adjoint: bool = False) -> np.ndarray:
-    """Read-only real 4x4 orthogonal matrix of one gate; adjoint=True gives
-    its inverse, the transpose."""
+    """Read-only real 4x4 gate matrix; adjoint=True gives its transpose."""
     m = _GATE_MATRIX[kind]
     return m.T if adjoint else m
 
@@ -97,27 +96,23 @@ class CircuitProgram:
 
 
 # Fewest rows 2**q at which one gemm against kron(mat.T, I_k) beats matmul's
-# loop over (4, k) slices, for k <= 4 floats after the pair.  One BLAS thread,
-# 2-core x86_64 VM, gemm/matmul: 2^8 rows 11.6/19.8 us (k=2), 11.9/12.6 us
-# (k=4); 2^14 rows 195/749 and 557/1204 us; 2^6 rows or fewer, or k=8, lose.
+# loop over (4, k) slices, for k <= 4 floats after the pair (1 BLAS thread,
+# 2-core x86_64 VM, gemm/matmul at k=2: 2^8 rows 11.6/19.8 us, 2^14 195/749 us).
 GEMM_MIN_ROWS = 256
 
 
 def _apply_two_qubit(state: np.ndarray, mat: np.ndarray, q: int,
                      n: int) -> np.ndarray:
-    """Apply a real 4x4 matrix to adjacent qubits (q, q+1) of an n-qubit
-    state, qubit 0 most significant.  A real matrix acts on real and
-    imaginary parts alike, so it multiplies the pair axis of the float64
-    view reshaped to (2**q, 4, k), k = 2**(n-q-1).  The result is a fresh
-    vector; the input is neither written to nor aliased."""
+    """Apply a real 4x4 matrix to adjacent qubits (q, q+1) of an n-qubit state,
+    qubit 0 most significant: it multiplies the pair axis of the float64 view
+    (real and imaginary parts alike) reshaped to (2**q, 4, k), k = 2**(n-q-1).
+    The result is a fresh vector; the input is neither written nor aliased."""
     rows, k = 2 ** q, 2 ** (n - q - 1)
     a = np.ascontiguousarray(state, dtype=complex).view(np.float64)
     if k <= 4 and rows >= GEMM_MIN_ROWS:
-        kron = mat.T[:, None, :, None] * np.eye(k)[None, :, None, :]
-        out = a.reshape(rows, 4 * k) @ kron.reshape(4 * k, 4 * k)
-    else:
-        out = np.matmul(mat, a.reshape(rows, 4, k))
-    return out.view(complex).reshape(-1)
+        kron = (mat.T[:, None, :, None] * np.eye(k)[:, None]).reshape(4 * k, -1)
+        return (a.reshape(rows, -1) @ kron).view(complex).reshape(-1)
+    return np.matmul(mat, a.reshape(rows, 4, k)).view(complex).reshape(-1)
 
 
 def apply_round(state: np.ndarray, circuit: CircuitProgram, k: int) -> np.ndarray:
@@ -139,7 +134,8 @@ def apply_circuit_power(state: np.ndarray, circuit: CircuitProgram,
         raise CircuitError(
             f"state dimension {state.shape} does not match {n} qubits")
     for _ in range(x):
-        state = apply_rounds_prefix(state, circuit, circuit.depth)
+        for k in range(1, circuit.depth + 1):
+            state = apply_round(state, circuit, k)
     return state
 
 
@@ -152,15 +148,15 @@ def apply_rounds_prefix(state: np.ndarray, circuit: CircuitProgram,
 
 
 def circuit_unitary(circuit: CircuitProgram) -> np.ndarray:
-    """Explicit 2^N x 2^N matrix of the circuit (independent check path):
-    the product of I_(2^m) (x) G (x) I_(2^(N-m-2)) over the gates in the
-    order apply_round applies them, sharing no code with the kernel."""
+    """Explicit 2^N x 2^N matrix of the circuit, sharing no code with the
+    kernel: the product of I_(2^m) (x) G (x) I_(2^(N-m-2)) in apply_round's order."""
     n = circuit.n_qubits
     u = np.eye(2 ** n)
     for rnd in circuit.rounds:
         for m in range(n - 2, -1, -1):
-            u = np.kron(np.kron(np.eye(2 ** m), gate_matrix(rnd[m])),
-                        np.eye(2 ** (n - m - 2))) @ u
+            if rnd[m] != "I":  # an I factor is the identity
+                u = np.kron(np.kron(np.eye(2 ** m), gate_matrix(rnd[m])),
+                            np.eye(2 ** (n - m - 2))) @ u
     return u.astype(complex)
 
 

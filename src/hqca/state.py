@@ -4,11 +4,10 @@ A ChainState is immutable; every transition produces a new state.  The data
 register is special: most of its sites provably stay in computational basis
 states, so a state keeps one classical bit per data site and a small
 amplitude vector over a quantum-support set, normally the N work qubits.
-DenseData, the whole data register as one 2^L amplitude vector (site 1 the
-most significant bit), is the oracle that verify.cross_check_backends checks
-this claim against at small L; as_dense_vector embeds a hybrid state in it.
-Both apply gates to adjacent sites through circuit's one kernel, which never
-aliases its input, so a gate leaves the old state's amplitudes untouched.
+DenseData, the whole data register as one 2^L amplitude vector (site 1 most
+significant), is the oracle that verify.cross_check_backends checks this
+claim against at small L.  Both apply gates to adjacent sites through
+circuit's kernel, which never aliases the old state's amplitudes.
 """
 
 from __future__ import annotations
@@ -68,8 +67,7 @@ class WorkState:
     def apply_gate(self, kind: str, site_i: int, site_j: int,
                    adjoint: bool = False) -> "WorkState":
         p0 = self.support.index(site_i)
-        p1 = self.support.index(site_j)
-        if p1 != p0 + 1:
+        if self.support.index(site_j) != p0 + 1:
             raise StateError("gate window must cover adjacent support slots")
         out = _apply_two_qubit(self.amps, gate_matrix(kind, adjoint), p0,
                                len(self.support))
@@ -112,9 +110,8 @@ class DenseData:
     def apply_gate(self, kind: str, site_i: int, site_j: int) -> "DenseData":
         if site_j != site_i + 1:
             raise StateError("gate window must cover adjacent sites")
-        out = _apply_two_qubit(self.amps, gate_matrix(kind), site_i - 1,
-                               self.n_sites)
-        return DenseData(self.n_sites, out)
+        return DenseData(self.n_sites, _apply_two_qubit(
+            self.amps, gate_matrix(kind), site_i - 1, self.n_sites))
 
 
 class ChainState:
@@ -177,11 +174,9 @@ class ChainState:
 
 
 def as_dense_vector(state: ChainState) -> np.ndarray:
-    """Full 2^L data-register vector: the classical bits with the work
-    amplitudes embedded at their support sites (site 1 most significant)."""
+    """Data register as one 2^L vector, site 1 the most significant bit."""
     L, k = state.L, np.arange(len(state.work.amps))
-    idx = np.full_like(k, sum(1 << (L - site) for site, b
-                              in enumerate(state.rows[D], start=1) if b == "1"))
+    idx = np.full_like(k, int("".join(state.rows[D]).replace(QUANTUM, "0"), 2))
     for pos, site in enumerate(reversed(state.work.support)):
         idx |= ((k >> pos) & 1) << (L - site)
     out = np.zeros(2 ** L, dtype=complex)
@@ -205,6 +200,16 @@ def active_sites(state: ChainState):
             if s in active_cp:
                 out.append((i, CP, s))
     return out
+
+
+def active_site(state: ChainState):
+    """The unique active location, or StateError when 0 or several exist."""
+    found = active_sites(state)
+    if not found:
+        raise StateError("no active symbol")
+    if len(found) > 1:
+        raise StateError(f"multiple active symbols: {found}")
+    return found[0]
 
 
 @dataclass

@@ -53,18 +53,6 @@ def test_gate_matrices_read_only_and_real():
     assert gate_matrix("W")[2, 3] < 0
 
 
-def kron_gate(kind, m, n):
-    """Gate `kind` on qubits (m, m+1) of n as an explicit 2^n matrix."""
-    return np.kron(np.kron(np.eye(2 ** m), gate_matrix(kind)),
-                   np.eye(2 ** (n - m - 2)))
-
-
-def mat_vec(op, v):
-    # a real op times the real and imaginary parts, as numpy would otherwise
-    # copy op to complex
-    return op @ v.real + 1j * (op @ v.imag)
-
-
 # the kernel's gemm branch needs 256 rows before the pair: n = 10 reaches it
 # with two floats after the pair, n = 11 with four
 @settings(max_examples=30, deadline=None)
@@ -85,18 +73,18 @@ def test_kernel_matches_kron_oracle(n, seed, strided):
         assert not np.shares_memory(out, big)
         assert np.array_equal(v, keep)
 
-    ops = {(g, m): kron_gate(g, m, n) for g in GATES for m in range(n - 1)}
-    for (g, m), op in ops.items():
-        work = WorkState(sites, v)
-        check(work.apply_gate(g, sites[m], sites[m + 1]).amps, mat_vec(op, keep))
-        check(work.apply_gate(g, sites[m], sites[m + 1], adjoint=True).amps,
-              mat_vec(op.T, keep))
-        check(DenseData(n, v).apply_gate(g, m + 1, m + 2).amps, mat_vec(op, keep))
+    for g in GATES:
+        for m in range(n - 1):
+            rnd = ("I",) * m + (g,) + ("I",) * (n - m - 2)
+            op = circuit_unitary(CircuitProgram(n, (rnd,)))
+            work = WorkState(sites, v)
+            check(work.apply_gate(g, sites[m], sites[m + 1]).amps, op @ keep)
+            check(work.apply_gate(g, sites[m], sites[m + 1], adjoint=True).amps,
+                  (keep.conj() @ op).conj())  # op^H keep, without copying op
+            check(DenseData(n, v).apply_gate(g, m + 1, m + 2).amps, op @ keep)
     rnd = tuple(str(g) for g in rng.choice(GATES, size=n - 1))
-    want = keep
-    for m in range(n - 2, -1, -1):
-        want = mat_vec(ops[rnd[m], m], want)
-    check(apply_round(v, CircuitProgram(n, (rnd,)), 1), want)
+    circuit = CircuitProgram(n, (rnd,))
+    check(apply_round(v, circuit, 1), circuit_unitary(circuit) @ keep)
 
 
 def test_program_string_worked_example():

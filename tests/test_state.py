@@ -3,7 +3,7 @@ import pytest
 
 from hqca import BuildSpec, StepBudget, build_initial, run
 from hqca.state import (ChainState, DenseData, StateError, WorkState,
-                        active_sites, as_dense_vector, validate_config)
+                        active_site, as_dense_vector, validate_config)
 from hqca.symbols import (BULLET, alphabet_dimension, format_dimension_audit)
 
 from conftest import small_circuit
@@ -16,7 +16,7 @@ def tier1_start():
 def test_start_state_valid(example_circuit):
     s = build_initial(BuildSpec(example_circuit, "I"))
     assert validate_config(s).ok
-    assert active_sites(s) == [(1, "P", "→")]
+    assert active_site(s) == (1, "P", "→")
 
 
 def test_two_arrows_flagged(example_circuit):
@@ -27,6 +27,8 @@ def test_two_arrows_flagged(example_circuit):
     rep = validate_config(bad)
     assert not rep.ok
     assert any("active count 2" in v for v in rep.violations)
+    with pytest.raises(ValueError):
+        active_site(bad)
 
 
 def test_tier_register_mismatch(example_circuit):
@@ -42,11 +44,13 @@ def test_no_active_symbol_flagged(example_circuit):
     row[0] = BULLET
     bad = s.replace(rows={"P": tuple(row)})
     assert any("active count 0" in v for v in validate_config(bad).violations)
+    with pytest.raises(ValueError):
+        active_site(bad)
 
 
 def test_tier3_active_site(example_circuit):
     s = build_initial(BuildSpec(example_circuit, "III"))
-    assert active_sites(s) == [(2, "CP", "R")]
+    assert active_site(s) == (2, "CP", "R")
 
 
 def test_state_equality_is_equivalence(example_circuit):
