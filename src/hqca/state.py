@@ -7,13 +7,13 @@ amplitude vector over a quantum-support set, normally the N work qubits.
 DenseData, the whole data register as one 2^L amplitude vector (site 1 most
 significant), is the oracle that verify.cross_check_backends checks this
 claim against at small L.  Both apply gates to adjacent sites through
-circuit's kernel, which never aliases the old state's amplitudes.
+circuit's kernel, which never aliases the old state's amplitudes, and a
+WorkState's amplitudes are read-only, so no state changes under a caller.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from . import symbols as sym
 from .circuit import _apply_two_qubit, gate_matrix
 from .symbols import CP, D, P, QUANTUM, REGISTERS_BY_TIER
 
-PHASE_TOL = 1e-12
 NORM_TOL = 1e-12
 
 
@@ -29,27 +28,18 @@ class StateError(ValueError):
     pass
 
 
-def phase_aligned_equal(a: np.ndarray, b: np.ndarray, tol: float = PHASE_TOL) -> bool:
-    """Vector equality up to a global phase."""
-    if a.shape != b.shape:
-        return False
-    k = int(np.argmax(np.abs(a)))
-    if abs(a[k]) < tol:
-        return bool(np.max(np.abs(b)) < tol)
-    phase = b[k] / a[k]
-    if abs(abs(phase) - 1.0) > 1e-9:
-        return False
-    return bool(np.max(np.abs(a * phase - b)) <= max(tol, 1e-12))
-
-
 class WorkState:
-    """Amplitudes over the quantum-support sites of the data register."""
+    """Amplitudes over the quantum-support sites of the data register;
+    read-only, copied first when the input array is writable."""
 
     __slots__ = ("support", "amps")
 
     def __init__(self, support, amps):
         self.support = tuple(support)
         self.amps = np.asarray(amps, dtype=complex)
+        if self.amps.flags.writeable:
+            self.amps = self.amps.copy()
+            self.amps.setflags(write=False)
         if self.amps.shape != (2 ** len(self.support),):
             raise StateError(
                 f"amplitude dimension {self.amps.shape} does not match"
@@ -71,11 +61,8 @@ class WorkState:
             raise StateError("gate window must cover adjacent support slots")
         out = _apply_two_qubit(self.amps, gate_matrix(kind, adjoint), p0,
                                len(self.support))
+        out.setflags(write=False)  # the kernel's fresh vector: no copy
         return WorkState(self.support, out)
-
-    def phase_equal(self, other: "WorkState", tol: float = PHASE_TOL) -> bool:
-        return self.support == other.support and phase_aligned_equal(
-            self.amps, other.amps, tol)
 
     def overlap(self, other: "WorkState") -> complex:
         if self.support != other.support:
@@ -89,23 +76,11 @@ class DenseData:
 
     __slots__ = ("n_sites", "amps")
 
-    PURITY_TOL = 1e-10
-
     def __init__(self, n_sites: int, amps):
         self.n_sites = n_sites
         self.amps = np.asarray(amps, dtype=complex)
         if self.amps.shape != (2 ** n_sites,):
             raise StateError("dense amplitude dimension mismatch")
-
-    def read_bit(self, site: int) -> str:
-        """Classical readout of one site: '0', '1', or '?' when impure."""
-        x = self.amps.reshape(2 ** (site - 1), 2, -1)[:, 1, :]
-        p1 = float((x.real ** 2 + x.imag ** 2).sum())
-        if p1 < self.PURITY_TOL:
-            return "0"
-        if p1 > 1.0 - self.PURITY_TOL:
-            return "1"
-        return QUANTUM
 
     def apply_gate(self, kind: str, site_i: int, site_j: int) -> "DenseData":
         if site_j != site_i + 1:
@@ -157,10 +132,6 @@ class ChainState:
     def config_equal(self, other: "ChainState") -> bool:
         return self.config_key() == other.config_key()
 
-    def state_equal(self, other: "ChainState", tol: float = PHASE_TOL) -> bool:
-        """Config equality plus work-vector equality up to global phase."""
-        return self.config_equal(other) and self.work.phase_equal(other.work, tol)
-
     # -- snapshot text format ----------------------------------------------
 
     def snapshot(self) -> str:
@@ -202,32 +173,9 @@ def active_sites(state: ChainState):
     return out
 
 
-def active_site(state: ChainState):
-    """The unique active location, or StateError when 0 or several exist."""
-    found = active_sites(state)
-    if not found:
-        raise StateError("no active symbol")
-    if len(found) > 1:
-        raise StateError(f"multiple active symbols: {found}")
-    return found[0]
-
-
-@dataclass
-class ValidationReport:
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "; ".join(self.violations)
-
-
-def validate_config(state: ChainState) -> ValidationReport:
-    """Structural checks: registers per tier, one active symbol, sane data."""
+def validate_config(state: ChainState) -> list:
+    """Structural checks: registers per tier, one active symbol, sane data.
+    Returns the violations found, one message each; empty when valid."""
     v = []
     expected = set(REGISTERS_BY_TIER[state.tier])
     present = set(state.rows)
@@ -259,4 +207,4 @@ def validate_config(state: ChainState) -> ValidationReport:
         v.append("quantum support outside the chain")
     if abs(state.work.norm() - 1.0) > NORM_TOL:
         v.append(f"work norm {state.work.norm()!r} != 1")
-    return ValidationReport(v)
+    return v

@@ -337,7 +337,7 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
 
     def replay(t, state, match):
         nonlocal dense, worst, failed_at
-        if match is None or failed_at is not None:
+        if failed_at is not None:
             return
         if match.rule.gate is not None:
             kind = dict(match.bindings)[match.rule.gate]
@@ -366,16 +366,16 @@ def check_posttarget_freeze(start: ChainState, max_steps: int) -> CheckResult:
     details = []
 
     def observer(t, state, match):
-        if (match is not None and not frozen
+        if (not frozen
                 and match.label in Trajectory.EVENT_LABELS["compare_match"]):
             frozen["at"] = t
             frozen["d"] = state.rows[D]
             frozen["c"] = state.rows[C]
             frozen["t"] = state.rows[T]
-            frozen["work"] = state.work.amps.copy()
+            frozen["work"] = state.work.amps  # read-only
             frozen["support"] = state.work.support
             return
-        if frozen and t > frozen["at"]:
+        if frozen:
             if state.rows[D] != frozen["d"]:
                 details.append(f"t={t}: data register changed")
             if state.rows[C] != frozen["c"]:

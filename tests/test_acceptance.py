@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from hqca import (BuildSpec, StepBudget, WalkLine, apply_circuit_power,
-                  build_initial, evolve, fit_success_envelope,
+                  build_initial, clock_value, evolve, fit_success_envelope,
                   fit_tv_envelope, limiting_distribution,
                   position_distribution, predicted_oscillation_steps,
                   predicted_single_pass_steps, restricted_hamiltonian, run,
@@ -154,9 +154,10 @@ def test_criterion_06_claim_b():
     w = random_state(3, 6)
     circuit = worked_example_circuit()
     traj = run(build_initial(BuildSpec(circuit, "III", w)),
-               StepBudget(10 ** 4, "clock_equals", clock_target=16))
+               StepBudget(3084, "step_limit"))  # clock first reads 16
     res = check_claim_b(traj, circuit)
-    ok = res.passed and "k_max=16" in str(res.measured)
+    ok = (res.passed and "k_max=16" in str(res.measured)
+          and clock_value(traj.final) == 16)
     report(6, ok, res.measured)
 
 

@@ -57,7 +57,7 @@ def test_all_tiers_validate():
         for tier in ("I", "II", "III", "IV"):
             kw = {"target_x": 2} if tier == "IV" else {}
             s = build_initial(BuildSpec(c, tier, **kw))
-            assert validate_config(s).ok, (tier, n, k)
+            assert validate_config(s) == [], (tier, n, k)
             assert s.L == chain_length(tier, n, k)
 
 
@@ -131,7 +131,7 @@ seed=9
     assert inst.spec.target_x == 3
     assert inst.options == {"budget": 5000, "seed": 9}
     s = build_initial(inst.spec)
-    assert validate_config(s).ok
+    assert validate_config(s) == []
 
 
 def test_instance_unknown_key():

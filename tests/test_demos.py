@@ -1,6 +1,7 @@
 """Smoke test: every narrative demo runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,19 @@ def test_demo_exits_0(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _readme_python_blocks():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    blocks = _readme_python_blocks()
+    assert blocks, "README.md has no python code block"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for i, code in enumerate(blocks):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, (i, proc.stderr[-2000:])

@@ -50,13 +50,17 @@ def test_run_stop_reasons(example_circuit):
     s = build_initial(BuildSpec(example_circuit, "II"))
     t1 = run(s, StepBudget(50, "step_limit"))
     assert t1.stop_reason == "step_limit" and t1.n_steps == 50
-    s3 = build_initial(BuildSpec(example_circuit, "III"))
-    t3 = run(s3, StepBudget(10 ** 5, "clock_equals", clock_target=2))
-    assert t3.stop_reason == "clock_equals"
-    assert clock_value(t3.final) == 2
+    s1 = build_initial(BuildSpec(example_circuit, "I"))
+    t2 = run(s1, StepBudget(10 ** 5, "step_limit"))
+    assert t2.stop_reason == "dead_end"
+    assert t2.n_steps == predicted_single_pass_steps(3, 2)
+    # stop_on only names the expected stop: the one hit first is reported
+    t3 = run(s1, StepBudget(10, "dead_end"))
+    assert t3.stop_reason == "step_limit" and t3.n_steps == 10
 
 
-@pytest.mark.parametrize("stop_on", ["dead-end", "steps", ""])
+@pytest.mark.parametrize("stop_on",
+                         ["dead-end", "steps", "", "clock_equals"])
 def test_unknown_stop_on_rejected(stop_on):
     with pytest.raises(ValueError, match="stop_on"):
         StepBudget(10, stop_on)
@@ -135,14 +139,13 @@ def test_start_state_reverse_rules(example_circuit, tier, expect):
         assert traj.final.config_equal(start) and traj.labels[-1] == "13b"
 
 
-def _reference_walk(start, max_steps, check_uog=False, clock_target=None):
+def _reference_walk(start, max_steps, check_uog=False):
     """run() rebuilt from applicable(full_scan=True) and the checked apply().
 
     The full scan tries every rule on every window with try_match and no
     memo, so the reference shares no compiled matcher with run().
     check_uog counts reverse matches the same way and finds repeats in a
-    set of config_key()s; clock_target stops at the first state whose
-    pointer reads C and whose clock_value() is the target.
+    set of config_key()s.
     """
     rs = rule_set(start.tier)
     ref = SimpleNamespace(labels=[], sites=[], digests=[start.digest()],
@@ -172,10 +175,6 @@ def _reference_walk(start, max_steps, check_uog=False, clock_target=None):
             rev = applicable(state, REVERSE, rs, full_scan=True)
             if len(rev) != 1:
                 ref.violations.append((t + 1, f"{len(rev)} reverse matches"))
-        if (clock_target is not None and "C" in state.rows.get("CP", ())
-                and clock_value(state) == clock_target):
-            ref.stop = "clock_equals"
-            break
     ref.final = state
     return ref
 
@@ -187,29 +186,34 @@ def _assert_run_matches_reference(start, budget, check_uog=False,
     Only allow_ambiguous accepts a reference that ends in an ambiguity;
     run() must then raise Ambiguous at the same step.
     """
-    ref = _reference_walk(start, budget.max_steps, check_uog,
-                          budget.clock_target)
+    ref = _reference_walk(start, budget.max_steps, check_uog)
     assert allow_ambiguous or ref.stop != "ambiguous"
-    seen, labels = [], []
+    steps, seen, labels, sites = [], [], [], []
 
     def observe(t, state, m):
+        # once per step t >= 1, with the state reached and the fired match
+        steps.append(t)
         seen.append(state.digest())
-        if m is not None:
-            labels.append(m.label)
+        labels.append(m.label)
+        sites.append(m.site)
 
     try:
         traj = run(start, budget, keep_states=False, check_uog=check_uog,
                    observer=observe)
     except Ambiguous as err:
         assert ref.stop == "ambiguous"
-        assert labels == ref.labels and seen == ref.digests
+        assert steps == list(range(1, len(ref.labels) + 1))
+        assert labels == ref.labels and sites == ref.sites
+        assert seen == ref.digests[1:]
         assert [(m.label, m.site) for m in err.matches] == [
             (m.label, m.site) for m in ref.ambiguous]
         assert err.state.snapshot() == ref.final.snapshot()
         return None
     assert traj.stop_reason == ref.stop
     assert traj.labels == ref.labels and traj.sites == ref.sites
-    assert seen == ref.digests
+    assert steps == list(range(1, traj.n_steps + 1))
+    assert labels == traj.labels and sites == traj.sites
+    assert seen == ref.digests[1:]
     assert traj.markers == ref.markers
     assert traj.uog_violations == ref.violations
     assert traj.final.snapshot() == ref.final.snapshot()
@@ -239,18 +243,6 @@ def test_run_matches_reference_step_path(tier, n, k, seed, target, steps,
                                   check_uog)
 
 
-@settings(max_examples=10, deadline=None)
-@given(n=st.integers(2, 3), k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
-       target=st.integers(1, 3))
-def test_clock_equals_stop_matches_clock_scan(n, k, seed, target):
-    start = build_initial(BuildSpec(small_circuit(n, k, seed), "III",
-                                    random_state(n, seed)))
-    traj = _assert_run_matches_reference(
-        start, StepBudget(5000, "clock_equals", clock_target=target))
-    assert traj.stop_reason == "clock_equals"
-    assert clock_value(traj.final) == target
-
-
 def test_check_uog_flags_tier2_repeats_from_the_period(example_circuit):
     # negative control: tier II returns to its start configuration after
     # one cycle, so the on-the-fly check must flag exactly the steps from
@@ -268,8 +260,8 @@ def test_check_uog_flags_tier2_repeats_from_the_period(example_circuit):
 STRAYS = [
     ("I", "P", 14, "→", StepBudget(200, "dead_end")),  # dead end at 76
     ("III", "P", 1, "g", StepBudget(200, "dead_end")),  # dead end at 108
-    # inert pointer: C holds all run long, so clock_equals reads the clock
-    ("III", "CP", 1, "C", StepBudget(3000, "clock_equals", clock_target=5)),
+    # inert pointer: the stray C stays put all run long
+    ("III", "CP", 1, "C", StepBudget(3000, "step_limit")),
     # its S gate swaps two classical data bits, then two rules match
     ("IV", "P", 14, "g", StepBudget(200, "dead_end")),
 ]
@@ -292,7 +284,7 @@ def _stray_start(circuit, tier, reg, site, symbol):
 def test_stray_active_symbol_run_matches_reference(example_circuit, tier, reg,
                                                    site, symbol, budget):
     # run must track both active symbols, so its matches, reverse counts
-    # and clock stop equal those of a full row scan
+    # and stop equal those of a full row scan
     start = _stray_start(example_circuit, tier, reg, site, symbol)
     _assert_run_matches_reference(start, budget, check_uog=True,
                                   allow_ambiguous=True)

@@ -33,7 +33,8 @@ def test_work_oracle_tier2(example_circuit, random_work):
 
 def test_claim_b_clean(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "III", random_work)),
-               StepBudget(10 ** 4, "clock_equals", clock_target=4))
+               StepBudget(780, "step_limit"))  # clock first reads 4
+    assert clock_value(traj.final) == 4
     res = check_claim_b(traj, example_circuit)
     assert res.passed and "k_max=4" in res.measured
 
@@ -48,7 +49,8 @@ def test_claim_b_k0_before_any_application(example_circuit, random_work):
 
 def test_claim_b_negative_control(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "III", random_work)),
-               StepBudget(10 ** 4, "clock_equals", clock_target=3))
+               StepBudget(587, "step_limit"))  # clock first reads 3
+    assert clock_value(traj.final) == 3
     # corrupt one clock bit of one C-completion state
     for t, st in enumerate(traj.states):
         if "C" in st.rows["CP"] and clock_value(st) == 2:
@@ -212,8 +214,8 @@ def test_phase_structure(example_circuit):
 
 def test_harness_states_are_valid():
     from hqca.state import validate_config
-    assert validate_config(build_clock_chain("0101")).ok
-    assert validate_config(build_comparator_chain("00101", "0101")).ok
+    assert validate_config(build_clock_chain("0101")) == []
+    assert validate_config(build_comparator_chain("00101", "0101")) == []
 
 
 def test_full_clocked_run_to_saturation():
