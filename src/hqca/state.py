@@ -7,8 +7,8 @@ amplitude vector over a quantum-support set, normally the N work qubits.
 DenseData, the whole data register as one 2^L amplitude vector (site 1 most
 significant), is the oracle that verify.cross_check_backends checks this
 claim against at small L.  Both apply gates to adjacent sites through
-circuit's kernel, which never aliases the old state's amplitudes, and a
-WorkState's amplitudes are read-only, so no state changes under a caller.
+circuit's kernel, which never aliases the old state's amplitudes, and
+both keep their amplitudes read-only, so no state changes under a caller.
 """
 
 from __future__ import annotations
@@ -28,6 +28,18 @@ class StateError(ValueError):
     pass
 
 
+def _amplitudes(amps, n_sites: int) -> np.ndarray:
+    """amps as a read-only complex 2^n_sites vector, copied if writable."""
+    amps = np.asarray(amps, dtype=complex)
+    if amps.shape != (2 ** n_sites,):
+        raise StateError(f"amplitude dimension {amps.shape} does not match"
+                         f" {n_sites} sites")
+    if amps.flags.writeable:
+        amps = amps.copy()
+        amps.setflags(write=False)
+    return amps
+
+
 class WorkState:
     """Amplitudes over the quantum-support sites of the data register;
     read-only, copied first when the input array is writable."""
@@ -36,14 +48,7 @@ class WorkState:
 
     def __init__(self, support, amps):
         self.support = tuple(support)
-        self.amps = np.asarray(amps, dtype=complex)
-        if self.amps.flags.writeable:
-            self.amps = self.amps.copy()
-            self.amps.setflags(write=False)
-        if self.amps.shape != (2 ** len(self.support),):
-            raise StateError(
-                f"amplitude dimension {self.amps.shape} does not match"
-                f" support of {len(self.support)} sites")
+        self.amps = _amplitudes(amps, len(self.support))
 
     @classmethod
     def from_bits(cls, support, bits: str) -> "WorkState":
@@ -71,22 +76,22 @@ class WorkState:
 
 
 class DenseData:
-    """Full data register as one 2^L amplitude vector: the oracle of
-    verify.cross_check_backends."""
+    """Full data register as one read-only 2^L amplitude vector: the
+    oracle of verify.cross_check_backends."""
 
     __slots__ = ("n_sites", "amps")
 
     def __init__(self, n_sites: int, amps):
         self.n_sites = n_sites
-        self.amps = np.asarray(amps, dtype=complex)
-        if self.amps.shape != (2 ** n_sites,):
-            raise StateError("dense amplitude dimension mismatch")
+        self.amps = _amplitudes(amps, n_sites)
 
     def apply_gate(self, kind: str, site_i: int, site_j: int) -> "DenseData":
         if site_j != site_i + 1:
             raise StateError("gate window must cover adjacent sites")
-        return DenseData(self.n_sites, _apply_two_qubit(
-            self.amps, gate_matrix(kind), site_i - 1, self.n_sites))
+        out = _apply_two_qubit(self.amps, gate_matrix(kind), site_i - 1,
+                               self.n_sites)
+        out.setflags(write=False)  # the kernel's fresh vector: no copy
+        return DenseData(self.n_sites, out)
 
 
 class ChainState:
@@ -145,13 +150,14 @@ class ChainState:
 
 
 def as_dense_vector(state: ChainState) -> np.ndarray:
-    """Data register as one 2^L vector, site 1 the most significant bit."""
+    """Data register as one read-only 2^L vector, site 1 most significant."""
     L, k = state.L, np.arange(len(state.work.amps))
     idx = np.full_like(k, int("".join(state.rows[D]).replace(QUANTUM, "0"), 2))
     for pos, site in enumerate(reversed(state.work.support)):
         idx |= ((k >> pos) & 1) << (L - site)
     out = np.zeros(2 ** L, dtype=complex)
     out[idx] = state.work.amps
+    out.setflags(write=False)  # DenseData keeps it without a copy
     return out
 
 

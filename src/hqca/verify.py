@@ -5,7 +5,7 @@ that shares no code with the rule engine: dense circuit algebra for the
 work qubits, plain integer arithmetic for the clock, exhaustive sweeps for
 the comparator, and, as the oracle for the hybrid data register, a full
 2^L statevector that replays every gate the chain fires.  verify_uog
-re-derives the walk-line structure state by state through applicable().
+recounts every kept state's forward and reverse matches from its rows.
 The harnesses step through run() and read their answers from the
 trajectory; the checks take the tier, the work window and the input work
 vector from traj.start, and each reports one CheckResult.
@@ -21,8 +21,9 @@ from .builder import BuildSpec, build_initial
 from .circuit import (CircuitProgram, apply_circuit_power, apply_rounds_prefix,
                       fidelity)
 from .engine import StepBudget, Trajectory, clock_value, run
-from .rules import FORWARD, REVERSE, applicable
-from .state import ChainState, DenseData, WorkState, as_dense_vector
+from .rules import FORWARD, REVERSE, anchored_matches, rule_set
+from .state import (ChainState, DenseData, WorkState, active_sites,
+                    as_dense_vector)
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
 
 FIDELITY_TOL = 1e-10
@@ -87,24 +88,26 @@ def verify_uog(traj: Trajectory) -> CheckResult:
         raise ValueError("verify_uog needs kept states; stream with"
                          " run(check_uog=True) instead")
     violations = list(traj.uog_violations)
-    window = set(traj.start.work.support)
+    rs = rule_set(traj.start.tier)
+    support = traj.start.work.support
     keys = {}
     for t, st in enumerate(traj.states):
         key = st.config_key()
         if key in keys:
             violations.append((t, f"configuration equals state {keys[key]}"))
         keys[key] = t
-        fwd = applicable(st, FORWARD)
-        if t < traj.n_steps and len(fwd) != 1:
-            violations.append((t, f"{len(fwd)} forward matches"))
+        act = active_sites(st)
+        fwd = len(anchored_matches(st, FORWARD, rs, act))
+        if t < traj.n_steps and fwd != 1:
+            violations.append((t, f"{fwd} forward matches"))
         if t == traj.n_steps and traj.stop_reason == "dead_end" and fwd:
             violations.append((t, "final state still has forward matches"))
         if t > 0:
-            rev = applicable(st, REVERSE)
-            if len(rev) != 1:
-                violations.append((t, f"{len(rev)} reverse matches"))
-        extra = set(st.work.support) - window
-        if extra:
+            rev = len(anchored_matches(st, REVERSE, rs, act))
+            if rev != 1:
+                violations.append((t, f"{rev} reverse matches"))
+        if (st.work.support != support
+                and (extra := set(st.work.support) - set(support))):
             violations.append((t, f"quantum support leaked to {sorted(extra)}"))
     return CheckResult("uog", not violations, f"states={len(traj.states)}",
                        "clean", violations)
@@ -136,12 +139,8 @@ def check_work_oracle(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     else:
         raise ValueError("use check_claim_b for the clocked tiers")
     for t, (kind, count) in checkpoints:
-        if kind == "rounds":
-            expect = apply_rounds_prefix(start.work.amps.copy(), circuit,
-                                         count)
-        else:
-            expect = apply_circuit_power(start.work.amps.copy(), circuit,
-                                         count)
+        expect = (apply_rounds_prefix if kind == "rounds"
+                  else apply_circuit_power)(start.work.amps, circuit, count)
         got = _work_vector(traj.state(t), start)
         f = fidelity(expect, got)
         worst = min(worst, f)
@@ -160,7 +159,7 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     worst = 1.0
     checked = []
     details = []
-    cache = {0: traj.start.work.amps.copy()}
+    cache = {0: traj.start.work.amps}
     for t, st in enumerate(traj.states):
         if "C" not in st.rows[CP]:
             continue
@@ -170,10 +169,7 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
             continue
         if k not in cache:
             prev = max(x for x in cache if x <= k)
-            v = cache[prev]
-            for _ in range(k - prev):
-                v = apply_circuit_power(v.copy(), circuit, 1)
-            cache[k] = v
+            cache[k] = apply_circuit_power(cache[prev], circuit, k - prev)
         f = fidelity(cache[k], _work_vector(st, traj.start))
         worst = min(worst, f)
         checked.append((t, k))
@@ -322,7 +318,9 @@ def check_comparator(l_bits: int) -> CheckResult:
 def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     """Run the hybrid chain, replay each fired gate on the full 2^L
     data-register vector from a run() observer, and compare the two
-    vectors after every step up to the first difference.
+    vectors up to the first difference after each step that fired a gate
+    or changed the data row or WorkState: states are immutable, so any
+    other step would repeat the last compared difference.
 
     Equal vectors also mean equal classical data readouts, so the oracle
     would fire the same rules as the hybrid run.
@@ -334,14 +332,18 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     details = []
     worst = 0.0
     failed_at = None
+    last = (hybrid.rows[D], hybrid.work)  # the dense start equals these
 
     def replay(t, state, match):
-        nonlocal dense, worst, failed_at
+        nonlocal dense, worst, failed_at, last
         if failed_at is not None:
             return
         if match.rule.gate is not None:
             kind = dict(match.bindings)[match.rule.gate]
             dense = dense.apply_gate(kind, match.site, match.site + 1)
+        elif (state.rows[D], state.work) == last:
+            return
+        last = (state.rows[D], state.work)
         diff = float(np.linalg.norm(as_dense_vector(state) - dense.amps))
         worst = max(worst, diff)
         if diff > 1e-10:

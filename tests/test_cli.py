@@ -180,14 +180,36 @@ def test_run_snapshot_blocks(tmp_path, capsys):
     assert trace.read_text(encoding="utf-8").splitlines() == lines
 
 
+# `hqca verify --suite all --l-bits 3` stdout, byte for byte
+VERIFY_ALL_TIER1 = """\
+CHECK uog PASS states=94 clean
+CHECK work_oracle PASS min_fidelity=1.000000000000 >=0.9999999999
+CHECK clock_counter[3b] PASS increments=7+saturation exact
+CHECK comparator[3b] PASS pairs=64 exact
+CHECK backend_equivalence PASS steps=93 max|dv|=0.00e+00 <=1e-10
+"""
+
+VERIFY_ALL_TIER3 = """\
+CHECK uog PASS states=3001 clean
+CHECK claim_b PASS states=16 k_max=15 min_fidelity=1.000000000000 >=0.9999999999
+CHECK clock_counter[3b] PASS increments=7+saturation exact
+CHECK comparator[3b] PASS pairs=64 exact
+CHECK backend_equivalence PASS steps=500 max|dv|=0.00e+00 <=1e-10
+"""
+
+
 def test_verify_all_tier1(tmp_path, capsys):
     rc = main(["verify", write(tmp_path, TIER1), "--suite", "all",
                "--l-bits", "3"])
-    out = capsys.readouterr().out
     assert rc == 0
-    for name in ("uog", "work_oracle", "clock_counter", "comparator",
-                 "backend_equivalence"):
-        assert f"CHECK {name}" in out or f"CHECK {name}[3b]" in out
+    assert capsys.readouterr() == (VERIFY_ALL_TIER1, "")
+
+
+def test_verify_all_tier3(tmp_path, capsys):
+    rc = main(["verify", write(tmp_path, TIER3 + "budget=3000\n"), "--suite",
+               "all", "--l-bits", "3"])
+    assert rc == 0
+    assert capsys.readouterr() == (VERIFY_ALL_TIER3, "")
 
 
 def test_missing_file_exit_2(capsys):

@@ -48,3 +48,21 @@ def test_verify_calls_are_cli_attributes(perfbench):
     _, worker = perfbench
     assert [name for name in worker.VERIFY_CALLS
             if not hasattr(cli, name)] == []
+
+
+def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
+    # worker.verify_suite fails the operation unless `hqca verify --suite
+    # all` makes exactly one cli.run call, the one whose states it keeps
+    import workloads
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("keep_states", True))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counted)
+    path = tmp_path / "instance.txt"
+    path.write_text(workloads.verify_instance_text(1), encoding="utf-8")
+    code, _ = workloads.call_verify(str(path))
+    assert code == 0
+    assert calls == [True]

@@ -92,6 +92,21 @@ def test_work_amplitudes_are_read_only_and_unaliased(example_circuit):
     assert not w.apply_gate("W", 1, 2).amps.flags.writeable
 
 
+def test_dense_amplitudes_are_read_only_and_unaliased():
+    v = np.zeros(4, dtype=complex)
+    v[0] = 1.0
+    d = DenseData(2, v)
+    v[3] = 1.0  # the caller's array stays its own
+    assert np.array_equal(d.amps, [1, 0, 0, 0])
+    with pytest.raises(ValueError):
+        d.amps[0] = 0
+    out = d.apply_gate("W", 1, 2).amps
+    assert not out.flags.writeable
+    assert DenseData(2, out).amps is out  # a read-only array is not copied
+    with pytest.raises(StateError):
+        DenseData(3, v)
+
+
 def test_dense_vector_matches_loop_embedding(example_circuit):
     rng = np.random.default_rng(3)
     for tier in ("I", "II", "III"):

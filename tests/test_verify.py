@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqca import (BuildSpec, StepBudget, apply_circuit_power, build_initial,
-                  clock_value, predicted_single_pass_steps, run)
-from hqca import rules
+from hqca import (FORWARD, REVERSE, BuildSpec, StepBudget, applicable,
+                  apply_circuit_power, build_initial, clock_value,
+                  predicted_single_pass_steps, run, verify_uog)
+from hqca import engine, rules
 from hqca.builder import full_width_offset
-from hqca.rules import rule_set
+from hqca.rules import _RULESET_CACHE, rule_set
 from hqca.verify import (build_clock_chain, build_comparator_chain,
                          check_claim_b, check_clock_counter, check_comparator,
                          check_phase_structure, check_posttarget_freeze,
@@ -162,6 +163,54 @@ def test_backends_match_random_circuits(tier, n, k, seed, target, steps):
     assert res.passed, res.details
 
 
+def _uog_recount(traj):
+    """verify_uog's details, recounted state by state through the public
+    applicable(), which finds the active sites and the rule set itself."""
+    found = list(traj.uog_violations)
+    window = set(traj.start.work.support)
+    keys = {}
+    for t, st in enumerate(traj.states):
+        key = st.config_key()
+        if key in keys:
+            found.append((t, f"configuration equals state {keys[key]}"))
+        keys[key] = t
+        fwd = len(applicable(st, FORWARD))
+        if t < traj.n_steps and fwd != 1:
+            found.append((t, f"{fwd} forward matches"))
+        if t == traj.n_steps and traj.stop_reason == "dead_end" and fwd:
+            found.append((t, "final state still has forward matches"))
+        if t > 0 and (rev := len(applicable(st, REVERSE))) != 1:
+            found.append((t, f"{rev} reverse matches"))
+        if extra := set(st.work.support) - window:
+            found.append((t, f"quantum support leaked to {sorted(extra)}"))
+    return found
+
+
+@settings(max_examples=30, deadline=None)
+@given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       target=st.integers(1, 3), steps=st.integers(1, 300))
+def test_verify_uog_matches_applicable_recount(tier, n, k, seed, target,
+                                               steps):
+    # the draws of test_backends_match_random_circuits; tier II repeats
+    # its configurations after one cycle, so long draws find violations
+    extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
+    traj = run(build_initial(BuildSpec(small_circuit(n, k, seed), tier,
+                                       random_state(n, seed), **extra)),
+               StepBudget(steps, "dead_end"))
+    assert verify_uog(traj).details == _uog_recount(traj)
+    # a rule missing from the table: both counts read the swapped rule set
+    dropped = traj.labels[seed % traj.n_steps]
+    saved = _RULESET_CACHE[tier]
+    _RULESET_CACHE[tier] = saved.without(dropped)
+    try:
+        details = verify_uog(traj).details
+        assert (traj.labels.index(dropped), "0 forward matches") in details
+        assert details == _uog_recount(traj)
+    finally:
+        _RULESET_CACHE[tier] = saved
+
+
 def test_backends_count_steps_to_the_dead_end(example_circuit):
     # the tier-I chain dead-ends before the step budget: the report names
     # the steps actually compared, not one more
@@ -196,6 +245,27 @@ def test_backends_catch_swapping_identity(example_circuit, monkeypatch):
     res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
     assert not res.passed
     assert res.measured.startswith("steps=14 ")
+
+
+def test_backends_catch_data_write_without_gate(example_circuit, monkeypatch):
+    # step 4 fires no gate (the first gates are steps 10-16) but also flips
+    # the classical data bit at site 1: the data row changes, so the check
+    # must compare and fail at step 4, not at the next gate
+    orig = engine._window_writes
+    calls = []
+
+    def flip_at_step_4(state, i, hit, direction):
+        writes, work = orig(state, i, hit, direction)
+        calls.append(hit.gate)
+        if len(calls) == 4:
+            assert hit.gate is None and state.rows["D"][0] == "1"
+            writes = writes + [("D", 1, "0")]
+        return writes, work
+
+    monkeypatch.setattr(engine, "_window_writes", flip_at_step_4)
+    res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
+    assert not res.passed
+    assert res.measured.startswith("steps=4 ")
 
 
 def test_posttarget_freeze(example_circuit):
