@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (CircuitProgram, InstanceParseError, _parse_number,
-                      parse_circuit_text)
+                      basis_state, parse_circuit_text)
 from .state import ChainState, WorkState
 from .symbols import BULLET, C, C2, CP, D, P, QUANTUM, T, TURN
 
@@ -54,11 +54,11 @@ class BuildSpec:
     def work_state(self, support) -> WorkState:
         n = self.circuit.n_qubits
         if self.work is None:
-            return WorkState.from_bits(support, "0" * n)
+            return WorkState(support, basis_state("0" * n))
         if isinstance(self.work, str):
             if len(self.work) != n or set(self.work) - {"0", "1"}:
                 raise BuildError(f"work bits must be {n} bits")
-            return WorkState.from_bits(support, self.work)
+            return WorkState(support, basis_state(self.work))
         amps = np.asarray(self.work, dtype=complex)
         if amps.shape != (2 ** n,):
             raise BuildError("work vector dimension mismatch")

@@ -333,18 +333,15 @@ def restricted_hamiltonian(traj: Trajectory):
     states = traj.states
     index = {}
     for t, st in enumerate(states):
-        index.setdefault(st.digest(), []).append(t)
+        index.setdefault(st.config_key(), []).append(t)
     n = len(states)
     h = np.zeros((n, n))
     for t, st in enumerate(states):
         for direction in (FORWARD, REVERSE):
             for m in applicable(st, direction, rs):
                 img = apply(st, m)
-                for s in index.get(img.digest(), ()):
-                    other = states[s]
-                    if not other.config_equal(img):
-                        continue
-                    amp = other.work.overlap(img.work)
+                for s in index.get(img.config_key(), ()):
+                    amp = states[s].work.overlap(img.work)
                     if abs(amp) < 1e-12:
                         continue
                     if abs(s - t) != 1:

@@ -26,6 +26,10 @@ Cell kinds
 Guard cells appear identically on both sides.  A window is the site pair
 (i, i+1), 1-indexed.
 
+Tier IV's crossed rules (22 and 31-50) are not written out: rule_set
+derives each from the gate-free tier I-III rule it copies (_crossed), so no
+crossed rule reads or changes the data.
+
 try_match is the one hand-written matcher.  A RuleSet compiles it lazily
 into a memo keyed by the cells around an active site (RuleSet.hits), which
 applicable() and the engine's cursor step look windows up in; the memo's
@@ -294,20 +298,14 @@ def _build_rules_tier_III():
 
 
 def _build_rules_tier_IV():
-    A, B = gv("A"), gv("B")
-    rAx, rBx = mgv("A", "→", "x"), mgv("B", "→", "x")
-    lAx, lBx = mgv("A", "←", "x"), mgv("B", "←", "x")
     a = "a"
     tt = (lit(TURN), lit(TURN))
-    rules = [
+    return [
         # 21 is redefined: control returns to the program off a failed
         # comparison (CX), never directly off C, which now starts the sweep.
         _r("21", "IV", {P: tt, CP: (lit(BULLET), lit("CX"))},
            {P: (lit("←"), lit(TURN)), CP: (lit(BULLET), lit("X"))},
            note="comparison failed: run the next application"),
-        _r("22", "IV", {P: tt, CP: (lit(BULLET), lit("Cx"))},
-           {P: (lit("←x"), lit(TURN)), CP: (lit(BULLET), lit("X"))},
-           note="post-target bookkeeping done: run a crossed application"),
         _r("23a", "IV", {P: tt, C: (not_(BULLET), bit(a)),
                          CP: (lit(BULLET), lit("C")), T: (not_(BULLET), eq(a))},
            {P: tt, C: (not_(BULLET), bit(a)),
@@ -378,50 +376,37 @@ def _build_rules_tier_IV():
             T: (ANY, lit(BULLET)), C2: (lit(BULLET), lit("0"))},
            note="every digit matched: the sweep stands on the bullet column"
                 " and converts to the crossed return mode"),
-        # Crossed oscillations: rules 1-12 with crossed symbols, no data
-        # conditions and no gate applications, ever.
-        _r("31", "IV", {P: (lit("→x"), A)}, {P: (lit(BULLET), rAx)}),
-        _r("32", "IV", {P: (rAx, B)}, {P: (A, rBx)}),
-        _r("33", "IV", {P: (rAx, lit(BULLET))}, {P: (A, lit("→x"))}),
-        _r("34", "IV", {P: (lit("→x"), lit(BULLET))},
-           {P: (lit("mx"), lit(BULLET))},
-           note="crossed turning point: always shift, never apply gates"),
-        _r("35", "IV", {P: (A, lit("mx"))}, {P: (lit("mx"), A)}),
-        _r("36", "IV", {P: (lit(BULLET), lit("mx"))},
-           {P: (lit(BULLET), lit("→x"))}),
-        _r("37", "IV", {P: (A, lit("←x"))}, {P: (lAx, lit(BULLET))}),
-        _r("38", "IV", {P: (B, lAx)}, {P: (lBx, A)}),
-        _r("39", "IV", {P: (lit(BULLET), lAx)}, {P: (lit("←x"), A)}),
-        _r("40", "IV", {P: (lit(BULLET), lit("←x"))},
-           {P: (lit(BULLET), lit("▷x"))}),
-        _r("41", "IV", {P: (lit("▷x"), A)}, {P: (A, lit("▷x"))}),
-        _r("42", "IV", {P: (lit("▷x"), lit(BULLET))},
-           {P: (lit("←x"), lit(BULLET))}),
-        _r("43a", "IV", {P: (lit("→x"), lit(TURN))}, {P: (lit(TURN), lit("⇓x"))}),
-        _r("43b", "IV", {P: (lit(TURN), lit("←x"))}, {P: (lit(TURN), lit("→x"))}),
-        # Crossed clock: rules 14-20 acting on the second clock register.
-        _r("44", "IV", {P: (lit(TURN), lit("⇓x")), CP: (lit(BULLET), lit("X"))},
-           {P: (lit(TURN), lit(TURN)), CP: (lit(BULLET), lit("Lx"))}),
-        _r("45", "IV", {P: tt, CP: (lit(BULLET), lit("Lx")), C2: (ANY, lit("0"))},
-           {P: tt, CP: (lit(BULLET), lit("Cx")), C2: (ANY, lit("1"))}),
-        _r("46", "IV", {P: tt, CP: (lit(BULLET), lit("Lx")),
-                        C2: (lit("0"), lit("1"))},
-           {P: tt, CP: (lit(BULLET), lit("Cx")), C2: (lit("1"), lit("0"))}),
-        _r("47", "IV", {CP: (lit(BULLET), lit("Lx")), C2: (lit("1"), lit("1"))},
-           {CP: (lit("Lx"), lit(BULLET)), C2: (lit("1"), lit("1"))}),
-        _r("48", "IV", {P: (not_(TURN), ANY), CP: (lit(BULLET), lit("Lx")),
-                        C2: (lit("0"), lit("1"))},
-           {P: (not_(TURN), ANY), CP: (lit(BULLET), lit("Rx")),
-            C2: (lit("1"), lit("0"))}),
-        _r("49", "IV", {P: (not_(TURN), ANY), CP: (lit("Rx"), lit(BULLET)),
-                        C2: (lit("0"), lit("1"))},
-           {P: (not_(TURN), ANY), CP: (lit(BULLET), lit("Rx")),
-            C2: (lit("0"), lit("0"))}),
-        _r("50", "IV", {P: tt, CP: (lit("Rx"), lit(BULLET)),
-                        C2: (lit("0"), lit("1"))},
-           {P: tt, CP: (lit(BULLET), lit("Cx")), C2: (lit("0"), lit("0"))}),
     ]
-    return rules
+
+
+# Tier IV's crossed family: once the target is matched, the chain reruns the
+# program oscillation and the clock on C2, never reading the data or
+# applying a gate.  Each crossed rule is a tier I-III rule under
+# _crossed(): crossed label <- base label.
+_CROSSED_FROM = {"22": "21", "43a": "13a", "43b": "13b",
+                 **{str(n + 30): str(n) + ("b" if 4 <= n <= 6 else "")
+                    for n in range(1, 21) if n != 13}}
+# the program symbols and clock-pointer letters that take the "x" suffix
+_CROSSED_SYMBOLS = frozenset(("→", "←", sym.MOVE, "▷", "⇓", "L", "R", "C"))
+
+
+def _crossed_cell(cell):
+    if cell[0] == "mgv":
+        return mgv(cell[1], cell[2], "x")
+    if cell[0] == "lit" and cell[1] in _CROSSED_SYMBOLS:
+        return lit(cell[1] + "x")
+    return cell  # bullets, t, X, bits, gate variables and guards
+
+
+def _crossed(rule: Rule, label: str) -> Rule:
+    """The crossed copy of a tier I-III rule: "x" on its program symbols,
+    marked gates and pointer letters, the clock register C read as C2,
+    data guards dropped and no gate."""
+    def side(cells):
+        return {C2 if reg == C else reg: tuple(map(_crossed_cell, pair))
+                for reg, pair in cells.items() if reg != D}
+    return Rule(label, "IV", side(rule.lhs), side(rule.rhs),
+                note=f"crossed {rule.label}: {rule.note}")
 
 
 class RuleSet:
@@ -529,6 +514,9 @@ def rule_set(tier: str) -> RuleSet:
         for r in _build_rules_tier_III():
             rules[r.label] = r  # replaces the tier-II 13a
     if tier == "IV":
+        # derived before tier IV's 21 replaces the tier-III 21 it copies
+        for label, base in _CROSSED_FROM.items():
+            rules[label] = _crossed(rules[base], label)
         for r in _build_rules_tier_IV():
             rules[r.label] = r  # replaces the tier-III 21
     ordered = sorted(rules.values(), key=lambda r: r._sort_key)

@@ -50,12 +50,6 @@ class WorkState:
         self.support = tuple(support)
         self.amps = _amplitudes(amps, len(self.support))
 
-    @classmethod
-    def from_bits(cls, support, bits: str) -> "WorkState":
-        amps = np.zeros(2 ** len(bits), dtype=complex)
-        amps[int(bits, 2) if bits else 0] = 1.0
-        return cls(support, amps)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 

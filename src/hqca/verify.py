@@ -43,24 +43,14 @@ class CheckResult:
         return f"CHECK {self.name} {verdict} {self.measured} {self.tolerance}"
 
 
-@dataclass
-class VerificationReport:
-    results: list = field(default_factory=list)
-
-    def add(self, result: CheckResult):
-        self.results.append(result)
-        return result
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def format(self) -> str:
-        lines = [r.line() for r in self.results]
-        for r in self.results:
-            if not r.passed:
-                lines.extend(f"  {d}" for d in r.details[:10])
-        return "\n".join(lines)
+def format_report(results) -> str:
+    """One CHECK line per result, then the first ten details of each
+    failed check."""
+    lines = [r.line() for r in results]
+    for r in results:
+        if not r.passed:
+            lines.extend(f"  {d}" for d in r.details[:10])
+    return "\n".join(lines)
 
 
 def _work_vector(state: ChainState, start: ChainState) -> np.ndarray:
@@ -93,9 +83,10 @@ def verify_uog(traj: Trajectory) -> CheckResult:
     keys = {}
     for t, st in enumerate(traj.states):
         key = st.config_key()
-        if key in keys:
-            violations.append((t, f"configuration equals state {keys[key]}"))
-        keys[key] = t
+        seen = keys.setdefault(key, t)  # one hash of the key per new state
+        if seen != t:  # a repeat: later repeats name this state
+            violations.append((t, f"configuration equals state {seen}"))
+            keys[key] = t
         act = active_sites(st)
         fwd = len(anchored_matches(st, FORWARD, rs, act))
         if t < traj.n_steps and fwd != 1:
@@ -186,8 +177,9 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
 # -- standalone clock harness ----------------------------------------------------
 
 
-def build_clock_chain(bits: str, pointer: str = "L") -> ChainState:
-    """Clock and pointer registers alone, under turn sentinels.
+def build_clock_chain(bits: str) -> ChainState:
+    """Clock and pointer registers alone, under turn sentinels, with the
+    pointer in L mode at the right end, ready to start an increment.
 
     bits is the stored value, most significant first, one chain site per
     bit; the chain gets one extra bullet site on the left.
@@ -199,7 +191,7 @@ def build_clock_chain(bits: str, pointer: str = "L") -> ChainState:
         P: tuple([TURN] + [BULLET] * (l - 3) + [TURN, TURN]),
         D: tuple(["0"] * l),
         C: tuple([BULLET] + list(bits)),
-        CP: tuple([BULLET] * (l - 1) + [pointer]),
+        CP: tuple([BULLET] * (l - 1) + ["L"]),
     }
     return ChainState("III", rows, WorkState((), np.ones(1, dtype=complex)))
 

@@ -100,6 +100,10 @@ def test_verify_uog_clean_and_negative(example_circuit):
     rep2 = verify_uog(traj)
     assert not rep2.passed
     assert rep2.details == [(40, "configuration equals state 12")]
+    # a third copy names the latest earlier one
+    traj.states[60] = traj.states[12]
+    assert verify_uog(traj).details == [(40, "configuration equals state 12"),
+                                        (60, "configuration equals state 40")]
 
 
 def test_verify_uog_alone_catches_missing_rule(example_circuit, monkeypatch):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,13 @@ def test_rule_dump_lines():
     assert "=>" in five_a
     thirty = next(l for l in lines if l.startswith("30 "))
     assert "C2:•/0" in thirty
+
+
+def test_rule_tables_pinned():
+    # every tier's dump byte for byte, the derived crossed rules included
+    text = Path(__file__).with_name("rule_tables.txt").read_text(
+        encoding="utf-8")
+    assert [dump_rule_table(t) for t in sym.TIERS] == text[:-1].split("\n\n")
 
 
 def test_gate_effects_confined_to_work_window(example_circuit):
