@@ -40,6 +40,8 @@ MAX_POSITION_SAMPLES = 10 ** 9
 # every 2 more bits cost about 4x: 16 bits took 2.3 s (2-core x86_64 VM)
 MAX_CLOCK_BITS = 16
 
+SUITES = ("uog", "oracle", "clock", "comparator", "backends")
+
 
 def _number(*bounds):
     """argparse type: circuit.parse_number(text, kind, low, high)."""
@@ -97,19 +99,17 @@ def cmd_run(args) -> int:
     budget = StepBudget(args.budget or instance.options.get("budget", 10 ** 6),
                         "dead_end")
     every = args.snapshot_every or instance.options.get("snapshot_every")
-    try:
-        fh = (open(_out_path(args.trace), "w", encoding="utf-8")
-              if args.trace else None)
+    try:  # a trace that cannot be opened, written or closed is an input error
+        with (open(_out_path(args.trace), "w", encoding="utf-8")
+              if args.trace else contextlib.nullcontext()) as fh:
+            traj = run(state, budget, keep_states=False,
+                       observer=trace_observer(fh, every) if fh else None)
+    except Ambiguous as err:
+        print(f"error: ambiguous transition: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    with fh or contextlib.nullcontext():
-        try:
-            traj = run(state, budget, keep_states=False,
-                       observer=trace_observer(fh, every) if fh else None)
-        except Ambiguous as err:
-            print(f"error: ambiguous transition: {err}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
     ck = clock_value(traj.final)
     print(f"steps={traj.n_steps} status={traj.stop_reason}"
           f" clock={ck if ck is not None else '-'}")
@@ -161,18 +161,9 @@ def cmd_walk(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.l_bits > MAX_CLOCK_BITS:
-        print(f"error: --l-bits {args.l_bits} exceeds {MAX_CLOCK_BITS}; the"
-              " clock suite walks all 2^l_bits - 1 increments",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
     instance = _load(args.instance)
     spec = instance.spec
-    suites = ("uog", "oracle", "clock", "comparator", "backends")
-    wanted = suites if args.suite == "all" else (args.suite,)
-    if args.suite != "all" and args.suite not in suites:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    wanted = SUITES if args.suite == "all" else (args.suite,)
     results = []
     state = _build(instance)  # also rejects a bad instance for every suite
     budget = StepBudget(instance.options.get("budget", 200_000), "dead_end")
@@ -234,9 +225,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("instance")
-    p.add_argument("--suite", default="all",
-                   help="uog | oracle | clock | comparator | backends | all")
-    p.add_argument("--l-bits", type=_number(int, 3), default=4)
+    p.add_argument("--suite", default="all", choices=SUITES + ("all",))
+    p.add_argument("--l-bits", type=_number(int, 3, MAX_CLOCK_BITS), default=4)
     p.set_defaults(func=cmd_verify)
 
     try:

@@ -26,9 +26,9 @@ Cell kinds
 Guard cells appear identically on both sides.  A window is the site pair
 (i, i+1), 1-indexed.
 
-Tier IV's crossed rules (22 and 31-50) are not written out: rule_set
-derives each from the gate-free tier I-III rule it copies (_crossed), so no
-crossed rule reads or changes the data.
+rule_set derives two families: tier IV's crossed rules 22 and 31-50 from
+the gate-free tier I-III rules they copy (_crossed), so none reads or
+changes the data, and the sweep hops 24a-c and 26 from 23a-c and 25 (_hop).
 
 try_match is the one hand-written matcher.  A RuleSet compiles it lazily
 into a memo keyed by the cells around an active site (RuleSet.hits), which
@@ -149,14 +149,10 @@ class Rule:
 
     def active_anchor(self, direction):
         """(symbols, offset) of the single active cell on the matched side."""
+        pools = {P: sym.ACTIVE_P_ALL, CP: sym.ACTIVE_CP_ALL}
         anchors = []
         for reg, offset, cell in self.checks(direction):
-            if reg == P:
-                pool = sym.ACTIVE_P_ALL
-            elif reg == CP:
-                pool = sym.ACTIVE_CP_ALL
-            else:
-                continue
+            pool = pools.get(reg, ())
             if cell[0] == "lit" and cell[1] in pool:
                 anchors.append(((cell[1],), offset))
             elif cell[0] == "mgv":
@@ -197,37 +193,33 @@ class Hit(NamedTuple):
     gate: str | None
 
 
-def _r(label, tier, lhs, rhs, gate=None, note=""):
-    return Rule(label, tier, lhs, rhs, gate, note)
-
-
 def _build_rules_tier_I():
     A, B = gv("A"), gv("B")
     rA, rB = mgv("A", "→"), mgv("B", "→")
     return [
-        _r("1", "I", {P: (lit("→"), A)}, {P: (lit(BULLET), rA)},
-           note="mark the leading gate and enter the program"),
-        _r("2", "I", {P: (rA, B)}, {P: (A, rB)},
-           note="carry the mark one gate to the right"),
-        _r("3", "I", {P: (rA, lit(BULLET))}, {P: (A, lit("→"))},
-           note="mark exits the program on the right"),
-        _r("4a", "I", {P: (lit("→"), lit(BULLET)), D: (lit("1"), ANY)},
-           {P: (lit(sym.GATE_APPLY), lit(BULLET)), D: (lit("1"), ANY)},
-           note="turning point over a 1 bit: apply gates on the way back"),
-        _r("4b", "I", {P: (lit("→"), lit(BULLET)), D: (lit("0"), ANY)},
-           {P: (lit(sym.MOVE), lit(BULLET)), D: (lit("0"), ANY)},
-           note="turning point over a 0 bit: just shift the program"),
-        _r("5a", "I", {P: (A, lit(sym.GATE_APPLY))},
-           {P: (lit(sym.GATE_APPLY), A)}, gate="A",
-           note="gate head moves left, applying each gate to its data window"),
-        _r("5b", "I", {P: (A, lit(sym.MOVE))}, {P: (lit(sym.MOVE), A)},
-           note="move head passes left without touching data"),
-        _r("6a", "I", {P: (lit(BULLET), lit(sym.GATE_APPLY)), D: (lit("1"), ANY)},
-           {P: (lit(BULLET), lit("→")), D: (lit("1"), ANY)},
-           note="gate head reaches the left edge, rearm the arrow"),
-        _r("6b", "I", {P: (lit(BULLET), lit(sym.MOVE)), D: (lit("0"), ANY)},
-           {P: (lit(BULLET), lit("→")), D: (lit("0"), ANY)},
-           note="move head reaches the left edge, rearm the arrow"),
+        Rule("1", "I", {P: (lit("→"), A)}, {P: (lit(BULLET), rA)},
+             note="mark the leading gate and enter the program"),
+        Rule("2", "I", {P: (rA, B)}, {P: (A, rB)},
+             note="carry the mark one gate to the right"),
+        Rule("3", "I", {P: (rA, lit(BULLET))}, {P: (A, lit("→"))},
+             note="mark exits the program on the right"),
+        Rule("4a", "I", {P: (lit("→"), lit(BULLET)), D: (lit("1"), ANY)},
+             {P: (lit(sym.GATE_APPLY), lit(BULLET)), D: (lit("1"), ANY)},
+             note="turning point over a 1 bit: apply gates on the way back"),
+        Rule("4b", "I", {P: (lit("→"), lit(BULLET)), D: (lit("0"), ANY)},
+             {P: (lit(sym.MOVE), lit(BULLET)), D: (lit("0"), ANY)},
+             note="turning point over a 0 bit: just shift the program"),
+        Rule("5a", "I", {P: (A, lit(sym.GATE_APPLY))},
+             {P: (lit(sym.GATE_APPLY), A)}, gate="A",
+             note="gate head moves left, applying each gate to its data window"),
+        Rule("5b", "I", {P: (A, lit(sym.MOVE))}, {P: (lit(sym.MOVE), A)},
+             note="move head passes left without touching data"),
+        Rule("6a", "I", {P: (lit(BULLET), lit(sym.GATE_APPLY)), D: (lit("1"), ANY)},
+             {P: (lit(BULLET), lit("→")), D: (lit("1"), ANY)},
+             note="gate head reaches the left edge, rearm the arrow"),
+        Rule("6b", "I", {P: (lit(BULLET), lit(sym.MOVE)), D: (lit("0"), ANY)},
+             {P: (lit(BULLET), lit("→")), D: (lit("0"), ANY)},
+             note="move head reaches the left edge, rearm the arrow"),
     ]
 
 
@@ -235,65 +227,65 @@ def _build_rules_tier_II():
     A, B = gv("A"), gv("B")
     lA, lB = mgv("A", "←"), mgv("B", "←")
     return [
-        _r("7", "II", {P: (A, lit("←"))}, {P: (lA, lit(BULLET))},
-           note="leftward mark enters the program from the right"),
-        _r("8", "II", {P: (B, lA)}, {P: (lB, A)},
-           note="carry the leftward mark one gate to the left"),
-        _r("9", "II", {P: (lit(BULLET), lA)}, {P: (lit("←"), A)},
-           note="leftward mark exits the program on the left"),
-        _r("10", "II", {P: (lit(BULLET), lit("←"))},
-           {P: (lit(BULLET), lit("▷"))},
-           note="left edge reached: start the rightward shuttle"),
-        _r("11", "II", {P: (lit("▷"), A)}, {P: (A, lit("▷"))},
-           note="shuttle drags the program one site to the left, no gates"),
-        _r("12", "II", {P: (lit("▷"), lit(BULLET))}, {P: (lit("←"), lit(BULLET))},
-           note="shuttle exits on the right and rearms the left arrow"),
-        _r("13a", "II", {P: (lit("→"), lit(TURN))}, {P: (lit("←"), lit(TURN))},
-           note="right arrow bounces off the right sentinel"),
-        _r("13b", "II", {P: (lit(TURN), lit("←"))}, {P: (lit(TURN), lit("→"))},
-           note="left arrow bounces off the left sentinel"),
+        Rule("7", "II", {P: (A, lit("←"))}, {P: (lA, lit(BULLET))},
+             note="leftward mark enters the program from the right"),
+        Rule("8", "II", {P: (B, lA)}, {P: (lB, A)},
+             note="carry the leftward mark one gate to the left"),
+        Rule("9", "II", {P: (lit(BULLET), lA)}, {P: (lit("←"), A)},
+             note="leftward mark exits the program on the left"),
+        Rule("10", "II", {P: (lit(BULLET), lit("←"))},
+             {P: (lit(BULLET), lit("▷"))},
+             note="left edge reached: start the rightward shuttle"),
+        Rule("11", "II", {P: (lit("▷"), A)}, {P: (A, lit("▷"))},
+             note="shuttle drags the program one site to the left, no gates"),
+        Rule("12", "II", {P: (lit("▷"), lit(BULLET))}, {P: (lit("←"), lit(BULLET))},
+             note="shuttle exits on the right and rearms the left arrow"),
+        Rule("13a", "II", {P: (lit("→"), lit(TURN))}, {P: (lit("←"), lit(TURN))},
+             note="right arrow bounces off the right sentinel"),
+        Rule("13b", "II", {P: (lit(TURN), lit("←"))}, {P: (lit(TURN), lit("→"))},
+             note="left arrow bounces off the left sentinel"),
     ]
 
 
 def _build_rules_tier_III():
     return [
         # 13a is redefined: the bounce now hands control to the clock.
-        _r("13a", "III", {P: (lit("→"), lit(TURN))}, {P: (lit(TURN), lit("⇓"))},
-           note="right arrow converts to the clock hand-off symbol"),
-        _r("14", "III", {P: (lit(TURN), lit("⇓")), CP: (lit(BULLET), lit("X"))},
-           {P: (lit(TURN), lit(TURN)), CP: (lit(BULLET), lit("L"))},
-           note="wake the clock pointer under the right sentinels"),
-        _r("15", "III", {P: (lit(TURN), lit(TURN)), C: (ANY, lit("0")),
-                         CP: (lit(BULLET), lit("L"))},
-           {P: (lit(TURN), lit(TURN)), C: (ANY, lit("1")),
-            CP: (lit(BULLET), lit("C"))},
-           note="increment case: least significant bit 0 -> 1"),
-        _r("16", "III", {P: (lit(TURN), lit(TURN)), C: (lit("0"), lit("1")),
-                         CP: (lit(BULLET), lit("L"))},
-           {P: (lit(TURN), lit(TURN)), C: (lit("1"), lit("0")),
-            CP: (lit(BULLET), lit("C"))},
-           note="increment case: trailing 01 -> 10 at the right edge"),
-        _r("17", "III", {C: (lit("1"), lit("1")), CP: (lit(BULLET), lit("L"))},
-           {C: (lit("1"), lit("1")), CP: (lit("L"), lit(BULLET))},
-           note="carry scan hops left over a 1-run"),
-        _r("18", "III", {P: (not_(TURN), ANY), C: (lit("0"), lit("1")),
-                         CP: (lit(BULLET), lit("L"))},
-           {P: (not_(TURN), ANY), C: (lit("1"), lit("0")),
-            CP: (lit(BULLET), lit("R"))},
-           note="carry lands: flip 01 -> 10 and turn around"),
-        _r("19", "III", {P: (not_(TURN), ANY), C: (lit("0"), lit("1")),
-                         CP: (lit("R"), lit(BULLET))},
-           {P: (not_(TURN), ANY), C: (lit("0"), lit("0")),
-            CP: (lit(BULLET), lit("R"))},
-           note="return sweep clears the 1-run bit by bit"),
-        _r("20", "III", {P: (lit(TURN), lit(TURN)), C: (lit("0"), lit("1")),
-                         CP: (lit("R"), lit(BULLET))},
-           {P: (lit(TURN), lit(TURN)), C: (lit("0"), lit("0")),
-            CP: (lit(BULLET), lit("C"))},
-           note="return sweep clears the last bit and completes"),
-        _r("21", "III", {P: (lit(TURN), lit(TURN)), CP: (lit(BULLET), lit("C"))},
-           {P: (lit("←"), lit(TURN)), CP: (lit(BULLET), lit("X"))},
-           note="clock done: hand the active symbol back to the program"),
+        Rule("13a", "III", {P: (lit("→"), lit(TURN))}, {P: (lit(TURN), lit("⇓"))},
+             note="right arrow converts to the clock hand-off symbol"),
+        Rule("14", "III", {P: (lit(TURN), lit("⇓")), CP: (lit(BULLET), lit("X"))},
+             {P: (lit(TURN), lit(TURN)), CP: (lit(BULLET), lit("L"))},
+             note="wake the clock pointer under the right sentinels"),
+        Rule("15", "III", {P: (lit(TURN), lit(TURN)), C: (ANY, lit("0")),
+                           CP: (lit(BULLET), lit("L"))},
+             {P: (lit(TURN), lit(TURN)), C: (ANY, lit("1")),
+              CP: (lit(BULLET), lit("C"))},
+             note="increment case: least significant bit 0 -> 1"),
+        Rule("16", "III", {P: (lit(TURN), lit(TURN)), C: (lit("0"), lit("1")),
+                           CP: (lit(BULLET), lit("L"))},
+             {P: (lit(TURN), lit(TURN)), C: (lit("1"), lit("0")),
+              CP: (lit(BULLET), lit("C"))},
+             note="increment case: trailing 01 -> 10 at the right edge"),
+        Rule("17", "III", {C: (lit("1"), lit("1")), CP: (lit(BULLET), lit("L"))},
+             {C: (lit("1"), lit("1")), CP: (lit("L"), lit(BULLET))},
+             note="carry scan hops left over a 1-run"),
+        Rule("18", "III", {P: (not_(TURN), ANY), C: (lit("0"), lit("1")),
+                           CP: (lit(BULLET), lit("L"))},
+             {P: (not_(TURN), ANY), C: (lit("1"), lit("0")),
+              CP: (lit(BULLET), lit("R"))},
+             note="carry lands: flip 01 -> 10 and turn around"),
+        Rule("19", "III", {P: (not_(TURN), ANY), C: (lit("0"), lit("1")),
+                           CP: (lit("R"), lit(BULLET))},
+             {P: (not_(TURN), ANY), C: (lit("0"), lit("0")),
+              CP: (lit(BULLET), lit("R"))},
+             note="return sweep clears the 1-run bit by bit"),
+        Rule("20", "III", {P: (lit(TURN), lit(TURN)), C: (lit("0"), lit("1")),
+                           CP: (lit("R"), lit(BULLET))},
+             {P: (lit(TURN), lit(TURN)), C: (lit("0"), lit("0")),
+              CP: (lit(BULLET), lit("C"))},
+             note="return sweep clears the last bit and completes"),
+        Rule("21", "III", {P: (lit(TURN), lit(TURN)), CP: (lit(BULLET), lit("C"))},
+             {P: (lit("←"), lit(TURN)), CP: (lit(BULLET), lit("X"))},
+             note="clock done: hand the active symbol back to the program"),
     ]
 
 
@@ -303,79 +295,58 @@ def _build_rules_tier_IV():
     return [
         # 21 is redefined: control returns to the program off a failed
         # comparison (CX), never directly off C, which now starts the sweep.
-        _r("21", "IV", {P: tt, CP: (lit(BULLET), lit("CX"))},
-           {P: (lit("←"), lit(TURN)), CP: (lit(BULLET), lit("X"))},
-           note="comparison failed: run the next application"),
-        _r("23a", "IV", {P: tt, C: (not_(BULLET), bit(a)),
-                         CP: (lit(BULLET), lit("C")), T: (not_(BULLET), eq(a))},
-           {P: tt, C: (not_(BULLET), bit(a)),
-            CP: (lit("←C"), lit(BULLET)), T: (not_(BULLET), eq(a))},
-           note="start compare sweep: LSB matches, more digits to the left"),
-        _r("23b", "IV", {P: tt, C: (not_(BULLET), bit(a)),
-                         CP: (lit(BULLET), lit("C")), T: (lit(BULLET), eq(a))},
-           {P: tt, C: (not_(BULLET), bit(a)),
-            CP: (lit("←C"), lit(BULLET)), T: (lit(BULLET), eq(a))},
-           note="start compare sweep: LSB matches a one-digit target;"
-                " unreachable on built chains (target_row rejects a one-site"
-                " digit field)"),
-        _r("23c", "IV", {P: tt, C: (lit(BULLET), bit(a)),
-                         CP: (lit(BULLET), lit("C")), T: (not_(BULLET), eq(a))},
-           {P: tt, C: (lit(BULLET), bit(a)),
-            CP: (lit("←C"), lit(BULLET)), T: (not_(BULLET), eq(a))},
-           note="start-sweep variant over the clock edge; unreachable on"
-                " built chains (clock bits never abut the sweep start)"),
-        _r("24a", "IV", {P: (not_(TURN), ANY), C: (not_(BULLET), bit(a)),
-                         CP: (lit(BULLET), lit("←C")), T: (not_(BULLET), eq(a))},
-           {P: (not_(TURN), ANY), C: (not_(BULLET), bit(a)),
-            CP: (lit("←C"), lit(BULLET)), T: (not_(BULLET), eq(a))},
-           note="sweep hop: digit matches, more digits to the left"),
-        _r("24b", "IV", {P: (not_(TURN), ANY), C: (not_(BULLET), bit(a)),
-                         CP: (lit(BULLET), lit("←C")), T: (lit(BULLET), eq(a))},
-           {P: (not_(TURN), ANY), C: (not_(BULLET), bit(a)),
-            CP: (lit("←C"), lit(BULLET)), T: (lit(BULLET), eq(a))},
-           note="sweep hop onto the target's padding boundary"),
-        _r("24c", "IV", {P: (not_(TURN), ANY), C: (lit(BULLET), bit(a)),
-                         CP: (lit(BULLET), lit("←C")), T: (not_(BULLET), eq(a))},
-           {P: (not_(TURN), ANY), C: (lit(BULLET), bit(a)),
-            CP: (lit("←C"), lit(BULLET)), T: (not_(BULLET), eq(a))},
-           note="sweep-hop variant over the clock edge; unreachable on built"
-                " chains (the left sentinel sits over the clock edge)"),
-        _r("25", "IV", {P: tt, C: (ANY, bit(a)),
-                        CP: (lit(BULLET), lit("C")), T: (ANY, mis(a))},
-           {P: tt, C: (ANY, bit(a)),
-            CP: (lit(BULLET), lit("CX")), T: (ANY, mis(a))},
-           note="LSB differs from the target: flag the failure"),
-        _r("26", "IV", {P: (not_(TURN), ANY), C: (ANY, bit(a)),
-                        CP: (lit(BULLET), lit("←C")), T: (ANY, mis(a))},
-           {P: (not_(TURN), ANY), C: (ANY, bit(a)),
-            CP: (lit(BULLET), lit("CX")), T: (ANY, mis(a))},
-           note="sweep finds a differing digit: flag the failure"),
-        _r("27", "IV", {C: (ANY, bit(a)), CP: (lit("CX"), lit(BULLET)),
-                        T: (ANY, ok(a))},
-           {C: (ANY, bit(a)), CP: (lit(BULLET), lit("CX")), T: (ANY, ok(a))},
-           note="failure flag returns right over already-matched digits"),
-        _r("28", "IV", {C: (lit(BULLET), bit(a)),
-                        CP: (lit(BULLET), lit("←C")), T: (lit(BULLET), eq(a))},
-           {C: (lit(BULLET), bit(a)),
-            CP: (lit(BULLET), lit("Rx")), T: (lit(BULLET), eq(a))},
-           note="full-width match completes against the chain edge;"
-                " unreachable on built chains (padding keeps a bullet column"
-                " left of the digits)"),
-        _r("29", "IV", {P: (not_(TURN), ANY), C: (ANY, lit("0")),
-                        CP: (lit(BULLET), lit("←C")),
-                        T: (lit(BULLET), lit(BULLET)), C2: (ANY, lit("1"))},
-           {P: (not_(TURN), ANY), C: (ANY, lit("0")),
-            CP: (lit("←C"), lit(BULLET)),
-            T: (lit(BULLET), lit(BULLET)), C2: (ANY, lit("1"))},
-           note="sweep crosses naturally-padded target cells over clock 0s;"
-                " unreachable on built chains (digits are zero-padded to the"
-                " bullet column)"),
-        _r("30", "IV", {C: (ANY, lit("0")), CP: (lit(BULLET), lit("←C")),
-                        T: (ANY, lit(BULLET)), C2: (lit(BULLET), lit("0"))},
-           {C: (ANY, lit("0")), CP: (lit(BULLET), lit("Rx")),
-            T: (ANY, lit(BULLET)), C2: (lit(BULLET), lit("0"))},
-           note="every digit matched: the sweep stands on the bullet column"
-                " and converts to the crossed return mode"),
+        Rule("21", "IV", {P: tt, CP: (lit(BULLET), lit("CX"))},
+             {P: (lit("←"), lit(TURN)), CP: (lit(BULLET), lit("X"))},
+             note="comparison failed: run the next application"),
+        Rule("23a", "IV", {P: tt, C: (not_(BULLET), bit(a)),
+                           CP: (lit(BULLET), lit("C")), T: (not_(BULLET), eq(a))},
+             {P: tt, C: (not_(BULLET), bit(a)),
+              CP: (lit("←C"), lit(BULLET)), T: (not_(BULLET), eq(a))},
+             note="start compare sweep: LSB matches, more digits to the left"),
+        Rule("23b", "IV", {P: tt, C: (not_(BULLET), bit(a)),
+                           CP: (lit(BULLET), lit("C")), T: (lit(BULLET), eq(a))},
+             {P: tt, C: (not_(BULLET), bit(a)),
+              CP: (lit("←C"), lit(BULLET)), T: (lit(BULLET), eq(a))},
+             note="start compare sweep: LSB matches a one-digit target;"
+                  " unreachable on built chains (target_row rejects a one-site"
+                  " digit field)"),
+        Rule("23c", "IV", {P: tt, C: (lit(BULLET), bit(a)),
+                           CP: (lit(BULLET), lit("C")), T: (not_(BULLET), eq(a))},
+             {P: tt, C: (lit(BULLET), bit(a)),
+              CP: (lit("←C"), lit(BULLET)), T: (not_(BULLET), eq(a))},
+             note="start-sweep variant over the clock edge; unreachable on"
+                  " built chains (clock bits never abut the sweep start)"),
+        Rule("25", "IV", {P: tt, C: (ANY, bit(a)),
+                          CP: (lit(BULLET), lit("C")), T: (ANY, mis(a))},
+             {P: tt, C: (ANY, bit(a)),
+              CP: (lit(BULLET), lit("CX")), T: (ANY, mis(a))},
+             note="LSB differs from the target: flag the failure"),
+        Rule("27", "IV", {C: (ANY, bit(a)), CP: (lit("CX"), lit(BULLET)),
+                          T: (ANY, ok(a))},
+             {C: (ANY, bit(a)), CP: (lit(BULLET), lit("CX")), T: (ANY, ok(a))},
+             note="failure flag returns right over already-matched digits"),
+        Rule("28", "IV", {C: (lit(BULLET), bit(a)),
+                          CP: (lit(BULLET), lit("←C")), T: (lit(BULLET), eq(a))},
+             {C: (lit(BULLET), bit(a)),
+              CP: (lit(BULLET), lit("Rx")), T: (lit(BULLET), eq(a))},
+             note="full-width match completes against the chain edge;"
+                  " unreachable on built chains (padding keeps a bullet column"
+                  " left of the digits)"),
+        Rule("29", "IV", {P: (not_(TURN), ANY), C: (ANY, lit("0")),
+                          CP: (lit(BULLET), lit("←C")),
+                          T: (lit(BULLET), lit(BULLET)), C2: (ANY, lit("1"))},
+             {P: (not_(TURN), ANY), C: (ANY, lit("0")),
+              CP: (lit("←C"), lit(BULLET)),
+              T: (lit(BULLET), lit(BULLET)), C2: (ANY, lit("1"))},
+             note="sweep crosses naturally-padded target cells over clock 0s;"
+                  " unreachable on built chains (digits are zero-padded to the"
+                  " bullet column)"),
+        Rule("30", "IV", {C: (ANY, lit("0")), CP: (lit(BULLET), lit("←C")),
+                          T: (ANY, lit(BULLET)), C2: (lit(BULLET), lit("0"))},
+             {C: (ANY, lit("0")), CP: (lit(BULLET), lit("Rx")),
+              T: (ANY, lit(BULLET)), C2: (lit(BULLET), lit("0"))},
+             note="every digit matched: the sweep stands on the bullet column"
+                  " and converts to the crossed return mode"),
     ]
 
 
@@ -386,14 +357,12 @@ def _build_rules_tier_IV():
 _CROSSED_FROM = {"22": "21", "43a": "13a", "43b": "13b",
                  **{str(n + 30): str(n) + ("b" if 4 <= n <= 6 else "")
                     for n in range(1, 21) if n != 13}}
-# the program symbols and clock-pointer letters that take the "x" suffix
-_CROSSED_SYMBOLS = frozenset(("→", "←", sym.MOVE, "▷", "⇓", "L", "R", "C"))
 
 
 def _crossed_cell(cell):
     if cell[0] == "mgv":
         return mgv(cell[1], cell[2], "x")
-    if cell[0] == "lit" and cell[1] in _CROSSED_SYMBOLS:
+    if cell[0] == "lit" and cell[1] in sym.CROSSED:
         return lit(cell[1] + "x")
     return cell  # bullets, t, X, bits, gate variables and guards
 
@@ -407,6 +376,22 @@ def _crossed(rule: Rule, label: str) -> Rule:
                 for reg, pair in cells.items() if reg != D}
     return Rule(label, "IV", side(rule.lhs), side(rule.rhs),
                 note=f"crossed {rule.label}: {rule.note}")
+
+
+# The compare sweep's hops: each is a sweep-start rule (23a-c, 25) under
+# _hop(): hop label <- start label.  24c is unreachable on built chains:
+# the left sentinel sits over the clock edge.
+_HOP_FROM = {"24a": "23a", "24b": "23b", "24c": "23c", "26": "25"}
+
+
+def _hop(rule: Rule, label: str) -> Rule:
+    """The hop copy of a sweep-start rule: program guard (!t, any) for
+    (t, t) on both sides, and pointer (•, ←C) for (•, C) on the left."""
+    guard = (not_(TURN), ANY)
+    return Rule(label, "IV",
+                {**rule.lhs, P: guard, CP: (lit(BULLET), lit("←C"))},
+                {**rule.rhs, P: guard},
+                note=f"sweep hop of {rule.label}: ←C moves one digit left")
 
 
 class RuleSet:
@@ -519,6 +504,8 @@ def rule_set(tier: str) -> RuleSet:
             rules[label] = _crossed(rules[base], label)
         for r in _build_rules_tier_IV():
             rules[r.label] = r  # replaces the tier-III 21
+        for label, base in _HOP_FROM.items():
+            rules[label] = _hop(rules[base], label)
     ordered = sorted(rules.values(), key=lambda r: r._sort_key)
     rs = RuleSet(tier, ordered)
     _RULESET_CACHE[tier] = rs

@@ -10,7 +10,8 @@ depends on the construction tier:
 Every symbol is a short string token.  Marked program symbols compose a
 direction prefix, a gate letter and an optional "x" suffix ("→W", "←Sx"),
 where the "x" family is the post-target mode that never touches the data
-register again.
+register again; tier IV derives it from CROSSED.  A register's active set
+is its alphabet minus its static symbols (W S I • t on P, • X on CP).
 """
 
 from __future__ import annotations
@@ -38,53 +39,47 @@ MOVE = "m"
 QUANTUM = "?"  # data-row marker: amplitude lives in the work state, not a symbol
 
 
+# symbols that take the "x" suffix in tier IV; so do the marked gates of → and ←
+CROSSED = frozenset(("→", "←", MOVE, "▷", "⇓", "L", "R", "C"))
+
+
+def _crossed_copies(symbols):
+    """The "x" copies of the crossed symbols and marked gates among symbols."""
+    return tuple(s + "x" for s in symbols
+                 if s in CROSSED or s[:1] in CROSSED and s[1:] in GATES)
+
+
 _P_TIER_I = ("W", "S", "I", "→W", "→S", "→I", GATE_APPLY, MOVE, BULLET, "→")
-_P_TIER_II_EXTRA = (TURN, "←W", "←S", "←I", "▷", "←")
-_P_TIER_III_EXTRA = ("⇓",)
-_P_TIER_IV_EXTRA = ("→Ix", "→Sx", "→Wx", "mx", "→x",
-                    "←Ix", "←Sx", "←Wx", "▷x", "←x", "⇓x")
+_P_TIER_II = _P_TIER_I + (TURN, "←W", "←S", "←I", "▷", "←")
+_P_TIER_III = _P_TIER_II + ("⇓",)
 
 PROGRAM_ALPHABET = {
     "I": _P_TIER_I,
-    "II": _P_TIER_I + _P_TIER_II_EXTRA,
-    "III": _P_TIER_I + _P_TIER_II_EXTRA + _P_TIER_III_EXTRA,
-    "IV": _P_TIER_I + _P_TIER_II_EXTRA + _P_TIER_III_EXTRA + _P_TIER_IV_EXTRA,
+    "II": _P_TIER_II,
+    "III": _P_TIER_III,
+    "IV": _P_TIER_III + _crossed_copies(_P_TIER_III),
 }
 
 DATA_ALPHABET = ("0", "1")
 CLOCK_ALPHABET = (BULLET, "0", "1")
 
 _CP_TIER_III = (BULLET, "X", "L", "R", "C")
-_CP_TIER_IV_EXTRA = ("←C", "CX", "Rx", "Cx", "Lx")
 CLOCK_POINTER_ALPHABET = {
     "III": _CP_TIER_III,
-    "IV": _CP_TIER_III + _CP_TIER_IV_EXTRA,
+    "IV": _CP_TIER_III + ("←C", "CX") + _crossed_copies(_CP_TIER_III),
 }
 
 TARGET_ALPHABET = (BULLET, "0", "1")
 CLOCK2_ALPHABET = (BULLET, "0", "1")
 
-# Active symbols.  Exactly one active symbol exists in every valid state,
-# across the P and CP rows combined; its site is the active site.
-ACTIVE_RIGHT = ("→", "→W", "→S", "→I", GATE_APPLY, MOVE)
-ACTIVE_LEFT = ("←", "←W", "←S", "←I", "▷")
-ACTIVE_RIGHT_X = ("→x", "→Wx", "→Sx", "→Ix", "mx")
-ACTIVE_LEFT_X = ("←x", "←Wx", "←Sx", "←Ix", "▷x")
-
-ACTIVE_P_BY_TIER = {
-    "I": frozenset(ACTIVE_RIGHT),
-    "II": frozenset(ACTIVE_RIGHT + ACTIVE_LEFT),
-    "III": frozenset(ACTIVE_RIGHT + ACTIVE_LEFT + ("⇓",)),
-    "IV": frozenset(ACTIVE_RIGHT + ACTIVE_LEFT + ("⇓",)
-                    + ACTIVE_RIGHT_X + ACTIVE_LEFT_X + ("⇓x",)),
-}
-
-ACTIVE_CP_BY_TIER = {
-    "I": frozenset(),
-    "II": frozenset(),
-    "III": frozenset(("L", "R", "C")),
-    "IV": frozenset(("L", "R", "C", "←C", "CX", "Lx", "Rx", "Cx")),
-}
+# Exactly one active symbol exists in every valid state, across the P and
+# CP rows combined; its site is the active site.
+_STATIC_P = frozenset(GATES + (BULLET, TURN))
+_STATIC_CP = frozenset((BULLET, "X"))
+ACTIVE_P_BY_TIER = {t: frozenset(PROGRAM_ALPHABET[t]) - _STATIC_P
+                    for t in TIERS}
+ACTIVE_CP_BY_TIER = {t: frozenset(CLOCK_POINTER_ALPHABET.get(t, ()))
+                     - _STATIC_CP for t in TIERS}
 
 # The union of all active symbols ever, used by the rule engine to locate
 # candidate windows quickly.

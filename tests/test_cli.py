@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -150,6 +151,17 @@ def test_walk_zero_samples_rejected(tmp_path, capsys):
     rc = main(["walk", write(tmp_path, TIER1), "--length", "4",
                "--samples", "0"])
     assert rc == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that is always full")
+def test_run_trace_write_failure_exit_2(tmp_path, capsys):
+    # the trace buffer is flushed, and fails, only when the file closes
+    rc = main(["run", write(tmp_path, TIER1), "--trace", "/dev/full"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_verify_suites(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hqca import BuildSpec, StepBudget, build_initial, run
 from hqca import symbols as sym
-from hqca.rules import (_RULESET_CACHE, FORWARD, REVERSE,
+from hqca.rules import (_CROSSED_FROM, _RULESET_CACHE, FORWARD, REVERSE,
                         NonClassicalGateError, Rule, RuleError, _instantiate,
                         anchored_matches, applicable, apply,
                         classical_gate_action, dump_rule_table, lit, rule_set,
@@ -47,6 +47,38 @@ def test_every_rule_side_has_one_active_anchor():
         for rule in rule_set(tier).rules:
             for d in (FORWARD, REVERSE):
                 rule.active_anchor(d)  # raises unless exactly one
+
+
+def _named_symbols(cell):
+    """The symbols a rule cell names: a gate variable stands for W, S and I,
+    a marked one for its arrow, each gate and its cross."""
+    if cell[0] in ("lit", "not"):
+        return {cell[1]}
+    if cell[0] == "gv":
+        return set(GATES)
+    if cell[0] == "mgv":
+        return {cell[2] + g + cell[3] for g in GATES}
+    return set()
+
+
+@pytest.mark.parametrize("tier", sym.TIERS)
+def test_spec_and_table_agree(tier):
+    # the P and CP alphabets are exactly the symbols the tier's rules name,
+    # and the active (non-static) symbols exactly the rules' anchors
+    rs = rule_set(tier)
+    for reg in (sym.P, sym.CP):
+        if reg in REGISTERS_BY_TIER[tier]:
+            named = {s for r in rs.rules for side in (r.lhs, r.rhs)
+                     for cell in side.get(reg, ()) for s in _named_symbols(cell)}
+            assert named == set(sym.alphabet(reg, tier)), reg
+    anchors = {s for r in rs.rules for d in (FORWARD, REVERSE)
+               for s in r.active_anchor(d)[0]}
+    assert anchors == sym.ACTIVE_P_BY_TIER[tier] | sym.ACTIVE_CP_BY_TIER[tier]
+    # the crossed rules anchor their own symbols, none of tier III's
+    base = sym.ACTIVE_P_BY_TIER["III"] | sym.ACTIVE_CP_BY_TIER["III"]
+    for label in (_CROSSED_FROM if tier == "IV" else ()):
+        for d in (FORWARD, REVERSE):
+            assert base.isdisjoint(rs.by_label[label].active_anchor(d)[0]), label
 
 
 def test_indexed_scan_equals_full_scan(example_circuit):

@@ -155,6 +155,14 @@ def test_active_symbol_partition():
         assert act <= set(alphabet("P", tier))
         for s in GATES + (BULLET, TURN):
             assert s not in act
+    right, left = {"→", "→W", "→S", "→I", "g", "m"}, {"←", "←W", "←S", "←I", "▷"}
+    assert ACTIVE_P_BY_TIER["I"] == right
+    assert ACTIVE_P_BY_TIER["II"] == right | left
+    assert ACTIVE_P_BY_TIER["III"] == right | left | {"⇓"}
+    assert ACTIVE_P_BY_TIER["IV"] == right | left | {"⇓"} | {
+        "→x", "→Wx", "→Sx", "→Ix", "mx", "←x", "←Wx", "←Sx", "←Ix", "▷x", "⇓x"}
+    assert ACTIVE_CP_BY_TIER["I"] == ACTIVE_CP_BY_TIER["II"] == set()
+    assert ACTIVE_CP_BY_TIER["III"] == {"L", "R", "C"}
     assert ACTIVE_CP_BY_TIER["IV"] == {"L", "R", "C", "←C", "CX",
                                        "Lx", "Rx", "Cx"}
     # applicable's active-site index is keyed by symbol alone, so a symbol
