@@ -19,10 +19,10 @@ verify drive the chain through it and read their answers from the
 trajectory.  It takes every forward step through the private
 _Cursor.step, on a per-run cursor rather than a ChainState per step:
 mutable register rows rewritten in the two window cells, the active sites
-kept up to date from the window alone, and, under check_uog, a Zobrist hash
-of the configuration updated by XOR over the changed cells for the repeat
-check.  So the cost of a step does not grow with the chain length L, with
-or without check_uog.  Each step, and each reverse count under check_uog,
+kept up to date from the window alone, and a count of the cells that differ
+from the start rows, updated from the changed cells, for the repeat check.
+So the cost of a step does not grow with the chain length L, with or
+without check_uog.  Each step, and each reverse count under check_uog,
 is one lookup in the rule set's compiled matcher, keyed by the few cells
 around the active site; try_match runs only when the memo meets a window
 content for the first time.  ChainState snapshots are built only for kept
@@ -32,7 +32,6 @@ for observers and Ambiguous.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,31 +140,26 @@ class _Cursor:
     the Hit's cells through rules._window_writes (apply()'s rewrite too).
     active equals active_sites() of the current state at all times: a step
     can change active cells only inside its window, so it drops the window's
-    entries and rescans those two sites.  With hashed set, zobrist is a
-    64-bit Zobrist hash of the configuration (Zobrist 1970), kept by XOR
-    over the cells each step changes.  snapshot() builds a ChainState that
-    reuses the row tuples of registers no step touched since the last one.
+    entries and rescans those two sites.  differs counts the cells in which
+    rows differ from the start's, kept from the cells each step changes.
+    snapshot() builds a ChainState that reuses the row tuples of registers
+    no step touched since the last one.
     """
 
-    __slots__ = ("tier", "L", "rows", "work", "active", "zobrist", "_pools",
-                 "_frozen", "_stale")
+    __slots__ = ("tier", "L", "rows", "work", "active", "differs", "_pools",
+                 "_start", "_frozen", "_stale")
 
-    def __init__(self, state: ChainState, hashed: bool = False):
+    def __init__(self, state: ChainState):
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
+        self._start = state.rows
         self._frozen = dict(state.rows)
         self._stale = set()
         self.active = active_sites(state)
         self._pools = [(P, ACTIVE_P_BY_TIER[state.tier])]
         if CP in self.rows:
             self._pools.append((CP, ACTIVE_CP_BY_TIER[state.tier]))
-        self.zobrist = None
-        if hashed:
-            h = 0
-            for reg, row in state.rows.items():
-                for site, s in enumerate(row, start=1):
-                    h ^= _zobrist_key(reg, site, s)
-            self.zobrist = h
+        self.differs = 0
 
     def step(self, rs: RuleSet):
         """Fire the unique forward hit in place: (site, Hit), or None at a
@@ -178,17 +172,16 @@ class _Cursor:
             raise Ambiguous(self.snapshot(), matches, FORWARD)
         i, hit = fired = hits[0]
         writes, self.work = _window_writes(self, i, hit, FORWARD)
-        rows, zobrist = self.rows, self.zobrist
+        rows, start, differs = self.rows, self._start, self.differs
         for reg, site, s in writes:
             row = rows[reg]
             old = row[site - 1]
             if s != old:
                 row[site - 1] = s
                 self._stale.add(reg)
-                if zobrist is not None:
-                    zobrist ^= (_zobrist_key(reg, site, old)
-                                ^ _zobrist_key(reg, site, s))
-        self.zobrist = zobrist
+                orig = start[reg][site - 1]
+                differs += (old == orig) - (s == orig)
+        self.differs = differs
         active = [a for a in self.active if not i <= a[0] <= i + 1]
         for reg, pool in self._pools:
             row = rows[reg]
@@ -208,23 +201,6 @@ class _Cursor:
         return ChainState(self.tier, self._frozen, self.work)
 
 
-_ZOBRIST_KEYS = {}
-
-
-def _zobrist_key(reg: str, site: int, symbol: str) -> int:
-    """Fixed 64-bit key of one (register, site, symbol) cell.
-
-    Derived with blake2b rather than hash(), whose value changes between
-    processes; computed on first use and cached.
-    """
-    cell = (reg, site, symbol)
-    key = _ZOBRIST_KEYS.get(cell)
-    if key is None:
-        raw = hashlib.blake2b(repr(cell).encode(), digest_size=8).digest()
-        key = _ZOBRIST_KEYS[cell] = int.from_bytes(raw, "big")
-    return key
-
-
 def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
         check_uog: bool = False, observer=None) -> Trajectory:
     """Drive the unique forward path to a dead end or budget.max_steps.
@@ -235,11 +211,19 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
     recorded, not raised.  observer(t, state, match) is called once after
     each step t >= 1 with the state reached and the Match that fired; the
     start state is traj.start.
+
+    The repeat check keeps no set of configurations: it flags every step
+    from the first return to the start configuration, after which the
+    path repeats itself.  Against a loop that keeps every configuration
+    in a set, uog_violations is equal through the first reverse-count
+    violation, and every later "configuration repeats" entry is also in
+    that loop's list.  So the two lists are empty together and agree in
+    their first entry.
     """
     rs = rule_set(start.tier)
     traj = Trajectory(start, states=[start] if keep_states else None)
-    cur = _Cursor(start, hashed=check_uog)
-    seen = {cur.zobrist} if check_uog else None
+    cur = _Cursor(start)
+    repeats = False
     for t in range(budget.max_steps):
         fired = cur.step(rs)
         if fired is None:
@@ -249,9 +233,13 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
         traj.labels.append(hit.rule.label)
         traj.sites.append(i)
         if check_uog:
-            if cur.zobrist in seen:
+            # A step map with one reverse match per state is injective, so
+            # (Bennett 1973) the first repeat can only be of the start: if
+            # the first repeat is s_j = s_i with 0 < i < j, then s_(i-1) !=
+            # s_(j-1) and s_i has two reverse matches, flagged at step i.
+            repeats = repeats or cur.differs == 0
+            if repeats:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
-            seen.add(cur.zobrist)
             rev = anchored_matches(cur, REVERSE, rs, cur.active)
             if len(rev) != 1:
                 traj.uog_violations.append(

@@ -89,19 +89,13 @@ ACTIVE_CP_ALL = ACTIVE_CP_BY_TIER["IV"]
 
 def alphabet(register: str, tier: str):
     """Alphabet tuple of one register at the given tier."""
-    if register == P:
-        return PROGRAM_ALPHABET[tier]
-    if register == D:
-        return DATA_ALPHABET
-    if register == C:
-        return CLOCK_ALPHABET
-    if register == CP:
-        return CLOCK_POINTER_ALPHABET[tier]
-    if register == T:
-        return TARGET_ALPHABET
-    if register == C2:
-        return CLOCK2_ALPHABET
-    raise ValueError(f"unknown register {register!r}")
+    if tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r}")
+    if register not in REGISTERS_BY_TIER[tier]:
+        raise ValueError(f"tier {tier} has no register {register!r}")
+    return {P: PROGRAM_ALPHABET[tier], D: DATA_ALPHABET, C: CLOCK_ALPHABET,
+            CP: CLOCK_POINTER_ALPHABET.get(tier), T: TARGET_ALPHABET,
+            C2: CLOCK2_ALPHABET}[register]
 
 
 # Local site dimensions quoted alongside the enumerated ones in the audit.

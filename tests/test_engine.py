@@ -12,8 +12,9 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, StepBudget,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca.engine import _Cursor, trace_observer
-from hqca.rules import _RULESET_CACHE
+from hqca.rules import _RULESET_CACHE, Rule, RuleSet, lit
 from hqca.state import WorkState
+from hqca.symbols import P, TURN
 
 from conftest import random_state, small_circuit
 
@@ -118,6 +119,23 @@ def test_verify_uog_alone_catches_missing_rule(example_circuit, monkeypatch):
     assert not rep.passed
     assert {(t, "0 forward matches") for t in fired} <= set(rep.details)
     assert {(t + 1, "0 reverse matches") for t in fired} <= set(rep.details)
+
+
+def test_check_uog_flags_states_with_no_reverse_match(example_circuit,
+                                                      monkeypatch):
+    # negative control for the premise of the repeat check: a state that
+    # no reverse rule reaches must be flagged, not only one that two reach
+    start = build_initial(BuildSpec(example_circuit, "I"))
+    fired = run(start, StepBudget(200, "dead_end")).marker_steps("5a")
+    rs = RuleSet("I", rule_set("I").rules)
+    rs._index[REVERSE] = {s: [(r, off) for r, off in cands if r.label != "5a"]
+                          for s, cands in rs._index[REVERSE].items()}
+    monkeypatch.setitem(_RULESET_CACHE, "I", rs)
+    traj = run(start, StepBudget(200, "dead_end"), keep_states=False,
+               check_uog=True)
+    assert fired and traj.marker_steps("5a") == fired
+    assert traj.uog_violations == [(t + 1, "0 reverse matches")
+                                   for t in fired]
 
 
 def test_verify_uog_catches_leaked_support(example_circuit):
@@ -260,6 +278,35 @@ def test_check_uog_flags_tier2_repeats_from_the_period(example_circuit):
                                    for t in range(period, period + 4)]
 
 
+def test_check_uog_repeat_of_a_later_state(example_circuit, monkeypatch):
+    # negative control: an extra rule 13c leads into the state after step
+    # 1, so the run returns there, not to its start.  The reference flags
+    # the repeats from step 189; run flags the two reverse matches of that
+    # state first, at step 1, as its docstring states
+    extra = Rule("13c", "II", {P: (lit(TURN), lit("g"))},
+                 {P: (lit(TURN), lit("→"))})
+    monkeypatch.setitem(_RULESET_CACHE, "II",
+                        RuleSet("II", rule_set("II").rules + (extra,)))
+    start = build_initial(BuildSpec(example_circuit, "II"))
+    row = list(start.rows[P])
+    row[1] = "g"
+    start = start.replace(rows={P: tuple(row)})
+    ref = _reference_walk(start, 191, check_uog=True)
+    traj = run(start, StepBudget(191, "step_limit"), keep_states=False,
+               check_uog=True)
+    assert traj.labels == ref.labels and traj.labels[0] == "13c"
+    assert ref.violations == [
+        (1, "2 reverse matches"), (189, "configuration repeats"),
+        (189, "2 reverse matches"), (190, "configuration repeats"),
+        (191, "configuration repeats")]
+    # equal through the first reverse-count violation, then a sub-list
+    assert traj.uog_violations[:1] == ref.violations[:1]
+    later = iter(ref.violations)
+    assert all(v in later for v in traj.uog_violations)
+    assert traj.uog_violations == [(1, "2 reverse matches"),
+                                   (189, "2 reverse matches")]
+
+
 # a second active symbol away from the head, and how the run goes on
 STRAYS = [
     ("I", "P", 14, "→", StepBudget(200, "dead_end")),  # dead end at 76
@@ -298,10 +345,11 @@ def test_stray_active_symbol_run_matches_reference(example_circuit, tier, reg,
                          ids=STRAY_IDS)
 def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
                                      budget):
-    # after every step the cursor's active list and Zobrist hash equal
-    # those recomputed from its snapshot, data bits flipped by gates too
-    cur = _Cursor(_stray_start(example_circuit, tier, reg, site, symbol),
-                  hashed=True)
+    # after every step the cursor's active list and its count of cells
+    # that differ from the start equal those recomputed from its snapshot,
+    # data bits flipped by gates too
+    start = _stray_start(example_circuit, tier, reg, site, symbol)
+    cur = _Cursor(start)
     rs = rule_set(tier)
     with contextlib.suppress(Ambiguous):  # one stray start turns ambiguous
         for _ in range(budget.max_steps):
@@ -309,7 +357,9 @@ def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
                 break
             snap = cur.snapshot()
             assert cur.active == active_sites(snap)
-            assert cur.zobrist == _Cursor(snap, hashed=True).zobrist
+            assert cur.differs == sum(
+                a != b for r, row in snap.rows.items()
+                for a, b in zip(row, start.rows[r]))
 
 
 def test_restricted_hamiltonian_is_path_adjacency():

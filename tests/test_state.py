@@ -4,7 +4,8 @@ import pytest
 from hqca import BuildSpec, StepBudget, build_initial, run
 from hqca.state import (ChainState, DenseData, StateError, WorkState,
                         active_sites, as_dense_vector, validate_config)
-from hqca.symbols import (BULLET, alphabet_dimension, format_dimension_audit)
+from hqca.symbols import (BULLET, alphabet, alphabet_dimension,
+                          format_dimension_audit)
 
 from conftest import small_circuit
 
@@ -144,6 +145,20 @@ def test_dimension_audit_values():
     assert any("14580" in w or "15120" in w for w in a4["warnings"])
     assert "MISMATCH" in format_dimension_audit("IV")
     assert "MATCH" in format_dimension_audit("I")
+
+
+@pytest.mark.parametrize("register, tier, message", [
+    ("CP", "I", "tier I has no register 'CP'"),
+    ("C", "I", "tier I has no register 'C'"),
+    ("T", "III", "tier III has no register 'T'"),
+    ("X", "IV", "tier IV has no register 'X'"),
+    ("P", "V", "unknown tier 'V'"),
+    ("D", None, "unknown tier None"),
+])
+def test_alphabet_rejects_registers_a_tier_lacks(register, tier, message):
+    # no bare KeyError, and no clock alphabet for a tier without a clock
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        alphabet(register, tier)
 
 
 def test_active_symbol_partition():

@@ -276,6 +276,16 @@ def test_posttarget_freeze(example_circuit):
     assert res.passed, res.details
 
 
+def test_posttarget_freeze_fails_without_a_compare_match(example_circuit):
+    # negative control: the rule-30 match comes at step 580, after the cap
+    s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
+                                bullet_offset=3))
+    res = check_posttarget_freeze(s, 150)
+    assert not res.passed
+    assert res.details == ["0 compare-success markers, expected 1"]
+    assert check_posttarget_freeze(s, 700).passed
+
+
 def test_phase_structure(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "III")),
                StepBudget(2000, "step_limit"), keep_states=False)
