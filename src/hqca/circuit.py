@@ -139,14 +139,6 @@ def apply_circuit_power(state: np.ndarray, circuit: CircuitProgram,
     return state
 
 
-def apply_rounds_prefix(state: np.ndarray, circuit: CircuitProgram,
-                        upto_round: int) -> np.ndarray:
-    """State after rounds 1..upto_round of a single circuit application."""
-    for k in range(1, upto_round + 1):
-        state = apply_round(state, circuit, k)
-    return state
-
-
 def circuit_unitary(circuit: CircuitProgram) -> np.ndarray:
     """Explicit 2^N x 2^N matrix of the circuit, sharing no code with the
     kernel: the product of I_(2^m) (x) G (x) I_(2^(N-m-2)) in apply_round's order."""

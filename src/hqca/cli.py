@@ -20,8 +20,8 @@ from .engine import (Ambiguous, StepBudget, Trajectory, clock_value, run,
 from .state import validate_config
 from .symbols import format_dimension_audit
 from .verify import (MAX_DENSE_SITES, check_claim_b, check_clock_counter,
-                     check_comparator, check_work_oracle,
-                     cross_check_backends, format_report, verify_uog)
+                     check_comparator, cross_check_backends, format_report,
+                     verify_uog)
 from .walk import (WalkDistribution, WalkLine, distribution_dump,
                    limiting_distribution, position_distribution,
                    time_averaged_distribution)
@@ -151,7 +151,7 @@ def cmd_walk(args) -> int:
     avg = time_averaged_distribution(line, tau_star, samples, rng)
     pi = limiting_distribution(line)
     tv = avg.total_variation(pi)
-    far = float(avg.probabilities[np.arange(l) > (1 - args.fraction) * l].sum())
+    far = avg.far_mass(args.fraction)
     print(f"tau_star={tau_star} samples={samples}")
     print(f"tv_to_limiting={tv:.6f}")
     print(f"p_star(F={args.fraction})={far:.6f} deficit={args.fraction - far:.6f}")
@@ -173,10 +173,7 @@ def cmd_verify(args) -> int:
         if "uog" in wanted:
             results.append(verify_uog(traj))
         if "oracle" in wanted:
-            if spec.tier in ("I", "II"):
-                results.append(check_work_oracle(traj, spec.circuit))
-            else:
-                results.append(check_claim_b(traj, spec.circuit))
+            results.append(check_claim_b(traj, spec.circuit))
     if "clock" in wanted:
         results.append(check_clock_counter(args.l_bits))
     if "comparator" in wanted:

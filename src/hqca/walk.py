@@ -115,6 +115,12 @@ class WalkDistribution:
         return 0.5 * float(np.abs(self.probabilities
                                   - other.probabilities).sum())
 
+    def far_mass(self, far_fraction: float) -> float:
+        """Probability of the far fraction F: positions m > (1 - F) l."""
+        l = len(self.probabilities)
+        far = np.arange(l) > (1.0 - far_fraction) * l
+        return float(self.probabilities[far].sum())
+
 
 def limiting_distribution(line: WalkLine) -> WalkDistribution:
     """Infinite-time average of the position distribution from an endpoint."""
@@ -176,8 +182,7 @@ def success_probability(line: WalkLine, far_fraction: float, tau_star: float,
     if far_fraction == 0.0:
         return 0.0, 0.0
     avg = time_averaged_distribution(line, tau_star, samples, rng)
-    cut = (1.0 - far_fraction) * line.l
-    p_star = float(avg.probabilities[np.arange(line.l) > cut].sum())
+    p_star = avg.far_mass(far_fraction)
     return p_star, far_fraction - p_star
 
 

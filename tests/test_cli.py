@@ -201,9 +201,38 @@ CHECK comparator[3b] PASS pairs=64 exact
 CHECK backend_equivalence PASS steps=93 max|dv|=0.00e+00 <=1e-10
 """
 
+# tier II's start closes a 188-step cycle of classical configurations
+# (config_key leaves the work amplitudes out), so verify_uog reports every
+# state after the first reset as a repeat
+VERIFY_ALL_TIER2 = """\
+CHECK uog FAIL states=401 clean
+CHECK work_oracle PASS min_fidelity=1.000000000000 >=0.9999999999
+CHECK clock_counter[3b] PASS increments=7+saturation exact
+CHECK comparator[3b] PASS pairs=64 exact
+CHECK backend_equivalence PASS steps=500 max|dv|=0.00e+00 <=1e-10
+  (188, 'configuration equals state 0')
+  (189, 'configuration equals state 1')
+  (190, 'configuration equals state 2')
+  (191, 'configuration equals state 3')
+  (192, 'configuration equals state 4')
+  (193, 'configuration equals state 5')
+  (194, 'configuration equals state 6')
+  (195, 'configuration equals state 7')
+  (196, 'configuration equals state 8')
+  (197, 'configuration equals state 9')
+"""
+
 VERIFY_ALL_TIER3 = """\
 CHECK uog PASS states=3001 clean
 CHECK claim_b PASS states=16 k_max=15 min_fidelity=1.000000000000 >=0.9999999999
+CHECK clock_counter[3b] PASS increments=7+saturation exact
+CHECK comparator[3b] PASS pairs=64 exact
+CHECK backend_equivalence PASS steps=500 max|dv|=0.00e+00 <=1e-10
+"""
+
+VERIFY_ALL_TIER4 = """\
+CHECK uog PASS states=6723 clean
+CHECK claim_b PASS states=3 k_max=3 min_fidelity=1.000000000000 >=0.9999999999
 CHECK clock_counter[3b] PASS increments=7+saturation exact
 CHECK comparator[3b] PASS pairs=64 exact
 CHECK backend_equivalence PASS steps=500 max|dv|=0.00e+00 <=1e-10
@@ -222,6 +251,39 @@ def test_verify_all_tier3(tmp_path, capsys):
                "all", "--l-bits", "3"])
     assert rc == 0
     assert capsys.readouterr() == (VERIFY_ALL_TIER3, "")
+
+
+def test_verify_all_tier2(tmp_path, capsys):
+    rc = main(["verify", write(tmp_path, TIER2 + "budget=400\n"), "--suite",
+               "all", "--l-bits", "3"])
+    assert rc == 1
+    assert capsys.readouterr() == (VERIFY_ALL_TIER2, "")
+
+
+def test_verify_all_tier4(tmp_path, capsys):
+    # the run dead-ends at step 6722, inside the budget
+    rc = main(["verify", write(tmp_path, TIER4 + "budget=8000\n"), "--suite",
+               "all", "--l-bits", "3"])
+    assert rc == 0
+    assert capsys.readouterr() == (VERIFY_ALL_TIER4, "")
+
+
+@pytest.mark.parametrize("text, line", [
+    (TIER2, "CHECK work_oracle FAIL min_fidelity=1.000000000000"),
+    (TIER3, "CHECK claim_b FAIL states=0 k_max=None"
+            " min_fidelity=1.000000000000"),
+    (TIER4, "CHECK claim_b FAIL states=0 k_max=None"
+            " min_fidelity=1.000000000000"),
+], ids=["II", "III", "IV"])
+def test_verify_oracle_fails_without_a_checkpoint(tmp_path, capsys, text,
+                                                  line):
+    # 10 steps end before tier II's first reset (step 188) and before the
+    # clearing prefix of tiers III/IV sets the clock: the oracle compares no
+    # state
+    rc = main(["verify", write(tmp_path, text + "budget=10\n"), "--suite",
+               "oracle"])
+    assert rc == 1
+    assert capsys.readouterr() == (line + " >=0.9999999999\n", "")
 
 
 def test_missing_file_exit_2(capsys):

@@ -63,6 +63,11 @@ def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", counted)
     path = tmp_path / "instance.txt"
     path.write_text(workloads.verify_instance_text(1), encoding="utf-8")
-    code, _ = workloads.call_verify(str(path))
+    code, text = workloads.call_verify(str(path))
     assert code == 0
     assert calls == [True]
+    # the benchmark's own output check: a renamed or missing CHECK line
+    # fails here, not only in a benchmark run
+    op = workloads.Op("verify_suite")
+    workloads.check_verify_output(code, text, op)
+    assert op.ok, op.error

@@ -9,11 +9,12 @@ from hqca import (FORWARD, REVERSE, BuildSpec, StepBudget, applicable,
 from hqca import engine, rules
 from hqca.builder import full_width_offset
 from hqca.rules import _RULESET_CACHE, rule_set
+from hqca.state import WorkState
 from hqca.verify import (build_clock_chain, build_comparator_chain,
                          check_claim_b, check_clock_counter, check_comparator,
                          check_phase_structure, check_posttarget_freeze,
-                         check_work_oracle, clock_increment,
-                         comparator_verdict, cross_check_backends)
+                         clock_increment, comparator_verdict,
+                         cross_check_backends)
 
 from conftest import random_state, small_circuit
 
@@ -21,15 +22,46 @@ from conftest import random_state, small_circuit
 def test_work_oracle_tier1(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "I", random_work)),
                StepBudget(200, "dead_end"))
-    res = check_work_oracle(traj, example_circuit)
+    res = check_claim_b(traj, example_circuit)
     assert res.passed, res.details
 
 
 def test_work_oracle_tier2(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "II", random_work)),
                StepBudget(4 * 188, "step_limit"))
-    res = check_work_oracle(traj, example_circuit)
+    res = check_claim_b(traj, example_circuit)
     assert res.passed, res.details
+
+
+def _scramble_work(traj, t):
+    """Give kept state t a work vector its checkpoint cannot predict."""
+    st = traj.states[t]
+    traj.states[t] = st.replace(work=WorkState(st.work.support,
+                                               np.roll(st.work.amps, 1)))
+
+
+def test_work_oracle_tier1_negative_control(example_circuit, random_work):
+    traj = run(build_initial(BuildSpec(example_circuit, "I", random_work)),
+               StepBudget(200, "dead_end"))
+    # oscillation ends at 16, 33, 50, 67, 84 and gate turns at 8, 76: the
+    # state after the second end holds one round, and no later checkpoint
+    # reads it
+    assert sorted(traj.marker_steps("6a", "6b"))[1] == 33
+    assert check_claim_b(traj, example_circuit).passed
+    _scramble_work(traj, 34)
+    res = check_claim_b(traj, example_circuit)
+    assert not res.passed
+    assert [d.split(":")[0] for d in res.details] == ["t=34 rounds=1"]
+
+
+def test_work_oracle_tier2_negative_control(example_circuit, random_work):
+    traj = run(build_initial(BuildSpec(example_circuit, "II", random_work)),
+               StepBudget(4 * 188, "step_limit"))
+    assert traj.markers["13b"] == [187, 375, 563, 751]
+    _scramble_work(traj, 376)  # the second reset completion
+    res = check_claim_b(traj, example_circuit)
+    assert not res.passed
+    assert [d.split(":")[0] for d in res.details] == ["t=376 power=2"]
 
 
 def test_claim_b_clean(example_circuit, random_work):
@@ -61,6 +93,21 @@ def test_claim_b_negative_control(example_circuit, random_work):
             break
     res = check_claim_b(traj, example_circuit)
     assert not res.passed and res.details
+
+
+def test_claim_b_restarts_on_a_lower_clock(example_circuit, random_work):
+    traj = run(build_initial(BuildSpec(example_circuit, "III", random_work)),
+               StepBudget(780, "step_limit"))  # C-states at k = 0..4
+    st = traj.states[587]
+    assert clock_value(st) == 3
+    row = list(st.rows["C"])
+    row[-2] = "0"  # 3 -> 1, below the k = 2 checkpoint before it
+    traj.states[587] = st.replace(rows={"C": tuple(row)})
+    res = check_claim_b(traj, example_circuit)
+    # the reference restarts from the input for k = 1, so the k = 4
+    # checkpoint after it still compares right
+    assert not res.passed and "k_max=4" in res.measured
+    assert [d.split(":")[0] for d in res.details] == ["t=587 k=1"]
 
 
 def test_clock_increment_case_b():
@@ -283,7 +330,10 @@ def test_posttarget_freeze_fails_without_a_compare_match(example_circuit):
     res = check_posttarget_freeze(s, 150)
     assert not res.passed
     assert res.details == ["0 compare-success markers, expected 1"]
-    assert check_posttarget_freeze(s, 700).passed
+    assert res.measured == "success_at=None tail=None stop=step_limit"
+    res = check_posttarget_freeze(s, 700)
+    assert res.passed
+    assert res.measured == "success_at=581 tail=119 stop=step_limit"
 
 
 def test_phase_structure(example_circuit):

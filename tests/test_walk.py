@@ -211,3 +211,15 @@ def test_measurement_l2_quarter_period():
     line = WalkLine(2)
     p = position_distribution(line, np.pi / 2)
     assert abs(p[1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("l, far_fraction, expect", [
+    (4, 0.5, 3 / 10),  # (1 - F) l = 2 exactly: the cut leaves m = 2 out
+    (4, 0.75, 5 / 10),
+    (4, 1.0, 7 / 10),  # m > 0: every site but the walk's start
+    (4, 0.0, 0.0),
+    (5, 0.5, 5 / 12),  # cut at 2.5: m = 3, 4
+])
+def test_far_mass_cuts_strictly(l, far_fraction, expect):
+    far = limiting_distribution(WalkLine(l)).far_mass(far_fraction)
+    assert far == pytest.approx(expect, rel=0, abs=1e-15)
