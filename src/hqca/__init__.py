@@ -11,8 +11,7 @@ from .builder import (BuildSpec, build_initial, chain_length,
                       full_width_offset, parse_instance_text,
                       target_row, work_window, worked_example_circuit)
 from .circuit import (CircuitProgram, apply_circuit_power, basis_state,
-                      circuit_unitary, fidelity, gate_matrix,
-                      parse_circuit_text)
+                      circuit_unitary, fidelity, gate_matrix)
 from .engine import (Ambiguous, StepBudget, Trajectory, clock_value,
                      predicted_cycle_steps, predicted_oscillation_steps,
                      predicted_single_pass_steps, restricted_hamiltonian,

@@ -13,14 +13,15 @@ length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (CircuitProgram, InstanceParseError, _parse_number,
-                      basis_state, parse_circuit_text)
-from .state import ChainState, WorkState
-from .symbols import BULLET, C, C2, CP, D, P, QUANTUM, T, TURN
+from .circuit import CircuitProgram, basis_state
+from .state import NORM_TOL, ChainState, WorkState
+from .symbols import (BULLET, C, C2, CP, D, GATES, P, QUANTUM, T, TIERS,
+                      TURN)
 
 
 class BuildError(ValueError):
@@ -62,7 +63,7 @@ class BuildSpec:
         amps = np.asarray(self.work, dtype=complex)
         if amps.shape != (2 ** n,):
             raise BuildError("work vector dimension mismatch")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise BuildError("work vector must be normalized")
         return WorkState(support, amps)
 
@@ -156,10 +157,9 @@ def full_width_offset(length: int, x: int) -> int:
 
 # -- instance files -----------------------------------------------------------
 #
-# Circuit text plus:
-#   construction=<I|II|III|IV>
-#   target=<int>              (tier IV)
-#   bullet_offset=<int>       (tier IV, default 3)
+# One key per line; blank lines and lines starting with '#' are ignored:
+#   n=<N>, k=<K>, round <i>: <g_1> .. <g_{N-1}>, work=<N bits>,
+#   construction=<I|II|III|IV>, target=<int> and bullet_offset=<int> (tier IV),
 # plus run options that the CLI reads, each overridden by its flag:
 #   budget, snapshot_every (run; budget also walk and verify),
 #   seed, tau, tau_star, samples (walk).
@@ -167,10 +167,35 @@ def full_width_offset(length: int, x: int) -> int:
 # `hqca walk` draws every sample before it prints, so the count is capped
 MAX_SAMPLES = 10 ** 8
 
-# run options: type and allowed range
-_RUN_KEYS = {"budget": (int, 1), "seed": (int, 0),
-             "samples": (int, 1, MAX_SAMPLES), "snapshot_every": (int, 1),
-             "tau": (float,), "tau_star": (float, 0.0)}
+# type and range of each numeric key; the CLI flags of the run options take
+# the same entries.  target_row ranges target and bullet_offset, as they
+# must fit the chain
+NUMBER_KEYS = {"n": (int, 2), "k": (int, 1), "target": (int,),
+               "bullet_offset": (int,), "budget": (int, 1), "seed": (int, 0),
+               "samples": (int, 1, MAX_SAMPLES), "snapshot_every": (int, 1),
+               "tau": (float,), "tau_star": (float, 0.0)}
+_RUN_KEYS = ("budget", "seed", "samples", "snapshot_every", "tau",
+             "tau_star")
+
+
+class InstanceParseError(ValueError):
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+
+
+def parse_number(text: str, kind=int, low=-math.inf, high=math.inf):
+    """A finite int or float (kind) in [low, high]; ValueError otherwise."""
+    try:
+        v = kind(text)
+    except ValueError:
+        v = math.nan
+    if not abs(v) < math.inf:
+        raise ValueError(f"expected a finite {kind.__name__}, got {text!r}")
+    if v < low:
+        raise ValueError(f"value {v} below minimum {low}")
+    if v > high:
+        raise ValueError(f"value {v} above maximum {high}")
+    return v
 
 
 @dataclass
@@ -180,32 +205,89 @@ class Instance:
 
 
 def parse_instance_text(text: str) -> Instance:
-    circuit, work, extra = parse_circuit_text(text)
-    tier = "I"
-    target = None
-    bullet_offset = 3
-    options = {}
-    for key, (value, lineno) in extra.items():
-        if key == "construction":
-            if value not in ("I", "II", "III", "IV"):
-                raise InstanceParseError(lineno, f"unknown construction {value!r}")
-            tier = value
-        elif key == "target":
-            target = _parse_number(value, lineno)
-        elif key == "bullet_offset":
-            bullet_offset = _parse_number(value, lineno)
-        elif key in _RUN_KEYS:
-            options[key] = _parse_number(value, lineno, *_RUN_KEYS[key])
+    """The one parser of the instance format.  It checks every value,
+    including the tier-IV target layout, so a parsed instance always
+    builds; each error names its line (line 0 for a missing key)."""
+    values, lines = {}, {}  # key -> parsed value, key -> line number
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("round"):
+            head, colon, body = line.partition(":")
+            if not colon:
+                raise InstanceParseError(lineno, "round line needs a ':'")
+            try:
+                key = f"round {int(head.split()[1])}"
+            except (IndexError, ValueError):
+                raise InstanceParseError(lineno, f"bad round header {head!r}")
+            value = tuple(body.split())
+            for g in value:
+                if g not in GATES:
+                    raise InstanceParseError(lineno, f"unknown gate {g!r}")
         else:
-            raise InstanceParseError(lineno, f"unknown key {key!r}")
-    if tier == "IV" and target is None:
-        raise InstanceParseError(0, "construction IV needs target=<int>")
-    spec = BuildSpec(circuit, tier, work, target, bullet_offset)
-    return Instance(spec, options)
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise InstanceParseError(lineno, f"cannot parse {line!r}")
+            if key in NUMBER_KEYS:
+                try:
+                    value = parse_number(value, *NUMBER_KEYS[key])
+                except ValueError as err:
+                    raise InstanceParseError(lineno, str(err)) from None
+            elif key not in ("work", "construction"):
+                raise InstanceParseError(lineno, f"unknown key {key!r}")
+            elif key == "work" and set(value) - {"0", "1"}:
+                raise InstanceParseError(lineno, "work must be a bitstring")
+            elif key == "construction" and value not in TIERS:
+                raise InstanceParseError(lineno,
+                                         f"unknown construction {value!r}")
+        if key in lines:
+            raise InstanceParseError(lineno, f"{key} given twice")
+        values[key], lines[key] = value, lineno
+
+    for key in ("n", "k"):
+        if key not in values:
+            raise InstanceParseError(0, f"missing {key}=")
+    n, k = values["n"], values["k"]
+    rounds = []
+    for idx in range(1, k + 1):  # stops at the first missing round
+        gates = values.get(f"round {idx}")
+        if gates is None:
+            raise InstanceParseError(0, f"missing round {idx}")
+        if len(gates) != n - 1:
+            raise InstanceParseError(lines[f"round {idx}"], f"round {idx} has"
+                                     f" {len(gates)} gates, expected {n - 1}")
+        rounds.append(gates)
+    for key, lineno in lines.items():
+        if key.startswith("round ") and not 1 <= int(key[6:]) <= k:
+            raise InstanceParseError(lineno, f"{key} out of range 1..{k}")
+    work = values.get("work")
+    if work is not None and len(work) != n:
+        raise InstanceParseError(
+            lines["work"], f"work bitstring length {len(work)} != n={n}")
+    tier = values.get("construction", "I")
+    target = values.get("target")
+    bullet_offset = values.get("bullet_offset", 3)
+    if tier == "IV":
+        if target is None:
+            raise InstanceParseError(lines["construction"],
+                                     "construction IV needs target=<int>")
+        try:
+            target_row(chain_length(tier, n, k), target, bullet_offset)
+        except BuildError as err:  # the message names the key at fault first
+            msg = str(err)
+            key = "bullet_offset" if msg.startswith("bullet") else "target"
+            raise InstanceParseError(lines[key], msg) from None
+    circuit = CircuitProgram(n, tuple(rounds))
+    options = {key: v for key, v in values.items() if key in _RUN_KEYS}
+    return Instance(BuildSpec(circuit, tier, work, target, bullet_offset),
+                    options)
 
 
 def parse_instance_file(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 reach the parser as lone surrogates, which no
+    # key, value or gate matches, so their error names their line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_instance_text(fh.read())
 
 

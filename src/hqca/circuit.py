@@ -22,7 +22,6 @@ _apply_two_qubit, applies them to adjacent qubits on the float64 view.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,106 +163,3 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 for unit vectors."""
     return float(abs(np.vdot(a, b)) ** 2)
 
-
-# ---------------------------------------------------------------------------
-# Circuit text format
-#
-#   n=<N>
-#   k=<K>
-#   round <i>: <g_1> <g_2> ...
-#   work=<bitstring of length N>
-#
-# Lines starting with '#' and blank lines are ignored.  parse_circuit_text
-# returns (CircuitProgram, work_bits_or_None, leftover key=value dict) so
-# instance files can extend the grammar.
-
-
-class InstanceParseError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
-def parse_circuit_text(text: str):
-    n = None
-    k = None
-    rounds = {}
-    work = None
-    extra = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("round"):
-            head, _, body = line.partition(":")
-            if not _:
-                raise InstanceParseError(lineno, "round line needs a ':'")
-            try:
-                idx = int(head.split()[1])
-            except (IndexError, ValueError):
-                raise InstanceParseError(lineno, f"bad round header {head!r}")
-            gates = tuple(body.split())
-            for g in gates:
-                if g not in GATES:
-                    raise InstanceParseError(lineno, f"unknown gate {g!r}")
-            if idx in rounds:
-                raise InstanceParseError(lineno, f"round {idx} given twice")
-            rounds[idx] = (gates, lineno)
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise InstanceParseError(lineno, f"cannot parse {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if key == "n":
-            n = _parse_number(value, lineno, int, 2)
-        elif key == "k":
-            k = _parse_number(value, lineno, int, 1)
-        elif key == "work":
-            if set(value) - {"0", "1"}:
-                raise InstanceParseError(lineno, "work must be a bitstring")
-            work = value
-        else:
-            extra[key] = (value, lineno)
-    if n is None:
-        raise InstanceParseError(0, "missing n=")
-    if k is None:
-        raise InstanceParseError(0, "missing k=")
-    round_list = []
-    for idx in range(1, k + 1):
-        if idx not in rounds:
-            raise InstanceParseError(0, f"missing round {idx}")
-        gates, lineno = rounds[idx]
-        if len(gates) != n - 1:
-            raise InstanceParseError(
-                lineno, f"round {idx} has {len(gates)} gates, expected {n - 1}")
-        round_list.append(gates)
-    for idx in rounds:
-        if idx < 1 or idx > k:
-            raise InstanceParseError(rounds[idx][1], f"round {idx} out of range 1..{k}")
-    if work is not None and len(work) != n:
-        raise InstanceParseError(0, f"work bitstring length {len(work)} != n={n}")
-    return CircuitProgram(n, tuple(round_list)), work, extra
-
-
-def parse_number(text: str, kind=int, low=-math.inf, high=math.inf):
-    """A finite int or float (kind) in [low, high]; ValueError otherwise."""
-    try:
-        v = kind(text)
-    except ValueError:
-        v = math.nan
-    if not abs(v) < math.inf:
-        raise ValueError(f"expected a finite {kind.__name__}, got {text!r}")
-    if v < low:
-        raise ValueError(f"value {v} below minimum {low}")
-    if v > high:
-        raise ValueError(f"value {v} above maximum {high}")
-    return v
-
-
-def _parse_number(text: str, lineno: int, *bounds):
-    """parse_number on an instance-file value; errors carry the line."""
-    try:
-        return parse_number(text, *bounds)
-    except ValueError as err:
-        raise InstanceParseError(lineno, str(err)) from None

@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .builder import MAX_SAMPLES, build_initial, parse_instance_file
-from .circuit import InstanceParseError, parse_number
+from .builder import (NUMBER_KEYS, InstanceParseError, build_initial,
+                      parse_instance_file, parse_number)
 from .engine import (Ambiguous, StepBudget, Trajectory, clock_value, run,
                      trace_observer)
 from .state import validate_config
@@ -44,7 +44,7 @@ SUITES = ("uog", "oracle", "clock", "comparator", "backends")
 
 
 def _number(*bounds):
-    """argparse type: circuit.parse_number(text, kind, low, high)."""
+    """argparse type: builder.parse_number(text, kind, low, high)."""
     def parse(text: str):
         try:
             return parse_number(text, *bounds)
@@ -72,17 +72,9 @@ def _load(path):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
-def _build(instance):
-    try:
-        return build_initial(instance.spec)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR)
-
-
 def cmd_compile(args) -> int:
     instance = _load(args.instance)
-    state = _build(instance)
+    state = build_initial(instance.spec)
     print(state.snapshot())
     print(format_dimension_audit(instance.spec.tier))
     violations = validate_config(state)
@@ -95,7 +87,7 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     instance = _load(args.instance)
-    state = _build(instance)
+    state = build_initial(instance.spec)
     budget = StepBudget(args.budget or instance.options.get("budget", 10 ** 6),
                         "dead_end")
     every = args.snapshot_every or instance.options.get("snapshot_every")
@@ -126,7 +118,7 @@ def cmd_walk(args) -> int:
     if args.length:
         l = args.length
     else:
-        state = _build(instance)
+        state = build_initial(instance.spec)
         budget = StepBudget(opts.get("budget", 10 ** 6), "dead_end")
         traj = run(state, budget, keep_states=False)
         if traj.stop_reason != "dead_end":
@@ -165,7 +157,7 @@ def cmd_verify(args) -> int:
     spec = instance.spec
     wanted = SUITES if args.suite == "all" else (args.suite,)
     results = []
-    state = _build(instance)  # also rejects a bad instance for every suite
+    state = build_initial(spec)
     budget = StepBudget(instance.options.get("budget", 200_000), "dead_end")
     if {"uog", "oracle"} & set(wanted):
         # verify_uog re-checks every kept state, so run skips check_uog
@@ -184,6 +176,8 @@ def cmd_verify(args) -> int:
         else:
             print("backends suite skipped: chain too long for the dense"
                   " oracle", file=sys.stderr)
+    if not results:  # the backends suite alone, on a long chain
+        return EXIT_INPUT_ERROR
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
@@ -193,7 +187,6 @@ def main(argv=None) -> int:
         prog="hqca",
         description="layered qudit-chain automaton simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    positive = _number(int, 1)
 
     p = sub.add_parser("compile", help="build and print the initial state")
     p.add_argument("instance")
@@ -201,18 +194,17 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="drive the unique forward trajectory")
     p.add_argument("instance")
-    p.add_argument("--budget", type=positive, default=None)
-    p.add_argument("--snapshot-every", type=positive, default=None)
+    for key in ("budget", "snapshot_every"):  # flags of the run options
+        p.add_argument("--" + key.replace("_", "-"),
+                       type=_number(*NUMBER_KEYS[key]))
     p.add_argument("--trace", help="write a trace file")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("walk", help="quantum-walk distributions and bounds")
     p.add_argument("instance")
-    p.add_argument("--tau", type=_number(float), default=None)
-    p.add_argument("--tau-star", type=_number(float, 0), default=None)
-    p.add_argument("--samples", type=_number(int, 1, MAX_SAMPLES),
-                   default=None)
-    p.add_argument("--seed", type=_number(int, 0), default=None)
+    for key in ("tau", "tau_star", "samples", "seed"):
+        p.add_argument("--" + key.replace("_", "-"),
+                       type=_number(*NUMBER_KEYS[key]))
     p.add_argument("--fraction", type=_number(float, 0, 1), default=0.5)
     # a line of 10^7 positions already takes 80 MB per dense vector
     p.add_argument("--length", type=_number(int, 1, 10 ** 7), default=None,

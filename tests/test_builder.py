@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from hqca import BuildSpec, build_initial, chain_length, work_window
 from hqca.builder import (BuildError, full_width_offset, parse_instance_text,
                           target_row)
 from hqca.rules import FORWARD, REVERSE, applicable, apply
-from hqca.state import validate_config
+from hqca.state import NORM_TOL, validate_config
 
 from conftest import small_circuit
 
@@ -135,7 +136,18 @@ seed=9
 
 
 def test_instance_unknown_key():
-    from hqca.circuit import InstanceParseError
+    from hqca.builder import InstanceParseError
     with pytest.raises(InstanceParseError) as err:
         parse_instance_text("n=2\nk=1\nround 1: I\nbogus=1\n")
     assert "line 4" in str(err.value)
+
+
+def test_work_norm_tolerance_matches_validate_config():
+    # build_initial's output always passes validate_config, so the builder
+    # accepts exactly the work norms that validate_config does
+    circuit, v = small_circuit(3, 2), np.zeros(8, dtype=complex)
+    v[2] = 1.0
+    inside = build_initial(BuildSpec(circuit, "I", v * (1 + NORM_TOL / 2)))
+    assert validate_config(inside) == []
+    with pytest.raises(BuildError, match="normalized"):
+        build_initial(BuildSpec(circuit, "I", v * (1 + 5e-10)))

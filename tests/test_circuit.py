@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hqca.circuit import (CircuitProgram, InstanceParseError,
-                          apply_circuit_power, apply_round, basis_state,
-                          circuit_unitary, gate_matrix, parse_circuit_text)
+from hqca.builder import InstanceParseError, parse_instance_text
+from hqca.circuit import (CircuitProgram, apply_circuit_power, apply_round,
+                          basis_state, circuit_unitary, gate_matrix)
 from hqca.state import DenseData, WorkState
 from hqca.symbols import GATES
 
@@ -160,16 +160,16 @@ round 1: W S
 round 2: S W
 work=010
 """
-    c, work, extra = parse_circuit_text(text)
-    assert c.rounds == (("W", "S"), ("S", "W"))
-    assert work == "010"
-    assert extra == {}
+    inst = parse_instance_text(text)
+    assert inst.spec.circuit.rounds == (("W", "S"), ("S", "W"))
+    assert inst.spec.work == "010"
+    assert inst.options == {}
 
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(InstanceParseError) as err:
-        parse_circuit_text("n=3\nk=1\nround 1: W\n")
+        parse_instance_text("n=3\nk=1\nround 1: W\n")
     assert "round 1" in str(err.value)
     with pytest.raises(InstanceParseError) as err:
-        parse_circuit_text("n=3\nk=1\nround 1: W Q\n")
+        parse_instance_text("n=3\nk=1\nround 1: W Q\n")
     assert "line 3" in str(err.value)

@@ -348,7 +348,56 @@ def test_verify_bad_instance_exit_2(tmp_path, capsys):
     inst = write(tmp_path, TIER4.replace("target=3", "target=0"))
     rc = main(["verify", inst, "--suite", "backends"])
     assert rc == 2
-    assert "target must be >= 1" in capsys.readouterr().err
+    assert "line 7: target must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (TIER4.replace("target=3", "target=0"), 7, "target must be >= 1"),
+    (TIER4.replace("bullet_offset=3", "bullet_offset=0"), 8,
+     "bullet_offset must be >= 1"),
+    (TIER4.replace("target=3", "target=999999"), 7,
+     "target 999999 with bullet_offset 3 needs 23 sites, chain has 16"),
+    (TIER4 + "budget=5\nbudget=7\n", 10, "budget given twice"),
+], ids=["target", "bullet_offset", "target_too_wide", "repeated_key"])
+@pytest.mark.parametrize("argv", [["compile"], ["run"],
+                                  ["walk", "--length", "4"], ["verify"]],
+                         ids=lambda argv: argv[0])
+def test_bad_instance_names_its_line(tmp_path, capsys, text, line, message,
+                                     argv):
+    inst = write(tmp_path, text)
+    rc = main([argv[0], inst] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    # one error line and no traceback
+    assert captured.err.startswith(f"error: {inst}: line {line}: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_non_utf8_instance_names_its_line(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    text = TIER1.replace("work=000", "work=0\xe900")  # é in latin-1
+    inst.write_bytes(text.encode("latin-1"))
+    rc = main(["run", str(inst)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {inst}: line 5: work must be a bitstring\n"
+
+
+def test_verify_without_a_check_exit_2(tmp_path, capsys):
+    # L = 24 is too long for the dense oracle, so the backends suite alone
+    # runs no check
+    text = TIER3.replace("k=2", "k=3").replace("round 2: S W",
+                                               "round 2: S W\nround 3: W W")
+    inst = write(tmp_path, text)
+    skipped = "backends suite skipped: chain too long for the dense oracle\n"
+    rc = main(["verify", inst, "--suite", "backends"])
+    assert rc == 2 and capsys.readouterr() == ("", skipped)
+    # --suite all still runs its other checks
+    inst = write(tmp_path, text + "budget=600\n", "b.txt")
+    rc = main(["verify", inst, "--suite", "all", "--l-bits", "3"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == skipped
+    assert captured.out.count("CHECK") == 4 and "backend" not in captured.out
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -95,6 +95,21 @@ def test_claim_b_negative_control(example_circuit, random_work):
     assert not res.passed and res.details
 
 
+def test_claim_b_fails_on_a_malformed_clock(example_circuit):
+    traj = run(build_initial(BuildSpec(example_circuit, "III", "010")),
+               StepBudget(780, "step_limit"))
+    assert check_claim_b(traj, example_circuit).passed
+    st = traj.states[396]  # the C-state at k = 2
+    assert st.rows["CP"][-1] == "C" and clock_value(st) == 2
+    row = list(st.rows["C"])
+    row[2] = "•"  # a bullet inside the clock's bits
+    traj.states[396] = st.replace(rows={"C": tuple(row)})
+    res = check_claim_b(traj, example_circuit)
+    # the three other C-states still compare right
+    assert not res.passed and res.measured.startswith("states=4 k_max=4")
+    assert res.details == ["t=396: malformed clock"]
+
+
 def test_claim_b_restarts_on_a_lower_clock(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "III", random_work)),
                StepBudget(780, "step_limit"))  # C-states at k = 0..4
