@@ -268,7 +268,11 @@ def parse_instance_text(text: str) -> Instance:
     tier = values.get("construction", "I")
     target = values.get("target")
     bullet_offset = values.get("bullet_offset", 3)
-    if tier == "IV":
+    if tier != "IV":
+        for key, lineno in lines.items():  # in file order
+            if key in ("target", "bullet_offset"):
+                raise InstanceParseError(lineno, f"{key} is a tier-IV key")
+    else:
         if target is None:
             raise InstanceParseError(lines["construction"],
                                      "construction IV needs target=<int>")

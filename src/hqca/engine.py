@@ -18,16 +18,17 @@ run() is the package's one stepping loop: the harnesses and checks in
 verify drive the chain through it and read their answers from the
 trajectory.  It takes every forward step through the private
 _Cursor.step, on a per-run cursor rather than a ChainState per step:
-mutable register rows rewritten in the two window cells, the active sites
-kept up to date from the window alone, and a count of the cells that differ
-from the start rows, updated from the changed cells, for the repeat check.
-So the cost of a step does not grow with the chain length L, with or
-without check_uog.  Each step, and each reverse count under check_uog,
+mutable register rows rewritten in the window cells, the active sites,
+and a count of the cells that differ from the start rows for the repeat
+check.  So the cost of a step does not grow with the chain length L, with
+or without check_uog.  Each step, and each reverse count under check_uog,
 is one lookup in the rule set's compiled matcher, keyed by the few cells
-around the active site; try_match runs only when the memo meets a window
-content for the first time.  ChainState snapshots are built only for kept
-states, observers, Ambiguous and the final state, and Match objects only
-for observers and Ambiguous.
+around the active site through a probe bound to the cursor's rows;
+try_match runs only when the memo meets a window content for the first
+time.  The Hit found is ready to fire: the cursor writes its cells in
+place and takes the window's new active cells from it, with no rescan.
+ChainState snapshots are built only for kept states, observers, Ambiguous
+and the final state, and Match objects only for observers and Ambiguous.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rules import (FORWARD, REVERSE, RuleSet, _window_writes,
-                    anchored_matches, applicable, apply, as_match, rule_set)
+from .rules import (FORWARD, REVERSE, Hit, RuleSet, _apply_gate_effect,
+                    applicable, apply, as_match, rule_set)
 from .state import ChainState, active_sites
-from .symbols import ACTIVE_CP_BY_TIER, ACTIVE_P_BY_TIER, BULLET, C, CP, P
+from .symbols import BULLET, C, D, P
 
 
 class Ambiguous(Exception):
@@ -134,65 +135,103 @@ class Trajectory:
 class _Cursor:
     """Mutable per-run view of a chain state; step() is the one forward step.
 
-    rows maps each register to a list that a step rewrites in its two
-    window cells only: step() looks the window up in the rule set's
-    compiled matcher, which reads a cursor like a ChainState, and writes
-    the Hit's cells through rules._window_writes (apply()'s rewrite too).
-    active equals active_sites() of the current state at all times: a step
-    can change active cells only inside its window, so it drops the window's
-    entries and rescans those two sites.  differs counts the cells in which
-    rows differ from the start's, kept from the cells each step changes.
-    snapshot() builds a ChainState that reuses the row tuples of registers
-    no step touched since the last one.
+    rows maps each register to a list that a step rewrites in its window
+    cells only.  hits() looks a window up in the rule set's compiled
+    matcher through the symbol's probe, bound to these lists once per run,
+    so a step builds its key with no register lookup.  A memo Hit is ready
+    to fire: its key fixes the window's P and CP cells, so it carries the
+    window's active cells after the firing.  fire() writes the Hit's cells
+    in place, runs its gate through rules._apply_gate_effect (apply()'s
+    rewrite too) and takes the window's active cells from it.  So active
+    equals active_sites() of the current state at all times with no
+    rescan: a step changes active cells only inside its window.  differs
+    counts the cells in which rows differ from the start's, kept from the
+    cells each step writes.  snapshot() builds a ChainState that reuses
+    the row tuples of registers no step touched since the last one.
     """
 
-    __slots__ = ("tier", "L", "rows", "work", "active", "differs", "_pools",
-                 "_start", "_frozen", "_stale")
+    __slots__ = ("tier", "L", "rows", "work", "active", "differs", "_rs",
+                 "_bound", "_start", "_frozen", "_stale")
 
-    def __init__(self, state: ChainState):
+    def __init__(self, state: ChainState, rs: RuleSet):
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
+        self._rs = rs
+        self._bound = {FORWARD: {}, REVERSE: {}}
         self._start = state.rows
         self._frozen = dict(state.rows)
         self._stale = set()
         self.active = active_sites(state)
-        self._pools = [(P, ACTIVE_P_BY_TIER[state.tier])]
-        if CP in self.rows:
-            self._pools.append((CP, ACTIVE_CP_BY_TIER[state.tier]))
         self.differs = 0
 
-    def step(self, rs: RuleSet):
+    def hits(self, direction, site, symbol):
+        """rs.hits(direction, self, site, symbol), keyed through the
+        symbol's probe bound to this cursor's rows; a site at the chain's
+        edge, or a key the memo has not met, goes through rs.hits."""
+        bound = self._bound[direction].get(symbol)
+        if bound is None:
+            probe, memo = self._rs.compiled(direction, symbol)
+            bound = self._bound[direction][symbol] = (
+                [(self.rows[reg], shift) for reg, shift in probe], memo)
+        cells, memo = bound
+        if 1 < site < self.L:
+            found = memo.get(tuple([row[site + shift] for row, shift in cells]))
+            if found is not None:
+                return found
+        return self._rs.hits(direction, self, site, symbol)
+
+    def count(self, direction) -> int:
+        """Number of matches in one direction."""
+        active = self.active
+        if len(active) == 1:
+            site, _reg, s = active[0]
+            return len(self.hits(direction, site, s))
+        return sum([len(self.hits(direction, site, s))
+                    for site, _reg, s in active])
+
+    def step(self):
         """Fire the unique forward hit in place: (site, Hit), or None at a
         dead end.  Several hits raise Ambiguous before any cell changes."""
-        hits = anchored_matches(self, FORWARD, rs, self.active)
-        if not hits:
-            return None
-        if len(hits) > 1:
-            matches = [as_match(i, hit, FORWARD) for i, hit in hits]
+        active = self.active
+        if len(active) == 1:
+            site, _reg, s = active[0]
+            found = self.hits(FORWARD, site, s)
+            if len(found) == 1:
+                offset, hit = found[0]
+                self.fire(site - offset, hit)
+                return site - offset, hit
+        found = [(site - offset, hit) for site, _reg, s in active
+                 for offset, hit in self.hits(FORWARD, site, s)]
+        if len(found) != 1:
+            if not found:
+                return None
+            found.sort(key=lambda f: (f[0], f[1].rule._sort_key))
+            matches = [as_match(i, hit, FORWARD) for i, hit in found]
             raise Ambiguous(self.snapshot(), matches, FORWARD)
-        i, hit = fired = hits[0]
-        writes, self.work = _window_writes(self, i, hit, FORWARD)
-        rows, start, differs = self.rows, self._start, self.differs
-        for reg, site, s in writes:
-            row = rows[reg]
-            old = row[site - 1]
-            if s != old:
-                row[site - 1] = s
-                self._stale.add(reg)
-                orig = start[reg][site - 1]
-                differs += (old == orig) - (s == orig)
-        self.differs = differs
-        active = [a for a in self.active if not i <= a[0] <= i + 1]
-        for reg, pool in self._pools:
-            row = rows[reg]
-            if row[i - 1] in pool:
-                active.append((i, reg, row[i - 1]))
-            if row[i] in pool:
-                active.append((i + 1, reg, row[i]))
-        if len(active) > 1:
-            active.sort(key=lambda a: (a[1] != P, a[0]))
-        self.active = active
+        fired = found[0]
+        self.fire(*fired)
         return fired
+
+    def fire(self, i: int, hit: Hit):
+        """Rewrite window (i, i+1) in place by a forward hit."""
+        writes = hit.writes
+        if hit.gate is not None:
+            cells, self.work = _apply_gate_effect(self, hit.gate, i, False)
+            if cells is not None:
+                writes += ((D, 0, cells[0]), (D, 1, cells[1]))
+        rows, start, differs = self.rows, self._start, self.differs
+        for reg, off, s in writes:
+            row, k = rows[reg], i - 1 + off
+            orig = start[reg][k]
+            differs += (row[k] == orig) - (s == orig)
+            row[k] = s
+            self._stale.add(reg)
+        self.differs = differs
+        window = [(i + off, reg, s) for off, reg, s in hit.active]
+        if len(self.active) > 1:  # a stray active cell outside the window
+            window += [a for a in self.active if not i <= a[0] <= i + 1]
+            window.sort(key=lambda a: (a[1] != P, a[0]))
+        self.active = window
 
     def snapshot(self) -> ChainState:
         for reg in self._stale:
@@ -220,12 +259,11 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
     that loop's list.  So the two lists are empty together and agree in
     their first entry.
     """
-    rs = rule_set(start.tier)
     traj = Trajectory(start, states=[start] if keep_states else None)
-    cur = _Cursor(start)
+    cur = _Cursor(start, rule_set(start.tier))
     repeats = False
     for t in range(budget.max_steps):
-        fired = cur.step(rs)
+        fired = cur.step()
         if fired is None:
             traj.stop_reason = "dead_end"
             break
@@ -240,10 +278,9 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
             repeats = repeats or cur.differs == 0
             if repeats:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
-            rev = anchored_matches(cur, REVERSE, rs, cur.active)
-            if len(rev) != 1:
-                traj.uog_violations.append(
-                    (t + 1, f"{len(rev)} reverse matches"))
+            rev = cur.count(REVERSE)
+            if rev != 1:
+                traj.uog_violations.append((t + 1, f"{rev} reverse matches"))
         if keep_states or observer is not None:
             state = cur.snapshot()
             if keep_states:
@@ -313,7 +350,10 @@ def restricted_hamiltonian(traj: Trajectory):
     Entry (s, t) collects `<state_s | term | state_t>` over every rule term
     applied at every window of state t, in both directions.  On a clean
     trajectory this is exactly the path-graph adjacency matrix.  A nonzero
-    entry with |s - t| != 1 means a rule leaks off the path and is raised.
+    entry with |s - t| != 1 means a rule leaks off the path and is raised,
+    and so is a rule image that is no kept state.  Two images may lie past
+    the kept states: the last kept state's forward image, and the first
+    one's reverse image (tier II's 13b, tier IV's 21).
     """
     if traj.states is None:
         raise ValueError("restricted_hamiltonian needs kept states")
@@ -328,7 +368,13 @@ def restricted_hamiltonian(traj: Trajectory):
         for direction in (FORWARD, REVERSE):
             for m in applicable(st, direction, rs):
                 img = apply(st, m)
-                for s in index.get(img.config_key(), ()):
+                kept = index.get(img.config_key())
+                if kept is None:
+                    if (t, direction) in ((n - 1, FORWARD), (0, REVERSE)):
+                        continue
+                    raise ValueError(f"rule {m.label} maps state {t} to no"
+                                     " kept state: off-path image")
+                for s in kept:
                     amp = states[s].work.overlap(img.work)
                     if abs(amp) < 1e-12:
                         continue

@@ -32,9 +32,11 @@ changes the data, and the sweep hops 24a-c and 26 from 23a-c and 25 (_hop).
 
 try_match is the one hand-written matcher.  A RuleSet compiles it lazily
 into a memo keyed by the cells around an active site (RuleSet.hits), which
-applicable() and the engine's cursor step look windows up in; the memo's
-Hits carry the cells a firing writes, and _window_writes is the one
-rewrite that apply() and the cursor share.
+applicable() and the engine's cursor look windows up in.  Each memo Hit is
+ready to fire: it carries the cells the firing writes and the active
+symbols its window holds afterwards.  A Hit's writes plus
+_apply_gate_effect are the one rewrite: apply() builds a new state from
+them, and the cursor writes them in place.
 """
 
 from __future__ import annotations
@@ -184,13 +186,16 @@ class Hit(NamedTuple):
 
     bindings are sorted (name, value) pairs; writes lists (register,
     window offset 0 or 1, symbol) for each non-data cell the rule changes;
-    gate is the bound gate kind, None for a rule without a gate.
+    gate is the bound gate kind, None for a rule without a gate; active
+    lists (window offset, register, symbol) for each active cell of the
+    window after the firing, P before CP, in site order.
     """
 
     rule: Rule
     bindings: tuple
     writes: tuple
     gate: str | None
+    active: tuple
 
 
 def _build_rules_tier_I():
@@ -400,13 +405,17 @@ class RuleSet:
     The rules and their active-symbol index never change once built; the
     matcher's memo fills as windows come up.  For each (direction, active
     symbol) a probe lists the (register, offset -1/0/+1) cells around the
-    active site that any candidate rule reads or keeps.  The memo maps the
-    probe's values (None off the chain or for a missing register), with
-    the flags site == 1 and site == L, to the Hits that try_match finds
-    there, so the table stays the only hand-written matcher.  Each
-    instance owns its memo: a copy from without() drops rules, so it
-    must not see its parent's hits.  Two threads filling one entry store
-    equal values.  Matches come in deterministic (site, label) order.
+    active site that any candidate rule reads or keeps, and the P and CP
+    cells of each candidate's window.  The memo maps the probe's values
+    (None off the chain or for a missing register), with the flags
+    site == 1 and site == L, to the Hits that try_match finds there, so
+    the table stays the only hand-written matcher.  Because the probe
+    reads the window's P and CP cells, the key fixes the window's active
+    cells after a firing too, and each Hit carries them; so a rule set
+    serves states of its own tier, whose registers its probes read.  Each
+    instance owns its memo: a copy from without() drops rules, so it must
+    not see its parent's hits.  Two threads filling one entry store equal
+    values.  Matches come in deterministic (site, label) order.
     """
 
     def __init__(self, tier: str, rules):
@@ -432,17 +441,22 @@ class RuleSet:
         drop = set(labels)
         return RuleSet(self.tier, [r for r in self.rules if r.label not in drop])
 
-    def hits(self, direction, state, site, symbol):
-        """((offset, Hit), ...) for the candidates anchored at the active
-        site whose window (site - offset, site - offset + 1) matches.
-
-        state is read through its L and rows mapping only.
-        """
+    def compiled(self, direction, symbol):
+        """(probe, memo) of one active symbol, built on first use."""
         compiled = self._compiled[direction].get(symbol)
         if compiled is None:
             compiled = self._compiled[direction][symbol] = (
                 self._probe(direction, symbol), {})
-        probe, memo = compiled
+        return compiled
+
+    def hits(self, direction, state, site, symbol):
+        """((offset, Hit), ...) for the candidates anchored at the active
+        site whose window (site - offset, site - offset + 1) matches, in
+        (window site, label) order.
+
+        state is read through its tier, L and rows mapping only.
+        """
+        probe, memo = self.compiled(direction, symbol)
         rows, last = state.rows, state.L
         key = None
         if 1 < site < last:
@@ -462,14 +476,17 @@ class RuleSet:
         return found
 
     def _probe(self, direction, symbol):
-        """((register, shift), ...) of every cell a candidate reads, and of
-        every non-data output cell it may keep; the cell at site + offset
-        is row[site + shift] with shift = offset - 1."""
+        """((register, shift), ...) of every cell a candidate reads, of
+        every non-data output cell it may keep and of the P and CP cells
+        of its window; the cell at site + offset is row[site + shift] with
+        shift = offset - 1."""
         cells = set()
+        window = [reg for reg in (P, CP)
+                  if reg in sym.REGISTERS_BY_TIER[self.tier]]
         for rule, offset in self.candidates(direction, symbol):
             for reg, off, _cell in rule.checks(direction):
                 cells.add((reg, off - offset))
-            for reg in rule.out_side(direction):
+            for reg in (*rule.out_side(direction), *window):
                 if reg != D:
                     cells.update(((reg, -offset), (reg, 1 - offset)))
         return tuple(sorted((reg, rel - 1) for reg, rel in cells))
@@ -617,23 +634,23 @@ def as_match(i, hit: Hit, direction: str) -> Match:
 
 def _hit(rule: Rule, direction: str, state, i: int):
     """The rule's Hit on window (i, i+1) by try_match, or None: the one
-    place a match turns into writes, for the memo, the full scan and
-    apply()."""
+    place a match turns into writes and active cells, for the memo, the
+    full scan and apply().  state is read through its tier and rows."""
     b = try_match(rule, state, i, direction)
     if b is None:
         return None
-    writes = []
-    for reg, cells in rule.out_side(direction).items():
-        if reg == D:  # a guard: Rule() checks both sides agree
-            continue
-        row = state.rows[reg]
-        for off, cell in enumerate(cells):
-            old = row[i - 1 + off]
-            new = _instantiate(cell, b, old)
-            if new != old:
-                writes.append((reg, off, new))
-    return Hit(rule, tuple(sorted(b.items())), tuple(writes),
-               b[rule.gate] if rule.gate is not None else None)
+    out = rule.out_side(direction)  # its data cells are guards, kept
+    after = {(reg, off): _instantiate(out.get(reg, (ANY, ANY))[off], b,
+                                      row[i - 1 + off])
+             for reg, row in state.rows.items() if reg != D for off in (0, 1)}
+    writes = tuple((reg, off, s) for (reg, off), s in after.items()
+                   if s != state.rows[reg][i - 1 + off])
+    pools = {P: sym.ACTIVE_P_BY_TIER[state.tier],
+             CP: sym.ACTIVE_CP_BY_TIER[state.tier]}
+    active = tuple((off, reg, s) for reg in (P, CP) for off in (0, 1)
+                   if (s := after.get((reg, off))) in pools[reg])
+    return Hit(rule, tuple(sorted(b.items())), writes,
+               b[rule.gate] if rule.gate is not None else None, active)
 
 
 # -- rewriting ----------------------------------------------------------------
@@ -693,37 +710,21 @@ def apply(state: ChainState, match: Match) -> ChainState:
     NonClassicalGateError when a gate would break the classical data
     invariant.
     """
-    hit = _hit(match.rule, match.direction, state, match.site)
+    i = match.site
+    hit = _hit(match.rule, match.direction, state, i)
     if hit is None or hit.bindings != match.bindings:
-        raise StaleMatchError(
-            f"rule {match.label} no longer matches at {match.site}")
-    writes, work = _window_writes(state, match.site, hit, match.direction)
-    rows = {}
-    for reg, site, s in writes:
-        row = rows.get(reg)
-        if row is None:
-            row = rows[reg] = list(state.rows[reg])
-        row[site - 1] = s
-    return state.replace(rows={reg: tuple(row) for reg, row in rows.items()},
-                         work=work)
-
-
-def _window_writes(state, i: int, hit: Hit, direction: str):
-    """(writes, work) of firing a hit on window (i, i+1): the one rewrite.
-
-    writes lists (register, site, symbol) for the cells the hit changes
-    and for data cells a classical gate changes; work is the work state
-    after the gate.  state is read through its rows and work only, so the
-    engine's in-place cursor shares this rewrite.
-    """
-    writes = [(reg, i + off, s) for reg, off, s in hit.writes]
-    work = state.work
+        raise StaleMatchError(f"rule {match.label} no longer matches at {i}")
+    writes, work = hit.writes, state.work
     if hit.gate is not None:
         cells, work = _apply_gate_effect(state, hit.gate, i,
-                                         direction == REVERSE)
+                                         match.direction == REVERSE)
         if cells is not None:
-            writes += [(D, i, cells[0]), (D, i + 1, cells[1])]
-    return writes, work
+            writes += ((D, 0, cells[0]), (D, 1, cells[1]))
+    rows = {reg: list(state.rows[reg]) for reg, _off, _s in writes}
+    for reg, off, s in writes:
+        rows[reg][i - 1 + off] = s
+    return state.replace(rows={reg: tuple(row) for reg, row in rows.items()},
+                         work=work)
 
 
 # -- audit dump ----------------------------------------------------------------

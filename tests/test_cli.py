@@ -358,7 +358,14 @@ def test_verify_bad_instance_exit_2(tmp_path, capsys):
     (TIER4.replace("target=3", "target=999999"), 7,
      "target 999999 with bullet_offset 3 needs 23 sites, chain has 16"),
     (TIER4 + "budget=5\nbudget=7\n", 10, "budget given twice"),
-], ids=["target", "bullet_offset", "target_too_wide", "repeated_key"])
+    (TIER4.replace("=IV", "=III").replace("target=3", "target=-5"), 7,
+     "target is a tier-IV key"),
+    (TIER3 + "bullet_offset=0\n", 7, "bullet_offset is a tier-IV key"),
+    (TIER1 + "bullet_offset=4\ntarget=2\n", 7,
+     "bullet_offset is a tier-IV key"),
+], ids=["target", "bullet_offset", "target_too_wide", "repeated_key",
+        "target_off_tier_iv", "bullet_offset_off_tier_iv",
+        "first_tier_iv_key_named"])
 @pytest.mark.parametrize("argv", [["compile"], ["run"],
                                   ["walk", "--length", "4"], ["verify"]],
                          ids=lambda argv: argv[0])

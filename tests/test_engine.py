@@ -12,7 +12,7 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, StepBudget,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca.engine import _Cursor, trace_observer
-from hqca.rules import _RULESET_CACHE, Rule, RuleSet, lit
+from hqca.rules import _RULESET_CACHE, Rule, RuleSet, gv, lit
 from hqca.state import WorkState
 from hqca.symbols import P, TURN
 
@@ -349,11 +349,10 @@ def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
     # that differ from the start equal those recomputed from its snapshot,
     # data bits flipped by gates too
     start = _stray_start(example_circuit, tier, reg, site, symbol)
-    cur = _Cursor(start)
-    rs = rule_set(tier)
+    cur = _Cursor(start, rule_set(tier))
     with contextlib.suppress(Ambiguous):  # one stray start turns ambiguous
         for _ in range(budget.max_steps):
-            if cur.step(rs) is None:
+            if cur.step() is None:
                 break
             snap = cur.snapshot()
             assert cur.active == active_sites(snap)
@@ -372,6 +371,18 @@ def test_restricted_hamiltonian_is_path_adjacency():
     for i in range(n - 1):
         want[i, i + 1] = want[i + 1, i] = 1.0
     assert np.max(np.abs(h - want)) < 1e-12
+
+
+def test_restricted_hamiltonian_raises_on_off_path_image(monkeypatch):
+    # negative control: an extra rule that moves the arrow right over a gate
+    # without marking it maps the start state off the path
+    traj = run(build_initial(BuildSpec(small_circuit(2, 1), "I")),
+               StepBudget(50, "dead_end"))
+    stray = Rule("99", "I", {P: (lit("→"), gv("A"))}, {P: (gv("A"), lit("→"))})
+    monkeypatch.setitem(_RULESET_CACHE, "I",
+                        RuleSet("I", rule_set("I").rules + (stray,)))
+    with pytest.raises(ValueError, match="rule 99 maps state 0 to no kept"):
+        restricted_hamiltonian(traj)
 
 
 def test_restricted_hamiltonian_clocked_prefix(example_circuit):

@@ -9,7 +9,7 @@ from hqca import BuildSpec, StepBudget, build_initial, run
 from hqca import symbols as sym
 from hqca.rules import (_CROSSED_FROM, _RULESET_CACHE, FORWARD, REVERSE,
                         NonClassicalGateError, Rule, RuleError, _instantiate,
-                        anchored_matches, applicable, apply,
+                        anchored_matches, applicable, apply, as_match,
                         classical_gate_action, dump_rule_table, lit, rule_set,
                         try_match)
 from hqca.state import ChainState, WorkState, active_sites
@@ -318,19 +318,35 @@ def _plain_matches(state, direction, rs):
     return [f[:1] + f[2:] for f in sorted(found)]
 
 
+def _window_active_after(state, j, hit, direction):
+    """(offset, register, symbol) of the active cells in window (j, j+1)
+    of apply()'s result.  A gate hit fires on an all-0 data row, as the
+    random one may hold data a gate cannot act on; no gate rule reads the
+    data row, and active cells lie in P and CP only."""
+    if hit.gate is not None:
+        state = state.replace(rows={D: ("0",) * state.L})
+    after = apply(state, as_match(j, hit, direction))
+    return [(site - j, reg, s) for site, reg, s in active_sites(after)
+            if j <= site <= j + 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_matched_window())
 def test_compiled_lookup_equals_plain_try_match(case):
     # a fresh rule set per example: the matched state fills the memo
     # first, so an edit of a cell the probe left out would be answered by
-    # the stale entry
+    # the stale entry.  Each hit's active cells after firing must equal
+    # those of the state apply() builds, restricted to the hit's window.
     tier, direction, start, i = case
     rs = rule_set(tier).without()
     for state in (start, *_one_cell_edits(start, i)):
+        hits = anchored_matches(state, direction, rs, active_sites(state))
         got = [(j, h.rule.label, h.bindings, tuple(sorted(h.writes)), h.gate)
-               for j, h in anchored_matches(state, direction, rs,
-                                            active_sites(state))]
+               for j, h in hits]
         assert got == _plain_matches(state, direction, rs)
+        for j, h in hits:
+            assert list(h.active) == _window_active_after(state, j, h,
+                                                          direction)
     assert [(m.label, m.site, m.bindings) for m in
             applicable(start, direction, rs)] == [
         (m.label, m.site, m.bindings) for m in

@@ -313,18 +313,17 @@ def test_backends_catch_data_write_without_gate(example_circuit, monkeypatch):
     # step 4 fires no gate (the first gates are steps 10-16) but also flips
     # the classical data bit at site 1: the data row changes, so the check
     # must compare and fail at step 4, not at the next gate
-    orig = engine._window_writes
+    orig = engine._Cursor.fire
     calls = []
 
-    def flip_at_step_4(state, i, hit, direction):
-        writes, work = orig(state, i, hit, direction)
+    def flip_at_step_4(cur, i, hit):
         calls.append(hit.gate)
         if len(calls) == 4:
-            assert hit.gate is None and state.rows["D"][0] == "1"
-            writes = writes + [("D", 1, "0")]
-        return writes, work
+            assert hit.gate is None and cur.rows["D"][0] == "1"
+            hit = hit._replace(writes=hit.writes + (("D", 1 - i, "0"),))
+        return orig(cur, i, hit)
 
-    monkeypatch.setattr(engine, "_window_writes", flip_at_step_4)
+    monkeypatch.setattr(engine._Cursor, "fire", flip_at_step_4)
     res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
     assert not res.passed
     assert res.measured.startswith("steps=4 ")
