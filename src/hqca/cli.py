@@ -19,9 +19,9 @@ from .engine import (Ambiguous, StepBudget, Trajectory, clock_value, run,
                      trace_observer)
 from .state import validate_config
 from .symbols import format_dimension_audit
-from .verify import (MAX_DENSE_SITES, check_claim_b, check_clock_counter,
-                     check_comparator, cross_check_backends, format_report,
-                     verify_uog)
+from .verify import (MAX_DENSE_SITES, ClaimBCheck, UogCheck, check_claim_b,
+                     check_clock_counter, check_comparator,
+                     cross_check_backends, format_report, verify_uog)
 from .walk import (WalkDistribution, WalkLine, distribution_dump,
                    limiting_distribution, position_distribution,
                    time_averaged_distribution)
@@ -160,12 +160,19 @@ def cmd_verify(args) -> int:
     state = build_initial(spec)
     budget = StepBudget(instance.options.get("budget", 200_000), "dead_end")
     if {"uog", "oracle"} & set(wanted):
-        # verify_uog re-checks every kept state, so run skips check_uog
-        traj = run(state, budget, keep_states=True)
+        uog, claim_b = UogCheck(state), ClaimBCheck(state, spec.circuit)
+        checks = [c for suite, c in (("uog", uog), ("oracle", claim_b))
+                  if suite in wanted]
+
+        def feed(t, view, _fired):
+            for check in checks:
+                check.step(t, view, view.label, view.site)
+
+        traj = run(state, budget, keep_states=False, observer=feed)
         if "uog" in wanted:
-            results.append(verify_uog(traj))
+            results.append(verify_uog(traj, uog))
         if "oracle" in wanted:
-            results.append(check_claim_b(traj, spec.circuit))
+            results.append(check_claim_b(traj, spec.circuit, claim_b))
     if "clock" in wanted:
         results.append(check_clock_counter(args.l_bits))
     if "comparator" in wanted:

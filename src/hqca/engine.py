@@ -11,29 +11,26 @@ step of a short reverse tail of at most 3L steps before a dead end.
 run() walks the unique forward path to a dead end or its step cap,
 recording the fired rule label and window site of every step.  Long runs
 can drop full states and keep only those records; anything else a caller
-wants per step (a trace file, a replay on another backend) comes from an
-observer, called after each step with the new state and the fired Match.
+wants per step (a trace file, a replay on another backend, a whole-run
+check) comes from an observer, which reads the run's cursor.
 
-run() is the package's one stepping loop: the harnesses and checks in
-verify drive the chain through it and read their answers from the
-trajectory.  It takes every forward step through the private
-_Cursor.step, on a per-run cursor rather than a ChainState per step:
-mutable register rows rewritten in the window cells, the active sites,
-and a count of the cells that differ from the start rows for the repeat
-check.  So the cost of a step does not grow with the chain length L, with
-or without check_uog.  Each step, and each reverse count under check_uog,
-is one lookup in the rule set's compiled matcher, keyed by the few cells
-around the active site through a probe bound to the cursor's rows;
-try_match runs only when the memo meets a window content for the first
-time.  The Hit found is ready to fire: the cursor writes its cells in
-place and takes the window's new active cells from it, with no rescan.
-ChainState snapshots are built only for kept states, observers, Ambiguous
-and the final state, and Match objects only for observers and Ambiguous.
+run() is the package's one stepping loop; the harnesses and checks in
+verify drive the chain through it.  It steps a per-run cursor, not a
+ChainState per step: mutable rows rewritten in the window cells, the
+active sites, and a count of the cells that differ from the start for the
+repeat check, so a step's cost does not grow with the chain length L.
+Each step, and each reverse count under check_uog, is one lookup in the
+rule set's compiled matcher, keyed by the few cells around the active
+site through a probe bound to the cursor's rows.  The Hit found is ready
+to fire: the cursor writes its cells in place and takes the window's new
+active cells from it, with no rescan.  ChainStates are built only for
+kept states, Ambiguous, the final state and observers that ask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import dropwhile
 
 import numpy as np
 
@@ -97,7 +94,7 @@ class Trajectory:
 
     def state(self, t: int) -> ChainState:
         if self.states is None:
-            raise ValueError("states were not kept for this run")
+            raise ValueError("states not kept: use check_uog or an observer")
         return self.states[t]
 
     @property
@@ -146,12 +143,18 @@ class _Cursor:
     equals active_sites() of the current state at all times with no
     rescan: a step changes active cells only inside its window.  differs
     counts the cells in which rows differ from the start's, kept from the
-    cells each step writes.  snapshot() builds a ChainState that reuses
+    cells each step writes.  chain_state() builds a ChainState that reuses
     the row tuples of registers no step touched since the last one.
+
+    run() hands the cursor to observers as the view of the state reached:
+    tier, L, rows (live lists, read-only, valid until the next step), work,
+    active, the fired rule's site, label and gate kind (None without one),
+    and snapshot(), config_key(), config_equal(), digest() as a ChainState.
     """
 
-    __slots__ = ("tier", "L", "rows", "work", "active", "differs", "_rs",
-                 "_bound", "_start", "_frozen", "_stale")
+    __slots__ = ("tier", "L", "rows", "work", "active", "differs", "site",
+                 "label", "gate", "_rs", "_bound", "_start", "_frozen",
+                 "_stale")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         self.tier, self.L, self.work = state.tier, state.L, state.work
@@ -207,7 +210,7 @@ class _Cursor:
                 return None
             found.sort(key=lambda f: (f[0], f[1].rule._sort_key))
             matches = [as_match(i, hit, FORWARD) for i, hit in found]
-            raise Ambiguous(self.snapshot(), matches, FORWARD)
+            raise Ambiguous(self.chain_state(), matches, FORWARD)
         fired = found[0]
         self.fire(*fired)
         return fired
@@ -233,11 +236,23 @@ class _Cursor:
             window.sort(key=lambda a: (a[1] != P, a[0]))
         self.active = window
 
-    def snapshot(self) -> ChainState:
+    def chain_state(self) -> ChainState:
         for reg in self._stale:
             self._frozen[reg] = tuple(self.rows[reg])
         self._stale.clear()
         return ChainState(self.tier, self._frozen, self.work)
+
+    def snapshot(self) -> str:
+        return self.chain_state().snapshot()
+
+    def config_key(self) -> tuple:
+        return self.chain_state().config_key()
+
+    def config_equal(self, other: ChainState) -> bool:
+        return self.chain_state().config_equal(other)
+
+    def digest(self) -> int:
+        return self.chain_state().digest()
 
 
 def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
@@ -247,17 +262,10 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
     A state with several forward matches raises Ambiguous.  check_uog
     verifies, on the fly, that every non-initial state has exactly one
     reverse match and that no configuration repeats; violations are
-    recorded, not raised.  observer(t, state, match) is called once after
-    each step t >= 1 with the state reached and the Match that fired; the
-    start state is traj.start.
-
-    The repeat check keeps no set of configurations: it flags every step
-    from the first return to the start configuration, after which the
-    path repeats itself.  Against a loop that keeps every configuration
-    in a set, uog_violations is equal through the first reverse-count
-    violation, and every later "configuration repeats" entry is also in
-    that loop's list.  So the two lists are empty together and agree in
-    their first entry.
+    recorded, not raised; the repeat check keeps no configurations, and
+    flags every step from the first return to the start.  observer(t,
+    state, match) is called after each step t >= 1 with the cursor as both
+    state and match (see _Cursor); the start state is traj.start.
     """
     traj = Trajectory(start, states=[start] if keep_states else None)
     cur = _Cursor(start, rule_set(start.tier))
@@ -274,22 +282,22 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
             # A step map with one reverse match per state is injective, so
             # (Bennett 1973) the first repeat can only be of the start: if
             # the first repeat is s_j = s_i with 0 < i < j, then s_(i-1) !=
-            # s_(j-1) and s_i has two reverse matches, flagged at step i.
+            # s_(j-1) and s_i has two reverse matches, flagged at step i; a
+            # loop keeping every state agrees up to that flag, then lists more.
             repeats = repeats or cur.differs == 0
             if repeats:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
             rev = cur.count(REVERSE)
             if rev != 1:
                 traj.uog_violations.append((t + 1, f"{rev} reverse matches"))
-        if keep_states or observer is not None:
-            state = cur.snapshot()
-            if keep_states:
-                traj.states.append(state)
-            if observer is not None:
-                observer(t + 1, state, as_match(i, hit, FORWARD))
+        if keep_states:
+            traj.states.append(cur.chain_state())
+        if observer is not None:
+            cur.site, cur.label, cur.gate = i, hit.rule.label, hit.gate
+            observer(t + 1, cur, cur)
     else:
         traj.stop_reason = "step_limit"
-    traj.final = cur.snapshot()
+    traj.final = cur.chain_state()
     return traj
 
 
@@ -317,28 +325,12 @@ def predicted_cycle_steps(n_qubits: int, depth: int) -> int:
 
 
 def clock_value(state: ChainState):
-    """Integer stored in the clock register, or None if malformed.
-
-    The register must be bullets followed by bits; significance increases
-    right to left.  Returns None for tiers without the register.
-    """
-    row = state.rows.get(C)
-    if row is None:
-        return None
-    bits = []
-    seen_bit = False
-    for s in row:
-        if s == BULLET:
-            if seen_bit:
-                return None
-            continue
-        if s not in ("0", "1"):
-            return None
-        seen_bit = True
-        bits.append(s)
-    if not bits:
-        return None
-    return int("".join(bits), 2)
+    """Integer stored in the clock register: bullets, then bits with the
+    most significant first.  None if malformed or the tier has no clock."""
+    bits = list(dropwhile(BULLET.__eq__, state.rows.get(C, ())))
+    if bits and set(bits) <= {"0", "1"}:
+        return int("".join(bits), 2)
+    return None
 
 
 # -- trajectory Hamiltonian ------------------------------------------------------
@@ -392,12 +384,12 @@ def restricted_hamiltonian(traj: Trajectory):
 def trace_observer(fh, snapshot_every: int = None):
     """run() observer writing a tab-separated trace to fh as the run goes.
 
-    One line per step: step, rule, site, active symbol after the step,
-    clock, digest.  After every step divisible by snapshot_every the
-    state's snapshot block follows its line.
+    One line per step: step, rule, site, active symbol after the step
+    (read off the cursor, with no row scan), clock, digest.  After every
+    step divisible by snapshot_every the state's snapshot block follows.
     """
     def observe(t, state, m):
-        act = active_sites(state)
+        act = state.active
         active = f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?"
         ck = clock_value(state)
         fh.write(f"{t - 1}\t{m.label}\t{m.site}\t{active}\t"

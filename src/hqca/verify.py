@@ -7,10 +7,11 @@ the comparator, and, as the oracle for the hybrid data register, a full
 2^L statevector that replays every gate the chain fires.  check_claim_b is
 the one work-register check for every tier; on tier IV, claim B at k = x and
 the post-target freeze give that the frozen work register is U^x psi.
-verify_uog recounts every kept state's forward and reverse matches from
-its rows.  The harnesses step through run() and read their answers from
-the trajectory; the checks take the tier, the work window and the input
-work vector from traj.start, and each reports one CheckResult.
+verify_uog recounts every state's forward and reverse matches from its
+rows.  The harnesses step through run() and read their answers from the
+trajectory or their observers; the checks take the tier, the work window
+and the input work vector from traj.start, and each reports one
+CheckResult.
 """
 
 from __future__ import annotations
@@ -54,115 +55,148 @@ def format_report(results) -> str:
     return "\n".join(lines)
 
 
-def _work_vector(state: ChainState, start: ChainState) -> np.ndarray:
-    if state.work.support != start.work.support:
-        raise ValueError(f"work support {state.work.support} is not the"
-                         f" start's window {start.work.support}")
-    return state.work.amps
+# -- walk-line structure and work-qubit oracle -----------------------------------
+# Each check keeps no states: step(t, state, label, site) takes state t,
+# reached by rule label on window site, from kept states or from run()'s
+# view (read during the call only); result(traj) reports after the run.
 
 
-# -- walk-line structure ---------------------------------------------------------
+def _feed(check, traj: Trajectory):
+    for t in range(1, len(traj)):
+        check.step(t, traj.state(t), traj.labels[t - 1], traj.sites[t - 1])
+    return check
 
 
-def verify_uog(traj: Trajectory) -> CheckResult:
-    """Check the walk-line structure of a stored trajectory.
+class UogCheck:
+    """verify_uog's check, recounting each state's matches and work
+    support from its rows.  One reverse match per state makes the step map
+    injective, so (Bennett 1973) the first repeat can only be of the start,
+    at step p, and state t >= p equals state t - p.  Every step checks that
+    premise: the fired (label, site) is the one forward match of the state
+    before and the one reverse match of the state after."""
 
-    Conditions: pairwise-distinct configurations, exactly one forward match
-    on every non-final state (zero on a dead-end final), exactly one
-    reverse match on every non-initial state, and classical data everywhere
-    outside the start state's work window.  The details list the
-    (step, message) violations, run's own check_uog ones first.  A
-    streamed run has no states to check; run(check_uog=True) checks it on
-    the fly instead.
-    """
-    if traj.states is None:
-        raise ValueError("verify_uog needs kept states; stream with"
-                         " run(check_uog=True) instead")
-    violations = list(traj.uog_violations)
-    rs = rule_set(traj.start.tier)
-    support = traj.start.work.support
-    keys = {}
-    for t, st in enumerate(traj.states):
-        key = st.config_key()
-        seen = keys.setdefault(key, t)  # one hash of the key per new state
-        if seen != t:  # a repeat: later repeats name this state
-            violations.append((t, f"configuration equals state {seen}"))
-            keys[key] = t
-        act = active_sites(st)
-        fwd = len(anchored_matches(st, FORWARD, rs, act))
-        if t < traj.n_steps and fwd != 1:
-            violations.append((t, f"{fwd} forward matches"))
-        if t == traj.n_steps and traj.stop_reason == "dead_end" and fwd:
-            violations.append((t, "final state still has forward matches"))
-        if t > 0:
-            rev = len(anchored_matches(st, REVERSE, rs, act))
-            if rev != 1:
-                violations.append((t, f"{rev} reverse matches"))
-        if (st.work.support != support
-                and (extra := set(st.work.support) - set(support))):
-            violations.append((t, f"quantum support leaked to {sorted(extra)}"))
-    return CheckResult("uog", not violations, f"states={len(traj.states)}",
-                       "clean", violations)
+    def __init__(self, start: ChainState):
+        self.rs, self.support = rule_set(start.tier), start.work.support
+        # a ChainState's rows are tuples and run()'s view's are lists
+        self.start_rows = (start.rows, {reg: list(row) for reg, row
+                                        in start.rows.items()})
+        self.period, self.violations = None, []
+        self.t = self._at = 0  # last state fed; where its forward count goes
+        self.fwd = anchored_matches(start, FORWARD, self.rs,
+                                    active_sites(start))
+
+    def step(self, t: int, state, label: str, site: int):
+        v, fwd = self.violations, self.fwd
+        if len(fwd) != 1:
+            v.insert(self._at, (t - 1, f"{len(fwd)} forward matches"))
+        elif fwd[0][0] != site or fwd[0][1].rule.label != label:
+            v.append((t - 1, f"forward match {fwd[0][1].rule.label} at"
+                      f" {fwd[0][0]}, but {label} at {site} fired"))
+        if self.period is None and state.rows in self.start_rows:
+            self.period = t
+        if self.period is not None:
+            v.append((t, f"configuration equals state {t - self.period}"))
+        self.t, self._at = t, len(v)
+        act = active_sites(state)
+        self.fwd = anchored_matches(state, FORWARD, self.rs, act)
+        rev = anchored_matches(state, REVERSE, self.rs, act)
+        if len(rev) != 1:
+            v.append((t, f"{len(rev)} reverse matches"))
+        elif rev[0][0] != site or rev[0][1].rule.label != label:
+            v.append((t, f"reverse match {rev[0][1].rule.label} at"
+                      f" {rev[0][0]}, but {label} at {site} fired"))
+        if (state.work.support != self.support
+                and (extra := set(state.work.support) - set(self.support))):
+            v.append((t, f"quantum support leaked to {sorted(extra)}"))
+
+    def result(self, traj: Trajectory) -> CheckResult:
+        v = traj.uog_violations + self.violations
+        if traj.stop_reason == "dead_end" and self.fwd:
+            v.insert(len(traj.uog_violations) + self._at,
+                     (self.t, "final state still has forward matches"))
+        return CheckResult("uog", not v, f"states={self.t + 1}", "clean", v)
 
 
-# -- work-qubit oracle ---------------------------------------------------------
+def verify_uog(traj: Trajectory, check: UogCheck = None) -> CheckResult:
+    """Walk-line structure: one forward match on every non-final state
+    (none on a dead-end final) and one reverse match on every later one,
+    both naming the rule fired between them, no repeated configuration,
+    and classical data outside the start's work window; details list the
+    (step, message) violations, run's check_uog ones first.  check is a
+    UogCheck fed by run()'s observer, else the kept states feed one."""
+    return (check or _feed(UogCheck(traj.start), traj)).result(traj)
 
 
-def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
+# tier -> (label counted, labels of a checkpoint, kind of the count)
+_COUNTED = {"I": ("4a", ("6a", "6b"), "rounds"),
+            "II": ("13b", ("13b",), "power")}
+
+
+class ClaimBCheck:
+    """check_claim_b's check: one reference vector advances round by round,
+    restarting from the input when a checkpoint asks for fewer rounds."""
+
+    def __init__(self, start: ChainState, circuit: CircuitProgram):
+        self.start, self.circuit = start, circuit
+        self.details, self.k_max = [], None
+        self.compared = self.count = 0  # count: 4a (tier I) or 13b (II)
+        self.worst, self.expect, self.done = 1.0, start.work.amps, 0
+        self.step(0, start, None, None)
+
+    def step(self, t: int, state, label: str, site: int):
+        self.last = state.work
+        if counted := _COUNTED.get(self.start.tier):
+            self.count += label == counted[0]
+            if label in counted[1]:
+                self._compare(t, counted[2], self.count, state.work)
+        elif "C" in state.rows[CP]:
+            k = clock_value(state)
+            if k is None:
+                self.details.append(f"t={t}: malformed clock")
+            else:
+                self.k_max = max(k, self.k_max or 0)
+                self._compare(t, "k", k, state.work)
+
+    def _compare(self, t, kind, count, work):
+        if work.support != self.start.work.support:
+            raise ValueError(f"work support {work.support} is not the"
+                             f" start's window {self.start.work.support}")
+        rounds = count if kind == "rounds" else count * self.circuit.depth
+        if rounds < self.done:
+            self.expect, self.done = self.start.work.amps, 0
+        for j in range(self.done, rounds):
+            self.expect = apply_round(self.expect, self.circuit,
+                                      j % self.circuit.depth + 1)
+        self.done, self.compared = rounds, self.compared + 1
+        f = fidelity(self.expect, work.amps)
+        self.worst = min(self.worst, f)
+        if f < 1.0 - FIDELITY_TOL:
+            self.details.append(f"t={t} {kind}={count}: fidelity {f:.3e}")
+
+    def result(self, traj: Trajectory) -> CheckResult:
+        if self.start.tier == "I":  # the final state holds every gate turn
+            self._compare(traj.n_steps, "rounds", self.count, self.last)
+        name, measured = "work_oracle", f"min_fidelity={self.worst:.12f}"
+        if self.start.tier in ("III", "IV"):
+            name = "claim_b"
+            measured = f"states={self.compared} k_max={self.k_max} {measured}"
+        return CheckResult(name, self.compared > 0 and not self.details,
+                           measured, f">={1 - FIDELITY_TOL}", self.details)
+
+
+def check_claim_b(traj: Trajectory, circuit: CircuitProgram,
+                  check: ClaimBCheck = None) -> CheckResult:
     """Claim B on every tier: wherever the tier predicts the work register,
-    it must equal the start state's after that many circuit rounds.
-
-    The checkpoints are, for tier I, the state after each oscillation end
+    it must equal the start state's after that many circuit rounds.  The
+    checkpoints are, for tier I, the state after each oscillation end
     (6a/6b) with the gate turns (4a) before it, and the final state with all
     of them; for tier II, the state after the x-th reset completion (13b)
     with x circuit powers; for tiers III/IV, every state whose clock pointer
-    shows C, with the clock reading k as its power.  One dense reference
-    vector advances round by round and restarts from the input when a
-    checkpoint asks for fewer rounds than it holds.  A check that compares
-    no state fails, and so does one that meets a malformed clock.
-    """
-    if traj.states is None:
-        raise ValueError("needs a trajectory with kept states")
-    start, depth = traj.start, circuit.depth
-    details = []
-    checkpoints = []  # (step, kind, count): the rounds predicted there
-    if start.tier == "I":
-        gate_turns = traj.markers.get("4a", ())
-        for t in sorted(traj.marker_steps("6a", "6b")):
-            rounds_done = sum(1 for g in gate_turns if g < t)
-            checkpoints.append((t + 1, "rounds", rounds_done))
-        checkpoints.append((traj.n_steps, "rounds", len(gate_turns)))
-    elif start.tier == "II":
-        for x, t in enumerate(traj.markers.get("13b", ()), start=1):
-            checkpoints.append((t + 1, "power", x))
-    else:
-        for t, st in enumerate(traj.states):
-            if "C" in st.rows[CP]:
-                k = clock_value(st)
-                if k is None:
-                    details.append(f"t={t}: malformed clock")
-                else:
-                    checkpoints.append((t, "k", k))
-    worst = 1.0
-    expect, done = start.work.amps, 0
-    for t, kind, count in checkpoints:
-        rounds = count if kind == "rounds" else count * depth
-        if rounds < done:
-            expect, done = start.work.amps, 0
-        for j in range(done, rounds):
-            expect = apply_round(expect, circuit, j % depth + 1)
-        done = rounds
-        f = fidelity(expect, _work_vector(traj.state(t), start))
-        worst = min(worst, f)
-        if f < 1.0 - FIDELITY_TOL:
-            details.append(f"t={t} {kind}={count}: fidelity {f:.3e}")
-    name, measured = "work_oracle", f"min_fidelity={worst:.12f}"
-    if start.tier in ("III", "IV"):
-        k_max = max((k for _, _, k in checkpoints), default=None)
-        name = "claim_b"
-        measured = f"states={len(checkpoints)} k_max={k_max} {measured}"
-    return CheckResult(name, bool(checkpoints) and not details, measured,
-                       f">={1 - FIDELITY_TOL}", details)
+    shows C, with the clock reading k as its power.  A check that compares
+    no state fails, and so does one that meets a malformed clock.  check is
+    a ClaimBCheck fed by run()'s observer, else the kept states feed one."""
+    return (check or _feed(ClaimBCheck(traj.start, circuit), traj)
+            ).result(traj)
 
 
 # -- standalone clock harness ----------------------------------------------------
@@ -302,8 +336,8 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     """Run the hybrid chain, replay each fired gate on the full 2^L
     data-register vector from a run() observer, and compare the two
     vectors up to the first difference after each step that fired a gate
-    or changed the data row or WorkState: states are immutable, so any
-    other step would repeat the last compared difference.
+    or changed the data row or WorkState: any other step would repeat the
+    last compared difference, so only those build the 2^L embedding.
 
     Equal vectors also mean equal classical data readouts, so the oracle
     would fire the same rules as the hybrid run.
@@ -312,22 +346,19 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     if hybrid.L > MAX_DENSE_SITES:
         raise ValueError(f"dense oracle needs L <= {MAX_DENSE_SITES}")
     dense = DenseData(hybrid.L, as_dense_vector(hybrid))
-    details = []
-    worst = 0.0
-    failed_at = None
-    last = (hybrid.rows[D], hybrid.work)  # the dense start equals these
+    details, worst, failed_at = [], 0.0, None
+    last = (list(hybrid.rows[D]), hybrid.work)  # the dense start's
 
-    def replay(t, state, match):
+    def replay(t, view, _fired):
         nonlocal dense, worst, failed_at, last
         if failed_at is not None:
             return
-        if match.rule.gate is not None:
-            kind = dict(match.bindings)[match.rule.gate]
-            dense = dense.apply_gate(kind, match.site, match.site + 1)
-        elif (state.rows[D], state.work) == last:
+        if view.gate is not None:
+            dense = dense.apply_gate(view.gate, view.site, view.site + 1)
+        elif view.rows[D] == last[0] and view.work is last[1]:
             return
-        last = (state.rows[D], state.work)
-        diff = float(np.linalg.norm(as_dense_vector(state) - dense.amps))
+        last = (list(view.rows[D]), view.work)  # a copy of the live row
+        diff = float(np.linalg.norm(as_dense_vector(view) - dense.amps))
         worst = max(worst, diff)
         if diff > 1e-10:
             details.append(f"t={t - 1}: data vectors differ by {diff:.3e}")
@@ -347,22 +378,22 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
 def check_posttarget_freeze(start: ChainState, max_steps: int) -> CheckResult:
     """After the compare sweep succeeds, the data and clock registers and
     the work amplitudes must never change again."""
-    frozen = {}
-    details = []
+    # at the compare-match: its step, work and copies of the live D, C, T rows
+    frozen, details = {}, []
 
-    def observer(t, state, match):
-        if (not frozen
-                and match.label in Trajectory.EVENT_LABELS["compare_match"]):
-            frozen.update(at=t, state=state)  # states are immutable
+    def observer(t, view, _fired):
+        if not frozen:
+            if view.label in Trajectory.EVENT_LABELS["compare_match"]:
+                frozen.update(at=t, work=view.work, rows={
+                    reg: list(view.rows[reg]) for reg in (D, C, T)})
             return
-        if frozen:
-            then = frozen["state"]
-            for reg, name in ((D, "data"), (C, "clock"), (T, "target")):
-                if state.rows[reg] != then.rows[reg]:
-                    details.append(f"t={t}: {name} register changed")
-            if (state.work.support != then.work.support
-                    or not np.array_equal(state.work.amps, then.work.amps)):
-                details.append(f"t={t}: work state changed")
+        for reg, name in ((D, "data"), (C, "clock"), (T, "target")):
+            if view.rows[reg] != frozen["rows"][reg]:
+                details.append(f"t={t}: {name} register changed")
+        work, then = view.work, frozen["work"]
+        if work is not then and (work.support != then.support
+                                 or not np.array_equal(work.amps, then.amps)):
+            details.append(f"t={t}: work state changed")
 
     traj = run(start, StepBudget(max_steps, "step_limit"), keep_states=False,
                observer=observer)

@@ -16,8 +16,9 @@ from hqca import (BuildSpec, StepBudget, WalkLine, apply_circuit_power,
                   verify_uog, work_window, worked_example_circuit)
 from hqca.builder import full_width_offset
 from hqca.symbols import alphabet_dimension
-from hqca.verify import (check_claim_b, check_clock_counter, check_comparator,
-                         check_posttarget_freeze, cross_check_backends)
+from hqca.verify import (ClaimBCheck, check_claim_b, check_clock_counter,
+                         check_comparator, check_posttarget_freeze,
+                         cross_check_backends)
 
 from conftest import random_state, small_circuit
 
@@ -123,18 +124,24 @@ def test_criterion_04_uog():
     r2 = verify_uog(t2)
     if not r2.passed:
         problems.append(("II", r2.details[:2]))
-    # clocked tier: 10^6-step prefix, streaming, checked on the fly
-    t3 = run(build_initial(BuildSpec(circuit, "III")),
-             StepBudget(10 ** 6, "step_limit"), keep_states=False,
-             check_uog=True)
+    # clocked tier: 10^6-step prefix, streaming, checked on the fly, and
+    # claim B at every clock value in the same pass
+    start = build_initial(BuildSpec(circuit, "III", random_state(3, 4)))
+    claim_b = ClaimBCheck(start, circuit)
+    t3 = run(start, StepBudget(10 ** 6, "step_limit"), keep_states=False,
+             check_uog=True, observer=lambda t, view, _fired: claim_b.step(
+                 t, view, view.label, view.site))
     if t3.uog_violations:
         problems.append(("III", t3.uog_violations[:2]))
     if t3.n_steps != 10 ** 6:
         problems.append(("III", f"stopped at {t3.n_steps}"))
+    r3 = check_claim_b(t3, circuit, claim_b)
+    if not r3.passed or not r3.measured.startswith("states=5209 k_max=5208"):
+        problems.append(("III", r3.measured, r3.details[:2]))
     elapsed = time.monotonic() - t0
     report(4, not problems and elapsed < 300.0,
-           f"unique+orthogonal on tiers I/II and a 1e6-step tier-III prefix,"
-           f" {elapsed:.0f}s {problems or ''}")
+           f"unique+orthogonal on tiers I/II and a 1e6-step tier-III prefix"
+           f" with claim B at k=0..5208, {elapsed:.0f}s {problems or ''}")
 
 
 def test_criterion_05_clock_counter():

@@ -176,6 +176,49 @@ def test_verify_suites(tmp_path, capsys):
     assert rc == 2
 
 
+def test_verify_uog_fails_without_a_reverse_rule(tmp_path, capsys,
+                                                 monkeypatch):
+    # negative control of the streamed check: the cached tier-I rule set
+    # loses rule 5a's reverse side, so the forward run is unchanged and
+    # every state that 5a reaches has no reverse match
+    from hqca.rules import _RULESET_CACHE, REVERSE, RuleSet, rule_set
+    rs = RuleSet("I", rule_set("I").rules)
+    rs._index[REVERSE] = {s: [(r, off) for r, off in cands if r.label != "5a"]
+                          for s, cands in rs._index[REVERSE].items()}
+    monkeypatch.setitem(_RULESET_CACHE, "I", rs)
+    fired = run(build_initial(parse_instance_text(TIER1).spec),
+                StepBudget(200)).marker_steps("5a")
+    rc = main(["verify", write(tmp_path, TIER1), "--suite", "all",
+               "--l-bits", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1 and fired
+    assert out[0] == "CHECK uog FAIL states=94 clean"
+    assert out[1].startswith("CHECK work_oracle PASS")
+    # the report lists the first ten details
+    assert out[5:] == [f"  ({t + 1}, '0 reverse matches')"
+                       for t in fired][:10]
+
+
+def test_verify_claim_b_fails_under_a_wrong_kernel(tmp_path, capsys,
+                                                   monkeypatch):
+    # negative control: the chain's gates run the transposed kernel (W is
+    # not symmetric), the oracle's apply_round the right one
+    from hqca import circuit, state
+    path = write(tmp_path, TIER3.replace("work=000", "work=110")
+                 + "budget=3000\n")
+    assert main(["verify", path, "--suite", "oracle"]) == 0
+    assert capsys.readouterr().out.startswith("CHECK claim_b PASS states=16")
+
+    def transposed(amps, mat, q, n):
+        return circuit._apply_two_qubit(amps, mat.T, q, n)
+
+    monkeypatch.setattr(state, "_apply_two_qubit", transposed)
+    assert main(["verify", path, "--suite", "oracle"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("CHECK claim_b FAIL states=16 k_max=15")
+    assert out[1].startswith("  t=")
+
+
 def test_run_snapshot_blocks(tmp_path, capsys):
     inst = write(tmp_path, TIER1)
     trace = tmp_path / "t.tsv"

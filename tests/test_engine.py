@@ -1,4 +1,5 @@
 import contextlib
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -96,15 +97,21 @@ def test_verify_uog_clean_and_negative(example_circuit):
     assert traj.start.work.support == (6, 7, 8)  # the window it checks
     rep = verify_uog(traj)
     assert rep.passed and rep.measured == "states=94"
-    # duplicated configuration must be flagged
+    # a duplicated configuration must be flagged.  A copy of state 12 at
+    # step 40 is no return to the start, so the links to its neighbours
+    # flag it: its one reverse match is not the rule fired into it, and
+    # its one forward match is not the rule fired out of it
     traj.states[40] = traj.states[12]
     rep2 = verify_uog(traj)
     assert not rep2.passed
-    assert rep2.details == [(40, "configuration equals state 12")]
-    # a third copy names the latest earlier one
+    links = [(40, "reverse match 5a at 6, but 2 at 8 fired"),
+             (40, "forward match 5a at 5, but 2 at 9 fired")]
+    assert rep2.details == links
+    # a third copy is flagged by its own links
     traj.states[60] = traj.states[12]
-    assert verify_uog(traj).details == [(40, "configuration equals state 12"),
-                                        (60, "configuration equals state 40")]
+    assert verify_uog(traj).details == links + [
+        (60, "reverse match 5a at 6, but 4b at 12 fired"),
+        (60, "forward match 5a at 5, but 5b at 11 fired")]
 
 
 def test_verify_uog_alone_catches_missing_rule(example_circuit, monkeypatch):
@@ -354,11 +361,25 @@ def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
         for _ in range(budget.max_steps):
             if cur.step() is None:
                 break
-            snap = cur.snapshot()
+            snap = cur.chain_state()
             assert cur.active == active_sites(snap)
             assert cur.differs == sum(
                 a != b for r, row in snap.rows.items()
                 for a, b in zip(row, start.rows[r]))
+
+
+def test_trace_active_column_with_a_stray_cell(example_circuit):
+    # trace_observer reads the active cells off the run's cursor: with a
+    # stray active cell it must print '?', as a row rescan would
+    start = _stray_start(example_circuit, "III", "CP", 1, "C")
+    fh = io.StringIO()
+    traj = run(start, StepBudget(300, "step_limit"),
+               observer=trace_observer(fh))
+    for t, line in enumerate(fh.getvalue().splitlines(), start=1):
+        act = active_sites(traj.state(t))
+        assert line.split("\t")[3] == (
+            f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?")
+    assert len(active_sites(traj.final)) == 2
 
 
 def test_restricted_hamiltonian_is_path_adjacency():

@@ -52,7 +52,8 @@ def test_verify_calls_are_cli_attributes(perfbench):
 
 def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     # worker.verify_suite fails the operation unless `hqca verify --suite
-    # all` makes exactly one cli.run call, the one whose states it keeps
+    # all` makes exactly one cli.run call: a streamed one, whose observer
+    # feeds the uog and claim-B checks with no kept states
     import workloads
     calls = []
 
@@ -65,9 +66,36 @@ def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     path.write_text(workloads.verify_instance_text(1), encoding="utf-8")
     code, text = workloads.call_verify(str(path))
     assert code == 0
-    assert calls == [True]
+    assert calls == [False]
     # the benchmark's own output check: a renamed or missing CHECK line
     # fails here, not only in a benchmark run
     op = workloads.Op("verify_suite")
     workloads.check_verify_output(code, text, op)
     assert op.ok, op.error
+
+
+def test_wide_period_observer_reads_the_view(perfbench, example_circuit,
+                                             monkeypatch):
+    # workloads.check_wide_period's observer calls state.config_equal(start)
+    # on run()'s view, which builds one ChainState per call through
+    # chain_state(); a start whose configuration does not recur after the
+    # predicted cycle must fail it
+    import workloads
+    from hqca import engine
+    built = []
+    orig = engine._Cursor.chain_state
+
+    def counted(cur):
+        built.append(cur)
+        return orig(cur)
+
+    monkeypatch.setattr(engine._Cursor, "chain_state", counted)
+    op = workloads.Op("period")
+    workloads.check_wide_period(build_initial(workloads.wide_spec(1)), op)
+    assert op.ok, op.error
+    # one per observed step, and the final state
+    assert len(built) == workloads.wide_period() + 1
+    op = workloads.Op("period")
+    workloads.check_wide_period(
+        build_initial(BuildSpec(example_circuit, "II")), op)
+    assert not op.ok

@@ -10,8 +10,9 @@ from hqca import engine, rules
 from hqca.builder import full_width_offset
 from hqca.rules import _RULESET_CACHE, rule_set
 from hqca.state import WorkState
-from hqca.verify import (build_clock_chain, build_comparator_chain,
-                         check_claim_b, check_clock_counter, check_comparator,
+from hqca.verify import (ClaimBCheck, UogCheck, build_clock_chain,
+                         build_comparator_chain, check_claim_b,
+                         check_clock_counter, check_comparator,
                          check_phase_structure, check_posttarget_freeze,
                          clock_increment, comparator_verdict,
                          cross_check_backends)
@@ -261,6 +262,21 @@ def test_verify_uog_matches_applicable_recount(tier, n, k, seed, target,
                                        random_state(n, seed), **extra)),
                StepBudget(steps, "dead_end"))
     assert verify_uog(traj).details == _uog_recount(traj)
+    # the same checks fed from run()'s view during a streamed run, with no
+    # kept states, report what the kept ChainStates give
+    circuit = small_circuit(n, k, seed)
+    uog, claim_b = UogCheck(traj.start), ClaimBCheck(traj.start, circuit)
+
+    def feed(t, view, _fired):
+        uog.step(t, view, view.label, view.site)
+        claim_b.step(t, view, view.label, view.site)
+
+    streamed = run(traj.start, StepBudget(steps, "dead_end"),
+                   keep_states=False, observer=feed)
+    assert streamed.states is None
+    assert verify_uog(streamed, uog) == verify_uog(traj)
+    assert (check_claim_b(streamed, circuit, claim_b)
+            == check_claim_b(traj, circuit))
     # a rule missing from the table: both counts read the swapped rule set
     dropped = traj.labels[seed % traj.n_steps]
     saved = _RULESET_CACHE[tier]
@@ -309,24 +325,38 @@ def test_backends_catch_swapping_identity(example_circuit, monkeypatch):
     assert res.measured.startswith("steps=14 ")
 
 
-def test_backends_catch_data_write_without_gate(example_circuit, monkeypatch):
-    # step 4 fires no gate (the first gates are steps 10-16) but also flips
-    # the classical data bit at site 1: the data row changes, so the check
-    # must compare and fail at step 4, not at the next gate
+def _backends_with_a_data_flip(example_circuit, monkeypatch, step):
+    """cross_check_backends on a run whose step-th firing, which fires no
+    gate (the gates are steps 10-16), also flips the data bit at site 1."""
     orig = engine._Cursor.fire
     calls = []
 
-    def flip_at_step_4(cur, i, hit):
+    def flip_at_step(cur, i, hit):
         calls.append(hit.gate)
-        if len(calls) == 4:
+        if len(calls) == step:
             assert hit.gate is None and cur.rows["D"][0] == "1"
             hit = hit._replace(writes=hit.writes + (("D", 1 - i, "0"),))
         return orig(cur, i, hit)
 
-    monkeypatch.setattr(engine._Cursor, "fire", flip_at_step_4)
-    res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
+    monkeypatch.setattr(engine._Cursor, "fire", flip_at_step)
+    return cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
+
+
+def test_backends_catch_data_write_without_gate(example_circuit, monkeypatch):
+    # the data row changes at step 4, so the check must compare and fail
+    # there, not at the next gate
+    res = _backends_with_a_data_flip(example_circuit, monkeypatch, 4)
     assert not res.passed
     assert res.measured.startswith("steps=4 ")
+
+
+def test_backends_catch_data_write_after_a_compare(example_circuit,
+                                                   monkeypatch):
+    # step 20 comes after the compared gate steps, so the check must keep a
+    # copy of the data row it last compared, not the run's live list
+    res = _backends_with_a_data_flip(example_circuit, monkeypatch, 20)
+    assert not res.passed
+    assert res.measured.startswith("steps=20 ")
 
 
 def test_posttarget_freeze(example_circuit):
@@ -347,6 +377,31 @@ def test_posttarget_freeze_fails_without_a_compare_match(example_circuit):
     assert res.measured == "success_at=None tail=None stop=step_limit"
     res = check_posttarget_freeze(s, 700)
     assert res.passed
+    assert res.measured == "success_at=581 tail=119 stop=step_limit"
+
+
+def test_posttarget_freeze_catches_a_write_after_the_match(example_circuit,
+                                                         monkeypatch):
+    # negative control: the check compares the view's live rows with copies
+    # taken at the compare-match (step 580 here), so a clock cell written at
+    # step 590 must fail it; a copy that aliased the live list would not
+    s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
+                                bullet_offset=3))
+    orig = engine._Cursor.fire
+    fired = []
+
+    def write_clock_at_590(cur, i, hit):
+        fired.append(hit.rule.label)
+        if len(fired) == 591:
+            new = "1" if cur.rows["C"][i - 1] != "1" else "0"
+            hit = hit._replace(writes=hit.writes + (("C", 0, new),))
+        return orig(cur, i, hit)
+
+    monkeypatch.setattr(engine._Cursor, "fire", write_clock_at_590)
+    res = check_posttarget_freeze(s, 700)
+    assert fired[580] == "30"
+    assert not res.passed
+    assert res.details[0] == "t=591: clock register changed"
     assert res.measured == "success_at=581 tail=119 stop=step_limit"
 
 
