@@ -16,15 +16,16 @@ check) comes from an observer, which reads the run's cursor.
 
 run() is the package's one stepping loop; the harnesses and checks in
 verify drive the chain through it.  It steps a per-run cursor, not a
-ChainState per step: mutable rows rewritten in the window cells, the
-active sites, and a count of the cells that differ from the start for the
-repeat check, so a step's cost does not grow with the chain length L.
+ChainState per step: mutable rows rewritten in the window cells and the
+active sites, so a step's cost does not grow with the chain length L.
 Each step, and each reverse count under check_uog, is one lookup in the
 rule set's compiled matcher, keyed by the few cells around the active
 site through a probe bound to the cursor's rows.  The Hit found is ready
 to fire: the cursor writes its cells in place and takes the window's new
-active cells from it, with no rescan.  ChainStates are built only for
-kept states, Ambiguous, the final state and observers that ask.
+active cells from it, with no rescan.  check_uog's repeat check compares
+the active sites with the start's, and the rows only where those agree.
+ChainStates are built only for kept states, Ambiguous, the final state
+and observers that ask.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import dropwhile
 import numpy as np
 
 from .rules import (FORWARD, REVERSE, Hit, RuleSet, _apply_gate_effect,
-                    applicable, apply, as_match, rule_set)
+                    anchored_matches, applicable, apply, as_match, rule_set)
 from .state import ChainState, active_sites
 from .symbols import BULLET, C, D, P
 
@@ -133,18 +134,18 @@ class _Cursor:
     """Mutable per-run view of a chain state; step() is the one forward step.
 
     rows maps each register to a list that a step rewrites in its window
-    cells only.  hits() looks a window up in the rule set's compiled
-    matcher through the symbol's probe, bound to these lists once per run,
-    so a step builds its key with no register lookup.  A memo Hit is ready
-    to fire: its key fixes the window's P and CP cells, so it carries the
-    window's active cells after the firing.  fire() writes the Hit's cells
-    in place, runs its gate through rules._apply_gate_effect (apply()'s
+    cells only.  step() and count() look a lone active cell's window up in
+    the rule set's compiled matcher through the symbol's probe in _fwd or
+    _rev, bound to these lists once per run by hits(), so a key takes no
+    register lookup and no method call.  A memo Hit is ready to fire: its
+    key fixes the window's P and CP cells, so it carries the window's
+    active cells after the firing.  fire() writes the Hit's cells in
+    place, runs its gate through rules._apply_gate_effect (apply()'s
     rewrite too) and takes the window's active cells from it.  So active
     equals active_sites() of the current state at all times with no
-    rescan: a step changes active cells only inside its window.  differs
-    counts the cells in which rows differ from the start's, kept from the
-    cells each step writes.  chain_state() builds a ChainState that reuses
-    the row tuples of registers no step touched since the last one.
+    rescan: a step changes active cells only inside its window.
+    chain_state() builds a ChainState that reuses the row tuples of
+    registers no step touched since the last one.
 
     run() hands the cursor to observers as the view of the state reached:
     tier, L, rows (live lists, read-only, valid until the next step), work,
@@ -152,35 +153,25 @@ class _Cursor:
     and snapshot(), config_key(), config_equal(), digest() as a ChainState.
     """
 
-    __slots__ = ("tier", "L", "rows", "work", "active", "differs", "site",
-                 "label", "gate", "_rs", "_bound", "_start", "_frozen",
-                 "_stale")
+    __slots__ = ("tier", "L", "rows", "work", "active", "site", "label",
+                 "gate", "_rs", "_fwd", "_rev", "_frozen", "_stale")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
         self._rs = rs
-        self._bound = {FORWARD: {}, REVERSE: {}}
-        self._start = state.rows
+        self._fwd, self._rev = {}, {}  # symbol -> ([(row, shift)...], memo)
         self._frozen = dict(state.rows)
         self._stale = set()
         self.active = active_sites(state)
-        self.differs = 0
 
     def hits(self, direction, site, symbol):
-        """rs.hits(direction, self, site, symbol), keyed through the
-        symbol's probe bound to this cursor's rows; a site at the chain's
-        edge, or a key the memo has not met, goes through rs.hits."""
-        bound = self._bound[direction].get(symbol)
-        if bound is None:
+        """rs.hits(direction, self, site, symbol), after binding the
+        symbol's probe to this cursor's rows for step() and count()."""
+        bound = self._fwd if direction == FORWARD else self._rev
+        if symbol not in bound:
             probe, memo = self._rs.compiled(direction, symbol)
-            bound = self._bound[direction][symbol] = (
-                [(self.rows[reg], shift) for reg, shift in probe], memo)
-        cells, memo = bound
-        if 1 < site < self.L:
-            found = memo.get(tuple([row[site + shift] for row, shift in cells]))
-            if found is not None:
-                return found
+            bound[symbol] = ([(self.rows[reg], k) for reg, k in probe], memo)
         return self._rs.hits(direction, self, site, symbol)
 
     def count(self, direction) -> int:
@@ -188,9 +179,14 @@ class _Cursor:
         active = self.active
         if len(active) == 1:
             site, _reg, s = active[0]
+            bound = self._fwd if direction == FORWARD else self._rev
+            if s in bound and 1 < site < self.L:
+                cells, memo = bound[s]
+                found = memo.get(tuple([row[site + k] for row, k in cells]))
+                if found is not None:
+                    return len(found)
             return len(self.hits(direction, site, s))
-        return sum([len(self.hits(direction, site, s))
-                    for site, _reg, s in active])
+        return len(anchored_matches(self, direction, self._rs, active))
 
     def step(self):
         """Fire the unique forward hit in place: (site, Hit), or None at a
@@ -198,22 +194,24 @@ class _Cursor:
         active = self.active
         if len(active) == 1:
             site, _reg, s = active[0]
-            found = self.hits(FORWARD, site, s)
+            found = None
+            if s in self._fwd and 1 < site < self.L:
+                cells, memo = self._fwd[s]
+                found = memo.get(tuple([row[site + k] for row, k in cells]))
+            if found is None:
+                found = self.hits(FORWARD, site, s)
             if len(found) == 1:
                 offset, hit = found[0]
                 self.fire(site - offset, hit)
                 return site - offset, hit
-        found = [(site - offset, hit) for site, _reg, s in active
-                 for offset, hit in self.hits(FORWARD, site, s)]
+        found = anchored_matches(self, FORWARD, self._rs, active)
         if len(found) != 1:
             if not found:
                 return None
-            found.sort(key=lambda f: (f[0], f[1].rule._sort_key))
             matches = [as_match(i, hit, FORWARD) for i, hit in found]
             raise Ambiguous(self.chain_state(), matches, FORWARD)
-        fired = found[0]
-        self.fire(*fired)
-        return fired
+        self.fire(*found[0])
+        return found[0]
 
     def fire(self, i: int, hit: Hit):
         """Rewrite window (i, i+1) in place by a forward hit."""
@@ -222,14 +220,10 @@ class _Cursor:
             cells, self.work = _apply_gate_effect(self, hit.gate, i, False)
             if cells is not None:
                 writes += ((D, 0, cells[0]), (D, 1, cells[1]))
-        rows, start, differs = self.rows, self._start, self.differs
+        rows, stale = self.rows, self._stale
         for reg, off, s in writes:
-            row, k = rows[reg], i - 1 + off
-            orig = start[reg][k]
-            differs += (row[k] == orig) - (s == orig)
-            row[k] = s
-            self._stale.add(reg)
-        self.differs = differs
+            rows[reg][i - 1 + off] = s
+            stale.add(reg)
         window = [(i + off, reg, s) for off, reg, s in hit.active]
         if len(self.active) > 1:  # a stray active cell outside the window
             window += [a for a in self.active if not i <= a[0] <= i + 1]
@@ -269,6 +263,8 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
     """
     traj = Trajectory(start, states=[start] if keep_states else None)
     cur = _Cursor(start, rule_set(start.tier))
+    start_active = list(cur.active)
+    start_rows = {reg: list(row) for reg, row in start.rows.items()}
     repeats = False
     for t in range(budget.max_steps):
         fired = cur.step()
@@ -284,7 +280,9 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
             # the first repeat is s_j = s_i with 0 < i < j, then s_(i-1) !=
             # s_(j-1) and s_i has two reverse matches, flagged at step i; a
             # loop keeping every state agrees up to that flag, then lists more.
-            repeats = repeats or cur.differs == 0
+            # Equal rows give equal active lists: those are compared first.
+            repeats = repeats or (cur.active == start_active
+                                  and cur.rows == start_rows)
             if repeats:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
             rev = cur.count(REVERSE)

@@ -82,8 +82,8 @@ class UogCheck:
                                         in start.rows.items()})
         self.period, self.violations = None, []
         self.t = self._at = 0  # last state fed; where its forward count goes
-        self.fwd = anchored_matches(start, FORWARD, self.rs,
-                                    active_sites(start))
+        self.start_act = active_sites(start)
+        self.fwd = anchored_matches(start, FORWARD, self.rs, self.start_act)
 
     def step(self, t: int, state, label: str, site: int):
         v, fwd = self.violations, self.fwd
@@ -92,12 +92,14 @@ class UogCheck:
         elif fwd[0][0] != site or fwd[0][1].rule.label != label:
             v.append((t - 1, f"forward match {fwd[0][1].rule.label} at"
                       f" {fwd[0][0]}, but {label} at {site} fired"))
-        if self.period is None and state.rows in self.start_rows:
+        act = active_sites(state)
+        # equal rows have equal active sites: those are compared first
+        if (self.period is None and act == self.start_act
+                and state.rows in self.start_rows):
             self.period = t
         if self.period is not None:
             v.append((t, f"configuration equals state {t - self.period}"))
         self.t, self._at = t, len(v)
-        act = active_sites(state)
         self.fwd = anchored_matches(state, FORWARD, self.rs, act)
         rev = anchored_matches(state, REVERSE, self.rs, act)
         if len(rev) != 1:

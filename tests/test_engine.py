@@ -352,10 +352,12 @@ def test_stray_active_symbol_run_matches_reference(example_circuit, tier, reg,
                          ids=STRAY_IDS)
 def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
                                      budget):
-    # after every step the cursor's active list and its count of cells
-    # that differ from the start equal those recomputed from its snapshot,
-    # data bits flipped by gates too
+    # after every step the cursor's active list equals the one recomputed
+    # from its snapshot, and run's repeat test on the cursor agrees with a
+    # comparison of the snapshot's rows, data bits flipped by gates too
     start = _stray_start(example_circuit, tier, reg, site, symbol)
+    start_active = active_sites(start)
+    start_rows = {r: list(row) for r, row in start.rows.items()}
     cur = _Cursor(start, rule_set(tier))
     with contextlib.suppress(Ambiguous):  # one stray start turns ambiguous
         for _ in range(budget.max_steps):
@@ -363,9 +365,37 @@ def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
                 break
             snap = cur.chain_state()
             assert cur.active == active_sites(snap)
-            assert cur.differs == sum(
-                a != b for r, row in snap.rows.items()
-                for a, b in zip(row, start.rows[r]))
+            assert (cur.active == start_active and cur.rows == start_rows) == (
+                snap.rows == start.rows)
+
+
+@pytest.mark.parametrize("tier", ["III", "IV"])
+def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
+        example_circuit, tier):
+    # the repeat check compares rows only where the active cells equal the
+    # start's: after a clock increment they do (tier III from its first
+    # state with the pointer C at the right end, tier IV from its built
+    # start) while the clock row differs, and that is no repeat
+    if tier == "III":
+        start = run(build_initial(BuildSpec(example_circuit, "III")),
+                    StepBudget(14, "step_limit"), keep_states=False).final
+        assert active_sites(start) == [(16, "CP", "C")]
+    else:
+        start = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
+                                        bullet_offset=3))
+    back = []
+
+    def observe(t, state, _m):
+        if state.active == active_sites(start):
+            assert state.rows["C"] != list(start.rows["C"])
+            back.append(t)
+
+    traj = run(start, StepBudget(400, "step_limit"), keep_states=False,
+               check_uog=True, observer=observe)
+    assert len(back) == 2 and traj.uog_violations == []
+    _assert_run_matches_reference(start, StepBudget(400, "step_limit"),
+                                  check_uog=True)
+    assert verify_uog(run(start, StepBudget(400, "step_limit"))).passed
 
 
 def test_trace_active_column_with_a_stray_cell(example_circuit):

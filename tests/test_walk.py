@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hqca import (BuildSpec, StepBudget, WalkLine, build_initial, evolve,
-                  limiting_distribution, position_distribution,
-                  position_distributions, run, simulate_measurement,
-                  success_probability, time_averaged_distribution)
-from hqca.walk import DENSE_MAX_LENGTH, WalkDistribution, distribution_dump
+                  fit_tv_envelope, limiting_distribution,
+                  position_distribution, position_distributions, run,
+                  simulate_measurement, success_probability,
+                  time_averaged_distribution)
+from hqca.walk import (DENSE_MAX_LENGTH, WalkDistribution, distribution_dump,
+                       exact_time_averaged_distribution)
 
 from conftest import small_circuit
 
@@ -137,8 +139,15 @@ def test_success_probability_edges():
     assert d1 < 2.5 / line.l
 
 
+def _tv_tolerance(s):
+    """Bound on |p_hat - p|_1 / 2 from an estimate's per-position stderr
+    s: mean sqrt(2/pi) sum s plus 6 standard deviations,
+    sqrt((1 - 2/pi) sum s^2) each."""
+    return 0.5 * (np.sqrt(2.0 / np.pi) * s.sum()
+                  + 6.0 * np.sqrt((1.0 - 2.0 / np.pi) * (s ** 2).sum()))
+
+
 def test_exact_average_is_sampling_limit():
-    from hqca.walk import exact_time_averaged_distribution
     rng = np.random.default_rng(8)
     # one line on each side of the dense/DST crossover
     for l, tau_star, samples in ((12, 500.0, 200_000),
@@ -146,23 +155,34 @@ def test_exact_average_is_sampling_limit():
         line = WalkLine(l)
         exact = exact_time_averaged_distribution(line, tau_star)
         mc = time_averaged_distribution(line, tau_star, samples, rng)
-        # |p_hat - p|_1 / 2 from the estimator's own per-position stderr s:
-        # mean sqrt(2/pi) sum s plus 6 standard deviations,
-        # sqrt((1 - 2/pi) sum s^2) each
-        s = mc.stderr
-        tol = 0.5 * (np.sqrt(2.0 / np.pi) * s.sum()
-                     + 6.0 * np.sqrt((1.0 - 2.0 / np.pi) * (s ** 2).sum()))
-        assert exact.total_variation(mc) < tol
+        assert exact.total_variation(mc) < _tv_tolerance(mc.stderr)
     line = WalkLine(12)
     # and it reproduces the limiting distribution as tau* grows
     far = exact_time_averaged_distribution(line, 1e7)
     assert far.total_variation(limiting_distribution(line)) < 1e-4
 
 
+@pytest.mark.parametrize("tau_factor", [0.5, 1.0])
+def test_tv_envelope_averages_over_tau_star(tau_factor):
+    # before the time average has mixed, its TV from the limit moves with
+    # the window (at l = 16 and tau* = l/2: 0.151 over [0, tau*], 0.716
+    # over [0, tau*/4]), so the fit's per-line TVs pin the window it
+    # averages over to the exact average's within the sampling error
+    lines, samples = [WalkLine(16), WalkLine(64)], 2000
+    _, tvs, _ = fit_tv_envelope(lines, tau_factor, samples,
+                                np.random.default_rng(4))
+    rng = np.random.default_rng(4)  # the fit's draws, for their stderr
+    for line, tv in zip(lines, tvs):
+        tau_star = tau_factor * line.l
+        pi = limiting_distribution(line)
+        exact = exact_time_averaged_distribution(line, tau_star)
+        mc = time_averaged_distribution(line, tau_star, samples, rng)
+        assert abs(tv - exact.total_variation(pi)) < _tv_tolerance(mc.stderr)
+
+
 @pytest.mark.parametrize("l", [1, 2, 12])
 @pytest.mark.parametrize("tau_star", [0.0, 0.5, 7.3])
 def test_exact_average_matches_gauss_legendre(l, tau_star):
-    from hqca.walk import exact_time_averaged_distribution
     line = WalkLine(l)
     if tau_star == 0.0:
         want = position_distribution(line, 0.0)
