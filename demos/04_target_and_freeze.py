@@ -29,7 +29,7 @@ state = build_initial(spec)
 print("\ntarget start state (x=3, bullet 3 left of its top 1):")
 print(state.snapshot())
 
-traj = run(state, StepBudget(10 ** 5, "dead_end"), keep_states=False)
+traj = run(state, StepBudget(10 ** 5, "dead_end"))
 ev = traj.events()
 print(f"\nsteps to dead end: {traj.n_steps}")
 print(f"failed comparisons at {ev['compare_fail']};"

@@ -42,12 +42,14 @@ circuit = worked_example_circuit()
 spec = BuildSpec(circuit, "IV", "000", target_x=3, bullet_offset=3)
 traj = run(build_initial(spec), StepBudget(10 ** 5, "dead_end"))
 l = len(traj)
+# one replay reads every state and keeps the checkpoints that each
+# measurement's replay starts from
+frozen = sum(clock_value(s) == 3 for s in traj.iter_states()) / l
 hits = 0
 trials = 300
 for seed in range(trials):
     tau = np.random.default_rng(seed).uniform(0, 30.0 * l)
     m, state, k = simulate_measurement(traj, tau, np.random.default_rng(seed))
     hits += (k == 3)
-frozen = sum(clock_value(s) == 3 for s in traj.states) / l
 print(f"\ntrajectory length {l}; frozen fraction {frozen:.3f}")
 print(f"measured clock == target in {hits}/{trials} uniform-time trials")

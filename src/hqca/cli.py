@@ -94,7 +94,7 @@ def cmd_run(args) -> int:
     try:  # a trace that cannot be opened, written or closed is an input error
         with (open(_out_path(args.trace), "w", encoding="utf-8")
               if args.trace else contextlib.nullcontext()) as fh:
-            traj = run(state, budget, keep_states=False,
+            traj = run(state, budget,
                        observer=trace_observer(fh, every) if fh else None)
     except Ambiguous as err:
         print(f"error: ambiguous transition: {err}", file=sys.stderr)
@@ -120,7 +120,7 @@ def cmd_walk(args) -> int:
     else:
         state = build_initial(instance.spec)
         budget = StepBudget(opts.get("budget", 10 ** 6), "dead_end")
-        traj = run(state, budget, keep_states=False)
+        traj = run(state, budget)
         if traj.stop_reason != "dead_end":
             print(f"error: the run reached its {budget.max_steps}-step limit"
                   " before a dead end; give --length", file=sys.stderr)
@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
             for check in checks:
                 check.step(t, view, view.label, view.site)
 
-        traj = run(state, budget, keep_states=False, observer=feed)
+        traj = run(state, budget, observer=feed)
         if "uog" in wanted:
             results.append(verify_uog(traj, uog))
         if "oracle" in wanted:

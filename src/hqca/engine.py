@@ -9,23 +9,22 @@ cycle, leads into the start as well; tier IV's has one (21), the first
 step of a short reverse tail of at most 3L steps before a dead end.
 
 run() walks the unique forward path to a dead end or its step cap,
-recording the fired rule label and window site of every step.  Long runs
-can drop full states and keep only those records; anything else a caller
+recording the fired rule label and window site of every step and no state:
+Trajectory.state replays one from those records.  Anything else a caller
 wants per step (a trace file, a replay on another backend, a whole-run
 check) comes from an observer, which reads the run's cursor.
 
 run() is the package's one stepping loop; the harnesses and checks in
 verify drive the chain through it.  It steps a per-run cursor, not a
 ChainState per step: mutable rows rewritten in the window cells and the
-active sites, so a step's cost does not grow with the chain length L.
-Each step, and each reverse count under check_uog, is one lookup in the
-rule set's compiled matcher, keyed by the few cells around the active
-site through a probe bound to the cursor's rows.  The Hit found is ready
-to fire: the cursor writes its cells in place and takes the window's new
-active cells from it, with no rescan.  check_uog's repeat check compares
-the active sites with the start's, and the rows only where those agree.
-ChainStates are built only for kept states, Ambiguous, the final state
-and observers that ask.
+active sites, so a step's cost does not grow with the chain length L.  Each
+step, and each reverse count under check_uog, is one lookup in the rule
+set's compiled matcher, keyed by the few cells around the active site
+through a probe bound to the cursor's rows.  The Hit found is ready to fire:
+the cursor writes its cells in place and takes the window's new active
+cells from it, with no rescan.  check_uog's repeat check compares the active
+sites with the start's, and the rows only where those agree.  run() builds
+ChainStates only for Ambiguous, the final state and observers that ask.
 """
 
 from __future__ import annotations
@@ -73,18 +72,21 @@ class StepBudget:
 class Trajectory:
     """Forward path from a start state, with step metadata.
 
-    states is populated only when keep_states was set.  labels[t] and
-    sites[t] name the rule and window of step t, the transition from state
-    t to state t+1; markers is derived from them.
-    """
+    labels[t] and sites[t] name the rule and window of step t, the
+    transition from state t to state t+1; markers is derived from them.
+    state(t) and iter_states() replay states from them on the run's rules;
+    checkpoints maps each multiple of CHECKPOINT_EVERY that a replay has
+    passed to the state there."""
 
     start: ChainState
-    states: list = None
+    rules: RuleSet
     labels: list = field(default_factory=list)
     sites: list = field(default_factory=list)
     final: ChainState = None
     stop_reason: str = None
     uog_violations: list = field(default_factory=list)
+    checkpoints: dict = field(default_factory=dict, repr=False)
+    CHECKPOINT_EVERY = 1024  # steps between the states a replay keeps
 
     @property
     def n_steps(self) -> int:
@@ -94,9 +96,32 @@ class Trajectory:
         return self.n_steps + 1
 
     def state(self, t: int) -> ChainState:
-        if self.states is None:
-            raise ValueError("states not kept: use check_uog or an observer")
-        return self.states[t]
+        """State t, replayed from the nearest checkpoint at or before it."""
+        if not 0 <= t <= self.n_steps:
+            raise IndexError(f"state {t} outside 0..{self.n_steps}")
+        c = min(t // self.CHECKPOINT_EVERY, len(self.checkpoints))
+        for cur in self._replay(c, t):
+            pass
+        return cur.chain_state()
+
+    def iter_states(self):
+        """States 0..n_steps in order, from one replay."""
+        return (cur.chain_state() for cur in self._replay(0, self.n_steps))
+
+    def _replay(self, c: int, t: int):
+        """Step a cursor from checkpoint c (the start at 0) to state t,
+        yielding it at each state; a step off the record raises ValueError."""
+        s = self.CHECKPOINT_EVERY * c
+        cur = _Cursor(self.checkpoints.get(s, self.start), self.rules)
+        yield cur
+        for k in range(s, t):
+            fired = cur.step()
+            if (fired is None or fired[0] != self.sites[k]
+                    or fired[1].rule.label != self.labels[k]):
+                raise ValueError(f"replay left the record at step {k}")
+            if k + 1 == (len(self.checkpoints) + 1) * self.CHECKPOINT_EVERY:
+                self.checkpoints[k + 1] = cur.chain_state()
+            yield cur
 
     @property
     def markers(self) -> dict:
@@ -150,7 +175,7 @@ class _Cursor:
     run() hands the cursor to observers as the view of the state reached:
     tier, L, rows (live lists, read-only, valid until the next step), work,
     active, the fired rule's site, label and gate kind (None without one),
-    and snapshot(), config_key(), config_equal(), digest() as a ChainState.
+    chain_state() and config_equal().
     """
 
     __slots__ = ("tier", "L", "rows", "work", "active", "site", "label",
@@ -236,20 +261,11 @@ class _Cursor:
         self._stale.clear()
         return ChainState(self.tier, self._frozen, self.work)
 
-    def snapshot(self) -> str:
-        return self.chain_state().snapshot()
-
-    def config_key(self) -> tuple:
-        return self.chain_state().config_key()
-
     def config_equal(self, other: ChainState) -> bool:
         return self.chain_state().config_equal(other)
 
-    def digest(self) -> int:
-        return self.chain_state().digest()
 
-
-def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
+def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
         check_uog: bool = False, observer=None) -> Trajectory:
     """Drive the unique forward path to a dead end or budget.max_steps.
 
@@ -261,8 +277,10 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
     state, match) is called after each step t >= 1 with the cursor as both
     state and match (see _Cursor); the start state is traj.start.
     """
-    traj = Trajectory(start, states=[start] if keep_states else None)
-    cur = _Cursor(start, rule_set(start.tier))
+    if keep_states:  # accepted as False only: past states are replayed
+        raise TypeError("run keeps no states: use Trajectory.state(t)")
+    traj = Trajectory(start, rule_set(start.tier))
+    cur = _Cursor(start, traj.rules)
     start_active = list(cur.active)
     start_rows = {reg: list(row) for reg, row in start.rows.items()}
     repeats = False
@@ -288,8 +306,6 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = True,
             rev = cur.count(REVERSE)
             if rev != 1:
                 traj.uog_violations.append((t + 1, f"{rev} reverse matches"))
-        if keep_states:
-            traj.states.append(cur.chain_state())
         if observer is not None:
             cur.site, cur.label, cur.gate = i, hit.rule.label, hit.gate
             observer(t + 1, cur, cur)
@@ -341,14 +357,12 @@ def restricted_hamiltonian(traj: Trajectory):
     applied at every window of state t, in both directions.  On a clean
     trajectory this is exactly the path-graph adjacency matrix.  A nonzero
     entry with |s - t| != 1 means a rule leaks off the path and is raised,
-    and so is a rule image that is no kept state.  Two images may lie past
-    the kept states: the last kept state's forward image, and the first
-    one's reverse image (tier II's 13b, tier IV's 21).
+    and so is a rule image that is no trajectory state.  Two images may lie
+    past the trajectory: the final state's forward image, and the start's
+    reverse image (tier II's 13b, tier IV's 21).
     """
-    if traj.states is None:
-        raise ValueError("restricted_hamiltonian needs kept states")
     rs = rule_set(traj.start.tier)
-    states = traj.states
+    states = list(traj.iter_states())
     index = {}
     for t, st in enumerate(states):
         index.setdefault(st.config_key(), []).append(t)
@@ -363,7 +377,7 @@ def restricted_hamiltonian(traj: Trajectory):
                     if (t, direction) in ((n - 1, FORWARD), (0, REVERSE)):
                         continue
                     raise ValueError(f"rule {m.label} maps state {t} to no"
-                                     " kept state: off-path image")
+                                     " trajectory state: off-path image")
                 for s in kept:
                     amp = states[s].work.overlap(img.work)
                     if abs(amp) < 1e-12:
@@ -386,8 +400,8 @@ def trace_observer(fh, snapshot_every: int = None):
     (read off the cursor, with no row scan), clock, digest.  After every
     step divisible by snapshot_every the state's snapshot block follows.
     """
-    def observe(t, state, m):
-        act = state.active
+    def observe(t, view, m):
+        act, state = view.active, view.chain_state()
         active = f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?"
         ck = clock_value(state)
         fh.write(f"{t - 1}\t{m.label}\t{m.site}\t{active}\t"

@@ -17,6 +17,7 @@ CheckResult.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -57,13 +58,13 @@ def format_report(results) -> str:
 
 # -- walk-line structure and work-qubit oracle -----------------------------------
 # Each check keeps no states: step(t, state, label, site) takes state t,
-# reached by rule label on window site, from kept states or from run()'s
-# view (read during the call only); result(traj) reports after the run.
+# reached by rule label on window site, from a replay or from run()'s view
+# (read during the call only); result(traj) reports after the run.
 
 
-def _feed(check, traj: Trajectory):
-    for t in range(1, len(traj)):
-        check.step(t, traj.state(t), traj.labels[t - 1], traj.sites[t - 1])
+def _feed(check, traj: Trajectory):  # each check reads the start itself
+    for t, state in enumerate(islice(traj.iter_states(), 1, None), 1):
+        check.step(t, state, traj.labels[t - 1], traj.sites[t - 1])
     return check
 
 
@@ -125,7 +126,7 @@ def verify_uog(traj: Trajectory, check: UogCheck = None) -> CheckResult:
     both naming the rule fired between them, no repeated configuration,
     and classical data outside the start's work window; details list the
     (step, message) violations, run's check_uog ones first.  check is a
-    UogCheck fed by run()'s observer, else the kept states feed one."""
+    UogCheck fed by run()'s observer, else a replay of traj feeds one."""
     return (check or _feed(UogCheck(traj.start), traj)).result(traj)
 
 
@@ -196,7 +197,7 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram,
     with x circuit powers; for tiers III/IV, every state whose clock pointer
     shows C, with the clock reading k as its power.  A check that compares
     no state fails, and so does one that meets a malformed clock.  check is
-    a ClaimBCheck fed by run()'s observer, else the kept states feed one."""
+    a ClaimBCheck fed by run()'s observer, else a replay of traj feeds one."""
     return (check or _feed(ClaimBCheck(traj.start, circuit), traj)
             ).result(traj)
 
@@ -233,7 +234,7 @@ def clock_increment(bits: str):
     value has no successor and the pointer parks at the left edge).
     """
     traj = run(build_clock_chain(bits),
-               StepBudget(8 * len(bits) + 8, "step_limit"), keep_states=False)
+               StepBudget(8 * len(bits) + 8, "step_limit"))
     done = Trajectory.EVENT_LABELS["clock_done"]
     for t, label in enumerate(traj.labels):
         if label in done:
@@ -301,8 +302,7 @@ def comparator_verdict(clock_bits: str, target_digits: str):
     or 'mismatch' (failure flag raised), with the labels up to the
     verdict's."""
     traj = run(build_comparator_chain(clock_bits, target_digits),
-               StepBudget(4 * len(clock_bits) + 8, "step_limit"),
-               keep_states=False)
+               StepBudget(4 * len(clock_bits) + 8, "step_limit"))
     for t, label in enumerate(traj.labels):
         if label in _VERDICTS:
             return _VERDICTS[label], traj.labels[:t + 1]
@@ -366,8 +366,7 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
             details.append(f"t={t - 1}: data vectors differ by {diff:.3e}")
             failed_at = t
 
-    traj = run(hybrid, StepBudget(steps, "step_limit"), keep_states=False,
-               observer=replay)
+    traj = run(hybrid, StepBudget(steps, "step_limit"), observer=replay)
     compared = failed_at if failed_at is not None else traj.n_steps
     return CheckResult("backend_equivalence", not details,
                        f"steps={compared} max|dv|={worst:.2e}",
@@ -397,8 +396,7 @@ def check_posttarget_freeze(start: ChainState, max_steps: int) -> CheckResult:
                                  or not np.array_equal(work.amps, then.amps)):
             details.append(f"t={t}: work state changed")
 
-    traj = run(start, StepBudget(max_steps, "step_limit"), keep_states=False,
-               observer=observer)
+    traj = run(start, StepBudget(max_steps, "step_limit"), observer=observer)
     n_match = len(traj.marker_steps(
         *Trajectory.EVENT_LABELS["compare_match"]))
     if n_match != 1:

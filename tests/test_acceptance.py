@@ -86,14 +86,14 @@ def test_criterion_03_repetition_period():
     failures = []
     for seed in (1, 2):
         w = random_state(3, seed)
-        traj = run(build_initial(BuildSpec(circuit, "II", w)),
-                   StepBudget(8 * period, "step_limit"))
+        states = list(run(build_initial(BuildSpec(circuit, "II", w)),
+                          StepBudget(8 * period, "step_limit")).iter_states())
         for t in range(7 * period):
-            if not traj.state(t).config_equal(traj.state(t + period)):
+            if not states[t].config_equal(states[t + period]):
                 failures.append((seed, t))
                 break
         for x in range(1, 9):
-            got = traj.state(x * period).work.amps
+            got = states[x * period].work.amps
             want = apply_circuit_power(w.copy(), circuit, x)
             f = abs(np.vdot(want, got)) ** 2
             if f < 1.0 - 1e-10:
@@ -128,8 +128,8 @@ def test_criterion_04_uog():
     # claim B at every clock value in the same pass
     start = build_initial(BuildSpec(circuit, "III", random_state(3, 4)))
     claim_b = ClaimBCheck(start, circuit)
-    t3 = run(start, StepBudget(10 ** 6, "step_limit"), keep_states=False,
-             check_uog=True, observer=lambda t, view, _fired: claim_b.step(
+    t3 = run(start, StepBudget(10 ** 6, "step_limit"), check_uog=True,
+             observer=lambda t, view, _fired: claim_b.step(
                  t, view, view.label, view.site))
     if t3.uog_violations:
         problems.append(("III", t3.uog_violations[:2]))
@@ -174,7 +174,7 @@ def test_criterion_07_comparator():
     off = full_width_offset(16, 3)
     start = build_initial(BuildSpec(circuit, "IV", "000", target_x=3,
                                     bullet_offset=off))
-    traj = run(start, StepBudget(700, "step_limit"), keep_states=False)
+    traj = run(start, StepBudget(700, "step_limit"))
     rx = traj.marker_steps("28", "30")
     freeze = check_posttarget_freeze(start, 10 ** 5 + 600)
     ok = res.passed and len(rx) == 1 and freeze.passed

@@ -93,16 +93,16 @@ def test_trace_columns_read_each_state(tmp_path, capsys, text):
     inst = write(tmp_path, text)
     trace = tmp_path / "t.tsv"
     assert main(["run", inst, "--budget", "600", "--trace", str(trace)]) == 0
-    states = run(build_initial(parse_instance_text(text).spec),
-                 StepBudget(600, "dead_end"), keep_states=True).states
+    traj = run(build_initial(parse_instance_text(text).spec),
+               StepBudget(600, "dead_end"))
     lines = trace.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(states) - 1
-    for t, line in enumerate(lines):
+    states = traj.iter_states()
+    next(states)  # each line describes the state after its step
+    for line, st in zip(lines, states, strict=True):
         _, _, _, active, clock, digest = line.split("\t")
-        (_, reg, sym), = active_sites(states[t + 1])
-        ck = clock_value(states[t + 1])
-        assert active == f"{reg}:{sym}" and clock == str(ck)
-        assert digest == f"{states[t + 1].digest():016x}"
+        (_, reg, sym), = active_sites(st)
+        assert active == f"{reg}:{sym}" and clock == str(clock_value(st))
+        assert digest == f"{st.digest():016x}"
 
 
 def test_run_unwritable_trace_exit_2(tmp_path, capsys):

@@ -12,12 +12,13 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, StepBudget,
                   clock_value, predicted_cycle_steps,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
-from hqca.engine import _Cursor, trace_observer
+from hqca.engine import Trajectory, _Cursor, trace_observer
 from hqca.rules import _RULESET_CACHE, Rule, RuleSet, gv, lit
 from hqca.state import WorkState
+from hqca.verify import UogCheck
 from hqca.symbols import P, TURN
 
-from conftest import random_state, small_circuit
+from conftest import feed_states, random_state, small_circuit
 
 
 def test_single_pass_step_count_small():
@@ -101,15 +102,17 @@ def test_verify_uog_clean_and_negative(example_circuit):
     # step 40 is no return to the start, so the links to its neighbours
     # flag it: its one reverse match is not the rule fired into it, and
     # its one forward match is not the rule fired out of it
-    traj.states[40] = traj.states[12]
-    rep2 = verify_uog(traj)
+    states = list(traj.iter_states())
+    states[40] = states[12]
+    rep2 = verify_uog(traj, feed_states(UogCheck(traj.start), traj, states))
     assert not rep2.passed
     links = [(40, "reverse match 5a at 6, but 2 at 8 fired"),
              (40, "forward match 5a at 5, but 2 at 9 fired")]
     assert rep2.details == links
     # a third copy is flagged by its own links
-    traj.states[60] = traj.states[12]
-    assert verify_uog(traj).details == links + [
+    states[60] = states[12]
+    assert verify_uog(traj, feed_states(
+        UogCheck(traj.start), traj, states)).details == links + [
         (60, "reverse match 5a at 6, but 4b at 12 fired"),
         (60, "forward match 5a at 5, but 5b at 11 fired")]
 
@@ -138,8 +141,7 @@ def test_check_uog_flags_states_with_no_reverse_match(example_circuit,
     rs._index[REVERSE] = {s: [(r, off) for r, off in cands if r.label != "5a"]
                           for s, cands in rs._index[REVERSE].items()}
     monkeypatch.setitem(_RULESET_CACHE, "I", rs)
-    traj = run(start, StepBudget(200, "dead_end"), keep_states=False,
-               check_uog=True)
+    traj = run(start, StepBudget(200, "dead_end"), check_uog=True)
     assert fired and traj.marker_steps("5a") == fired
     assert traj.uog_violations == [(t + 1, "0 reverse matches")
                                    for t in fired]
@@ -149,9 +151,10 @@ def test_verify_uog_catches_leaked_support(example_circuit):
     # a work register that spreads past the start state's window is a leak
     traj = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"))
-    st = traj.states[30]
-    traj.states[30] = st.replace(work=WorkState((5, 6, 7), st.work.amps))
-    rep = verify_uog(traj)
+    states = list(traj.iter_states())
+    st = states[30]
+    states[30] = st.replace(work=WorkState((5, 6, 7), st.work.amps))
+    rep = verify_uog(traj, feed_states(UogCheck(traj.start), traj, states))
     assert rep.details == [(30, "quantum support leaked to [5]")]
 
 
@@ -222,13 +225,12 @@ def _assert_run_matches_reference(start, budget, check_uog=False,
     def observe(t, state, m):
         # once per step t >= 1, with the state reached and the fired match
         steps.append(t)
-        seen.append(state.digest())
+        seen.append(state.chain_state().digest())
         labels.append(m.label)
         sites.append(m.site)
 
     try:
-        traj = run(start, budget, keep_states=False, check_uog=check_uog,
-                   observer=observe)
+        traj = run(start, budget, check_uog=check_uog, observer=observe)
     except Ambiguous as err:
         assert ref.stop == "ambiguous"
         assert steps == list(range(1, len(ref.labels) + 1))
@@ -249,7 +251,7 @@ def _assert_run_matches_reference(start, budget, check_uog=False,
     assert traj.final.digest() == ref.final.digest()
     assert np.array_equal(traj.final.work.amps, ref.final.work.amps)
     # without an observer run builds no snapshot until the final state
-    bare = run(start, budget, keep_states=False, check_uog=check_uog)
+    bare = run(start, budget, check_uog=check_uog)
     assert bare.labels == traj.labels
     assert bare.uog_violations == traj.uog_violations
     assert bare.final.snapshot() == traj.final.snapshot()
@@ -279,8 +281,7 @@ def test_check_uog_flags_tier2_repeats_from_the_period(example_circuit):
     period = predicted_cycle_steps(3, 2)
     start = build_initial(BuildSpec(example_circuit, "II",
                                     random_state(3, 4)))
-    traj = run(start, StepBudget(period + 3, "step_limit"),
-               keep_states=False, check_uog=True)
+    traj = run(start, StepBudget(period + 3, "step_limit"), check_uog=True)
     assert traj.uog_violations == [(t, "configuration repeats")
                                    for t in range(period, period + 4)]
 
@@ -299,8 +300,7 @@ def test_check_uog_repeat_of_a_later_state(example_circuit, monkeypatch):
     row[1] = "g"
     start = start.replace(rows={P: tuple(row)})
     ref = _reference_walk(start, 191, check_uog=True)
-    traj = run(start, StepBudget(191, "step_limit"), keep_states=False,
-               check_uog=True)
+    traj = run(start, StepBudget(191, "step_limit"), check_uog=True)
     assert traj.labels == ref.labels and traj.labels[0] == "13c"
     assert ref.violations == [
         (1, "2 reverse matches"), (189, "configuration repeats"),
@@ -378,7 +378,7 @@ def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
     # start) while the clock row differs, and that is no repeat
     if tier == "III":
         start = run(build_initial(BuildSpec(example_circuit, "III")),
-                    StepBudget(14, "step_limit"), keep_states=False).final
+                    StepBudget(14, "step_limit")).final
         assert active_sites(start) == [(16, "CP", "C")]
     else:
         start = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
@@ -390,8 +390,8 @@ def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
             assert state.rows["C"] != list(start.rows["C"])
             back.append(t)
 
-    traj = run(start, StepBudget(400, "step_limit"), keep_states=False,
-               check_uog=True, observer=observe)
+    traj = run(start, StepBudget(400, "step_limit"), check_uog=True,
+               observer=observe)
     assert len(back) == 2 and traj.uog_violations == []
     _assert_run_matches_reference(start, StepBudget(400, "step_limit"),
                                   check_uog=True)
@@ -432,7 +432,7 @@ def test_restricted_hamiltonian_raises_on_off_path_image(monkeypatch):
     stray = Rule("99", "I", {P: (lit("→"), gv("A"))}, {P: (gv("A"), lit("→"))})
     monkeypatch.setitem(_RULESET_CACHE, "I",
                         RuleSet("I", rule_set("I").rules + (stray,)))
-    with pytest.raises(ValueError, match="rule 99 maps state 0 to no kept"):
+    with pytest.raises(ValueError, match="rule 99 maps state 0 to no trajectory"):
         restricted_hamiltonian(traj)
 
 
@@ -473,7 +473,8 @@ def test_walk_factorization_matches_rule_hamiltonian():
 def test_clock_monotone_at_completions(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "III")),
                StepBudget(3000, "step_limit"))
-    ks = [clock_value(st) for st in traj.states if "C" in st.rows["CP"]]
+    ks = [clock_value(st) for st in traj.iter_states()
+          if "C" in st.rows["CP"]]
     assert ks == list(range(len(ks)))  # 0, 1, 2, ... exactly
 
 
@@ -489,7 +490,6 @@ def test_gate_rounds_every_n_plus_1_oscillations():
 def test_restricted_hamiltonian_length_one():
     s = build_initial(BuildSpec(small_circuit(2, 1), "I"))
     traj = run(s, StepBudget(5, "step_limit"))
-    traj.states = traj.states[:1]
     traj.labels = []
     traj.sites = []
     h = restricted_hamiltonian(traj)
@@ -500,14 +500,83 @@ def test_streaming_run_matches_full(example_circuit):
     full = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"))
     lean = run(build_initial(BuildSpec(example_circuit, "I")),
-               StepBudget(200, "dead_end"), keep_states=False,
-               check_uog=True)
-    assert lean.states is None
+               StepBudget(200, "dead_end"), check_uog=True)
     assert lean.labels == full.labels
     assert not lean.uog_violations
-    # a streamed run was checked on the fly; there are no states to recheck
-    with pytest.raises(ValueError, match="check_uog"):
-        verify_uog(lean)
+    # a run checked on the fly is rechecked from its replayed states
+    assert verify_uog(lean) == verify_uog(full)
+    assert verify_uog(lean).passed
+
+
+def test_run_keeps_no_states(example_circuit):
+    start = build_initial(BuildSpec(example_circuit, "I"))
+    with pytest.raises(TypeError, match="Trajectory.state"):
+        run(start, StepBudget(5), keep_states=True)
+    # False, the value the benchmark harness passes, changes nothing
+    traj = run(start, StepBudget(5), keep_states=False)
+    assert traj.labels == run(start, StepBudget(5)).labels
+    assert not hasattr(traj, "states")
+
+
+def _assert_equal_states(a, b):
+    assert a.config_key() == b.config_key() and a.digest() == b.digest()
+    assert a.work.support == b.work.support
+    assert np.array_equal(a.work.amps, b.work.amps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       target=st.integers(1, 3), steps=st.integers(1, 300),
+       long=st.booleans(), data=st.data())
+def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
+                                           long, data):
+    # state(t) and iter_states() replay, from the checkpoints, exactly the
+    # states an observer's chain_state() saw during the run; a long draw
+    # crosses two checkpoints (tier III with k = 2 outlives it)
+    b = Trajectory.CHECKPOINT_EVERY
+    if long:
+        steps, k = steps + 2 * b, 2 if tier == "III" else k
+    extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
+    start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
+                                    random_state(n, seed), **extra))
+    seen = [start]
+    traj = run(start, StepBudget(steps, "dead_end"),
+               observer=lambda t, view, _m: seen.append(view.chain_state()))
+    n_steps = traj.n_steps
+    assert len(seen) == n_steps + 1
+    assert not (long and tier == "III") or n_steps > 2 * b
+    ts = data.draw(st.permutations(
+        [min(t, n_steps) for t in (0, b - 1, b, b + 1, n_steps)]
+        + [data.draw(st.integers(0, n_steps))]))
+    for t in ts:  # the first replays keep the checkpoints they pass
+        _assert_equal_states(traj.state(t), seen[t])
+    replayed = list(traj.iter_states())
+    assert len(replayed) == len(seen)
+    for a, want in zip(replayed, seen):
+        _assert_equal_states(a, want)
+    assert list(traj.checkpoints) == list(range(b, n_steps + 1, b))
+    for t in ts:
+        _assert_equal_states(traj.state(t), seen[t])
+    for t in (-1, n_steps + 1):
+        with pytest.raises(IndexError):
+            traj.state(t)
+    if not n_steps:
+        return
+    # negative control: a record changed at step j replays up to state j,
+    # and a replay past it raises
+    j = data.draw(st.integers(0, n_steps - 1))
+    doctored = Trajectory(start, traj.rules, list(traj.labels),
+                          list(traj.sites))
+    if data.draw(st.booleans()):
+        doctored.labels[j] = "0"
+    else:
+        doctored.sites[j] += 1
+    _assert_equal_states(doctored.state(j), seen[j])
+    with pytest.raises(ValueError, match=f"left the record at step {j}"):
+        doctored.state(n_steps)
+    with pytest.raises(ValueError, match=f"left the record at step {j}"):
+        list(doctored.iter_states())
 
 
 def test_trace_format(tmp_path, example_circuit):

@@ -34,7 +34,7 @@ def test_step_tracer_walks_like_run(perfbench, example_circuit, random_work,
                                     tier, budget, check_uog):
     spans, _ = perfbench
     start = build_initial(BuildSpec(example_circuit, tier, random_work))
-    traj = run(start, budget, keep_states=False, check_uog=check_uog)
+    traj = run(start, budget, check_uog=check_uog)
     tracer = spans.StepTracer(rule_set(tier))
     final, stop = tracer.run(start, budget.max_steps, check_uog=check_uog)
     assert tracer.labels == traj.labels
@@ -52,13 +52,13 @@ def test_verify_calls_are_cli_attributes(perfbench):
 
 def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     # worker.verify_suite fails the operation unless `hqca verify --suite
-    # all` makes exactly one cli.run call: a streamed one, whose observer
-    # feeds the uog and claim-B checks with no kept states
+    # all` makes exactly one cli.run call, whose observer feeds the uog and
+    # claim-B checks
     import workloads
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("keep_states", True))
+        calls.append(kwargs)
         return run(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run", counted)
@@ -66,7 +66,7 @@ def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     path.write_text(workloads.verify_instance_text(1), encoding="utf-8")
     code, text = workloads.call_verify(str(path))
     assert code == 0
-    assert calls == [False]
+    assert len(calls) == 1 and "keep_states" not in calls[0]
     # the benchmark's own output check: a renamed or missing CHECK line
     # fails here, not only in a benchmark run
     op = workloads.Op("verify_suite")
@@ -93,7 +93,8 @@ def test_wide_period_observer_reads_the_view(perfbench, example_circuit,
     op = workloads.Op("period")
     workloads.check_wide_period(build_initial(workloads.wide_spec(1)), op)
     assert op.ok, op.error
-    # one per observed step, and the final state
+    # one per observed step, and the final state: run() builds no
+    # checkpoint, the first replay does
     assert len(built) == workloads.wide_period() + 1
     op = workloads.Op("period")
     workloads.check_wide_period(

@@ -1,3 +1,4 @@
+from itertools import islice, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +118,11 @@ def test_reversibility_along_trajectory(example_circuit):
     w /= np.linalg.norm(w)
     traj = run(build_initial(BuildSpec(example_circuit, "I", w)),
                StepBudget(200, "dead_end"))
-    for t in range(traj.n_steps):
-        fwd = applicable(traj.state(t), FORWARD)[0]
-        nxt = apply(traj.state(t), fwd)
+    for st in islice(traj.iter_states(), traj.n_steps):  # all but the last
+        nxt = apply(st, applicable(st, FORWARD)[0])
         rev = applicable(nxt, REVERSE)
         assert len(rev) == 1
-        _assert_same_state(apply(nxt, rev[0]), traj.state(t))
+        _assert_same_state(apply(nxt, rev[0]), st)
 
 
 def test_reversibility_through_comparator_and_crossed_mode(example_circuit):
@@ -132,11 +132,10 @@ def test_reversibility_through_comparator_and_crossed_mode(example_circuit):
                                        target_x=3, bullet_offset=3)),
                StepBudget(900, "step_limit"))
     assert set(traj.labels) & {"23a", "26", "27", "30", "49", "22", "31"}
-    for t in range(traj.n_steps):
-        nxt = traj.state(t + 1)
+    for t, (st, nxt) in enumerate(pairwise(traj.iter_states())):
         rev = applicable(nxt, REVERSE)
         assert len(rev) == 1, (t, traj.labels[t])
-        _assert_same_state(apply(nxt, rev[0]), traj.state(t))
+        _assert_same_state(apply(nxt, rev[0]), st)
 
 
 def test_translation_invariance():

@@ -54,10 +54,11 @@ def test_orthogonality_iff_config_differs(example_circuit):
     # dense embeddings must agree (data parts overlap only for equal bits)
     traj = run(build_initial(BuildSpec(small_circuit(2, 1), "I")),
                StepBudget(20, "dead_end"))
-    keys = [s.config_key() for s in traj.states]
+    states = list(traj.iter_states())
+    keys = [s.config_key() for s in states]
     assert len(set(keys)) == len(keys)
-    for i, a in enumerate(traj.states):
-        for b in traj.states[i + 1:]:
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
             assert not a.config_equal(b)
 
 

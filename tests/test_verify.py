@@ -17,7 +17,7 @@ from hqca.verify import (ClaimBCheck, UogCheck, build_clock_chain,
                          clock_increment, comparator_verdict,
                          cross_check_backends)
 
-from conftest import random_state, small_circuit
+from conftest import feed_states, random_state, small_circuit
 
 
 def test_work_oracle_tier1(example_circuit, random_work):
@@ -34,11 +34,15 @@ def test_work_oracle_tier2(example_circuit, random_work):
     assert res.passed, res.details
 
 
-def _scramble_work(traj, t):
-    """Give kept state t a work vector its checkpoint cannot predict."""
-    st = traj.states[t]
-    traj.states[t] = st.replace(work=WorkState(st.work.support,
-                                               np.roll(st.work.amps, 1)))
+def _scramble_work(traj, circuit, t):
+    """check_claim_b over traj's states with state t given a work vector
+    its checkpoint cannot predict."""
+    states = list(traj.iter_states())
+    st = states[t]
+    states[t] = st.replace(work=WorkState(st.work.support,
+                                          np.roll(st.work.amps, 1)))
+    return check_claim_b(traj, circuit, feed_states(
+        ClaimBCheck(traj.start, circuit), traj, states))
 
 
 def test_work_oracle_tier1_negative_control(example_circuit, random_work):
@@ -49,8 +53,7 @@ def test_work_oracle_tier1_negative_control(example_circuit, random_work):
     # reads it
     assert sorted(traj.marker_steps("6a", "6b"))[1] == 33
     assert check_claim_b(traj, example_circuit).passed
-    _scramble_work(traj, 34)
-    res = check_claim_b(traj, example_circuit)
+    res = _scramble_work(traj, example_circuit, 34)
     assert not res.passed
     assert [d.split(":")[0] for d in res.details] == ["t=34 rounds=1"]
 
@@ -59,8 +62,8 @@ def test_work_oracle_tier2_negative_control(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "II", random_work)),
                StepBudget(4 * 188, "step_limit"))
     assert traj.markers["13b"] == [187, 375, 563, 751]
-    _scramble_work(traj, 376)  # the second reset completion
-    res = check_claim_b(traj, example_circuit)
+    # the second reset completion
+    res = _scramble_work(traj, example_circuit, 376)
     assert not res.passed
     assert [d.split(":")[0] for d in res.details] == ["t=376 power=2"]
 
@@ -86,13 +89,15 @@ def test_claim_b_negative_control(example_circuit, random_work):
                StepBudget(587, "step_limit"))  # clock first reads 3
     assert clock_value(traj.final) == 3
     # corrupt one clock bit of one C-completion state
-    for t, st in enumerate(traj.states):
+    states = list(traj.iter_states())
+    for t, st in enumerate(states):
         if "C" in st.rows["CP"] and clock_value(st) == 2:
             row = list(st.rows["C"])
             row[-1] = "1"  # 2 -> 3
-            traj.states[t] = st.replace(rows={"C": tuple(row)})
+            states[t] = st.replace(rows={"C": tuple(row)})
             break
-    res = check_claim_b(traj, example_circuit)
+    res = check_claim_b(traj, example_circuit, feed_states(
+        ClaimBCheck(traj.start, example_circuit), traj, states))
     assert not res.passed and res.details
 
 
@@ -100,12 +105,14 @@ def test_claim_b_fails_on_a_malformed_clock(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "III", "010")),
                StepBudget(780, "step_limit"))
     assert check_claim_b(traj, example_circuit).passed
-    st = traj.states[396]  # the C-state at k = 2
+    states = list(traj.iter_states())
+    st = states[396]  # the C-state at k = 2
     assert st.rows["CP"][-1] == "C" and clock_value(st) == 2
     row = list(st.rows["C"])
     row[2] = "•"  # a bullet inside the clock's bits
-    traj.states[396] = st.replace(rows={"C": tuple(row)})
-    res = check_claim_b(traj, example_circuit)
+    states[396] = st.replace(rows={"C": tuple(row)})
+    res = check_claim_b(traj, example_circuit, feed_states(
+        ClaimBCheck(traj.start, example_circuit), traj, states))
     # the three other C-states still compare right
     assert not res.passed and res.measured.startswith("states=4 k_max=4")
     assert res.details == ["t=396: malformed clock"]
@@ -114,12 +121,14 @@ def test_claim_b_fails_on_a_malformed_clock(example_circuit):
 def test_claim_b_restarts_on_a_lower_clock(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "III", random_work)),
                StepBudget(780, "step_limit"))  # C-states at k = 0..4
-    st = traj.states[587]
+    states = list(traj.iter_states())
+    st = states[587]
     assert clock_value(st) == 3
     row = list(st.rows["C"])
     row[-2] = "0"  # 3 -> 1, below the k = 2 checkpoint before it
-    traj.states[587] = st.replace(rows={"C": tuple(row)})
-    res = check_claim_b(traj, example_circuit)
+    states[587] = st.replace(rows={"C": tuple(row)})
+    res = check_claim_b(traj, example_circuit, feed_states(
+        ClaimBCheck(traj.start, example_circuit), traj, states))
     # the reference restarts from the input for k = 1, so the k = 4
     # checkpoint after it still compares right
     assert not res.passed and "k_max=4" in res.measured
@@ -232,7 +241,7 @@ def _uog_recount(traj):
     found = list(traj.uog_violations)
     window = set(traj.start.work.support)
     keys = {}
-    for t, st in enumerate(traj.states):
+    for t, st in enumerate(traj.iter_states()):
         key = st.config_key()
         if key in keys:
             found.append((t, f"configuration equals state {keys[key]}"))
@@ -262,8 +271,8 @@ def test_verify_uog_matches_applicable_recount(tier, n, k, seed, target,
                                        random_state(n, seed), **extra)),
                StepBudget(steps, "dead_end"))
     assert verify_uog(traj).details == _uog_recount(traj)
-    # the same checks fed from run()'s view during a streamed run, with no
-    # kept states, report what the kept ChainStates give
+    # the same checks fed from run()'s view during the run report what the
+    # replayed ChainStates give
     circuit = small_circuit(n, k, seed)
     uog, claim_b = UogCheck(traj.start), ClaimBCheck(traj.start, circuit)
 
@@ -271,9 +280,7 @@ def test_verify_uog_matches_applicable_recount(tier, n, k, seed, target,
         uog.step(t, view, view.label, view.site)
         claim_b.step(t, view, view.label, view.site)
 
-    streamed = run(traj.start, StepBudget(steps, "dead_end"),
-                   keep_states=False, observer=feed)
-    assert streamed.states is None
+    streamed = run(traj.start, StepBudget(steps, "dead_end"), observer=feed)
     assert verify_uog(streamed, uog) == verify_uog(traj)
     assert (check_claim_b(streamed, circuit, claim_b)
             == check_claim_b(traj, circuit))
@@ -407,7 +414,7 @@ def test_posttarget_freeze_catches_a_write_after_the_match(example_circuit,
 
 def test_phase_structure(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "III")),
-               StepBudget(2000, "step_limit"), keep_states=False)
+               StepBudget(2000, "step_limit"))
     assert check_phase_structure(traj).passed
 
 
@@ -425,8 +432,7 @@ def test_full_clocked_run_to_saturation():
     circuit = CircuitProgram(2, (("W",),))
     w = random_state(2, 9)
     traj = run(build_initial(BuildSpec(circuit, "III", w)),
-               StepBudget(10 ** 5, "dead_end"), keep_states=False,
-               check_uog=True)
+               StepBudget(10 ** 5, "dead_end"), check_uog=True)
     assert traj.stop_reason == "dead_end"
     assert not traj.uog_violations
     final = traj.final
@@ -445,8 +451,7 @@ def test_full_target_run_even_target():
     w = random_state(2, 10)
     traj = run(build_initial(BuildSpec(circuit, "IV", w, target_x=2,
                                        bullet_offset=2)),
-               StepBudget(10 ** 5, "dead_end"), keep_states=False,
-               check_uog=True)
+               StepBudget(10 ** 5, "dead_end"), check_uog=True)
     assert traj.stop_reason == "dead_end" and not traj.uog_violations
     assert clock_value(traj.final) == 2
     expect = apply_circuit_power(w.copy(), circuit, 2)
@@ -456,8 +461,7 @@ def test_full_target_run_even_target():
 def test_tier4_full_run_uog(example_circuit, random_work):
     traj = run(build_initial(BuildSpec(example_circuit, "IV", random_work,
                                        target_x=3, bullet_offset=3)),
-               StepBudget(10 ** 4, "dead_end"), keep_states=False,
-               check_uog=True)
+               StepBudget(10 ** 4, "dead_end"), check_uog=True)
     assert traj.stop_reason == "dead_end" and not traj.uog_violations
     assert len(traj.marker_steps("28", "30")) == 1
 
@@ -468,10 +472,10 @@ def test_tier4_walk_measurement_bound(example_circuit):
     # measured on the trajectory itself
     s = build_initial(BuildSpec(example_circuit, "IV", "000", target_x=3,
                                 bullet_offset=3))
-    traj = run(s, StepBudget(10 ** 5, "dead_end"), keep_states=True)
+    traj = run(s, StepBudget(10 ** 5, "dead_end"))
     assert traj.stop_reason == "dead_end"
     l = len(traj)
-    hit = np.array([clock_value(st) == 3 for st in traj.states])
+    hit = np.array([clock_value(st) == 3 for st in traj.iter_states()])
     frac = hit.mean()
     from hqca.walk import WalkLine, position_distributions
     rng = np.random.default_rng(77)
