@@ -70,13 +70,12 @@ class StepBudget:
 
 @dataclass
 class Trajectory:
-    """Forward path from a start state, with step metadata.
-
-    labels[t] and sites[t] name the rule and window of step t, the
-    transition from state t to state t+1; markers is derived from them.
-    state(t) and iter_states() replay states from them on the run's rules;
-    checkpoints maps each multiple of CHECKPOINT_EVERY that a replay has
-    passed to the state there."""
+    """Forward path from a start state: labels[t] and sites[t] name the
+    rule and window of step t, the transition from state t to state t+1,
+    and markers is derived from them.  state(t) and iter_states() replay
+    states from them on the run's rules.  checkpoints, a cache that only
+    replays fill, keeps for the trajectory's life the state (work included)
+    at each multiple of CHECKPOINT_EVERY that a replay has passed."""
 
     start: ChainState
     rules: RuleSet
@@ -85,7 +84,8 @@ class Trajectory:
     final: ChainState = None
     stop_reason: str = None
     uog_violations: list = field(default_factory=list)
-    checkpoints: dict = field(default_factory=dict, repr=False)
+    checkpoints: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
     CHECKPOINT_EVERY = 1024  # steps between the states a replay keeps
 
     @property

@@ -516,6 +516,17 @@ def test_run_keeps_no_states(example_circuit):
     traj = run(start, StepBudget(5), keep_states=False)
     assert traj.labels == run(start, StepBudget(5)).labels
     assert not hasattr(traj, "states")
+    # the checkpoints are a cache only replays fill: no constructor
+    # argument, and a filled cache leaves the trajectory equal
+    with pytest.raises(TypeError, match="checkpoints"):
+        Trajectory(start, traj.rules, checkpoints={0: start})
+    clocked = build_initial(BuildSpec(example_circuit, "III"))
+    long = run(clocked, StepBudget(2 * Trajectory.CHECKPOINT_EVERY))
+    fresh = run(clocked, StepBudget(2 * Trajectory.CHECKPOINT_EVERY))
+    long.state(long.n_steps)
+    assert long.checkpoints and not fresh.checkpoints
+    fresh.final = long.final  # one object: ChainStates compare by identity
+    assert long == fresh and "checkpoints" not in repr(long)
 
 
 def _assert_equal_states(a, b):
