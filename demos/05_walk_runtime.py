@@ -42,8 +42,8 @@ circuit = worked_example_circuit()
 spec = BuildSpec(circuit, "IV", "000", target_x=3, bullet_offset=3)
 traj = run(build_initial(spec), StepBudget(10 ** 5, "dead_end"))
 l = len(traj)
-# one replay reads every state and keeps the checkpoints that each
-# measurement's replay starts from
+# one replay reads every state and keeps no checkpoint; the measurements'
+# state(t) replays keep the checkpoints they pass, and start from them
 frozen = sum(clock_value(s) == 3 for s in traj.iter_states()) / l
 hits = 0
 trials = 300

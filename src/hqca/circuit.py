@@ -142,13 +142,15 @@ def circuit_unitary(circuit: CircuitProgram) -> np.ndarray:
     """Explicit 2^N x 2^N matrix of the circuit, sharing no code with the
     kernel: the product of I_(2^m) (x) G (x) I_(2^(N-m-2)) in apply_round's order."""
     n = circuit.n_qubits
-    u = np.eye(2 ** n)
+    u = None  # the identity, until the first factor that is not
     for rnd in circuit.rounds:
         for m in range(n - 2, -1, -1):
             if rnd[m] != "I":  # an I factor is the identity
-                u = np.kron(np.kron(np.eye(2 ** m), gate_matrix(rnd[m])),
-                            np.eye(2 ** (n - m - 2))) @ u
-    return u.astype(complex)
+                f = np.kron(np.kron(np.eye(2 ** m), gate_matrix(rnd[m])),
+                            np.eye(2 ** (n - m - 2)))
+                # + 0.0 turns kron's -0.0 entries to 0.0, as f @ I would
+                u = f + 0.0 if u is None else f @ u
+    return (np.eye(2 ** n) if u is None else u).astype(complex)
 
 
 def basis_state(bits: str) -> np.ndarray:

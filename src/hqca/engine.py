@@ -17,14 +17,15 @@ check) comes from an observer, which reads the run's cursor.
 run() is the package's one stepping loop; the harnesses and checks in
 verify drive the chain through it.  It steps a per-run cursor, not a
 ChainState per step: mutable rows rewritten in the window cells and the
-active sites, so a step's cost does not grow with the chain length L.  Each
-step, and each reverse count under check_uog, is one lookup in the rule
-set's compiled matcher, keyed by the few cells around the active site
-through a probe bound to the cursor's rows.  The Hit found is ready to fire:
-the cursor writes its cells in place and takes the window's new active
-cells from it, with no rescan.  check_uog's repeat check compares the active
-sites with the start's, and the rows only where those agree.  run() builds
-ChainStates only for Ambiguous, the final state and observers that ask.
+head, the one active cell of a valid state, so a step's cost does not grow
+with the chain length L; a start or a firing with another count of active
+cells raises ValueError.  Each step, and each reverse count under
+check_uog, is one lookup in the rule set's compiled matcher, keyed by the
+few cells around the head through a probe bound to the cursor's rows.  The
+Hit found is ready to fire: the cursor writes its cells in place and takes
+the new head from it, with no rescan.  check_uog's repeat check compares
+the head with the start's, and the rows only where those agree.  run()
+builds ChainStates only for Ambiguous, the final state and observers.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from itertools import dropwhile
 import numpy as np
 
 from .rules import (FORWARD, REVERSE, Hit, RuleSet, _apply_gate_effect,
-                    anchored_matches, applicable, apply, as_match, rule_set)
+                    applicable, apply, as_match, rule_set)
 from .state import ChainState, active_sites
-from .symbols import BULLET, C, D, P
+from .symbols import BULLET, C, D
 
 
 class Ambiguous(Exception):
@@ -74,8 +75,8 @@ class Trajectory:
     rule and window of step t, the transition from state t to state t+1,
     and markers is derived from them.  state(t) and iter_states() replay
     states from them on the run's rules.  checkpoints, a cache that only
-    replays fill, keeps for the trajectory's life the state (work included)
-    at each multiple of CHECKPOINT_EVERY that a replay has passed."""
+    state(t) fills, keeps for the trajectory's life the state (work
+    included) at each multiple of CHECKPOINT_EVERY that it has passed."""
 
     start: ChainState
     rules: RuleSet
@@ -86,7 +87,7 @@ class Trajectory:
     uog_violations: list = field(default_factory=list)
     checkpoints: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
-    CHECKPOINT_EVERY = 1024  # steps between the states a replay keeps
+    CHECKPOINT_EVERY = 1024  # steps between the states state(t) keeps
 
     @property
     def n_steps(self) -> int:
@@ -96,22 +97,24 @@ class Trajectory:
         return self.n_steps + 1
 
     def state(self, t: int) -> ChainState:
-        """State t, replayed from the nearest checkpoint at or before it."""
+        """State t, replayed from the nearest checkpoint at or before it,
+        keeping the checkpoints it passes."""
         if not 0 <= t <= self.n_steps:
             raise IndexError(f"state {t} outside 0..{self.n_steps}")
-        c = min(t // self.CHECKPOINT_EVERY, len(self.checkpoints))
-        for cur in self._replay(c, t):
-            pass
+        b = self.CHECKPOINT_EVERY
+        s = b * min(t // b, len(self.checkpoints))
+        for k, cur in enumerate(self._replay(s, t), s):
+            if k == (len(self.checkpoints) + 1) * b:
+                self.checkpoints[k] = cur.chain_state()
         return cur.chain_state()
 
     def iter_states(self):
-        """States 0..n_steps in order, from one replay."""
+        """States 0..n_steps in order, from one replay that keeps none."""
         return (cur.chain_state() for cur in self._replay(0, self.n_steps))
 
-    def _replay(self, c: int, t: int):
-        """Step a cursor from checkpoint c (the start at 0) to state t,
+    def _replay(self, s: int, t: int):
+        """Step a cursor from state s (0 or a checkpoint) to state t,
         yielding it at each state; a step off the record raises ValueError."""
-        s = self.CHECKPOINT_EVERY * c
         cur = _Cursor(self.checkpoints.get(s, self.start), self.rules)
         yield cur
         for k in range(s, t):
@@ -119,8 +122,6 @@ class Trajectory:
             if (fired is None or fired[0] != self.sites[k]
                     or fired[1].rule.label != self.labels[k]):
                 raise ValueError(f"replay left the record at step {k}")
-            if k + 1 == (len(self.checkpoints) + 1) * self.CHECKPOINT_EVERY:
-                self.checkpoints[k + 1] = cur.chain_state()
             yield cur
 
     @property
@@ -158,37 +159,40 @@ class Trajectory:
 class _Cursor:
     """Mutable per-run view of a chain state; step() is the one forward step.
 
-    rows maps each register to a list that a step rewrites in its window
-    cells only.  step() and count() look a lone active cell's window up in
-    the rule set's compiled matcher through the symbol's probe in _fwd or
-    _rev, bound to these lists once per run by hits(), so a key takes no
-    register lookup and no method call.  A memo Hit is ready to fire: its
-    key fixes the window's P and CP cells, so it carries the window's
-    active cells after the firing.  fire() writes the Hit's cells in
-    place, runs its gate through rules._apply_gate_effect (apply()'s
-    rewrite too) and takes the window's active cells from it.  So active
-    equals active_sites() of the current state at all times with no
-    rescan: a step changes active cells only inside its window.
-    chain_state() builds a ChainState that reuses the row tuples of
-    registers no step touched since the last one.
+    head is the (site, register, symbol) of the one active cell, and
+    __init__ raises ValueError for a start with another count.  rows maps
+    each register to a list that a step rewrites in its window cells only.
+    step() and count() look the head's window up in the rule set's compiled
+    matcher through the symbol's probe in _fwd or _rev, bound to these
+    lists once per run by hits(), so a key takes no register lookup and no
+    method call.  A memo Hit is ready to fire: its key fixes the window's P
+    and CP cells, so it carries the window's active cells after the firing.
+    fire() writes the Hit's cells in place, runs its gate through
+    rules._apply_gate_effect (apply()'s rewrite too) and takes the new head
+    from it, with no rescan, or raises ValueError naming a rule that left
+    other than one active cell.  chain_state() builds a ChainState that
+    reuses the row tuples of registers no step touched since the last one.
 
     run() hands the cursor to observers as the view of the state reached:
     tier, L, rows (live lists, read-only, valid until the next step), work,
-    active, the fired rule's site, label and gate kind (None without one),
+    head, the fired rule's site, label and gate kind (None without one),
     chain_state() and config_equal().
     """
 
-    __slots__ = ("tier", "L", "rows", "work", "active", "site", "label",
+    __slots__ = ("tier", "L", "rows", "work", "head", "site", "label",
                  "gate", "_rs", "_fwd", "_rev", "_frozen", "_stale")
 
     def __init__(self, state: ChainState, rs: RuleSet):
+        active = active_sites(state)
+        if len(active) != 1:
+            raise ValueError(f"start has {len(active)} active cells, not 1")
+        self.head = active[0]
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
         self._rs = rs
         self._fwd, self._rev = {}, {}  # symbol -> ([(row, shift)...], memo)
         self._frozen = dict(state.rows)
         self._stale = set()
-        self.active = active_sites(state)
 
     def hits(self, direction, site, symbol):
         """rs.hits(direction, self, site, symbol), after binding the
@@ -201,45 +205,39 @@ class _Cursor:
 
     def count(self, direction) -> int:
         """Number of matches in one direction."""
-        active = self.active
-        if len(active) == 1:
-            site, _reg, s = active[0]
-            bound = self._fwd if direction == FORWARD else self._rev
-            if s in bound and 1 < site < self.L:
-                cells, memo = bound[s]
-                found = memo.get(tuple([row[site + k] for row, k in cells]))
-                if found is not None:
-                    return len(found)
-            return len(self.hits(direction, site, s))
-        return len(anchored_matches(self, direction, self._rs, active))
+        site, _reg, s = self.head
+        bound = self._fwd if direction == FORWARD else self._rev
+        if s in bound and 1 < site < self.L:
+            cells, memo = bound[s]
+            found = memo.get(tuple([row[site + k] for row, k in cells]))
+            if found is not None:
+                return len(found)
+        return len(self.hits(direction, site, s))
 
     def step(self):
         """Fire the unique forward hit in place: (site, Hit), or None at a
         dead end.  Several hits raise Ambiguous before any cell changes."""
-        active = self.active
-        if len(active) == 1:
-            site, _reg, s = active[0]
-            found = None
-            if s in self._fwd and 1 < site < self.L:
-                cells, memo = self._fwd[s]
-                found = memo.get(tuple([row[site + k] for row, k in cells]))
-            if found is None:
-                found = self.hits(FORWARD, site, s)
-            if len(found) == 1:
-                offset, hit = found[0]
-                self.fire(site - offset, hit)
-                return site - offset, hit
-        found = anchored_matches(self, FORWARD, self._rs, active)
+        site, _reg, s = self.head
+        found = None
+        if s in self._fwd and 1 < site < self.L:
+            cells, memo = self._fwd[s]
+            found = memo.get(tuple([row[site + k] for row, k in cells]))
+        if found is None:
+            found = self.hits(FORWARD, site, s)
         if len(found) != 1:
             if not found:
                 return None
-            matches = [as_match(i, hit, FORWARD) for i, hit in found]
+            matches = [as_match(site - o, h, FORWARD) for o, h in found]
             raise Ambiguous(self.chain_state(), matches, FORWARD)
-        self.fire(*found[0])
-        return found[0]
+        offset, hit = found[0]
+        self.fire(site - offset, hit)
+        return site - offset, hit
 
     def fire(self, i: int, hit: Hit):
         """Rewrite window (i, i+1) in place by a forward hit."""
+        if len(hit.active) != 1:  # the head is the window's one active cell
+            raise ValueError(f"rule {hit.rule.label} left {len(hit.active)}"
+                             " active cells")
         writes = hit.writes
         if hit.gate is not None:
             cells, self.work = _apply_gate_effect(self, hit.gate, i, False)
@@ -249,11 +247,8 @@ class _Cursor:
         for reg, off, s in writes:
             rows[reg][i - 1 + off] = s
             stale.add(reg)
-        window = [(i + off, reg, s) for off, reg, s in hit.active]
-        if len(self.active) > 1:  # a stray active cell outside the window
-            window += [a for a in self.active if not i <= a[0] <= i + 1]
-            window.sort(key=lambda a: (a[1] != P, a[0]))
-        self.active = window
+        off, reg, s = hit.active[0]
+        self.head = (i + off, reg, s)
 
     def chain_state(self) -> ChainState:
         for reg in self._stale:
@@ -269,7 +264,8 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
         check_uog: bool = False, observer=None) -> Trajectory:
     """Drive the unique forward path to a dead end or budget.max_steps.
 
-    A state with several forward matches raises Ambiguous.  check_uog
+    start must have one active cell, else ValueError (see _Cursor); a
+    state with several forward matches raises Ambiguous.  check_uog
     verifies, on the fly, that every non-initial state has exactly one
     reverse match and that no configuration repeats; violations are
     recorded, not raised; the repeat check keeps no configurations, and
@@ -281,7 +277,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
         raise TypeError("run keeps no states: use Trajectory.state(t)")
     traj = Trajectory(start, rule_set(start.tier))
     cur = _Cursor(start, traj.rules)
-    start_active = list(cur.active)
+    start_head = cur.head
     start_rows = {reg: list(row) for reg, row in start.rows.items()}
     repeats = False
     for t in range(budget.max_steps):
@@ -298,8 +294,8 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
             # the first repeat is s_j = s_i with 0 < i < j, then s_(i-1) !=
             # s_(j-1) and s_i has two reverse matches, flagged at step i; a
             # loop keeping every state agrees up to that flag, then lists more.
-            # Equal rows give equal active lists: those are compared first.
-            repeats = repeats or (cur.active == start_active
+            # Equal rows give equal heads: those are compared first.
+            repeats = repeats or (cur.head == start_head
                                   and cur.rows == start_rows)
             if repeats:
                 traj.uog_violations.append((t + 1, "configuration repeats"))
@@ -396,15 +392,14 @@ def restricted_hamiltonian(traj: Trajectory):
 def trace_observer(fh, snapshot_every: int = None):
     """run() observer writing a tab-separated trace to fh as the run goes.
 
-    One line per step: step, rule, site, active symbol after the step
-    (read off the cursor, with no row scan), clock, digest.  After every
+    One line per step: step, rule, site, the head's register:symbol after
+    the step (off the cursor, no row scan), clock, digest.  After every
     step divisible by snapshot_every the state's snapshot block follows.
     """
     def observe(t, view, m):
-        act, state = view.active, view.chain_state()
-        active = f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?"
+        head, state = view.head, view.chain_state()
         ck = clock_value(state)
-        fh.write(f"{t - 1}\t{m.label}\t{m.site}\t{active}\t"
+        fh.write(f"{t - 1}\t{m.label}\t{m.site}\t{head[1]}:{head[2]}\t"
                  f"{ck if ck is not None else '-'}\t{state.digest():016x}\n")
         if snapshot_every and t % snapshot_every == 0:
             fh.write(state.snapshot() + "\n")

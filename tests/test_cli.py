@@ -4,7 +4,7 @@ import time
 import pytest
 
 from hqca import (StepBudget, active_sites, build_initial, clock_value,
-                  parse_instance_text, run)
+                  parse_instance_text, rules, run)
 from hqca.cli import main
 
 TIER1 = """n=3
@@ -86,6 +86,23 @@ def test_run_trace_deterministic(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_run_ambiguous_exit_1_keeps_the_trace(tmp_path, capsys, monkeypatch):
+    # a copy 2x of rule 2 makes step 1 ambiguous: the run exits 1 with one
+    # error line, and the trace keeps the line of step 0 written before it
+    r2 = rules.rule_set("I").by_label["2"]
+    dup = rules.Rule("2x", "I", r2.lhs, r2.rhs, r2.gate)
+    monkeypatch.setitem(rules._RULESET_CACHE, "I", rules.RuleSet(
+        "I", rules.rule_set("I").rules + (dup,)))
+    trace = tmp_path / "t.tsv"
+    rc = main(["run", write(tmp_path, TIER1), "--trace", str(trace)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ambiguous transition: 2 forward matches:"
+        " [('2', 2), ('2x', 2)]\n")
+    (line,) = trace.read_text(encoding="utf-8").splitlines()
+    assert line.split("\t")[:4] == ["0", "1", "1", "P:→S"]
 
 
 @pytest.mark.parametrize("text", [TIER3, TIER4], ids=["III", "IV"])

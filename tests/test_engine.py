@@ -1,5 +1,3 @@
-import contextlib
-import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, StepBudget,
-                  active_sites, applicable, apply, build_initial,
+from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, CircuitProgram,
+                  StepBudget, active_sites, applicable, apply, build_initial,
                   clock_value, predicted_cycle_steps,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca.engine import Trajectory, _Cursor, trace_observer
-from hqca.rules import _RULESET_CACHE, Rule, RuleSet, gv, lit
+from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
 from hqca.state import WorkState
-from hqca.verify import UogCheck
-from hqca.symbols import P, TURN
+from hqca.verify import UogCheck, check_claim_b
+from hqca.symbols import BULLET, P, TURN
 
 from conftest import feed_states, random_state, small_circuit
 
@@ -37,16 +35,19 @@ def test_dead_end_raises(example_circuit):
 
 
 def test_corrupted_state_reported(example_circuit):
-    s = build_initial(BuildSpec(example_circuit, "I"))
-    row = list(s.rows["P"])
-    row[9] = "→"  # second arrow in the bullet field
-    bad = s.replace(rows={"P": tuple(row)})
-    # never silently picks one: either several matches or none
-    try:
-        traj = run(bad, StepBudget(1))
-    except Ambiguous:
-        return
-    assert traj.stop_reason == "dead_end", "corrupted state stepped silently"
+    # a valid state has one active cell, its head: a start with a second
+    # arrow in the bullet field, or with none, is refused before any step,
+    # by a run and by a replay alike (stray starts of other tiers: STRAYS)
+    for site, symbol, n in ((10, "→", 2), (1, BULLET, 0)):
+        start = build_initial(BuildSpec(example_circuit, "I"))
+        row = list(start.rows["P"])
+        row[site - 1] = symbol
+        bad = start.replace(rows={"P": tuple(row)})
+        assert len(active_sites(bad)) == n
+        with pytest.raises(ValueError, match=f"start has {n} active cells"):
+            run(bad, StepBudget(1), check_uog=True)
+        with pytest.raises(ValueError, match=f"start has {n} active cells"):
+            Trajectory(bad, rule_set("I")).state(0)
 
 
 def test_run_stop_reasons(example_circuit):
@@ -156,6 +157,18 @@ def test_verify_uog_catches_leaked_support(example_circuit):
     states[30] = st.replace(work=WorkState((5, 6, 7), st.work.amps))
     rep = verify_uog(traj, feed_states(UogCheck(traj.start), traj, states))
     assert rep.details == [(30, "quantum support leaked to [5]")]
+
+
+def test_verify_uog_flags_a_cut_dead_end(example_circuit):
+    # negative control: a dead-end run with its last step cut claims a dead
+    # end at a state that still has its forward match
+    traj = run(build_initial(BuildSpec(example_circuit, "I")),
+               StepBudget(200, "dead_end"))
+    cut = Trajectory(traj.start, traj.rules, traj.labels[:-1],
+                     traj.sites[:-1], stop_reason="dead_end")
+    rep = verify_uog(cut)
+    assert not rep.passed and rep.measured == "states=93"
+    assert rep.details == [(92, "final state still has forward matches")]
 
 
 @pytest.mark.parametrize("tier, expect", [("I", []), ("II", [("13b", 1)]),
@@ -314,13 +327,14 @@ def test_check_uog_repeat_of_a_later_state(example_circuit, monkeypatch):
                                    (189, "2 reverse matches")]
 
 
-# a second active symbol away from the head, and how the run goes on
+# a second active symbol away from the head, and how the run went on when
+# the cursor still stepped several heads; a one-head cursor refuses them
 STRAYS = [
     ("I", "P", 14, "→", StepBudget(200, "dead_end")),  # dead end at 76
     ("III", "P", 1, "g", StepBudget(200, "dead_end")),  # dead end at 108
-    # inert pointer: the stray C stays put all run long
+    # inert pointer: the stray C stayed put all run long
     ("III", "CP", 1, "C", StepBudget(3000, "step_limit")),
-    # its S gate swaps two classical data bits, then two rules match
+    # its S gate swapped two classical data bits, then two rules matched
     ("IV", "P", 14, "g", StepBudget(200, "dead_end")),
 ]
 STRAY_IDS = ["tier1_dead_end", "tier3_dead_end", "tier3_inert_pointer",
@@ -334,39 +348,100 @@ def _stray_start(circuit, tier, reg, site, symbol):
     row[site - 1] = symbol
     stray = start.replace(rows={reg: tuple(row)})
     assert len(active_sites(stray)) == 2
-    return stray
+    return start, stray
 
 
 @pytest.mark.parametrize("tier, reg, site, symbol, budget", STRAYS,
                          ids=STRAY_IDS)
 def test_stray_active_symbol_run_matches_reference(example_circuit, tier, reg,
                                                    site, symbol, budget):
-    # run must track both active symbols, so its matches, reverse counts
-    # and stop equal those of a full row scan
-    start = _stray_start(example_circuit, tier, reg, site, symbol)
-    _assert_run_matches_reference(start, budget, check_uog=True,
-                                  allow_ambiguous=True)
+    # the full scan counts two active cells and still finds a forward step;
+    # run and a replay name that count and refuse the start before any
+    # step, where a run of the valid start matches the full scan
+    start, stray = _stray_start(example_circuit, tier, reg, site, symbol)
+    assert len(_reference_walk(stray, 1).labels) == 1
+    seen = []
+    with pytest.raises(ValueError, match="start has 2 active cells"):
+        run(stray, budget, check_uog=True,
+            observer=lambda t, _v, _m: seen.append(t))
+    assert seen == []
+    with pytest.raises(ValueError, match="start has 2 active cells"):
+        Trajectory(stray, rule_set(tier)).state(0)
+    _assert_run_matches_reference(start, budget, check_uog=True)
+
+
+def _assert_cursor_equals_recomputation(start, steps):
+    # after every step the cursor's head is the one active cell recomputed
+    # from its snapshot, and run's repeat test on the cursor agrees with a
+    # comparison of the snapshot's rows, data bits flipped by gates too
+    start_head = active_sites(start)[0]
+    start_rows = {r: list(row) for r, row in start.rows.items()}
+    cur = _Cursor(start, rule_set(start.tier))
+    for _ in range(steps):
+        if cur.step() is None:
+            break
+        snap = cur.chain_state()
+        assert [cur.head] == active_sites(snap)
+        assert (cur.head == start_head and cur.rows == start_rows) == (
+            snap.rows == start.rows)
 
 
 @pytest.mark.parametrize("tier, reg, site, symbol, budget", STRAYS,
                          ids=STRAY_IDS)
 def test_cursor_equals_recomputation(example_circuit, tier, reg, site, symbol,
                                      budget):
-    # after every step the cursor's active list equals the one recomputed
-    # from its snapshot, and run's repeat test on the cursor agrees with a
-    # comparison of the snapshot's rows, data bits flipped by gates too
-    start = _stray_start(example_circuit, tier, reg, site, symbol)
-    start_active = active_sites(start)
-    start_rows = {r: list(row) for r, row in start.rows.items()}
-    cur = _Cursor(start, rule_set(tier))
-    with contextlib.suppress(Ambiguous):  # one stray start turns ambiguous
-        for _ in range(budget.max_steps):
-            if cur.step() is None:
-                break
-            snap = cur.chain_state()
-            assert cur.active == active_sites(snap)
-            assert (cur.active == start_active and cur.rows == start_rows) == (
-                snap.rows == start.rows)
+    # the cursor refuses the stray start, and follows the valid start of
+    # the same spec for the whole budget
+    start, stray = _stray_start(example_circuit, tier, reg, site, symbol)
+    with pytest.raises(ValueError, match="start has 2 active cells"):
+        _Cursor(stray, rule_set(tier))
+    _assert_cursor_equals_recomputation(start, budget.max_steps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       target=st.integers(1, 3), steps=st.integers(1, 300))
+def test_cursor_equals_recomputation_on_random_chains(tier, n, k, seed,
+                                                      target, steps):
+    # tier II returns to its start each cycle, so the repeat test is met
+    extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
+    start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
+                                    random_state(n, seed), **extra))
+    _assert_cursor_equals_recomputation(start, steps)
+
+
+def test_a_rule_that_leaves_two_heads_is_named(example_circuit, monkeypatch):
+    # negative control for fire's check: rule 98 keeps the arrow and marks
+    # the gate after it, so its first firing leaves two active cells.  The
+    # run names it at step 0; the full scan, which has no such check, steps
+    # on and meets an ambiguity at state 2 that names no broken rule
+    r98 = Rule("98", "I", {P: (lit("→"), gv("A"))},
+               {P: (ANY, mgv("A", "→"))})
+    rs = RuleSet("I", rule_set("I").without("1").rules + (r98,))
+    monkeypatch.setitem(_RULESET_CACHE, "I", rs)
+    start = build_initial(BuildSpec(example_circuit, "I"))
+    seen = []
+    with pytest.raises(ValueError, match="rule 98 left 2 active cells"):
+        run(start, StepBudget(10), observer=lambda t, _v, _m: seen.append(t))
+    assert seen == []
+    ref = _reference_walk(start, 10)
+    assert ref.labels == ["98", "2"] and ref.stop == "ambiguous"
+    assert [(m.label, m.site) for m in ref.ambiguous] == [("98", 1), ("2", 3)]
+
+
+def test_duplicated_rule_is_ambiguous(example_circuit, monkeypatch):
+    # a copy 2x of rule 2 matches wherever rule 2 does: run raises
+    # Ambiguous at step 1 with the full scan's (label, site) list
+    r2 = rule_set("I").by_label["2"]
+    dup = Rule("2x", "I", r2.lhs, r2.rhs, r2.gate)
+    monkeypatch.setitem(_RULESET_CACHE, "I",
+                        RuleSet("I", rule_set("I").rules + (dup,)))
+    start = build_initial(BuildSpec(example_circuit, "I"))
+    assert _assert_run_matches_reference(
+        start, StepBudget(50), check_uog=True, allow_ambiguous=True) is None
+    with pytest.raises(Ambiguous, match=r"\[\('2', 2\), \('2x', 2\)\]"):
+        run(start, StepBudget(50))
 
 
 @pytest.mark.parametrize("tier", ["III", "IV"])
@@ -386,7 +461,7 @@ def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
     back = []
 
     def observe(t, state, _m):
-        if state.active == active_sites(start):
+        if [state.head] == active_sites(start):
             assert state.rows["C"] != list(start.rows["C"])
             back.append(t)
 
@@ -396,20 +471,6 @@ def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
     _assert_run_matches_reference(start, StepBudget(400, "step_limit"),
                                   check_uog=True)
     assert verify_uog(run(start, StepBudget(400, "step_limit"))).passed
-
-
-def test_trace_active_column_with_a_stray_cell(example_circuit):
-    # trace_observer reads the active cells off the run's cursor: with a
-    # stray active cell it must print '?', as a row rescan would
-    start = _stray_start(example_circuit, "III", "CP", 1, "C")
-    fh = io.StringIO()
-    traj = run(start, StepBudget(300, "step_limit"),
-               observer=trace_observer(fh))
-    for t, line in enumerate(fh.getvalue().splitlines(), start=1):
-        act = active_sites(traj.state(t))
-        assert line.split("\t")[3] == (
-            f"{act[0][1]}:{act[0][2]}" if len(act) == 1 else "?")
-    assert len(active_sites(traj.final)) == 2
 
 
 def test_restricted_hamiltonian_is_path_adjacency():
@@ -434,6 +495,34 @@ def test_restricted_hamiltonian_raises_on_off_path_image(monkeypatch):
                         RuleSet("I", rule_set("I").rules + (stray,)))
     with pytest.raises(ValueError, match="rule 99 maps state 0 to no trajectory"):
         restricted_hamiltonian(traj)
+
+
+def _tier2_past_one_period(gate):
+    """A tier-II all-`gate` run (n=2, work 01) for one period + 2 steps:
+    states period and period + 1 repeat the configurations of 0 and 1."""
+    start = build_initial(BuildSpec(CircuitProgram(2, ((gate,),)), "II",
+                                    "01"))
+    period = predicted_cycle_steps(2, 1)
+    return run(start, StepBudget(period + 2, "step_limit")), period
+
+
+def test_restricted_hamiltonian_raises_on_an_off_path_element():
+    # negative control: with an all-I circuit the work returns with the
+    # configuration, so rule 1 maps state 0 onto state period + 1 as well
+    traj, period = _tier2_past_one_period("I")
+    with pytest.raises(ValueError, match=f"rule 1 maps state 0 to state"
+                       f" {period + 1}: off-path matrix element"):
+        restricted_hamiltonian(traj)
+
+
+def test_restricted_hamiltonian_skips_orthogonal_work():
+    # with S the repeated configurations carry S|01> = |10>, orthogonal to
+    # the work of states 0 and 1, so only the path's elements remain
+    traj, period = _tier2_past_one_period("S")
+    h = restricted_hamiltonian(traj)
+    ones = np.ones(period + 2)
+    assert h.shape == (period + 3, period + 3)
+    assert np.array_equal(h, np.diag(ones, 1) + np.diag(ones, -1))
 
 
 def test_restricted_hamiltonian_clocked_prefix(example_circuit):
@@ -527,6 +616,22 @@ def test_run_keeps_no_states(example_circuit):
     assert long.checkpoints and not fresh.checkpoints
     fresh.final = long.final  # one object: ChainStates compare by identity
     assert long == fresh and "checkpoints" not in repr(long)
+
+
+def test_one_pass_readers_keep_no_checkpoint(example_circuit):
+    # iter_states() and the whole-trajectory checks that read through it
+    # replay once from the start and keep nothing; state(t) keeps the
+    # checkpoints it passes
+    b = Trajectory.CHECKPOINT_EVERY
+    traj = run(build_initial(BuildSpec(example_circuit, "III")),
+               StepBudget(b + 10))
+    assert sum(1 for _ in traj.iter_states()) == b + 11
+    assert verify_uog(traj).passed
+    assert check_claim_b(traj, example_circuit).passed
+    assert restricted_hamiltonian(traj).shape == (b + 11, b + 11)
+    assert not traj.checkpoints
+    traj.state(traj.n_steps)
+    assert list(traj.checkpoints) == [b]
 
 
 def _assert_equal_states(a, b):

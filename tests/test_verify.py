@@ -412,10 +412,55 @@ def test_posttarget_freeze_catches_a_write_after_the_match(example_circuit,
     assert res.measured == "success_at=581 tail=119 stop=step_limit"
 
 
+def test_posttarget_freeze_catches_a_work_change_after_the_match(
+        example_circuit, monkeypatch):
+    # negative control: a firing at step 590, after the compare-match,
+    # that also reverses the work amplitudes must fail the check there
+    s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
+                                bullet_offset=3))
+    orig = engine._Cursor.fire
+    fired = []
+
+    def change_work_at_590(cur, i, hit):
+        fired.append(hit.rule.label)
+        orig(cur, i, hit)
+        if len(fired) == 591:
+            amps = cur.work.amps[::-1]
+            assert not np.array_equal(amps, cur.work.amps)
+            cur.work = WorkState(cur.work.support, amps)
+
+    monkeypatch.setattr(engine._Cursor, "fire", change_work_at_590)
+    res = check_posttarget_freeze(s, 700)
+    assert fired[580] == "30"
+    assert not res.passed
+    assert res.details[0] == "t=591: work state changed"
+    assert res.measured == "success_at=581 tail=119 stop=step_limit"
+
+
 def test_phase_structure(example_circuit):
     traj = run(build_initial(BuildSpec(example_circuit, "III")),
                StepBudget(2000, "step_limit"))
     assert check_phase_structure(traj).passed
+    # negative controls: each doctored label list fails with its message
+    hand_offs, wakes = traj.markers["13a"], traj.markers["14"]
+    assert len(hand_offs) == len(wakes) == 10 and wakes[1] == hand_offs[1] + 1
+
+    def doctored(changes):
+        labels = list(traj.labels)
+        for t, label in changes.items():
+            labels[t] = label
+        res = check_phase_structure(engine.Trajectory(
+            traj.start, traj.rules, labels, traj.sites))
+        assert not res.passed
+        return res.details
+
+    assert doctored({13: "21"}) == [
+        "prefix ['19', '19', '19', '19', '19', '19']... != 19^(L-3),20,21"]
+    # the last two wakes turned into hand-offs: the pairs before still match
+    assert doctored({wakes[-2]: "13a", wakes[-1]: "13a"}) == [
+        "12 hand-offs vs 8 pointer wakes"]
+    assert doctored({hand_offs[1]: "14", wakes[1]: "13a"}) == [
+        f"wake at {hand_offs[1]} does not follow hand-off at {wakes[1]}"]
 
 
 def test_harness_states_are_valid():
