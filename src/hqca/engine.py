@@ -15,23 +15,28 @@ wants per step (a trace file, a replay on another backend, a whole-run
 check) comes from an observer, which reads the run's cursor.
 
 run() is the package's one stepping loop; the harnesses and checks in
-verify drive the chain through it.  It steps a per-run cursor, not a
-ChainState per step: mutable rows rewritten in the window cells and the
-head, the one active cell of a valid state, so a step's cost does not grow
-with the chain length L; a start or a firing with another count of active
-cells raises ValueError.  Each step, and each reverse count under
-check_uog, is one lookup in the rule set's compiled matcher, keyed by the
-few cells around the head through a probe bound to the cursor's rows.  The
-Hit found is ready to fire: the cursor writes its cells in place and takes
-the new head from it, with no rescan.  check_uog's repeat check compares
-the head with the start's, and the rows only where those agree.  run()
-builds ChainStates only for Ambiguous, the final state and observers.
+verify drive the chain through it.  It steps a per-run cursor (_Cursor),
+not a ChainState per step: mutable rows and the head, the one active cell
+of a valid state, rewritten in the window cells after one lookup in the
+rule set's compiled matcher, so a single step's cost does not grow with
+the chain length L.  check_uog's repeat check compares the head with the
+start's, and the rows only where those agree.  run() builds ChainStates
+only for Ambiguous, the final state and observers.
+
+Without an observer run() replays recurring stretches of up to BLOCK_STEPS
+gateless steps from a store on the rule set, keyed by (L, check_uog, head):
+a stretch seen twice is stored with its footprint, the cells its probes
+(reverse ones too under check_uog) read before it wrote them, and the store
+is emptied at BLOCK_CAP blocks.  Observers, gates, steps no block fits and
+those after a flagged repeat go one by one.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import dropwhile
+from operator import itemgetter
 
 import numpy as np
 
@@ -164,14 +169,14 @@ class _Cursor:
     each register to a list that a step rewrites in its window cells only.
     step() and count() look the head's window up in the rule set's compiled
     matcher through the symbol's probe in _fwd or _rev, bound to these
-    lists once per run by hits(), so a key takes no register lookup and no
-    method call.  A memo Hit is ready to fire: its key fixes the window's P
-    and CP cells, so it carries the window's active cells after the firing.
-    fire() writes the Hit's cells in place, runs its gate through
-    rules._apply_gate_effect (apply()'s rewrite too) and takes the new head
-    from it, with no rescan, or raises ValueError naming a rule that left
-    other than one active cell.  chain_state() builds a ChainState that
-    reuses the row tuples of registers no step touched since the last one.
+    lists once per run, and append the key to rec while it is a list.  A
+    memo Hit is ready to fire: its key fixes the window's P and CP cells, so
+    it carries the window's active cells after the firing.  fire() writes
+    the Hit's cells in place, runs its gate through rules._apply_gate_effect
+    (apply()'s rewrite too) and takes the new head from it, with no rescan,
+    or raises ValueError naming a rule that left other than one active cell;
+    replay() writes a block.  chain_state() builds a ChainState that reuses
+    the row tuples of registers no step touched since the last one.
 
     run() hands the cursor to observers as the view of the state reached:
     tier, L, rows (live lists, read-only, valid until the next step), work,
@@ -180,7 +185,7 @@ class _Cursor:
     """
 
     __slots__ = ("tier", "L", "rows", "work", "head", "site", "label",
-                 "gate", "_rs", "_fwd", "_rev", "_frozen", "_stale")
+                 "gate", "rec", "_rs", "_fwd", "_rev", "_frozen", "_stale")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         active = active_sites(state)
@@ -189,41 +194,42 @@ class _Cursor:
         self.head = active[0]
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
-        self._rs = rs
+        self.rec, self._rs = None, rs
         self._fwd, self._rev = {}, {}  # symbol -> ([(row, shift)...], memo)
         self._frozen = dict(state.rows)
         self._stale = set()
 
-    def hits(self, direction, site, symbol):
-        """rs.hits(direction, self, site, symbol), after binding the
-        symbol's probe to this cursor's rows for step() and count()."""
-        bound = self._fwd if direction == FORWARD else self._rev
-        if symbol not in bound:
-            probe, memo = self._rs.compiled(direction, symbol)
-            bound[symbol] = ([(self.rows[reg], k) for reg, k in probe], memo)
-        return self._rs.hits(direction, self, site, symbol)
+    def _bind(self, bound, direction, symbol):
+        """The symbol's probe, bound to this cursor's rows, and its memo."""
+        probe, memo = self._rs.compiled(direction, symbol)
+        bound[symbol] = ([(self.rows[reg], k) for reg, k in probe], memo)
+        return bound[symbol]
 
-    def count(self, direction) -> int:
-        """Number of matches in one direction."""
+    def count(self) -> int:
+        """Number of reverse matches."""
         site, _reg, s = self.head
-        bound = self._fwd if direction == FORWARD else self._rev
-        if s in bound and 1 < site < self.L:
-            cells, memo = bound[s]
-            found = memo.get(tuple([row[site + k] for row, k in cells]))
-            if found is not None:
-                return len(found)
-        return len(self.hits(direction, site, s))
+        cells, memo = self._rev.get(s) or self._bind(self._rev, REVERSE, s)
+        key = (tuple([row[site + k] for row, k in cells])
+               if 1 < site < self.L else None)
+        found = memo.get(key)
+        if found is None:  # an end of the chain, or a window not yet seen
+            key, found = self._rs.hits(REVERSE, self, site, s)
+        if self.rec is not None:
+            self.rec.append(key)
+        return len(found)
 
     def step(self):
         """Fire the unique forward hit in place: (site, Hit), or None at a
         dead end.  Several hits raise Ambiguous before any cell changes."""
         site, _reg, s = self.head
-        found = None
-        if s in self._fwd and 1 < site < self.L:
-            cells, memo = self._fwd[s]
-            found = memo.get(tuple([row[site + k] for row, k in cells]))
-        if found is None:
-            found = self.hits(FORWARD, site, s)
+        cells, memo = self._fwd.get(s) or self._bind(self._fwd, FORWARD, s)
+        key = (tuple([row[site + k] for row, k in cells])
+               if 1 < site < self.L else None)
+        found = memo.get(key)
+        if found is None:  # an end of the chain, or a window not yet seen
+            key, found = self._rs.hits(FORWARD, self, site, s)
+        if self.rec is not None:
+            self.rec.append(key)
         if len(found) != 1:
             if not found:
                 return None
@@ -250,6 +256,36 @@ class _Cursor:
         off, reg, s = hit.active[0]
         self.head = (i + off, reg, s)
 
+    def replay(self, blocks, left: int, start):
+        """Write and return the first block that fits in left steps and whose
+        footprint the rows hold, or None.  If it passes the head of start,
+        (head, rows), it must leave alone a cell that differs from start's."""
+        rows = self.rows
+        for k, block in enumerate(blocks):
+            reads, writes, head, labels, _sites, heads = block
+            if len(labels) > left:
+                continue
+            for reg, get, want in reads:
+                if get(rows[reg]) != want:
+                    break
+            else:
+                if start and start[0] in heads:
+                    kept = {reg: row[:] for reg, row in rows.items()}
+                    for reg, idx, _cells in writes:
+                        for i in idx:
+                            kept[reg][i] = start[1][reg][i]
+                    if kept == start[1]:
+                        continue
+                for reg, idx, cells in writes:
+                    row = rows[reg]
+                    for i, c in zip(idx, cells):
+                        row[i] = c
+                    self._stale.add(reg)
+                self.head = head
+                blocks.insert(0, blocks.pop(k))  # the last replayed first
+                return block
+        return None
+
     def chain_state(self) -> ChainState:
         for reg in self._stale:
             self._frozen[reg] = tuple(self.rows[reg])
@@ -258,6 +294,64 @@ class _Cursor:
 
     def config_equal(self, other: ChainState) -> bool:
         return self.chain_state().config_equal(other)
+
+
+# Gateless steps as run() replays them.  Per register, reads holds an
+# itemgetter of the cells their probes read before writing them and the values
+# it must return, writes the final cells; heads, the heads under check_uog.
+_Block = namedtuple("_Block", "reads writes head labels sites heads")
+
+# BLOCK_STEPS, measured on the stream chains and the full-width x = 1 run
+# (2-core VM): against 96, 64 ran t4_freeze 1.3x and 128 t3_L16 1.2x slower,
+# 256 t4_freeze 1.8x slower than 128; the full-width run took 0.6-0.8 s at 96
+# and 256, 1.0 s at 80 and 128.  BLOCK_CAP: a chain keeps up to 33 blocks (the
+# stream job, 160 kB; a 10^5-step tier-III run 32, the full-width run 26).
+BLOCK_STEPS = 96
+BLOCK_CAP = 256
+
+
+def _learn(store: dict, cur: _Cursor, head, labels, check_uog: bool):
+    """Build the block of a stretch from head that came up before, from the
+    probe keys in cur.rec (the reverse ones too under check_uog); otherwise
+    note that it came up.  Empties cur.rec."""
+    keys, cur.rec = iter(cur.rec), []
+    if head is None or len(labels) < 2:  # one step is no shortcut
+        return
+    rs, L, labels = cur._rs, cur.L, tuple(labels)
+    if len(rs.stretches) >= 8 * BLOCK_CAP:
+        rs.stretches.clear()
+    sig = hash((L, check_uog, head, labels))  # the sites follow from these
+    rs.stretches ^= {sig}  # in on its first sight, out again on the next
+    if sig in rs.stretches:
+        return
+    stores = rs.blocks.values()
+    if BLOCK_CAP <= sum(len(v) for d in stores for v in d.values()):
+        for d in stores:  # full: refill it with what recurs next
+            d.clear()
+    start, reads, final, heads, sites = head, {}, {}, set(), []
+    for direction, key in zip((FORWARD, REVERSE)[:1 + check_uog] * len(labels),
+                              keys):
+        site, _reg, s = head
+        cells, memo = rs.compiled(direction, s)
+        for (reg, shift), v in zip(cells, key):
+            if 0 <= site + shift < L and site + shift not in final.get(reg, ()):
+                reads.setdefault(reg, {}).setdefault(site + shift, v)
+        if direction == FORWARD:
+            ((offset, hit),) = memo[key]
+            i = site - offset
+            sites.append(i)
+            for reg, off, s in hit.writes:
+                final.setdefault(reg, {})[i - 1 + off] = s
+            off, reg, s = hit.active[0]
+            head = (i + off, reg, s)
+        else:
+            heads.add(head)
+    block = _Block(tuple((reg, itemgetter(*c), itemgetter(*c)(c))
+                         for reg, c in reads.items()),
+                   tuple((reg, tuple(c), tuple(c.values()))
+                         for reg, c in final.items()),
+                   head, labels, tuple(sites), frozenset(heads))
+    store[start] = [block, *store.get(start, ())]
 
 
 def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
@@ -272,22 +366,38 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     flags every step from the first return to the start.  observer(t,
     state, match) is called after each step t >= 1 with the cursor as both
     state and match (see _Cursor); the start state is traj.start.
+    Without an observer, stretches replay from the rule set's block store
+    (see above), which serves one run at a time: it is not thread-safe.
     """
     if keep_states:  # accepted as False only: past states are replayed
         raise TypeError("run keeps no states: use Trajectory.state(t)")
     traj = Trajectory(start, rule_set(start.tier))
-    cur = _Cursor(start, traj.rules)
+    labels, sites, rs = traj.labels, traj.sites, traj.rules
+    cur = _Cursor(start, rs)
     start_head = cur.head
     start_rows = {reg: list(row) for reg, row in start.rows.items()}
-    repeats = False
-    for t in range(budget.max_steps):
+    store = None if observer else rs.blocks.setdefault((cur.L, check_uog), {})
+    cur.rec = None if observer else []
+    uog_start = (start_head, start_rows) if check_uog else None
+    seg, seg_head = 0, start_head  # the stretch cur.rec holds the keys of
+    t, max_steps, repeats = 0, budget.max_steps, False
+    while t < max_steps:
+        if (store and (blocks := store.get(cur.head))
+                and (block := cur.replay(blocks, max_steps - t, uog_start))):
+            _learn(store, cur, seg_head, labels[seg:], check_uog)
+            labels += block.labels
+            sites += block.sites
+            t += len(block.labels)
+            seg, seg_head = t, cur.head
+            continue
         fired = cur.step()
         if fired is None:
             traj.stop_reason = "dead_end"
             break
         i, hit = fired
-        traj.labels.append(hit.rule.label)
-        traj.sites.append(i)
+        labels.append(hit.rule.label)
+        sites.append(i)
+        t += 1
         if check_uog:
             # A step map with one reverse match per state is injective, so
             # (Bennett 1973) the first repeat can only be of the start: if
@@ -298,13 +408,21 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
             repeats = repeats or (cur.head == start_head
                                   and cur.rows == start_rows)
             if repeats:
-                traj.uog_violations.append((t + 1, "configuration repeats"))
-            rev = cur.count(REVERSE)
+                traj.uog_violations.append((t, "configuration repeats"))
+                store = cur.rec = None
+            rev = cur.count()
             if rev != 1:
-                traj.uog_violations.append((t + 1, f"{rev} reverse matches"))
+                traj.uog_violations.append((t, f"{rev} reverse matches"))
+                seg_head = None  # no block holds this step
         if observer is not None:
             cur.site, cur.label, cur.gate = i, hit.rule.label, hit.gate
-            observer(t + 1, cur, cur)
+            observer(t, cur, cur)
+        elif store is not None and (
+                hit.gate is not None or t >= seg + BLOCK_STEPS
+                or cur.head == seg_head):
+            end = t if hit.gate is None else t - 1  # a gate ends a stretch
+            _learn(store, cur, seg_head, labels[seg:end], check_uog)
+            seg, seg_head = t, cur.head
     else:
         traj.stop_reason = "step_limit"
     traj.final = cur.chain_state()

@@ -413,9 +413,10 @@ class RuleSet:
     reads the window's P and CP cells, the key fixes the window's active
     cells after a firing too, and each Hit carries them; so a rule set
     serves states of its own tier, whose registers its probes read.  Each
-    instance owns its memo: a copy from without() drops rules, so it must
-    not see its parent's hits.  Two threads filling one entry store equal
-    values.  Matches come in deterministic (site, label) order.
+    instance owns its memo and engine.run's block store: a copy from
+    without() drops rules, so it sees neither of its parent's.  Two threads
+    filling one memo entry store equal values; the block store serves one
+    run at a time.  Matches come in deterministic (site, label) order.
     """
 
     def __init__(self, tier: str, rules):
@@ -429,6 +430,7 @@ class RuleSet:
                 for s in symbols:
                     self._index[direction].setdefault(s, []).append((rule, offset))
         self._compiled = {FORWARD: {}, REVERSE: {}}
+        self.blocks, self.stretches = {}, set()  # engine.run's block store
 
     def labels(self):
         return tuple(r.label for r in self.rules)
@@ -450,9 +452,9 @@ class RuleSet:
         return compiled
 
     def hits(self, direction, state, site, symbol):
-        """((offset, Hit), ...) for the candidates anchored at the active
-        site whose window (site - offset, site - offset + 1) matches, in
-        (window site, label) order.
+        """(key, ((offset, Hit), ...)): the memo key of the active site and
+        the candidates anchored there whose window (site - offset, site -
+        offset + 1) matches, in (window site, label) order.
 
         state is read through its tier, L and rows mapping only.
         """
@@ -473,7 +475,7 @@ class RuleSet:
         found = memo.get(key)
         if found is None:
             found = memo[key] = self._fill(direction, symbol, state, site)
-        return found
+        return key, found
 
     def _probe(self, direction, symbol):
         """((register, shift), ...) of every cell a candidate reads, of
@@ -620,7 +622,7 @@ def anchored_matches(state, direction: str, rs: RuleSet, sites):
     # disjoint, so no (rule, window) pair comes up twice
     found = []
     for site, _reg, s in sites:
-        for offset, hit in rs.hits(direction, state, site, s):
+        for offset, hit in rs.hits(direction, state, site, s)[1]:
             found.append((site - offset, hit))
     if len(found) > 1:
         found.sort(key=lambda f: (f[0], f[1].rule._sort_key))

@@ -10,11 +10,12 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, CircuitProgram,
                   clock_value, predicted_cycle_steps,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
-from hqca.engine import Trajectory, _Cursor, trace_observer
+from hqca import engine
+from hqca.engine import BLOCK_CAP, Trajectory, _Cursor, trace_observer
 from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
 from hqca.state import WorkState
 from hqca.verify import UogCheck, check_claim_b
-from hqca.symbols import BULLET, P, TURN
+from hqca.symbols import BULLET, C, P, TURN
 
 from conftest import feed_states, random_state, small_circuit
 
@@ -263,12 +264,20 @@ def _assert_run_matches_reference(start, budget, check_uog=False,
     assert traj.final.snapshot() == ref.final.snapshot()
     assert traj.final.digest() == ref.final.digest()
     assert np.array_equal(traj.final.work.amps, ref.final.work.amps)
-    # without an observer run builds no snapshot until the final state
-    bare = run(start, budget, check_uog=check_uog)
-    assert bare.labels == traj.labels
-    assert bare.uog_violations == traj.uog_violations
-    assert bare.final.snapshot() == traj.final.snapshot()
+    _assert_bare_runs_match(start, budget, check_uog, traj)
     return traj
+
+
+def _assert_bare_runs_match(start, budget, check_uog, traj):
+    """Two runs without an observer, the second on the block store that
+    the first warmed, end as traj, a run with one, did."""
+    for _ in range(2):
+        bare = run(start, budget, check_uog=check_uog)
+        assert bare.labels == traj.labels and bare.sites == traj.sites
+        assert bare.stop_reason == traj.stop_reason
+        assert bare.uog_violations == traj.uog_violations
+        assert bare.final.snapshot() == traj.final.snapshot()
+        assert np.array_equal(bare.final.work.amps, traj.final.work.amps)
 
 
 @settings(max_examples=30, deadline=None)
@@ -471,6 +480,188 @@ def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
     _assert_run_matches_reference(start, StepBudget(400, "step_limit"),
                                   check_uog=True)
     assert verify_uog(run(start, StepBudget(400, "step_limit"))).passed
+
+
+def _observed(start, budget, check_uog=False):
+    """A run with an observer, which takes one step at a time."""
+    return run(start, budget, check_uog=check_uog, observer=lambda *_: None)
+
+
+def _x9_start(example_circuit):
+    return build_initial(BuildSpec(example_circuit, "IV", target_x=9,
+                                   bullet_offset=3))
+
+
+def _fresh_rules(monkeypatch, tier):
+    """Put a copy of the tier's rule set, with an empty block store, in
+    the cache for this test, so that what it replays does not depend on the
+    tests run before it."""
+    rs = RuleSet(tier, rule_set(tier).rules)
+    monkeypatch.setitem(_RULESET_CACHE, tier, rs)
+    return rs
+
+
+def _blocks(rs, *keys):
+    """The blocks of a rule set's store, of the given (L, check_uog) keys
+    or of all of them."""
+    return [b for key, store in rs.blocks.items() if not keys or key in keys
+            for blocks in store.values() for b in blocks]
+
+
+def test_block_memo_x9_to_its_dead_end(example_circuit, monkeypatch):
+    # 26 326 steps, most of them replayed from the store on the second run
+    _fresh_rules(monkeypatch, "IV")
+    start = _x9_start(example_circuit)
+    traj = _observed(start, StepBudget(10 ** 5))
+    assert traj.n_steps == 26326 and traj.stop_reason == "dead_end"
+    _assert_bare_runs_match(start, StepBudget(10 ** 5), False, traj)
+
+
+def test_block_memo_chunked_runs_equal_one_run(example_circuit, monkeypatch):
+    # the benchmark's t4_freeze chain, run as calls of 4000 steps: a block
+    # never overruns a call's budget, and the calls chain into one run
+    _fresh_rules(monkeypatch, "IV")
+    start = build_initial(BuildSpec(example_circuit, "IV", random_state(3, 1),
+                                    target_x=5, bullet_offset=6))
+    whole = _observed(start, StepBudget(10 ** 6))
+    assert whole.n_steps == 99276
+    for _ in range(2):
+        labels, sites, state, stop = [], [], start, None
+        while stop != "dead_end":
+            part = run(state, StepBudget(4000))
+            stop, state = part.stop_reason, part.final
+            assert part.n_steps == 4000 or stop == "dead_end"
+            labels += part.labels
+            sites += part.sites
+        assert labels == whole.labels and sites == whole.sites
+        assert state.snapshot() == whole.final.snapshot()
+        assert np.array_equal(state.work.amps, whole.final.work.amps)
+
+
+def test_block_memo_tier2_repeats_over_three_periods(example_circuit,
+                                                     monkeypatch):
+    # runs from a state inside the cycle store blocks that pass the start's
+    # configuration with no repeat to flag; run from the start, such a block
+    # would pass its first return unflagged, so run single-steps it
+    _fresh_rules(monkeypatch, "II")
+    period = predicted_cycle_steps(3, 2)
+    start = build_initial(BuildSpec(example_circuit, "II",
+                                    random_state(3, 4)))
+    budget = StepBudget(3 * period, "step_limit")
+    for skip in (50, 120):
+        inside = run(start, StepBudget(skip)).final
+        for _ in range(2):
+            run(inside, budget, check_uog=True)
+    traj = _observed(start, budget, check_uog=True)
+    assert traj.uog_violations == [(t, "configuration repeats")
+                                   for t in range(period, 3 * period + 1)]
+    _assert_bare_runs_match(start, budget, True, traj)
+
+
+def test_block_memo_reads_the_reverse_probe_under_check_uog(
+        example_circuit, monkeypatch):
+    # negative control: rule 99's right side is rule 11's with a 1 clock
+    # cell on the left, so a rule-11 firing over a set clock bit leaves two
+    # reverse matches (its left side holds a tier-IV symbol and never
+    # fires).  No forward probe of the reset sweep reads the clock: only
+    # the reverse-probe cells in a block's footprint keep a sweep stored
+    # over 0 bits from replaying over set ones
+    extra = Rule("99", "III", {P: (lit("▷x"), gv("A")), C: (lit("1"), ANY)},
+                 {P: (gv("A"), lit("▷")), C: (lit("1"), ANY)})
+    monkeypatch.setitem(_RULESET_CACHE, "III",
+                        RuleSet("III", rule_set("III").rules + (extra,)))
+    start = build_initial(BuildSpec(example_circuit, "III"))
+    budget = StepBudget(3000, "step_limit")
+    traj = _observed(start, budget, check_uog=True)
+    flagged = [t for t, _ in traj.uog_violations]
+    assert len(flagged) == 8
+    assert {traj.labels[t - 1] for t in flagged} == {"11"}
+    _assert_bare_runs_match(start, budget, True, traj)
+
+
+def test_block_memo_replays_most_steps(example_circuit, monkeypatch):
+    # on a warm store fewer than 10 % of the steps take _Cursor.step; with
+    # an observer every step does, and the observer sees each one
+    _fresh_rules(monkeypatch, "IV")
+    start = _x9_start(example_circuit)
+    run(start, StepBudget(10 ** 5))
+    calls = []
+    step = _Cursor.step
+    monkeypatch.setattr(_Cursor, "step",
+                        lambda cur: calls.append(1) or step(cur))
+    traj = run(start, StepBudget(10 ** 5))
+    assert traj.n_steps == 26326 and len(calls) < 0.1 * traj.n_steps
+    calls.clear()
+    seen = []
+    traj = run(start, StepBudget(10 ** 5),
+               observer=lambda t, *_: seen.append(t))
+    assert seen == list(range(1, 26327))
+    assert len(calls) == 26327  # the last call finds the dead end
+
+
+def test_block_memo_is_per_rule_set_and_chain_length(example_circuit,
+                                                     monkeypatch):
+    # a without() copy starts with an empty store and replays only its own
+    # blocks; a chain of another length replays none stored for L = 16
+    parent = _fresh_rules(monkeypatch, "IV")
+    start = _x9_start(example_circuit)
+    run(start, StepBudget(10 ** 5))
+    theirs = {id(b) for b in _blocks(parent, (16, False))}
+    assert theirs
+    replayed = []
+    replay = _Cursor.replay
+
+    def spy(cur, blocks, left, first):
+        block = replay(cur, blocks, left, first)
+        if block is not None:
+            replayed.append(id(block))
+        return block
+
+    monkeypatch.setattr(_Cursor, "replay", spy)
+    copy = parent.without("29")
+    assert copy.blocks == {} and copy.stretches == set()
+    monkeypatch.setitem(_RULESET_CACHE, "IV", copy)
+    for _ in range(2):
+        assert run(start, StepBudget(10 ** 5)).n_steps == 26326
+    assert replayed and not theirs & set(replayed)
+    monkeypatch.setitem(_RULESET_CACHE, "IV", parent)
+    replayed.clear()
+    other = build_initial(BuildSpec(small_circuit(2, 1), "IV", target_x=3,
+                                    bullet_offset=4))
+    assert other.L != 16
+    for _ in range(2):
+        run(other, StepBudget(10 ** 5))
+    assert replayed and not theirs & set(replayed)
+
+
+def test_block_store_stays_under_its_cap(example_circuit, monkeypatch):
+    # 10^5 tier-III steps stay under the cap; under a cap of 4 the run
+    # empties the full store and goes on building and replaying blocks
+    start = build_initial(BuildSpec(example_circuit, "III",
+                                    random_state(3, 4)))
+    built, replayed = [], []
+    block, replay = engine._Block, _Cursor.replay
+    monkeypatch.setattr(engine, "_Block",
+                        lambda *a: built.append(1) or block(*a))
+
+    def spy(cur, *args):
+        found = replay(cur, *args)
+        if found is not None:
+            replayed.append(len(built))
+        return found
+
+    monkeypatch.setattr(_Cursor, "replay", spy)
+    for cap in (BLOCK_CAP, 4):
+        built.clear()
+        replayed.clear()
+        rs = _fresh_rules(monkeypatch, "III")
+        monkeypatch.setattr(engine, "BLOCK_CAP", cap)
+        traj = run(start, StepBudget(10 ** 5))
+        assert traj.n_steps == 10 ** 5
+        assert 0 < len(_blocks(rs)) <= cap
+        assert len(rs.stretches) <= 8 * cap
+    assert max(replayed) > 2 * 4  # a replay after the store was emptied twice
+    assert traj.labels == _observed(start, StepBudget(10 ** 5)).labels
 
 
 def test_restricted_hamiltonian_is_path_adjacency():
