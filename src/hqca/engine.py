@@ -47,7 +47,8 @@ from .symbols import BULLET, C, D
 
 
 class Ambiguous(Exception):
-    """More than one rule applies where the construction promises one."""
+    """More than one rule applies where the construction promises one.
+    Raised by run(), it carries traj: the steps up to the state it names."""
 
     def __init__(self, state, matches, direction):
         labels = [(m.label, m.site) for m in matches]
@@ -167,7 +168,7 @@ class _Cursor:
     head is the (site, register, symbol) of the one active cell, and
     __init__ raises ValueError for a start with another count.  rows maps
     each register to a list that a step rewrites in its window cells only.
-    step() and count() look the head's window up in the rule set's compiled
+    step() and reverse() look the head's window up in the rule set's compiled
     matcher through the symbol's probe in _fwd or _rev, bound to these
     lists once per run, and append the key to rec while it is a list.  A
     memo Hit is ready to fire: its key fixes the window's P and CP cells, so
@@ -205,8 +206,8 @@ class _Cursor:
         bound[symbol] = ([(self.rows[reg], k) for reg, k in probe], memo)
         return bound[symbol]
 
-    def count(self) -> int:
-        """Number of reverse matches."""
+    def reverse(self):
+        """((offset, Hit), ...): the reverse matches anchored at the head."""
         site, _reg, s = self.head
         cells, memo = self._rev.get(s) or self._bind(self._rev, REVERSE, s)
         key = (tuple([row[site + k] for row, k in cells])
@@ -216,7 +217,7 @@ class _Cursor:
             key, found = self._rs.hits(REVERSE, self, site, s)
         if self.rec is not None:
             self.rec.append(key)
-        return len(found)
+        return found
 
     def step(self):
         """Fire the unique forward hit in place: (site, Hit), or None at a
@@ -359,15 +360,17 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     """Drive the unique forward path to a dead end or budget.max_steps.
 
     start must have one active cell, else ValueError (see _Cursor); a
-    state with several forward matches raises Ambiguous.  check_uog
-    verifies, on the fly, that every non-initial state has exactly one
-    reverse match and that no configuration repeats; violations are
-    recorded, not raised; the repeat check keeps no configurations, and
-    flags every step from the first return to the start.  observer(t,
-    state, match) is called after each step t >= 1 with the cursor as both
-    state and match (see _Cursor); the start state is traj.start.
-    Without an observer, stretches replay from the rule set's block store
-    (see above), which serves one run at a time: it is not thread-safe.
+    state with several forward matches raises Ambiguous, whose traj holds
+    the steps before it.  check_uog verifies, on the fly, that every
+    non-initial state has exactly one reverse match, the rule just fired
+    at its window, and that no configuration repeats; violations are
+    recorded as (step, message), not raised.  The repeat check keeps no
+    configurations: from the first return to the start, at step p, it
+    flags every state t as equal to state t - p.  observer(t, state,
+    match) is called after each step t >= 1 with the cursor as both state
+    and match (see _Cursor); the start state is traj.start.  Without an
+    observer, stretches replay from the rule set's block store (see
+    above), which serves one run at a time: it is not thread-safe.
     """
     if keep_states:  # accepted as False only: past states are replayed
         raise TypeError("run keeps no states: use Trajectory.state(t)")
@@ -380,7 +383,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     cur.rec = None if observer else []
     uog_start = (start_head, start_rows) if check_uog else None
     seg, seg_head = 0, start_head  # the stretch cur.rec holds the keys of
-    t, max_steps, repeats = 0, budget.max_steps, False
+    t, max_steps, period = 0, budget.max_steps, None
     while t < max_steps:
         if (store and (blocks := store.get(cur.head))
                 and (block := cur.replay(blocks, max_steps - t, uog_start))):
@@ -390,7 +393,11 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
             t += len(block.labels)
             seg, seg_head = t, cur.head
             continue
-        fired = cur.step()
+        try:
+            fired = cur.step()
+        except Ambiguous as err:
+            err.traj = traj  # the steps before the state that raised it
+            raise
         if fired is None:
             traj.stop_reason = "dead_end"
             break
@@ -400,20 +407,29 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
         t += 1
         if check_uog:
             # A step map with one reverse match per state is injective, so
-            # (Bennett 1973) the first repeat can only be of the start: if
-            # the first repeat is s_j = s_i with 0 < i < j, then s_(i-1) !=
-            # s_(j-1) and s_i has two reverse matches, flagged at step i; a
-            # loop keeping every state agrees up to that flag, then lists more.
-            # Equal rows give equal heads: those are compared first.
-            repeats = repeats or (cur.head == start_head
-                                  and cur.rows == start_rows)
-            if repeats:
-                traj.uog_violations.append((t, "configuration repeats"))
-                store = cur.rec = None
-            rev = cur.count()
-            if rev != 1:
-                traj.uog_violations.append((t, f"{rev} reverse matches"))
+            # (Bennett 1973) the first repeat can only be of the start, at
+            # step p, and then state t equals state t - p: if the first
+            # repeat is s_j = s_i with 0 < i < j, then s_(i-1) != s_(j-1) and
+            # s_i has two reverse matches, flagged at step i; a loop keeping
+            # every state agrees up to that flag, then lists more.  Equal
+            # rows give equal heads: those are compared first.
+            if (period is None and cur.head == start_head
+                    and cur.rows == start_rows):
+                period, store, cur.rec = t, None, None
+            if period is not None:
+                traj.uog_violations.append(
+                    (t, f"configuration equals state {t - period}"))
+            rev = cur.reverse()
+            if len(rev) != 1:
+                traj.uog_violations.append((t, f"{len(rev)} reverse matches"))
                 seg_head = None  # no block holds this step
+            elif (rev[0][1].rule is not hit.rule
+                  or rev[0][0] != hit.active[0][0]):  # not the step back
+                traj.uog_violations.append(
+                    (t, f"reverse match {rev[0][1].rule.label} at"
+                     f" {cur.head[0] - rev[0][0]}, but {hit.rule.label} at"
+                     f" {i} fired"))
+                seg_head = None
         if observer is not None:
             cur.site, cur.label, cur.gate = i, hit.rule.label, hit.gate
             observer(t, cur, cur)

@@ -460,18 +460,12 @@ class RuleSet:
         """
         probe, memo = self.compiled(direction, symbol)
         rows, last = state.rows, state.L
-        key = None
-        if 1 < site < last:
-            # an interior key leaves out the two False flags: it is two
-            # shorter than every flagged key, so the two kinds never meet
-            try:
-                key = tuple([rows[reg][site + shift] for reg, shift in probe])
-            except KeyError:  # a register the state lacks
-                pass
-        if key is None:
-            key = (*[row[site + shift] if (row := rows.get(reg)) is not None
+        # off the chain, or in a register the state lacks, a cell reads
+        # None: the probe holds every candidate's window P cells, so a key
+        # with no None has every candidate's window on the chain
+        key = tuple([row[site + shift] if (row := rows.get(reg)) is not None
                      and 0 <= site + shift < last else None
-                     for reg, shift in probe], site == 1, site == last)
+                     for reg, shift in probe])
         found = memo.get(key)
         if found is None:
             found = memo[key] = self._fill(direction, symbol, state, site)
@@ -599,34 +593,16 @@ def applicable(state: ChainState, direction: str, rules: RuleSet | None = None,
     without the memo (the test suite's oracle for the compiled path).
     """
     rs = rules if rules is not None else rule_set(state.tier)
-    if not full_scan:
-        return [as_match(i, hit, direction) for i, hit in
-                anchored_matches(state, direction, rs, active_sites(state))]
-    found = [as_match(i, hit, direction)
-             for rule in rs.rules for i in range(1, state.L)
-             if (hit := _hit(rule, direction, state, i)) is not None]
-    found.sort(key=lambda m: (m.site, m.rule._sort_key))
-    return found
-
-
-def anchored_matches(state, direction: str, rs: RuleSet, sites):
-    """[(window site, Hit)] anchored at the given active sites, in (site,
-    label) order, from the rule set's compiled matcher.
-
-    sites lists (site, register, symbol) as active_sites() returns it; a
-    caller that tracks the active sites itself saves the row scan.  state
-    is read through its L and rows mapping only, so any object with
-    ChainState's L and rows will do.
-    """
-    # a rule anchors one active cell and the P and CP active pools are
-    # disjoint, so no (rule, window) pair comes up twice
-    found = []
-    for site, _reg, s in sites:
-        for offset, hit in rs.hits(direction, state, site, s)[1]:
-            found.append((site - offset, hit))
-    if len(found) > 1:
-        found.sort(key=lambda f: (f[0], f[1].rule._sort_key))
-    return found
+    if full_scan:
+        found = [(i, hit) for rule in rs.rules for i in range(1, state.L)
+                 if (hit := _hit(rule, direction, state, i)) is not None]
+    else:
+        # a rule anchors one active cell and the P and CP active pools are
+        # disjoint, so no (rule, window) pair comes up twice
+        found = [(site - offset, hit) for site, _reg, s in active_sites(state)
+                 for offset, hit in rs.hits(direction, state, site, s)[1]]
+    found.sort(key=lambda f: (f[0], f[1].rule._sort_key))
+    return [as_match(i, hit, direction) for i, hit in found]
 
 
 def as_match(i, hit: Hit, direction: str) -> Match:

@@ -7,11 +7,12 @@ the comparator, and, as the oracle for the hybrid data register, a full
 2^L statevector that replays every gate the chain fires.  check_claim_b is
 the one work-register check for every tier; on tier IV, claim B at k = x and
 the post-target freeze give that the frozen work register is U^x psi.
-verify_uog recounts every state's forward and reverse matches from its
-rows.  The harnesses step through run() and read their answers from the
-trajectory or their observers; the checks take the tier, the work window
-and the input work vector from traj.start, and each reports one
-CheckResult.
+verify_uog is no second path: it reruns the trajectory under the engine's
+own check, run(check_uog=True), which the tests hold to a full scan of
+every rule on every window.  The harnesses step through run() and read
+their answers from the trajectory or their observers; the checks take the
+tier, the work window and the input work vector from traj.start, and each
+reports one CheckResult.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import numpy as np
 
 from .builder import BuildSpec, build_initial
 from .circuit import CircuitProgram, apply_round, fidelity
-from .engine import StepBudget, Trajectory, clock_value, run
-from .rules import FORWARD, REVERSE, anchored_matches, rule_set
-from .state import (ChainState, DenseData, WorkState, active_sites,
-                    as_dense_vector)
+from .engine import Ambiguous, StepBudget, Trajectory, clock_value, run
+from .state import ChainState, DenseData, WorkState, as_dense_vector
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
 
 FIDELITY_TOL = 1e-10
@@ -57,77 +56,43 @@ def format_report(results) -> str:
 
 
 # -- walk-line structure and work-qubit oracle -----------------------------------
-# Each check keeps no states: step(t, state, label, site) takes state t,
+# ClaimBCheck keeps no states: step(t, state, label, site) takes state t,
 # reached by rule label on window site, from a replay or from run()'s view
 # (read during the call only); result(traj) reports after the run.
 
 
-def _feed(check, traj: Trajectory):  # each check reads the start itself
+def _feed(check, traj: Trajectory):  # the check reads the start itself
     for t, state in enumerate(islice(traj.iter_states(), 1, None), 1):
         check.step(t, state, traj.labels[t - 1], traj.sites[t - 1])
     return check
 
 
-class UogCheck:
-    """verify_uog's check, recounting each state's matches and work
-    support from its rows.  One reverse match per state makes the step map
-    injective, so (Bennett 1973) the first repeat can only be of the start,
-    at step p, and state t >= p equals state t - p.  Every step checks that
-    premise: the fired (label, site) is the one forward match of the state
-    before and the one reverse match of the state after."""
-
-    def __init__(self, start: ChainState):
-        self.rs, self.support = rule_set(start.tier), start.work.support
-        # a ChainState's rows are tuples and run()'s view's are lists
-        self.start_rows = (start.rows, {reg: list(row) for reg, row
-                                        in start.rows.items()})
-        self.period, self.violations = None, []
-        self.t = self._at = 0  # last state fed; where its forward count goes
-        self.start_act = active_sites(start)
-        self.fwd = anchored_matches(start, FORWARD, self.rs, self.start_act)
-
-    def step(self, t: int, state, label: str, site: int):
-        v, fwd = self.violations, self.fwd
-        if len(fwd) != 1:
-            v.insert(self._at, (t - 1, f"{len(fwd)} forward matches"))
-        elif fwd[0][0] != site or fwd[0][1].rule.label != label:
-            v.append((t - 1, f"forward match {fwd[0][1].rule.label} at"
-                      f" {fwd[0][0]}, but {label} at {site} fired"))
-        act = active_sites(state)
-        # equal rows have equal active sites: those are compared first
-        if (self.period is None and act == self.start_act
-                and state.rows in self.start_rows):
-            self.period = t
-        if self.period is not None:
-            v.append((t, f"configuration equals state {t - self.period}"))
-        self.t, self._at = t, len(v)
-        self.fwd = anchored_matches(state, FORWARD, self.rs, act)
-        rev = anchored_matches(state, REVERSE, self.rs, act)
-        if len(rev) != 1:
-            v.append((t, f"{len(rev)} reverse matches"))
-        elif rev[0][0] != site or rev[0][1].rule.label != label:
-            v.append((t, f"reverse match {rev[0][1].rule.label} at"
-                      f" {rev[0][0]}, but {label} at {site} fired"))
-        if (state.work.support != self.support
-                and (extra := set(state.work.support) - set(self.support))):
-            v.append((t, f"quantum support leaked to {sorted(extra)}"))
-
-    def result(self, traj: Trajectory) -> CheckResult:
-        v = traj.uog_violations + self.violations
-        if traj.stop_reason == "dead_end" and self.fwd:
-            v.insert(len(traj.uog_violations) + self._at,
-                     (self.t, "final state still has forward matches"))
-        return CheckResult("uog", not v, f"states={self.t + 1}", "clean", v)
-
-
-def verify_uog(traj: Trajectory, check: UogCheck = None) -> CheckResult:
-    """Walk-line structure: one forward match on every non-final state
-    (none on a dead-end final) and one reverse match on every later one,
-    both naming the rule fired between them, no repeated configuration,
-    and classical data outside the start's work window; details list the
-    (step, message) violations, run's check_uog ones first.  check is a
-    UogCheck fed by run()'s observer, else a replay of traj feeds one."""
-    return (check or _feed(UogCheck(traj.start), traj)).result(traj)
+def verify_uog(traj: Trajectory) -> CheckResult:
+    """Walk-line structure, checked by run(check_uog=True): traj.start is
+    rerun on the current rule table, one step past a dead-end record, and
+    must retrace the record.  details list, as (step, message), the
+    rerun's violations up to the first step where it leaves the record,
+    then that step: a dead end or an ambiguity before the record's end, a
+    match other than the fired one, or forward matches on a dead-end
+    final state.  The tests hold run's check to a full-scan reference."""
+    n, dead = traj.n_steps, traj.stop_reason == "dead_end"
+    matches = 0  # of the state where the rerun stopped short: 0 at a dead end
+    try:
+        rerun = run(traj.start, StepBudget(n + dead or 1), check_uog=True)
+    except Ambiguous as err:
+        rerun, matches = err.traj, len(err.matches)
+    pairs = zip(rerun.labels, rerun.sites, traj.labels, traj.sites)
+    t = next((t for t, (a, s, b, r) in enumerate(pairs) if a != b or s != r),
+             min(rerun.n_steps, n))
+    v = [x for x in rerun.uog_violations if x[0] <= t]
+    if t < min(rerun.n_steps, n):
+        v.append((t, f"forward match {rerun.labels[t]} at {rerun.sites[t]},"
+                  f" but {traj.labels[t]} at {traj.sites[t]} fired"))
+    elif t < n:
+        v.append((t, f"{matches} forward matches"))
+    elif dead and (rerun.n_steps > n or matches):
+        v.append((n, "final state still has forward matches"))
+    return CheckResult("uog", not v, f"states={n + 1}", "clean", v)
 
 
 # tier -> (label counted, labels of a checkpoint, kind of the count)

@@ -110,7 +110,7 @@ def test_criterion_04_uog():
     circuit = worked_example_circuit()
     # single-pass trajectory: fully unique and orthogonal
     t1 = run(build_initial(BuildSpec(circuit, "I")), StepBudget(200, "dead_end"))
-    # verify_uog checks the work support against the start state's
+    # the work register starts in the tier's window
     assert t1.start.work.support == tuple(work_window("I", 3, 2))
     r1 = verify_uog(t1)
     if not r1.passed:

@@ -105,6 +105,20 @@ def test_run_ambiguous_exit_1_keeps_the_trace(tmp_path, capsys, monkeypatch):
     assert line.split("\t")[:4] == ["0", "1", "1", "P:→S"]
 
 
+@pytest.mark.parametrize("suite", ["uog", "all"])
+def test_verify_ambiguous_exit_1(tmp_path, capsys, monkeypatch, suite):
+    # the same duplicate 2x, on a run without an observer and on one with:
+    # one error line naming the ambiguity, exit 1, no traceback
+    r2 = rules.rule_set("I").by_label["2"]
+    dup = rules.Rule("2x", "I", r2.lhs, r2.rhs, r2.gate)
+    monkeypatch.setitem(rules._RULESET_CACHE, "I", rules.RuleSet(
+        "I", rules.rule_set("I").rules + (dup,)))
+    assert main(["verify", write(tmp_path, TIER1), "--suite", suite]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: ambiguous transition: 2 forward matches:"
+        " [('2', 2), ('2x', 2)]\n"))
+
+
 @pytest.mark.parametrize("text", [TIER3, TIER4], ids=["III", "IV"])
 def test_trace_columns_read_each_state(tmp_path, capsys, text):
     inst = write(tmp_path, text)
@@ -195,7 +209,7 @@ def test_verify_suites(tmp_path, capsys):
 
 def test_verify_uog_fails_without_a_reverse_rule(tmp_path, capsys,
                                                  monkeypatch):
-    # negative control of the streamed check: the cached tier-I rule set
+    # negative control of the rerun's check: the cached tier-I rule set
     # loses rule 5a's reverse side, so the forward run is unchanged and
     # every state that 5a reaches has no reverse match
     from hqca.rules import _RULESET_CACHE, REVERSE, RuleSet, rule_set

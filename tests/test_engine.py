@@ -13,11 +13,10 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, CircuitProgram,
 from hqca import engine
 from hqca.engine import BLOCK_CAP, Trajectory, _Cursor, trace_observer
 from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
-from hqca.state import WorkState
-from hqca.verify import UogCheck, check_claim_b
+from hqca.verify import check_claim_b
 from hqca.symbols import BULLET, C, P, TURN
 
-from conftest import feed_states, random_state, small_circuit
+from conftest import random_state, small_circuit
 
 
 def test_single_pass_step_count_small():
@@ -94,34 +93,31 @@ def test_clock_value_readout(example_circuit):
     assert clock_value(build_initial(BuildSpec(example_circuit, "I"))) is None
 
 
-def test_verify_uog_clean_and_negative(example_circuit):
+def _with_rule_2x(monkeypatch, *dropped):
+    """Cache tier I's rule set less the dropped rules, plus 2x, a copy of
+    rule 2 that matches wherever rule 2 does."""
+    r2 = rule_set("I").by_label["2"]
+    dup = Rule("2x", "I", r2.lhs, r2.rhs, r2.gate)
+    monkeypatch.setitem(_RULESET_CACHE, "I", RuleSet(
+        "I", rule_set("I").without(*dropped).rules + (dup,)))
+
+
+def test_verify_uog_clean_and_negative(example_circuit, monkeypatch):
     traj = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"))
-    assert traj.start.work.support == (6, 7, 8)  # the window it checks
     rep = verify_uog(traj)
     assert rep.passed and rep.measured == "states=94"
-    # a duplicated configuration must be flagged.  A copy of state 12 at
-    # step 40 is no return to the start, so the links to its neighbours
-    # flag it: its one reverse match is not the rule fired into it, and
-    # its one forward match is not the rule fired out of it
-    states = list(traj.iter_states())
-    states[40] = states[12]
-    rep2 = verify_uog(traj, feed_states(UogCheck(traj.start), traj, states))
-    assert not rep2.passed
-    links = [(40, "reverse match 5a at 6, but 2 at 8 fired"),
-             (40, "forward match 5a at 5, but 2 at 9 fired")]
-    assert rep2.details == links
-    # a third copy is flagged by its own links
-    states[60] = states[12]
-    assert verify_uog(traj, feed_states(
-        UogCheck(traj.start), traj, states)).details == links + [
-        (60, "reverse match 5a at 6, but 4b at 12 fired"),
-        (60, "forward match 5a at 5, but 5b at 11 fired")]
+    # negative control: with 2x the rerun meets two forward matches where
+    # rule 2 first fired; the report names them and does not raise
+    _with_rule_2x(monkeypatch)
+    rep = verify_uog(traj)
+    assert not rep.passed and rep.measured == "states=94"
+    assert rep.details == [(traj.labels.index("2"), "2 forward matches")]
 
 
 def test_verify_uog_alone_catches_missing_rule(example_circuit, monkeypatch):
-    # hqca verify runs without check_uog, so verify_uog must on its own
-    # report both the forward and the reverse count defects
+    # a record made before rule 5a left the table: the rerun dead-ends
+    # where 5a first fired, and that is the first detail
     traj = run(build_initial(BuildSpec(example_circuit, "I")),
                StepBudget(200, "dead_end"))
     fired = traj.marker_steps("5a")
@@ -129,8 +125,19 @@ def test_verify_uog_alone_catches_missing_rule(example_circuit, monkeypatch):
     monkeypatch.setitem(_RULESET_CACHE, "I", rule_set("I").without("5a"))
     rep = verify_uog(traj)
     assert not rep.passed
-    assert {(t, "0 forward matches") for t in fired} <= set(rep.details)
-    assert {(t + 1, "0 reverse matches") for t in fired} <= set(rep.details)
+    assert rep.details == [(fired[0], "0 forward matches")]
+
+
+def test_verify_uog_names_another_forward_rule(example_circuit, monkeypatch):
+    # a record made before rule 2 was swapped for its copy 2x: the rerun
+    # fires 2x where the record fired 2, and the report stops there
+    traj = run(build_initial(BuildSpec(example_circuit, "I")),
+               StepBudget(200, "dead_end"))
+    _with_rule_2x(monkeypatch, "2")
+    t = traj.labels.index("2")
+    rep = verify_uog(traj)
+    assert rep.details == [(t, f"forward match 2x at {traj.sites[t]}, but 2"
+                               f" at {traj.sites[t]} fired")]
 
 
 def test_check_uog_flags_states_with_no_reverse_match(example_circuit,
@@ -147,17 +154,6 @@ def test_check_uog_flags_states_with_no_reverse_match(example_circuit,
     assert fired and traj.marker_steps("5a") == fired
     assert traj.uog_violations == [(t + 1, "0 reverse matches")
                                    for t in fired]
-
-
-def test_verify_uog_catches_leaked_support(example_circuit):
-    # a work register that spreads past the start state's window is a leak
-    traj = run(build_initial(BuildSpec(example_circuit, "I")),
-               StepBudget(200, "dead_end"))
-    states = list(traj.iter_states())
-    st = states[30]
-    states[30] = st.replace(work=WorkState((5, 6, 7), st.work.amps))
-    rep = verify_uog(traj, feed_states(UogCheck(traj.start), traj, states))
-    assert rep.details == [(30, "quantum support leaked to [5]")]
 
 
 def test_verify_uog_flags_a_cut_dead_end(example_circuit):
@@ -190,14 +186,14 @@ def _reference_walk(start, max_steps, check_uog=False):
 
     The full scan tries every rule on every window with try_match and no
     memo, so the reference shares no compiled matcher with run().
-    check_uog counts reverse matches the same way and finds repeats in a
-    set of config_key()s.
+    check_uog lists the same reverse matches and finds repeats in a dict
+    of config_key()s, each naming the state's last earlier occurrence.
     """
     rs = rule_set(start.tier)
     ref = SimpleNamespace(labels=[], sites=[], digests=[start.digest()],
                           markers={}, violations=[], stop="step_limit",
                           ambiguous=None)
-    keys = {start.config_key()}
+    keys = {start.config_key(): 0}
     state = start
     for t in range(max_steps):
         matches = applicable(state, FORWARD, rs, full_scan=True)
@@ -216,11 +212,16 @@ def _reference_walk(start, max_steps, check_uog=False):
         if check_uog:
             key = state.config_key()
             if key in keys:
-                ref.violations.append((t + 1, "configuration repeats"))
-            keys.add(key)
+                ref.violations.append(
+                    (t + 1, f"configuration equals state {keys[key]}"))
+            keys[key] = t + 1
             rev = applicable(state, REVERSE, rs, full_scan=True)
             if len(rev) != 1:
                 ref.violations.append((t + 1, f"{len(rev)} reverse matches"))
+            elif (rev[0].label, rev[0].site) != (m.label, m.site):
+                ref.violations.append(
+                    (t + 1, f"reverse match {rev[0].label} at {rev[0].site},"
+                     f" but {m.label} at {m.site} fired"))
     ref.final = state
     return ref
 
@@ -304,8 +305,9 @@ def test_check_uog_flags_tier2_repeats_from_the_period(example_circuit):
     start = build_initial(BuildSpec(example_circuit, "II",
                                     random_state(3, 4)))
     traj = run(start, StepBudget(period + 3, "step_limit"), check_uog=True)
-    assert traj.uog_violations == [(t, "configuration repeats")
-                                   for t in range(period, period + 4)]
+    assert traj.uog_violations == [
+        (t, f"configuration equals state {t - period}")
+        for t in range(period, period + 4)]
 
 
 def test_check_uog_repeat_of_a_later_state(example_circuit, monkeypatch):
@@ -325,9 +327,9 @@ def test_check_uog_repeat_of_a_later_state(example_circuit, monkeypatch):
     traj = run(start, StepBudget(191, "step_limit"), check_uog=True)
     assert traj.labels == ref.labels and traj.labels[0] == "13c"
     assert ref.violations == [
-        (1, "2 reverse matches"), (189, "configuration repeats"),
-        (189, "2 reverse matches"), (190, "configuration repeats"),
-        (191, "configuration repeats")]
+        (1, "2 reverse matches"), (189, "configuration equals state 1"),
+        (189, "2 reverse matches"), (190, "configuration equals state 2"),
+        (191, "configuration equals state 3")]
     # equal through the first reverse-count violation, then a sub-list
     assert traj.uog_violations[:1] == ref.violations[:1]
     later = iter(ref.violations)
@@ -442,10 +444,7 @@ def test_a_rule_that_leaves_two_heads_is_named(example_circuit, monkeypatch):
 def test_duplicated_rule_is_ambiguous(example_circuit, monkeypatch):
     # a copy 2x of rule 2 matches wherever rule 2 does: run raises
     # Ambiguous at step 1 with the full scan's (label, site) list
-    r2 = rule_set("I").by_label["2"]
-    dup = Rule("2x", "I", r2.lhs, r2.rhs, r2.gate)
-    monkeypatch.setitem(_RULESET_CACHE, "I",
-                        RuleSet("I", rule_set("I").rules + (dup,)))
+    _with_rule_2x(monkeypatch)
     start = build_initial(BuildSpec(example_circuit, "I"))
     assert _assert_run_matches_reference(
         start, StepBudget(50), check_uog=True, allow_ambiguous=True) is None
@@ -553,8 +552,9 @@ def test_block_memo_tier2_repeats_over_three_periods(example_circuit,
         for _ in range(2):
             run(inside, budget, check_uog=True)
     traj = _observed(start, budget, check_uog=True)
-    assert traj.uog_violations == [(t, "configuration repeats")
-                                   for t in range(period, 3 * period + 1)]
+    assert traj.uog_violations == [
+        (t, f"configuration equals state {t - period}")
+        for t in range(period, 3 * period + 1)]
     _assert_bare_runs_match(start, budget, True, traj)
 
 
@@ -576,6 +576,51 @@ def test_block_memo_reads_the_reverse_probe_under_check_uog(
     flagged = [t for t, _ in traj.uog_violations]
     assert len(flagged) == 8
     assert {traj.labels[t - 1] for t in flagged} == {"11"}
+    _assert_bare_runs_match(start, budget, True, traj)
+
+
+def test_check_uog_names_a_reverse_match_of_another_rule(example_circuit,
+                                                        monkeypatch):
+    # negative control for the reverse naming: rule 99 of the test above,
+    # with rule 11 gone from the reverse index as 5a is in
+    # test_check_uog_flags_states_with_no_reverse_match.  A rule-11 firing
+    # over a set clock bit leaves one reverse match, 99's, and over a 0 bit
+    # none; the forward path is unchanged
+    extra = Rule("99", "III", {P: (lit("▷x"), gv("A")), C: (lit("1"), ANY)},
+                 {P: (gv("A"), lit("▷")), C: (lit("1"), ANY)})
+    rs = RuleSet("III", rule_set("III").rules + (extra,))
+    rs._index[REVERSE] = {s: [(r, off) for r, off in cands if r.label != "11"]
+                          for s, cands in rs._index[REVERSE].items()}
+    monkeypatch.setitem(_RULESET_CACHE, "III", rs)
+    start = build_initial(BuildSpec(example_circuit, "III"))
+    budget = StepBudget(3000, "step_limit")
+    traj = _observed(start, budget, check_uog=True)
+    fired = [t + 1 for t in traj.marker_steps("11")]
+    assert [t for t, _ in traj.uog_violations] == fired
+    named = [(t, msg) for t, msg in traj.uog_violations
+             if msg != "0 reverse matches"]
+    assert len(named) == 8 and named == [
+        (t, f"reverse match 99 at {traj.sites[t - 1]}, but 11 at"
+            f" {traj.sites[t - 1]} fired") for t, _ in named]
+    _assert_bare_runs_match(start, budget, True, traj)
+
+
+def test_check_uog_names_a_reverse_match_at_another_window(example_circuit,
+                                                          monkeypatch):
+    # negative control for the window half of the naming: the cursor's
+    # reverse lookup reports rule 5a's reverse match one window left of
+    # where 5a fired, and every state 5a reaches is flagged
+    reverse = _Cursor.reverse
+    monkeypatch.setattr(_Cursor, "reverse", lambda cur: tuple(
+        (off + (h.rule.label == "5a"), h) for off, h in reverse(cur)))
+    _fresh_rules(monkeypatch, "I")
+    start = build_initial(BuildSpec(example_circuit, "I"))
+    budget = StepBudget(200, "dead_end")
+    traj = _observed(start, budget, check_uog=True)
+    fired = traj.marker_steps("5a")
+    assert fired and traj.uog_violations == [
+        (t + 1, f"reverse match 5a at {traj.sites[t] - 1}, but 5a at"
+                f" {traj.sites[t]} fired") for t in fired]
     _assert_bare_runs_match(start, budget, True, traj)
 
 
@@ -783,7 +828,7 @@ def test_streaming_run_matches_full(example_circuit):
                StepBudget(200, "dead_end"), check_uog=True)
     assert lean.labels == full.labels
     assert not lean.uog_violations
-    # a run checked on the fly is rechecked from its replayed states
+    # verify_uog reruns either record under check_uog
     assert verify_uog(lean) == verify_uog(full)
     assert verify_uog(lean).passed
 
@@ -810,9 +855,9 @@ def test_run_keeps_no_states(example_circuit):
 
 
 def test_one_pass_readers_keep_no_checkpoint(example_circuit):
-    # iter_states() and the whole-trajectory checks that read through it
-    # replay once from the start and keep nothing; state(t) keeps the
-    # checkpoints it passes
+    # iter_states() and the whole-trajectory checks, which read through it
+    # or rerun the start, keep nothing; state(t) keeps the checkpoints it
+    # passes
     b = Trajectory.CHECKPOINT_EVERY
     traj = run(build_initial(BuildSpec(example_circuit, "III")),
                StepBudget(b + 10))

@@ -52,8 +52,8 @@ def test_verify_calls_are_cli_attributes(perfbench):
 
 def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     # worker.verify_suite fails the operation unless `hqca verify --suite
-    # all` makes exactly one cli.run call, whose observer feeds the uog and
-    # claim-B checks
+    # all` makes exactly one cli.run call, whose observer feeds the claim-B
+    # check; verify_uog's rerun calls the engine's run, not cli.run
     import workloads
     calls = []
 

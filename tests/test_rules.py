@@ -10,9 +10,8 @@ from hqca import BuildSpec, StepBudget, build_initial, run
 from hqca import symbols as sym
 from hqca.rules import (_CROSSED_FROM, _RULESET_CACHE, FORWARD, REVERSE,
                         NonClassicalGateError, Rule, RuleError, _instantiate,
-                        anchored_matches, applicable, apply, as_match,
-                        classical_gate_action, dump_rule_table, lit, rule_set,
-                        try_match)
+                        applicable, apply, as_match, classical_gate_action,
+                        dump_rule_table, lit, rule_set, try_match)
 from hqca.state import ChainState, WorkState, active_sites
 from hqca.symbols import BULLET, D, GATES, QUANTUM, REGISTERS_BY_TIER
 from hqca.verify import clock_increment
@@ -339,7 +338,10 @@ def test_compiled_lookup_equals_plain_try_match(case):
     tier, direction, start, i = case
     rs = rule_set(tier).without()
     for state in (start, *_one_cell_edits(start, i)):
-        hits = anchored_matches(state, direction, rs, active_sites(state))
+        hits = sorted(((site - offset, h) for site, _reg, s in
+                       active_sites(state) for offset, h in
+                       rs.hits(direction, state, site, s)[1]),
+                      key=lambda f: (f[0], f[1].rule._sort_key))
         got = [(j, h.rule.label, h.bindings, tuple(sorted(h.writes)), h.gate)
                for j, h in hits]
         assert got == _plain_matches(state, direction, rs)
