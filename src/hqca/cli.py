@@ -163,10 +163,10 @@ def cmd_verify(args) -> int:
         claim_b = ClaimBCheck(state, spec.circuit)
 
         def feed(t, view, _fired):
-            claim_b.step(t, view, view.label, view.site)
+            claim_b.step(t, view, view.label)
 
         try:
-            traj = run(state, budget,
+            traj = run(state, budget, check_uog="uog" in wanted,
                        observer=feed if "oracle" in wanted else None)
         except Ambiguous as err:
             print(f"error: ambiguous transition: {err}", file=sys.stderr)

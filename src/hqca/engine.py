@@ -77,12 +77,12 @@ class StepBudget:
 
 @dataclass
 class Trajectory:
-    """Forward path from a start state: labels[t] and sites[t] name the
-    rule and window of step t, the transition from state t to state t+1,
-    and markers is derived from them.  state(t) and iter_states() replay
-    states from them on the run's rules.  checkpoints, a cache that only
-    state(t) fills, keeps for the trajectory's life the state (work
-    included) at each multiple of CHECKPOINT_EVERY that it has passed."""
+    """Forward path from a start state: labels[t] and sites[t] name the rule
+    and window of step t, the transition from state t to state t+1, and markers
+    is derived from them.  state(t) and iter_states() replay states from them
+    on the run's rules.  checked: run() made it under check_uog.  checkpoints,
+    a cache that only state(t) fills, keeps for the trajectory's life the state
+    (work included) at each multiple of CHECKPOINT_EVERY that it has passed."""
 
     start: ChainState
     rules: RuleSet
@@ -91,6 +91,7 @@ class Trajectory:
     final: ChainState = None
     stop_reason: str = None
     uog_violations: list = field(default_factory=list)
+    checked: bool = field(default=False, init=False)
     checkpoints: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
     CHECKPOINT_EVERY = 1024  # steps between the states state(t) keeps
@@ -375,6 +376,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     if keep_states:  # accepted as False only: past states are replayed
         raise TypeError("run keeps no states: use Trajectory.state(t)")
     traj = Trajectory(start, rule_set(start.tier))
+    traj.checked = check_uog
     labels, sites, rs = traj.labels, traj.sites, traj.rules
     cur = _Cursor(start, rs)
     start_head = cur.head

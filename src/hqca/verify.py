@@ -7,12 +7,12 @@ the comparator, and, as the oracle for the hybrid data register, a full
 2^L statevector that replays every gate the chain fires.  check_claim_b is
 the one work-register check for every tier; on tier IV, claim B at k = x and
 the post-target freeze give that the frozen work register is U^x psi.
-verify_uog is no second path: it reruns the trajectory under the engine's
-own check, run(check_uog=True), which the tests hold to a full scan of
-every rule on every window.  The harnesses step through run() and read
-their answers from the trajectory or their observers; the checks take the
-tier, the work window and the input work vector from traj.start, and each
-reports one CheckResult.
+verify_uog is no second path: it reads the engine's own check,
+run(check_uog=True), from the run that made the trajectory or from a rerun;
+the tests hold that check to a full scan of every rule on every window.  The
+harnesses step through run() and read their answers from the trajectory or
+their observers; the checks take the tier, the work window and the input
+work vector from traj.start, and each reports one CheckResult.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .builder import BuildSpec, build_initial
 from .circuit import CircuitProgram, apply_round, fidelity
 from .engine import Ambiguous, StepBudget, Trajectory, clock_value, run
+from .rules import rule_set
 from .state import ChainState, DenseData, WorkState, as_dense_vector
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
 
@@ -56,29 +57,30 @@ def format_report(results) -> str:
 
 
 # -- walk-line structure and work-qubit oracle -----------------------------------
-# ClaimBCheck keeps no states: step(t, state, label, site) takes state t,
-# reached by rule label on window site, from a replay or from run()'s view
-# (read during the call only); result(traj) reports after the run.
+# ClaimBCheck keeps no states: step(t, state, label) takes state t, reached
+# by rule label, from a replay or from run()'s view (read during the call
+# only); result(traj) reports after the run.
 
 
 def _feed(check, traj: Trajectory):  # the check reads the start itself
     for t, state in enumerate(islice(traj.iter_states(), 1, None), 1):
-        check.step(t, state, traj.labels[t - 1], traj.sites[t - 1])
+        check.step(t, state, traj.labels[t - 1])
     return check
 
 
 def verify_uog(traj: Trajectory) -> CheckResult:
-    """Walk-line structure, checked by run(check_uog=True): traj.start is
-    rerun on the current rule table, one step past a dead-end record, and
-    must retrace the record.  details list, as (step, message), the
-    rerun's violations up to the first step where it leaves the record,
-    then that step: a dead end or an ambiguity before the record's end, a
-    match other than the fired one, or forward matches on a dead-end
-    final state.  The tests hold run's check to a full-scan reference."""
+    """Walk-line structure, checked by run(check_uog=True): a record that
+    run checked on the current rule table is its own rerun, and any other
+    has traj.start rerun on that table, one step past a dead end, to retrace
+    it.  details list, as (step, message), the rerun's violations up to the
+    first step where it leaves the record, then that step: a dead end or an
+    ambiguity before the record's end, a match other than the fired one, or
+    forward matches on a dead-end final state."""
     n, dead = traj.n_steps, traj.stop_reason == "dead_end"
-    matches = 0  # of the state where the rerun stopped short: 0 at a dead end
+    rerun, matches = traj, 0  # matches: 0 at a dead end, else the ambiguity's
     try:
-        rerun = run(traj.start, StepBudget(n + dead or 1), check_uog=True)
+        if not (traj.checked and traj.rules is rule_set(traj.start.tier)):
+            rerun = run(traj.start, StepBudget(n + dead or 1), check_uog=True)
     except Ambiguous as err:
         rerun, matches = err.traj, len(err.matches)
     pairs = zip(rerun.labels, rerun.sites, traj.labels, traj.sites)
@@ -109,9 +111,9 @@ class ClaimBCheck:
         self.details, self.k_max = [], None
         self.compared = self.count = 0  # count: 4a (tier I) or 13b (II)
         self.worst, self.expect, self.done = 1.0, start.work.amps, 0
-        self.step(0, start, None, None)
+        self.step(0, start, None)
 
-    def step(self, t: int, state, label: str, site: int):
+    def step(self, t: int, state, label: str):
         self.last = state.work
         if counted := _COUNTED.get(self.start.tier):
             self.count += label == counted[0]

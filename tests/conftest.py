@@ -37,8 +37,8 @@ def build(tier, circuit, **kw):
 
 
 def feed_states(check, traj, states):
-    """check, fed states[1:] with traj's labels and sites as verify feeds
-    a replay of traj: the negative controls pass it doctored states."""
+    """check, fed states[1:] with traj's labels as verify feeds a replay
+    of traj: the negative controls pass it doctored states."""
     for t in range(1, len(states)):
-        check.step(t, states[t], traj.labels[t - 1], traj.sites[t - 1])
+        check.step(t, states[t], traj.labels[t - 1])
     return check

@@ -130,7 +130,7 @@ def test_criterion_04_uog():
     claim_b = ClaimBCheck(start, circuit)
     t3 = run(start, StepBudget(10 ** 6, "step_limit"), check_uog=True,
              observer=lambda t, view, _fired: claim_b.step(
-                 t, view, view.label, view.site))
+                 t, view, view.label))
     if t3.uog_violations:
         problems.append(("III", t3.uog_violations[:2]))
     if t3.n_steps != 10 ** 6:

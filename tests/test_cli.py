@@ -342,6 +342,58 @@ def test_verify_all_tier4(tmp_path, capsys):
     assert capsys.readouterr() == (VERIFY_ALL_TIER4, "")
 
 
+# the instances of the test_verify_all_* tests, with their budgets
+VERIFY_INSTANCES = pytest.mark.parametrize("text", [
+    TIER1, TIER2 + "budget=400\n", TIER3 + "budget=3000\n",
+    TIER4 + "budget=8000\n"], ids=["I", "II", "III", "IV"])
+
+
+@VERIFY_INSTANCES
+def test_verify_uog_report_does_not_depend_on_the_suite(tmp_path, capsys,
+                                                        text):
+    # --suite uog checks a run that replays blocks from the rule set's
+    # store; --suite all checks one that steps singly under the claim-B
+    # observer.  Both print the same uog line and details (tier II: FAIL
+    # with ten repeats), and no other suite here prints details
+    path = write(tmp_path, text)
+    reports = []
+    for suite in ("uog", "all"):
+        main(["verify", path, "--suite", suite, "--l-bits", "3"])
+        out = capsys.readouterr().out.splitlines()
+        reports.append([ln for ln in out
+                        if ln.startswith(("CHECK uog ", "  "))])
+    assert reports[0] == reports[1]
+    assert reports[0][0].startswith("CHECK uog ")
+
+
+@pytest.mark.parametrize("suite", ["uog", "oracle", "all"])
+def test_verify_runs_the_chain_once(tmp_path, capsys, monkeypatch, suite):
+    # every run of the state cmd_verify builds, through cli.run or through
+    # verify.run (verify_uog's rerun); the clock, comparator and backends
+    # suites run chains they build themselves
+    from hqca import cli, verify
+    built, starts = [], []
+
+    def counted(fn, calls):
+        def call(first, *args, **kwargs):
+            calls.append(first)
+            return fn(first, *args, **kwargs)
+        return call
+
+    def build(spec):
+        built.append(build_initial(spec))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_initial", build)
+    monkeypatch.setattr(cli, "run", counted(cli.run, starts))
+    monkeypatch.setattr(verify, "run", counted(verify.run, starts))
+    assert main(["verify", write(tmp_path, TIER3 + "budget=3000\n"),
+                 "--suite", suite, "--l-bits", "3"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert sum(start is built[0] for start in starts) == 1
+
+
 @pytest.mark.parametrize("text, line", [
     (TIER2, "CHECK work_oracle FAIL min_fidelity=1.000000000000"),
     (TIER3, "CHECK claim_b FAIL states=0 k_max=None"

@@ -140,6 +140,36 @@ def test_verify_uog_names_another_forward_rule(example_circuit, monkeypatch):
                                f" at {traj.sites[t]} fired")]
 
 
+def test_verify_uog_reruns_a_run_checked_on_another_table(example_circuit,
+                                                          monkeypatch):
+    # a run checked before rule 5a left the table is not that table's
+    # check: the report comes from a rerun that dead-ends where 5a first
+    # fired
+    traj = run(build_initial(BuildSpec(example_circuit, "I")),
+               StepBudget(200, "dead_end"), check_uog=True)
+    fired = traj.marker_steps("5a")
+    assert fired and traj.checked and not traj.uog_violations
+    monkeypatch.setitem(_RULESET_CACHE, "I", rule_set("I").without("5a"))
+    assert verify_uog(traj).details == [(fired[0], "0 forward matches")]
+
+
+def test_verify_uog_reads_a_checked_run(example_circuit, monkeypatch):
+    # a checked tier-II run past its 188-step period is its own rerun: the
+    # report lists the run's repeats, and verify_uog runs no chain
+    from hqca import verify
+    traj = run(build_initial(BuildSpec(example_circuit, "II")),
+               StepBudget(400, "step_limit"), check_uog=True)
+    assert traj.uog_violations[0] == (188, "configuration equals state 0")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify_uog ran the chain")
+
+    monkeypatch.setattr(verify, "run", no_run)
+    rep = verify_uog(traj)
+    assert not rep.passed and rep.measured == "states=401"
+    assert rep.details == traj.uog_violations
+
+
 def test_check_uog_flags_states_with_no_reverse_match(example_circuit,
                                                       monkeypatch):
     # negative control for the premise of the repeat check: a state that

@@ -52,8 +52,9 @@ def test_verify_calls_are_cli_attributes(perfbench):
 
 def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     # worker.verify_suite fails the operation unless `hqca verify --suite
-    # all` makes exactly one cli.run call, whose observer feeds the claim-B
-    # check; verify_uog's rerun calls the engine's run, not cli.run
+    # all` makes exactly one cli.run call, which checks the walk line and
+    # whose observer feeds the claim-B check; verify_uog reads that run's
+    # check and reruns nothing
     import workloads
     calls = []
 

@@ -274,16 +274,20 @@ def test_verify_uog_matches_applicable_recount(tier, n, k, seed, target,
     traj = run(build_initial(BuildSpec(small_circuit(n, k, seed), tier,
                                        random_state(n, seed), **extra)),
                StepBudget(steps, "dead_end"))
-    assert verify_uog(traj).details == _uog_recount(traj)
+    report = verify_uog(traj)
+    assert report.details == _uog_recount(traj)
     # claim B fed from run()'s view during the run reports what the
-    # replayed ChainStates give
+    # replayed ChainStates give; that run and a bare one, both checked,
+    # are their own reruns and report what the record's rerun does
     circuit = small_circuit(n, k, seed)
     claim_b = ClaimBCheck(traj.start, circuit)
-    streamed = run(traj.start, StepBudget(steps, "dead_end"),
+    streamed = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True,
                    observer=lambda t, view, _fired: claim_b.step(
-                       t, view, view.label, view.site))
+                       t, view, view.label))
     assert (check_claim_b(streamed, circuit, claim_b)
             == check_claim_b(traj, circuit))
+    bare = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True)
+    assert verify_uog(streamed) == report == verify_uog(bare)
     # a rule missing from the table: both read the swapped rule set, and
     # the rerun stops where the dropped rule first fired
     dropped = traj.labels[seed % traj.n_steps]
