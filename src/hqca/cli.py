@@ -19,9 +19,9 @@ from .engine import (Ambiguous, StepBudget, Trajectory, clock_value, run,
                      trace_observer)
 from .state import validate_config
 from .symbols import format_dimension_audit
-from .verify import (MAX_DENSE_SITES, ClaimBCheck, check_claim_b,
-                     check_clock_counter, check_comparator,
-                     cross_check_backends, format_report, verify_uog)
+from .verify import (MAX_DENSE_SITES, check_claim_b, check_clock_counter,
+                     check_comparator, cross_check_backends, format_report,
+                     verify_uog)
 from .walk import (WalkDistribution, WalkLine, distribution_dump,
                    limiting_distribution, position_distribution,
                    time_averaged_distribution)
@@ -160,21 +160,15 @@ def cmd_verify(args) -> int:
     state = build_initial(spec)
     budget = StepBudget(instance.options.get("budget", 200_000), "dead_end")
     if {"uog", "oracle"} & set(wanted):
-        claim_b = ClaimBCheck(state, spec.circuit)
-
-        def feed(t, view, _fired):
-            claim_b.step(t, view, view.label)
-
         try:
-            traj = run(state, budget, check_uog="uog" in wanted,
-                       observer=feed if "oracle" in wanted else None)
+            traj = run(state, budget, check_uog="uog" in wanted)
         except Ambiguous as err:
             print(f"error: ambiguous transition: {err}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
         if "uog" in wanted:
             results.append(verify_uog(traj))
         if "oracle" in wanted:
-            results.append(check_claim_b(traj, spec.circuit, claim_b))
+            results.append(check_claim_b(traj, spec.circuit))
     if "clock" in wanted:
         results.append(check_clock_counter(args.l_bits))
     if "comparator" in wanted:

@@ -11,7 +11,7 @@ step of a short reverse tail of at most 3L steps before a dead end.
 run() walks the unique forward path to a dead end or its step cap,
 recording the fired rule label and window site of every step and no state:
 Trajectory.state replays one from those records.  Anything else a caller
-wants per step (a trace file, a replay on another backend, a whole-run
+wants per step (a trace file, a replay on another backend, the freeze
 check) comes from an observer, which reads the run's cursor.
 
 run() is the package's one stepping loop; the harnesses and checks in
@@ -121,7 +121,8 @@ class Trajectory:
 
     def _replay(self, s: int, t: int):
         """Step a cursor from state s (0 or a checkpoint) to state t,
-        yielding it at each state; a step off the record raises ValueError."""
+        yielding it at each state.  A step off the record raises ValueError,
+        and so does a replay to the end that stops away from final."""
         cur = _Cursor(self.checkpoints.get(s, self.start), self.rules)
         yield cur
         for k in range(s, t):
@@ -130,6 +131,11 @@ class Trajectory:
                     or fired[1].rule.label != self.labels[k]):
                 raise ValueError(f"replay left the record at step {k}")
             yield cur
+        end = self.final
+        if t == self.n_steps and end and not (
+                cur.config_equal(end)
+                and np.array_equal(cur.work.amps, end.work.amps)):
+            raise ValueError(f"replay left the record at final state {t}")
 
     @property
     def markers(self) -> dict:
@@ -177,8 +183,7 @@ class _Cursor:
     the Hit's cells in place, runs its gate through rules._apply_gate_effect
     (apply()'s rewrite too) and takes the new head from it, with no rescan,
     or raises ValueError naming a rule that left other than one active cell;
-    replay() writes a block.  chain_state() builds a ChainState that reuses
-    the row tuples of registers no step touched since the last one.
+    replay() writes a block.
 
     run() hands the cursor to observers as the view of the state reached:
     tier, L, rows (live lists, read-only, valid until the next step), work,
@@ -187,7 +192,7 @@ class _Cursor:
     """
 
     __slots__ = ("tier", "L", "rows", "work", "head", "site", "label",
-                 "gate", "rec", "_rs", "_fwd", "_rev", "_frozen", "_stale")
+                 "gate", "rec", "_rs", "_fwd", "_rev")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         active = active_sites(state)
@@ -198,8 +203,6 @@ class _Cursor:
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
         self.rec, self._rs = None, rs
         self._fwd, self._rev = {}, {}  # symbol -> ([(row, shift)...], memo)
-        self._frozen = dict(state.rows)
-        self._stale = set()
 
     def _bind(self, bound, direction, symbol):
         """The symbol's probe, bound to this cursor's rows, and its memo."""
@@ -251,10 +254,9 @@ class _Cursor:
             cells, self.work = _apply_gate_effect(self, hit.gate, i, False)
             if cells is not None:
                 writes += ((D, 0, cells[0]), (D, 1, cells[1]))
-        rows, stale = self.rows, self._stale
+        rows = self.rows
         for reg, off, s in writes:
             rows[reg][i - 1 + off] = s
-            stale.add(reg)
         off, reg, s = hit.active[0]
         self.head = (i + off, reg, s)
 
@@ -282,17 +284,15 @@ class _Cursor:
                     row = rows[reg]
                     for i, c in zip(idx, cells):
                         row[i] = c
-                    self._stale.add(reg)
                 self.head = head
                 blocks.insert(0, blocks.pop(k))  # the last replayed first
                 return block
         return None
 
     def chain_state(self) -> ChainState:
-        for reg in self._stale:
-            self._frozen[reg] = tuple(self.rows[reg])
-        self._stale.clear()
-        return ChainState(self.tier, self._frozen, self.work)
+        return ChainState(self.tier, {reg: tuple(row)
+                                      for reg, row in self.rows.items()},
+                          self.work)
 
     def config_equal(self, other: ChainState) -> bool:
         return self.chain_state().config_equal(other)

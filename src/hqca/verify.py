@@ -5,14 +5,14 @@ that shares no code with the rule engine: dense circuit algebra for the
 work qubits, plain integer arithmetic for the clock, exhaustive sweeps for
 the comparator, and, as the oracle for the hybrid data register, a full
 2^L statevector that replays every gate the chain fires.  check_claim_b is
-the one work-register check for every tier; on tier IV, claim B at k = x and
-the post-target freeze give that the frozen work register is U^x psi.
-verify_uog is no second path: it reads the engine's own check,
-run(check_uog=True), from the run that made the trajectory or from a rerun;
-the tests hold that check to a full scan of every rule on every window.  The
-harnesses step through run() and read their answers from the trajectory or
-their observers; the checks take the tier, the work window and the input
-work vector from traj.start, and each reports one CheckResult.
+the one work-register check for every tier, read from a replay of the record
+to traj.final; on tier IV, claim B at k = x and the post-target freeze give
+that the frozen work register is U^x psi.  verify_uog is no second path: it
+reads the engine's own check, run(check_uog=True), from the run that made
+the trajectory or from a rerun; the tests hold that check to a full scan of
+every rule on every window.  The harnesses step through run(); the other
+checks read the trajectory or their observers.  Each takes the tier, work
+window and input work vector from traj.start, and reports one CheckResult.
 """
 
 from __future__ import annotations
@@ -58,14 +58,8 @@ def format_report(results) -> str:
 
 # -- walk-line structure and work-qubit oracle -----------------------------------
 # ClaimBCheck keeps no states: step(t, state, label) takes state t, reached
-# by rule label, from a replay or from run()'s view (read during the call
-# only); result(traj) reports after the run.
-
-
-def _feed(check, traj: Trajectory):  # the check reads the start itself
-    for t, state in enumerate(islice(traj.iter_states(), 1, None), 1):
-        check.step(t, state, traj.labels[t - 1])
-    return check
+# by rule label, from a replay's cursor or any other view with rows and work
+# (read during the call only); result(traj) reports after the run.
 
 
 def verify_uog(traj: Trajectory) -> CheckResult:
@@ -83,7 +77,8 @@ def verify_uog(traj: Trajectory) -> CheckResult:
             rerun = run(traj.start, StepBudget(n + dead or 1), check_uog=True)
     except Ambiguous as err:
         rerun, matches = err.traj, len(err.matches)
-    pairs = zip(rerun.labels, rerun.sites, traj.labels, traj.sites)
+    pairs = () if rerun is traj else zip(rerun.labels, rerun.sites,
+                                         traj.labels, traj.sites)
     t = next((t for t, (a, s, b, r) in enumerate(pairs) if a != b or s != r),
              min(rerun.n_steps, n))
     v = [x for x in rerun.uog_violations if x[0] <= t]
@@ -146,6 +141,9 @@ class ClaimBCheck:
     def result(self, traj: Trajectory) -> CheckResult:
         if self.start.tier == "I":  # the final state holds every gate turn
             self._compare(traj.n_steps, "rounds", self.count, self.last)
+        return self._report()
+
+    def _report(self) -> CheckResult:
         name, measured = "work_oracle", f"min_fidelity={self.worst:.12f}"
         if self.start.tier in ("III", "IV"):
             name = "claim_b"
@@ -154,8 +152,7 @@ class ClaimBCheck:
                            measured, f">={1 - FIDELITY_TOL}", self.details)
 
 
-def check_claim_b(traj: Trajectory, circuit: CircuitProgram,
-                  check: ClaimBCheck = None) -> CheckResult:
+def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     """Claim B on every tier: wherever the tier predicts the work register,
     it must equal the start state's after that many circuit rounds.  The
     checkpoints are, for tier I, the state after each oscillation end
@@ -163,10 +160,18 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram,
     of them; for tier II, the state after the x-th reset completion (13b)
     with x circuit powers; for tiers III/IV, every state whose clock pointer
     shows C, with the clock reading k as its power.  A check that compares
-    no state fails, and so does one that meets a malformed clock.  check is
-    a ClaimBCheck fed by run()'s observer, else a replay of traj feeds one."""
-    return (check or _feed(ClaimBCheck(traj.start, circuit), traj)
-            ).result(traj)
+    no state fails, and so does one that meets a malformed clock.  It reads
+    one replay of the record through its cursor, and the replay's error, off
+    the record or away from traj.final, fails it as a detail."""
+    check = ClaimBCheck(traj.start, circuit)
+    try:
+        for t, view in enumerate(islice(traj._replay(0, traj.n_steps), 1,
+                                        None), 1):
+            check.step(t, view, traj.labels[t - 1])
+        return check.result(traj)
+    except ValueError as err:  # off the record, or off the work window
+        check.details.append(str(err))
+        return check._report()
 
 
 # -- standalone clock harness ----------------------------------------------------

@@ -135,7 +135,7 @@ def test_criterion_04_uog():
         problems.append(("III", t3.uog_violations[:2]))
     if t3.n_steps != 10 ** 6:
         problems.append(("III", f"stopped at {t3.n_steps}"))
-    r3 = check_claim_b(t3, circuit, claim_b)
+    r3 = claim_b.result(t3)
     if not r3.passed or not r3.measured.startswith("states=5209 k_max=5208"):
         problems.append(("III", r3.measured, r3.details[:2]))
     elapsed = time.monotonic() - t0

@@ -107,8 +107,8 @@ def test_run_ambiguous_exit_1_keeps_the_trace(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["uog", "all"])
 def test_verify_ambiguous_exit_1(tmp_path, capsys, monkeypatch, suite):
-    # the same duplicate 2x, on a run without an observer and on one with:
-    # one error line naming the ambiguity, exit 1, no traceback
+    # the same duplicate 2x, under the uog suite alone and under all: one
+    # error line naming the ambiguity, exit 1, no traceback
     r2 = rules.rule_set("I").by_label["2"]
     dup = rules.Rule("2x", "I", r2.lhs, r2.rhs, r2.gate)
     monkeypatch.setitem(rules._RULESET_CACHE, "I", rules.RuleSet(
@@ -351,10 +351,10 @@ VERIFY_INSTANCES = pytest.mark.parametrize("text", [
 @VERIFY_INSTANCES
 def test_verify_uog_report_does_not_depend_on_the_suite(tmp_path, capsys,
                                                         text):
-    # --suite uog checks a run that replays blocks from the rule set's
-    # store; --suite all checks one that steps singly under the claim-B
-    # observer.  Both print the same uog line and details (tier II: FAIL
-    # with ten repeats), and no other suite here prints details
+    # --suite uog checks the run alone, --suite all checks it and reads
+    # claim B from its record.  Both print the same uog line and details
+    # (tier II: FAIL with ten repeats), and no other suite here prints
+    # details
     path = write(tmp_path, text)
     reports = []
     for suite in ("uog", "all"):
@@ -364,6 +364,76 @@ def test_verify_uog_report_does_not_depend_on_the_suite(tmp_path, capsys,
                         if ln.startswith(("CHECK uog ", "  "))])
     assert reports[0] == reports[1]
     assert reports[0][0].startswith("CHECK uog ")
+
+
+@VERIFY_INSTANCES
+def test_verify_oracle_report_does_not_depend_on_the_suite(tmp_path, capsys,
+                                                           text):
+    # --suite oracle reads claim B from an unchecked run, --suite all from a
+    # run under check_uog: both print the same claim_b or work_oracle line
+    path = write(tmp_path, text)
+    lines = []
+    for suite in ("oracle", "all"):
+        main(["verify", path, "--suite", suite, "--l-bits", "3"])
+        lines.append([ln for ln in capsys.readouterr().out.splitlines()
+                      if ln.startswith(("CHECK claim_b ",
+                                        "CHECK work_oracle "))])
+    assert len(lines[0]) == 1 and lines[0] == lines[1]
+
+
+def _doctor_final(monkeypatch):
+    """cli.run's record ends on a final state with one clock cell changed."""
+    from hqca import cli
+
+    def doctored(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        row = list(traj.final.rows["C"])
+        row[-1] = "10"[int(row[-1])]
+        traj.final = traj.final.replace(rows={"C": tuple(row)})
+        return traj
+
+    monkeypatch.setattr(cli, "run", doctored)
+
+
+def _doctor_block(monkeypatch):
+    """From a cold block store, the first block the run replays writes one
+    data cell wrong, a cell no later step reads."""
+    from hqca import engine
+    rs, orig, done = rules.rule_set("III"), engine._Cursor.replay, []
+    monkeypatch.setattr(rs, "blocks", {})
+    monkeypatch.setattr(rs, "stretches", set())
+
+    def replay(cur, blocks, left, start):
+        block = orig(cur, blocks, left, start)
+        if block is not None and not done:
+            done.append(block)
+            cur.rows["D"][-1] = "10"[int(cur.rows["D"][-1])]
+        return block
+
+    monkeypatch.setattr(engine._Cursor, "replay", replay)
+
+
+@pytest.mark.parametrize("doctor", [_doctor_final, _doctor_block],
+                         ids=["final", "block"])
+def test_claim_b_speaks_for_the_run(tmp_path, capsys, monkeypatch, doctor):
+    # negative controls: the record's final state is not the state its
+    # replay ends on.  Claim B fails with the replay's error, both from
+    # check_claim_b and in hqca verify, with no traceback
+    from hqca import cli
+    from hqca.verify import check_claim_b
+    text = TIER3 + "budget=3000\n"
+    spec = parse_instance_text(text).spec
+    doctor(monkeypatch)
+    res = check_claim_b(cli.run(build_initial(spec), StepBudget(3000)),
+                        spec.circuit)
+    assert not res.passed
+    assert res.details[-1] == "replay left the record at final state 3000"
+    doctor(monkeypatch)  # a fresh doctor, for the run hqca verify makes
+    assert main(["verify", write(tmp_path, text), "--suite", "oracle"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("CHECK claim_b FAIL ")
+    assert out.splitlines()[1:] == [
+        "  replay left the record at final state 3000"]
 
 
 @pytest.mark.parametrize("suite", ["uog", "oracle", "all"])
@@ -376,7 +446,7 @@ def test_verify_runs_the_chain_once(tmp_path, capsys, monkeypatch, suite):
 
     def counted(fn, calls):
         def call(first, *args, **kwargs):
-            calls.append(first)
+            calls.append((first, kwargs))
             return fn(first, *args, **kwargs)
         return call
 
@@ -391,7 +461,9 @@ def test_verify_runs_the_chain_once(tmp_path, capsys, monkeypatch, suite):
                  "--suite", suite, "--l-bits", "3"]) == 0
     capsys.readouterr()
     assert len(built) == 1
-    assert sum(start is built[0] for start in starts) == 1
+    # the one run passes no observer, so it replays blocks
+    (kwargs,) = [kw for start, kw in starts if start is built[0]]
+    assert kwargs.get("observer") is None
 
 
 @pytest.mark.parametrize("text, line", [

@@ -847,6 +847,7 @@ def test_restricted_hamiltonian_length_one():
     traj = run(s, StepBudget(5, "step_limit"))
     traj.labels = []
     traj.sites = []
+    traj.final = s  # a record of no steps ends where it starts
     h = restricted_hamiltonian(traj)
     assert h.shape == (1, 1) and h[0, 0] == 0.0
 

@@ -52,9 +52,9 @@ def test_verify_calls_are_cli_attributes(perfbench):
 
 def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     # worker.verify_suite fails the operation unless `hqca verify --suite
-    # all` makes exactly one cli.run call, which checks the walk line and
-    # whose observer feeds the claim-B check; verify_uog reads that run's
-    # check and reruns nothing
+    # all` makes exactly one cli.run call, which checks the walk line with
+    # no observer; verify_uog reads that run's check and reruns nothing,
+    # and check_claim_b replays its record
     import workloads
     calls = []
 
@@ -68,6 +68,7 @@ def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
     code, text = workloads.call_verify(str(path))
     assert code == 0
     assert len(calls) == 1 and "keep_states" not in calls[0]
+    assert calls[0].get("observer") is None
     # the benchmark's own output check: a renamed or missing CHECK line
     # fails here, not only in a benchmark run
     op = workloads.Op("verify_suite")

@@ -41,8 +41,8 @@ def _scramble_work(traj, circuit, t):
     st = states[t]
     states[t] = st.replace(work=WorkState(st.work.support,
                                           np.roll(st.work.amps, 1)))
-    return check_claim_b(traj, circuit, feed_states(
-        ClaimBCheck(traj.start, circuit), traj, states))
+    return feed_states(ClaimBCheck(traj.start, circuit), traj,
+                       states).result(traj)
 
 
 def test_work_oracle_tier1_negative_control(example_circuit, random_work):
@@ -96,8 +96,8 @@ def test_claim_b_negative_control(example_circuit, random_work):
             row[-1] = "1"  # 2 -> 3
             states[t] = st.replace(rows={"C": tuple(row)})
             break
-    res = check_claim_b(traj, example_circuit, feed_states(
-        ClaimBCheck(traj.start, example_circuit), traj, states))
+    res = feed_states(ClaimBCheck(traj.start, example_circuit), traj,
+                      states).result(traj)
     assert not res.passed and res.details
 
 
@@ -111,8 +111,8 @@ def test_claim_b_fails_on_a_malformed_clock(example_circuit):
     row = list(st.rows["C"])
     row[2] = "•"  # a bullet inside the clock's bits
     states[396] = st.replace(rows={"C": tuple(row)})
-    res = check_claim_b(traj, example_circuit, feed_states(
-        ClaimBCheck(traj.start, example_circuit), traj, states))
+    res = feed_states(ClaimBCheck(traj.start, example_circuit), traj,
+                      states).result(traj)
     # the three other C-states still compare right
     assert not res.passed and res.measured.startswith("states=4 k_max=4")
     assert res.details == ["t=396: malformed clock"]
@@ -127,8 +127,8 @@ def test_claim_b_restarts_on_a_lower_clock(example_circuit, random_work):
     row = list(st.rows["C"])
     row[-2] = "0"  # 3 -> 1, below the k = 2 checkpoint before it
     states[587] = st.replace(rows={"C": tuple(row)})
-    res = check_claim_b(traj, example_circuit, feed_states(
-        ClaimBCheck(traj.start, example_circuit), traj, states))
+    res = feed_states(ClaimBCheck(traj.start, example_circuit), traj,
+                      states).result(traj)
     # the reference restarts from the input for k = 1, so the k = 4
     # checkpoint after it still compares right
     assert not res.passed and "k_max=4" in res.measured
@@ -277,15 +277,14 @@ def test_verify_uog_matches_applicable_recount(tier, n, k, seed, target,
     report = verify_uog(traj)
     assert report.details == _uog_recount(traj)
     # claim B fed from run()'s view during the run reports what the
-    # replayed ChainStates give; that run and a bare one, both checked,
+    # replay of the record gives; that run and a bare one, both checked,
     # are their own reruns and report what the record's rerun does
     circuit = small_circuit(n, k, seed)
     claim_b = ClaimBCheck(traj.start, circuit)
     streamed = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True,
                    observer=lambda t, view, _fired: claim_b.step(
                        t, view, view.label))
-    assert (check_claim_b(streamed, circuit, claim_b)
-            == check_claim_b(traj, circuit))
+    assert claim_b.result(streamed) == check_claim_b(traj, circuit)
     bare = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True)
     assert verify_uog(streamed) == report == verify_uog(bare)
     # a rule missing from the table: both read the swapped rule set, and
