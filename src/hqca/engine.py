@@ -24,11 +24,14 @@ start's, and the rows only where those agree.  run() builds ChainStates
 only for Ambiguous, the final state and observers.
 
 Without an observer run() replays recurring stretches of up to BLOCK_STEPS
-gateless steps from a store on the rule set, keyed by (L, check_uog, head):
-a stretch seen twice is stored with its footprint, the cells its probes
-(reverse ones too under check_uog) read before it wrote them, and the store
-is emptied at BLOCK_CAP blocks.  Observers, gates, steps no block fits and
-those after a flagged repeat go one by one.
+steps from a store on the rule set, keyed by (L, check_uog, head).  A
+stretch ends where its window reaches an end of the chain, where the head
+is back at its first head, or after BLOCK_STEPS steps.  A stretch seen
+twice is stored with its footprint, the cells its probes (reverse ones too
+under check_uog) and its gates read before it wrote them, and with its
+gates on the work vector, which a replay applies in order: the kernel calls
+of its single steps.  The store is emptied at BLOCK_CAP blocks.  Observers,
+steps no block fits and those after a flagged repeat go one by one.
 """
 
 from __future__ import annotations
@@ -181,9 +184,10 @@ class _Cursor:
     memo Hit is ready to fire: its key fixes the window's P and CP cells, so
     it carries the window's active cells after the firing.  fire() writes
     the Hit's cells in place, runs its gate through rules._apply_gate_effect
-    (apply()'s rewrite too) and takes the new head from it, with no rescan,
-    or raises ValueError naming a rule that left other than one active cell;
-    replay() writes a block.
+    (apply()'s rewrite too), appending to rec what the gate read and did,
+    and takes the new head from it, with no rescan, or raises ValueError
+    naming a rule that left other than one active cell; replay() writes a
+    block and applies its gates.
 
     run() hands the cursor to observers as the view of the state reached:
     tier, L, rows (live lists, read-only, valid until the next step), work,
@@ -251,7 +255,11 @@ class _Cursor:
                              " active cells")
         writes = hit.writes
         if hit.gate is not None:
+            work, data = self.work, self.rows[D]
             cells, self.work = _apply_gate_effect(self, hit.gate, i, False)
+            if self.rec is not None:  # what _learn needs of the gate
+                self.rec.append(((data[i - 1], data[i]), cells,
+                                 self.work is not work))
             if cells is not None:
                 writes += ((D, 0, cells[0]), (D, 1, cells[1]))
         rows = self.rows
@@ -261,12 +269,13 @@ class _Cursor:
         self.head = (i + off, reg, s)
 
     def replay(self, blocks, left: int, start):
-        """Write and return the first block that fits in left steps and whose
-        footprint the rows hold, or None.  If it passes the head of start,
-        (head, rows), it must leave alone a cell that differs from start's."""
+        """Write, and apply the gates of, the first block that fits in left
+        steps and whose footprint the rows hold, and return it, or None.  If
+        it passes the head of start, (head, rows), it must leave alone a cell
+        that differs from start's."""
         rows = self.rows
         for k, block in enumerate(blocks):
-            reads, writes, head, labels, _sites, heads = block
+            reads, writes, gates, head, labels, _sites, heads = block
             if len(labels) > left:
                 continue
             for reg, get, want in reads:
@@ -284,6 +293,8 @@ class _Cursor:
                     row = rows[reg]
                     for i, c in zip(idx, cells):
                         row[i] = c
+                for kind, i in gates:  # fire()'s kernel calls, in order
+                    self.work = self.work.apply_gate(kind, i, i + 1)
                 self.head = head
                 blocks.insert(0, blocks.pop(k))  # the last replayed first
                 return block
@@ -298,24 +309,30 @@ class _Cursor:
         return self.chain_state().config_equal(other)
 
 
-# Gateless steps as run() replays them.  Per register, reads holds an
-# itemgetter of the cells their probes read before writing them and the values
-# it must return, writes the final cells; heads, the heads under check_uog.
-_Block = namedtuple("_Block", "reads writes head labels sites heads")
+# Steps as run() replays them.  Per register, reads holds an itemgetter of
+# the cells their probes and gates read before writing them and the values it
+# must return, writes the final cells; gates, the (kind, site) of each gate on
+# the work vector, in order; heads, the heads under check_uog.
+_Block = namedtuple("_Block", "reads writes gates head labels sites heads")
 
-# BLOCK_STEPS, measured on the stream chains and the full-width x = 1 run
-# (2-core VM): against 96, 64 ran t4_freeze 1.3x and 128 t3_L16 1.2x slower,
-# 256 t4_freeze 1.8x slower than 128; the full-width run took 0.6-0.8 s at 96
-# and 256, 1.0 s at 80 and 128.  BLOCK_CAP: a chain keeps up to 33 blocks (the
-# stream job, 160 kB; a 10^5-step tier-III run 32, the full-width run 26).
+# BLOCK_STEPS, measured on the stream chains, the full-width x = 1 run and
+# the tier-III run to its dead end (2-core VM, in process, cold stores): as
+# stretches end at the chain's ends, 96 and 128 store the same blocks but for
+# one stretch of over 96 steps, and ran alike (t4_freeze 25 and 31 ms, t3_L16
+# 17 and 15 ms, full width 0.67 and 0.64 s, tier III 1.35 and 1.36 s); 64
+# halves the blocks and ran 1.0-1.6x slower than 96.  BLOCK_CAP: a chain keeps
+# up to 28 blocks (the stream job, 111 kB; a 10^5-step tier-III run 11, the
+# full-width run 17).
 BLOCK_STEPS = 96
 BLOCK_CAP = 256
 
 
 def _learn(store: dict, cur: _Cursor, head, labels, check_uog: bool):
     """Build the block of a stretch from head that came up before, from the
-    probe keys in cur.rec (the reverse ones too under check_uog); otherwise
-    note that it came up.  Empties cur.rec."""
+    probe keys in cur.rec (the reverse ones too under check_uog) and, after
+    the key of a gate step, fire()'s record of the gate: its two data cells,
+    the cells a classical gate wrote (or None) and whether it ran the kernel;
+    otherwise note that it came up.  Empties cur.rec."""
     keys, cur.rec = iter(cur.rec), []
     if head is None or len(labels) < 2:  # one step is no shortcut
         return
@@ -330,7 +347,7 @@ def _learn(store: dict, cur: _Cursor, head, labels, check_uog: bool):
     if BLOCK_CAP <= sum(len(v) for d in stores for v in d.values()):
         for d in stores:  # full: refill it with what recurs next
             d.clear()
-    start, reads, final, heads, sites = head, {}, {}, set(), []
+    start, reads, final, heads, sites, gates = head, {}, {}, set(), [], []
     for direction, key in zip((FORWARD, REVERSE)[:1 + check_uog] * len(labels),
                               keys):
         site, _reg, s = head
@@ -342,7 +359,17 @@ def _learn(store: dict, cur: _Cursor, head, labels, check_uog: bool):
             ((offset, hit),) = memo[key]
             i = site - offset
             sites.append(i)
-            for reg, off, s in hit.writes:
+            writes = hit.writes
+            if hit.gate is not None:  # the record fire() appended
+                data, new, quantum = next(keys)
+                for k, v in zip((i - 1, i), data):
+                    if k not in final.get(D, ()):
+                        reads.setdefault(D, {}).setdefault(k, v)
+                if new is not None:
+                    writes += ((D, 0, new[0]), (D, 1, new[1]))
+                if quantum:
+                    gates.append((hit.gate, i))
+            for reg, off, s in writes:
                 final.setdefault(reg, {})[i - 1 + off] = s
             off, reg, s = hit.active[0]
             head = (i + off, reg, s)
@@ -352,7 +379,7 @@ def _learn(store: dict, cur: _Cursor, head, labels, check_uog: bool):
                          for reg, c in reads.items()),
                    tuple((reg, tuple(c), tuple(c.values()))
                          for reg, c in final.items()),
-                   head, labels, tuple(sites), frozenset(heads))
+                   tuple(gates), head, labels, tuple(sites), frozenset(heads))
     store[start] = [block, *store.get(start, ())]
 
 
@@ -386,6 +413,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     uog_start = (start_head, start_rows) if check_uog else None
     seg, seg_head = 0, start_head  # the stretch cur.rec holds the keys of
     t, max_steps, period = 0, budget.max_steps, None
+    ends = (1, cur.L - 1)  # the windows at the chain's ends
     while t < max_steps:
         if (store and (blocks := store.get(cur.head))
                 and (block := cur.replay(blocks, max_steps - t, uog_start))):
@@ -436,10 +464,9 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
             cur.site, cur.label, cur.gate = i, hit.rule.label, hit.gate
             observer(t, cur, cur)
         elif store is not None and (
-                hit.gate is not None or t >= seg + BLOCK_STEPS
-                or cur.head == seg_head):
-            end = t if hit.gate is None else t - 1  # a gate ends a stretch
-            _learn(store, cur, seg_head, labels[seg:end], check_uog)
+                i in ends and sites[-2:-1] != [i]  # reaches an end
+                or t >= seg + BLOCK_STEPS or cur.head == seg_head):
+            _learn(store, cur, seg_head, labels[seg:], check_uog)
             seg, seg_head = t, cur.head
     else:
         traj.stop_reason = "step_limit"

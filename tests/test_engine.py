@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, CircuitProgram,
-                  StepBudget, active_sites, applicable, apply, build_initial,
-                  clock_value, predicted_cycle_steps,
+                  NonClassicalGateError, StepBudget, active_sites, applicable,
+                  apply, apply_circuit_power, build_initial, clock_value,
+                  fidelity, predicted_cycle_steps,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca import engine
 from hqca.engine import BLOCK_CAP, Trajectory, _Cursor, trace_observer
 from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
-from hqca.verify import check_claim_b
-from hqca.symbols import BULLET, C, P, TURN
+from hqca.verify import FIDELITY_TOL, check_claim_b
+from hqca.symbols import BULLET, C, D, P, QUANTUM, TURN
 
 from conftest import random_state, small_circuit
 
@@ -737,6 +738,129 @@ def test_block_store_stays_under_its_cap(example_circuit, monkeypatch):
         assert len(rs.stretches) <= 8 * cap
     assert max(replayed) > 2 * 4  # a replay after the store was emptied twice
     assert traj.labels == _observed(start, StepBudget(10 ** 5)).labels
+
+
+def _with_data(start, cells):
+    """start with the data cells {site: symbol} replaced."""
+    row = list(start.rows[D])
+    for site, symbol in cells.items():
+        row[site - 1] = symbol
+    return start.replace(rows={**start.rows, D: tuple(row)})
+
+
+def test_block_memo_replays_a_classical_gate_write(example_circuit,
+                                                   monkeypatch):
+    # No valid chain reaches a classical write: there a classical gate meets
+    # 00 or 11 under S and a 0 control under W (below on the worked example;
+    # random circuits of all four tiers agree), so the start is hand-built.
+    # Its 1 at site 2 has an S gate swap a 10 pair; a block that holds that
+    # step writes the swapped data cells as it replays
+    effect, written = engine._apply_gate_effect, []
+
+    def spy(state, kind, i, adjoint):
+        cells, work = effect(state, kind, i, adjoint)
+        written.append(cells is not None)
+        return cells, work
+
+    monkeypatch.setattr(engine, "_apply_gate_effect", spy)
+    for tier, steps in (("I", 200), ("II", predicted_cycle_steps(3, 2)),
+                        ("III", 5000)):
+        _observed(build_initial(BuildSpec(example_circuit, tier,
+                                          random_state(3, 1))),
+                  StepBudget(steps))
+    assert len(written) > 100 and not any(written)
+    _fresh_rules(monkeypatch, "I")
+    start = _with_data(build_initial(BuildSpec(example_circuit, "I",
+                                               random_state(3, 1))), {2: "1"})
+    traj = _observed(start, StepBudget(200))
+    assert traj.stop_reason == "dead_end" and any(written)
+    replayed, replay = [], _Cursor.replay
+
+    def spy_replay(cur, *args):
+        block = replay(cur, *args)
+        if block is not None:
+            replayed.append(block)
+        return block
+
+    monkeypatch.setattr(_Cursor, "replay", spy_replay)
+    for _ in range(2):  # a bare run notes its stretches, the next stores them
+        _assert_bare_runs_match(start, StepBudget(200), False, traj)
+    assert any(reg == D for block in replayed for reg, *_ in block.writes)
+
+
+@pytest.mark.parametrize("gate, nth, site, symbol", [
+    (8, 1, 8, "0"), (8, 1, 9, "0"), (11, 0, 11, "1"), (11, 0, 12, QUANTUM)])
+def test_block_memo_raises_a_non_classical_gate_where_a_step_does(
+        example_circuit, monkeypatch, gate, nth, site, symbol):
+    # the data cells under a gate are in the footprint of a block that holds
+    # it.  Two runs from the state before the nth gate at (gate, gate + 1)
+    # (a quantum S at (8, 9), a classical W at (11, 12)) store a block that
+    # starts with that gate step; its probes read the left cell (the gate
+    # head's probe does) but never the right one.  From the same state with
+    # the left or the right cell changed, the run raises
+    # NonClassicalGateError in the state where single steps raise it
+    rs = _fresh_rules(monkeypatch, "III")
+    traj = _observed(build_initial(BuildSpec(example_circuit, "III",
+                                             random_state(3, 1))),
+                     StepBudget(500))
+    t = [t for t, (label, i) in enumerate(zip(traj.labels, traj.sites))
+         if label == "5a" and i == gate][nth]
+    before, budget = traj.state(t), StepBudget(500)
+    for _ in range(2):
+        assert run(before, budget).n_steps == 500
+    head = active_sites(before)[0]
+    assert any(block.labels[0] == "5a"
+               for block in rs.blocks[(before.L, False)][head])
+    effect, raised = engine._apply_gate_effect, []
+
+    def spy(cur, kind, i, adjoint):
+        try:
+            return effect(cur, kind, i, adjoint)
+        except NonClassicalGateError:
+            raised.append((cur.chain_state().snapshot(), cur.work.amps))
+            raise
+
+    monkeypatch.setattr(engine, "_apply_gate_effect", spy)
+    bad = _with_data(before, {site: symbol})
+    with pytest.raises(NonClassicalGateError) as stepped:
+        _observed(bad, budget)
+    with pytest.raises(NonClassicalGateError) as bare:
+        run(bad, budget)
+    assert str(bare.value) == str(stepped.value)
+    (stepped_rows, stepped_work), (bare_rows, bare_work) = raised
+    assert bare_rows == stepped_rows
+    assert np.array_equal(bare_work, stepped_work)
+
+
+def test_block_memo_replays_most_tier3_steps(example_circuit, monkeypatch):
+    # blocks hold gate steps: on a warm store fewer than 1 % of the first
+    # 2 * 10^4 steps of the tier-III worked example take _Cursor.step (76;
+    # 1688 when each gate step went alone), though more than 1000 fire a gate
+    _fresh_rules(monkeypatch, "III")
+    start = build_initial(BuildSpec(example_circuit, "III"))
+    budget = StepBudget(2 * 10 ** 4)
+    run(start, budget)
+    calls = []
+    step = _Cursor.step
+    monkeypatch.setattr(_Cursor, "step",
+                        lambda cur: calls.append(1) or step(cur))
+    traj = run(start, budget)
+    assert traj.n_steps == 2 * 10 ** 4 and len(calls) < 0.01 * traj.n_steps
+    assert len(traj.marker_steps("5a")) > 1000
+
+
+def test_tier3_runs_to_its_dead_end(example_circuit):
+    # the clock stops at 2^15 - 1 after 192 * 2^15 - 3 steps, with U^(2^15)
+    # on the work register: one power more than the clock reads, in a state
+    # whose clock pointer is off C, so that claim B compares no power there
+    w = random_state(3, 5)
+    traj = run(build_initial(BuildSpec(example_circuit, "III", w)),
+               StepBudget(10 ** 7))
+    assert traj.stop_reason == "dead_end"
+    assert traj.n_steps == 192 * 2 ** 15 - 3
+    assert clock_value(traj.final) == 2 ** 15 - 1
+    expect = apply_circuit_power(w, example_circuit, 2 ** 15)
+    assert fidelity(expect, traj.final.work.amps) >= 1 - FIDELITY_TOL
 
 
 def test_restricted_hamiltonian_is_path_adjacency():
