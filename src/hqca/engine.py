@@ -12,7 +12,9 @@ run() walks the unique forward path to a dead end or its step cap,
 recording the fired rule label and window site of every step and no state:
 Trajectory.state replays one from those records.  Anything else a caller
 wants per step (a trace file, a replay on another backend, the freeze
-check) comes from an observer, which reads the run's cursor.
+check) comes from an observer, which reads the run's cursor.  A replay that
+needs only the states after some rule labels, as claim B does, replays the
+run's own blocks between them (Trajectory._replay).
 
 run() is the package's one stepping loop; the harnesses and checks in
 verify drive the chain through it.  It steps a per-run cursor (_Cursor),
@@ -83,7 +85,9 @@ class Trajectory:
     """Forward path from a start state: labels[t] and sites[t] name the rule
     and window of step t, the transition from state t to state t+1, and markers
     is derived from them.  state(t) and iter_states() replay states from them
-    on the run's rules.  checked: run() made it under check_uog.  checkpoints,
+    on the run's rules, one step at a time; a replay watching some labels
+    also takes blocks from the run's store, (L, checked), where they match
+    the record.  checked: run() made it under check_uog.  checkpoints,
     a cache that only state(t) fills, keeps for the trajectory's life the state
     (work included) at each multiple of CHECKPOINT_EVERY that it has passed."""
 
@@ -113,27 +117,46 @@ class Trajectory:
             raise IndexError(f"state {t} outside 0..{self.n_steps}")
         b = self.CHECKPOINT_EVERY
         s = b * min(t // b, len(self.checkpoints))
-        for k, cur in enumerate(self._replay(s, t), s):
+        for k, cur in self._replay(s, t):
             if k == (len(self.checkpoints) + 1) * b:
                 self.checkpoints[k] = cur.chain_state()
         return cur.chain_state()
 
     def iter_states(self):
         """States 0..n_steps in order, from one replay that keeps none."""
-        return (cur.chain_state() for cur in self._replay(0, self.n_steps))
+        return (cur.chain_state() for _k, cur in self._replay(0, self.n_steps))
 
-    def _replay(self, s: int, t: int):
+    def _replay(self, s: int, t: int, watched=None):
         """Step a cursor from state s (0 or a checkpoint) to state t,
-        yielding it at each state.  A step off the record raises ValueError,
-        and so does a replay to the end that stops away from final."""
+        yielding (k, cursor) at each state k; given watched, a set of rule
+        labels, only at the states after a step that fires one and at t.
+        Then a stretch may replay from the run's block store, with nothing
+        learnt, where a block fits the rows, its labels and sites are the
+        record's there, and it fires no watched label before its last step.
+        A step off the record raises ValueError, and so does a replay to the
+        end that stops away from final."""
         cur = _Cursor(self.checkpoints.get(s, self.start), self.rules)
-        yield cur
-        for k in range(s, t):
-            fired = cur.step()
-            if (fired is None or fired[0] != self.sites[k]
-                    or fired[1].rule.label != self.labels[k]):
-                raise ValueError(f"replay left the record at step {k}")
-            yield cur
+        labels, sites, k = self.labels, self.sites, s
+        store = {} if watched is None else self.rules.blocks.get(
+            (cur.L, self.checked), {})
+        if watched is None or s == t:
+            yield k, cur
+        while k < t:
+            fits = [b for b in store.get(cur.head, ())
+                    if (n := len(b.labels)) <= t - k
+                    and b.labels == tuple(labels[k:k + n])
+                    and b.sites == tuple(sites[k:k + n])
+                    and watched.isdisjoint(b.labels[:-1])]
+            if fits and (block := cur.replay(fits, t - k, None)):
+                k += len(block.labels)
+            else:
+                fired = cur.step()
+                if (fired is None or fired[0] != sites[k]
+                        or fired[1].rule.label != labels[k]):
+                    raise ValueError(f"replay left the record at step {k}")
+                k += 1
+            if watched is None or k == t or labels[k - 1] in watched:
+                yield k, cur
         end = self.final
         if t == self.n_steps and end and not (
                 cur.config_equal(end)

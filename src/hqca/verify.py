@@ -6,26 +6,27 @@ work qubits, plain integer arithmetic for the clock, exhaustive sweeps for
 the comparator, and, as the oracle for the hybrid data register, a full
 2^L statevector that replays every gate the chain fires.  check_claim_b is
 the one work-register check for every tier, read from a replay of the record
-to traj.final; on tier IV, claim B at k = x and the post-target freeze give
-that the frozen work register is U^x psi.  verify_uog is no second path: it
-reads the engine's own check, run(check_uog=True), from the run that made
-the trajectory or from a rerun; the tests hold that check to a full scan of
-every rule on every window.  The harnesses step through run(); the other
-checks read the trajectory or their observers.  Each takes the tier, work
-window and input work vector from traj.start, and reports one CheckResult.
+to traj.final that replays the run's blocks and stops only after the labels
+that make a checkpoint; on tier IV, claim B at k = x and the post-target
+freeze give that the frozen work register is U^x psi.  verify_uog is no
+second path: it reads the engine's own check, run(check_uog=True), from the
+run that made the trajectory or from a rerun; the tests hold that check to a
+full scan of every rule on every window.  The harnesses step through run();
+the other checks read the trajectory or their observers.  Each takes the
+tier, work window and input work vector from traj.start, and reports one
+CheckResult.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .builder import BuildSpec, build_initial
 from .circuit import CircuitProgram, apply_round, fidelity
 from .engine import Ambiguous, StepBudget, Trajectory, clock_value, run
-from .rules import rule_set
+from .rules import REVERSE, rule_set
 from .state import ChainState, DenseData, WorkState, as_dense_vector
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
 
@@ -59,7 +60,8 @@ def format_report(results) -> str:
 # -- walk-line structure and work-qubit oracle -----------------------------------
 # ClaimBCheck keeps no states: step(t, state, label) takes state t, reached
 # by rule label, from a replay's cursor or any other view with rows and work
-# (read during the call only); result(traj) reports after the run.
+# (read during the call only); result(traj) reports after the run.  Whether
+# state t is a checkpoint follows from its label, with no scan of its rows.
 
 
 def verify_uog(traj: Trajectory) -> CheckResult:
@@ -92,9 +94,11 @@ def verify_uog(traj: Trajectory) -> CheckResult:
     return CheckResult("uog", not v, f"states={n + 1}", "clean", v)
 
 
-# tier -> (label counted, labels of a checkpoint, kind of the count)
-_COUNTED = {"I": ("4a", ("6a", "6b"), "rounds"),
-            "II": ("13b", ("13b",), "power")}
+# tier -> (label counted, labels of a checkpoint, kind of the count); tiers
+# III/IV compare after the rules whose forward side leaves C on the clock
+# pointer, read from the rule table
+_COUNTED = {"I": ("4a", frozenset(("6a", "6b")), "rounds"),
+            "II": ("13b", frozenset(("13b",)), "power")}
 
 
 class ClaimBCheck:
@@ -106,21 +110,27 @@ class ClaimBCheck:
         self.details, self.k_max = [], None
         self.compared = self.count = 0  # count: 4a (tier I) or 13b (II)
         self.worst, self.expect, self.done = 1.0, start.work.amps, 0
-        self.step(0, start, None)
+        self.last = start.work
+        leave_c = rule_set(start.tier).candidates(REVERSE, "C")
+        self._counted, self._watched, self._kind = _COUNTED.get(
+            start.tier, (None, frozenset(r.label for r, _ in leave_c), "k"))
+        if "C" in start.rows.get(CP, ()):  # a start no rule has led to
+            self._checkpoint(0, start)
 
     def step(self, t: int, state, label: str):
         self.last = state.work
-        if counted := _COUNTED.get(self.start.tier):
-            self.count += label == counted[0]
-            if label in counted[1]:
-                self._compare(t, counted[2], self.count, state.work)
-        elif "C" in state.rows[CP]:
-            k = clock_value(state)
-            if k is None:
-                self.details.append(f"t={t}: malformed clock")
-            else:
-                self.k_max = max(k, self.k_max or 0)
-                self._compare(t, "k", k, state.work)
+        self.count += label == self._counted
+        if label in self._watched:
+            self._checkpoint(t, state)
+
+    def _checkpoint(self, t, state):
+        if self._kind != "k":
+            self._compare(t, self._kind, self.count, state.work)
+        elif (k := clock_value(state)) is None:
+            self.details.append(f"t={t}: malformed clock")
+        else:
+            self.k_max = max(k, self.k_max or 0)
+            self._compare(t, "k", k, state.work)
 
     def _compare(self, t, kind, count, work):
         if work.support != self.start.work.support:
@@ -159,15 +169,23 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     (6a/6b) with the gate turns (4a) before it, and the final state with all
     of them; for tier II, the state after the x-th reset completion (13b)
     with x circuit powers; for tiers III/IV, every state whose clock pointer
-    shows C, with the clock reading k as its power.  A check that compares
-    no state fails, and so does one that meets a malformed clock.  It reads
-    one replay of the record through its cursor, and the replay's error, off
-    the record or away from traj.final, fails it as a detail."""
+    shows C, with the clock reading k as its power: the states after the
+    rules whose forward side leaves C on the clock pointer (15, 16 and 20),
+    read from the rule table.  A check that compares no state fails, and so
+    does one that meets a malformed clock.  It reads one replay of the record
+    through its cursor, which takes the stretches between checkpoints from
+    the run's blocks where they match the record and yields only the
+    checkpoints and the final state; tier I's gate turns (4a) are counted
+    from the record's labels.  The replay's error, off the record or away
+    from traj.final, fails the check as a detail."""
     check = ClaimBCheck(traj.start, circuit)
+    labels, fed = traj.labels, 0
     try:
-        for t, view in enumerate(islice(traj._replay(0, traj.n_steps), 1,
-                                        None), 1):
-            check.step(t, view, traj.labels[t - 1])
+        for t, view in traj._replay(0, traj.n_steps, check._watched):
+            if t:  # the counted labels of the steps not fed, then step t
+                check.count += labels[fed:t - 1].count(check._counted)
+                check.step(t, view, labels[t - 1])
+                fed = t
         return check.result(traj)
     except ValueError as err:  # off the record, or off the work window
         check.details.append(str(err))

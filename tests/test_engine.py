@@ -852,7 +852,9 @@ def test_block_memo_replays_most_tier3_steps(example_circuit, monkeypatch):
 def test_tier3_runs_to_its_dead_end(example_circuit):
     # the clock stops at 2^15 - 1 after 192 * 2^15 - 3 steps, with U^(2^15)
     # on the work register: one power more than the clock reads, in a state
-    # whose clock pointer is off C, so that claim B compares no power there
+    # whose clock pointer is off C, so that claim B compares no power there.
+    # Claim B holds at every C-state on the way, k = 0 .. 2^15 - 1, read
+    # from the run's blocks
     w = random_state(3, 5)
     traj = run(build_initial(BuildSpec(example_circuit, "III", w)),
                StepBudget(10 ** 7))
@@ -861,6 +863,62 @@ def test_tier3_runs_to_its_dead_end(example_circuit):
     assert clock_value(traj.final) == 2 ** 15 - 1
     expect = apply_circuit_power(w, example_circuit, 2 ** 15)
     assert fidelity(expect, traj.final.work.amps) >= 1 - FIDELITY_TOL
+    res = check_claim_b(traj, example_circuit)
+    assert res.line().startswith(
+        "CHECK claim_b PASS states=32768 k_max=32767 ")
+
+
+def _replayed_stretches(traj, watched):
+    """The (first, last) steps of each stretch that a watched replay of
+    traj takes from a block, in order."""
+    stretches, k = [], [0]
+    step, replay = _Cursor.step, _Cursor.replay
+
+    def spy_step(cur):
+        k[0] += 1
+        return step(cur)
+
+    def spy_replay(cur, *args):
+        block = replay(cur, *args)
+        if block is not None:
+            stretches.append((k[0], k[0] + len(block.labels) - 1))
+            k[0] += len(block.labels)
+        return block
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Cursor, "step", spy_step)
+        m.setattr(_Cursor, "replay", spy_replay)
+        for _ in traj._replay(0, traj.n_steps, watched):
+            pass
+    return stretches
+
+
+@pytest.mark.parametrize("field", ["labels", "sites"])
+def test_watched_replay_holds_blocks_to_the_record(example_circuit,
+                                                   monkeypatch, field):
+    # a watched replay takes most steps from the run's blocks, yields only
+    # after the watched labels and at the end, and stops in no block.  A
+    # record changed inside a stretch that a block replays still leaves
+    # the replay at the changed step: the block no longer matches it
+    _fresh_rules(monkeypatch, "III")
+    start = build_initial(BuildSpec(example_circuit, "III"))
+    run(start, StepBudget(3000))
+    traj = run(start, StepBudget(3000))
+    watched = frozenset(Trajectory.EVENT_LABELS["clock_done"])
+    ks = [k for k, _cur in traj._replay(0, traj.n_steps, watched)]
+    assert ks == [t + 1 for t in traj.marker_steps(*watched)] + [3000]
+    stretches = _replayed_stretches(traj, watched)
+    assert sum(b - a + 1 for a, b in stretches) > 0.9 * traj.n_steps
+    assert not any(a <= k - 1 < b for a, b in stretches for k in ks)
+    a, b = stretches[len(stretches) // 2]
+    j = (a + b) // 2
+    rec = getattr(traj, field)
+    rec[j] = "99" if field == "labels" else rec[j] + 1
+    with pytest.raises(ValueError, match=f"left the record at step {j}$"):
+        for _ in traj._replay(0, traj.n_steps, watched):
+            pass
+    res = check_claim_b(traj, example_circuit)
+    assert res.details[-1] == f"replay left the record at step {j}"
 
 
 def test_restricted_hamiltonian_is_path_adjacency():

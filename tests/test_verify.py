@@ -135,6 +135,31 @@ def test_claim_b_restarts_on_a_lower_clock(example_circuit, random_work):
     assert [d.split(":")[0] for d in res.details] == ["t=587 k=1"]
 
 
+@settings(max_examples=30, deadline=None)
+@given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       target=st.integers(1, 3), steps=st.integers(200, 4000),
+       checked=st.booleans())
+def test_claim_b_from_blocks_equals_every_state(tier, n, k, seed, target,
+                                                steps, checked):
+    # check_claim_b replays the run's blocks and stops only after the
+    # labels it watches: it reports what ClaimBCheck does fed every state,
+    # and on tiers III/IV those labels mark exactly the states whose clock
+    # pointer shows C
+    circuit = small_circuit(n, k, seed)
+    extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
+    start = build_initial(BuildSpec(circuit, tier, random_state(n, seed),
+                                    **extra))
+    run(start, StepBudget(steps), check_uog=checked)  # warms the store
+    traj = run(start, StepBudget(steps), check_uog=checked)
+    states = list(traj.iter_states())
+    every = feed_states(ClaimBCheck(start, circuit), traj, states)
+    assert check_claim_b(traj, circuit) == every.result(traj)
+    if tier in ("III", "IV"):
+        assert [t for t, s in enumerate(states) if "C" in s.rows["CP"]] == [
+            t + 1 for t in traj.marker_steps(*every._watched)]
+
+
 def test_clock_increment_case_b():
     # 0110 -> 0111 in a single step
     new, labels, _ = clock_increment("0110")
