@@ -42,8 +42,8 @@ circuit = worked_example_circuit()
 spec = BuildSpec(circuit, "IV", "000", target_x=3, bullet_offset=3)
 traj = run(build_initial(spec), StepBudget(10 ** 5, "dead_end"))
 l = len(traj)
-# one replay reads every state and keeps no checkpoint; the measurements'
-# state(t) replays keep the checkpoints they pass, and start from them
+# one replay reads every state; each measurement's state(t) replays the
+# run's blocks from the start, and no read keeps a state
 frozen = sum(clock_value(s) == 3 for s in traj.iter_states()) / l
 hits = 0
 trials = 300

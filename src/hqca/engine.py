@@ -10,11 +10,11 @@ step of a short reverse tail of at most 3L steps before a dead end.
 
 run() walks the unique forward path to a dead end or its step cap,
 recording the fired rule label and window site of every step and no state:
-Trajectory.state replays one from those records.  Anything else a caller
-wants per step (a trace file, a replay on another backend, the freeze
-check) comes from an observer, which reads the run's cursor.  A replay that
-needs only the states after some rule labels, as claim B does, replays the
-run's own blocks between them (Trajectory._replay).
+Trajectory.state replays one from those records, through the run's own
+blocks where they match them (Trajectory._replay), and keeps nothing.
+Anything else a caller wants per step (a trace file, a replay on another
+backend, the freeze check) comes from an observer, which reads the run's
+cursor.
 
 run() is the package's one stepping loop; the harnesses and checks in
 verify drive the chain through it.  It steps a per-run cursor (_Cursor),
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import dropwhile
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -85,11 +85,10 @@ class Trajectory:
     """Forward path from a start state: labels[t] and sites[t] name the rule
     and window of step t, the transition from state t to state t+1, and markers
     is derived from them.  state(t) and iter_states() replay states from them
-    on the run's rules, one step at a time; a replay watching some labels
-    also takes blocks from the run's store, (L, checked), where they match
-    the record.  checked: run() made it under check_uog.  checkpoints,
-    a cache that only state(t) fills, keeps for the trajectory's life the state
-    (work included) at each multiple of CHECKPOINT_EVERY that it has passed."""
+    on the run's rules, from the start and keeping none; state(t), and a
+    replay watching some labels, take blocks from the run's store,
+    (L, checked), where they match the record.  checked: run() made it
+    under check_uog."""
 
     start: ChainState
     rules: RuleSet
@@ -99,9 +98,6 @@ class Trajectory:
     stop_reason: str = None
     uog_violations: list = field(default_factory=list)
     checked: bool = field(default=False, init=False)
-    checkpoints: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
-    CHECKPOINT_EVERY = 1024  # steps between the states state(t) keeps
 
     @property
     def n_steps(self) -> int:
@@ -111,35 +107,34 @@ class Trajectory:
         return self.n_steps + 1
 
     def state(self, t: int) -> ChainState:
-        """State t, replayed from the nearest checkpoint at or before it,
-        keeping the checkpoints it passes."""
+        """State t, replayed from the start at block speed: a watched replay
+        that watches nothing.  t must be an integer (operator.index)."""
+        t = index(t)
         if not 0 <= t <= self.n_steps:
             raise IndexError(f"state {t} outside 0..{self.n_steps}")
-        b = self.CHECKPOINT_EVERY
-        s = b * min(t // b, len(self.checkpoints))
-        for k, cur in self._replay(s, t):
-            if k == (len(self.checkpoints) + 1) * b:
-                self.checkpoints[k] = cur.chain_state()
+        for _k, cur in self._replay(t, frozenset()):
+            pass
         return cur.chain_state()
 
     def iter_states(self):
         """States 0..n_steps in order, from one replay that keeps none."""
-        return (cur.chain_state() for _k, cur in self._replay(0, self.n_steps))
+        return (cur.chain_state() for _k, cur in self._replay(self.n_steps))
 
-    def _replay(self, s: int, t: int, watched=None):
-        """Step a cursor from state s (0 or a checkpoint) to state t,
-        yielding (k, cursor) at each state k; given watched, a set of rule
-        labels, only at the states after a step that fires one and at t.
-        Then a stretch may replay from the run's block store, with nothing
-        learnt, where a block fits the rows, its labels and sites are the
-        record's there, and it fires no watched label before its last step.
-        A step off the record raises ValueError, and so does a replay to the
-        end that stops away from final."""
-        cur = _Cursor(self.checkpoints.get(s, self.start), self.rules)
-        labels, sites, k = self.labels, self.sites, s
+    def _replay(self, t: int, watched=None):
+        """Step a cursor from the start to state t, yielding (k, cursor) at
+        each state k; given watched, a set of rule labels, only at the
+        states after a step that fires one and at t.  Then a stretch may
+        replay from the run's block store, with nothing learnt, where a
+        block fits the rows and ends at or before t, its labels and sites
+        are the record's there, and it fires no watched label before its
+        last step.  A step off the
+        record raises ValueError, and so does a replay to the end that
+        stops away from final."""
+        cur = _Cursor(self.start, self.rules)
+        labels, sites, k = self.labels, self.sites, 0
         store = {} if watched is None else self.rules.blocks.get(
             (cur.L, self.checked), {})
-        if watched is None or s == t:
+        if watched is None or t == 0:
             yield k, cur
         while k < t:
             fits = [b for b in store.get(cur.head, ())

@@ -181,7 +181,7 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     check = ClaimBCheck(traj.start, circuit)
     labels, fed = traj.labels, 0
     try:
-        for t, view in traj._replay(0, traj.n_steps, check._watched):
+        for t, view in traj._replay(traj.n_steps, check._watched):
             if t:  # the counted labels of the steps not fed, then step t
                 check.count += labels[fed:t - 1].count(check._counted)
                 check.step(t, view, labels[t - 1])

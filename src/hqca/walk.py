@@ -231,7 +231,10 @@ def simulate_measurement(trajectory, tau: float, rng):
 
     Returns (m, state_m, clock value at m).  Reproducible for a fixed rng
     state; independent draws should use spawned generators so results do
-    not depend on scheduling.
+    not depend on scheduling.  A draw costs the O(l log l) position
+    distribution and one Trajectory.state(m), a replay from the start at
+    block speed that keeps nothing: on a 10^6-step tier-III line 0.7-0.9 s,
+    of which the replay takes 0.1-0.35 s.
     """
     l = len(trajectory)
     probs = position_distribution(WalkLine(l), tau)

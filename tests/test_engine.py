@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, CircuitProgram,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca import engine
+from hqca.builder import full_width_offset
 from hqca.engine import BLOCK_CAP, Trajectory, _Cursor, trace_observer
 from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
 from hqca.verify import FIDELITY_TOL, check_claim_b
@@ -888,7 +890,7 @@ def _replayed_stretches(traj, watched):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_Cursor, "step", spy_step)
         m.setattr(_Cursor, "replay", spy_replay)
-        for _ in traj._replay(0, traj.n_steps, watched):
+        for _ in traj._replay(traj.n_steps, watched):
             pass
     return stretches
 
@@ -897,26 +899,35 @@ def _replayed_stretches(traj, watched):
 def test_watched_replay_holds_blocks_to_the_record(example_circuit,
                                                    monkeypatch, field):
     # a watched replay takes most steps from the run's blocks, yields only
-    # after the watched labels and at the end, and stops in no block.  A
+    # after the watched labels and at the end, and stops in no block; so
+    # does state(t), which watches nothing, and it stops at any t.  A
     # record changed inside a stretch that a block replays still leaves
-    # the replay at the changed step: the block no longer matches it
+    # either replay at the changed step: the block no longer matches it
     _fresh_rules(monkeypatch, "III")
     start = build_initial(BuildSpec(example_circuit, "III"))
     run(start, StepBudget(3000))
     traj = run(start, StepBudget(3000))
     watched = frozenset(Trajectory.EVENT_LABELS["clock_done"])
-    ks = [k for k, _cur in traj._replay(0, traj.n_steps, watched)]
+    ks = [k for k, _cur in traj._replay(traj.n_steps, watched)]
     assert ks == [t + 1 for t in traj.marker_steps(*watched)] + [3000]
     stretches = _replayed_stretches(traj, watched)
     assert sum(b - a + 1 for a, b in stretches) > 0.9 * traj.n_steps
     assert not any(a <= k - 1 < b for a, b in stretches for k in ks)
     a, b = stretches[len(stretches) // 2]
     j = (a + b) // 2
+    unwatched = _replayed_stretches(traj, frozenset())
+    assert sum(q - p + 1 for p, q in unwatched) > 0.9 * traj.n_steps
+    assert any(p <= j <= q for p, q in unwatched)
+    states = list(traj.iter_states())
+    for t in range(a, b + 2):  # into and out of a block
+        _assert_equal_states(traj.state(t), states[t])
     rec = getattr(traj, field)
     rec[j] = "99" if field == "labels" else rec[j] + 1
     with pytest.raises(ValueError, match=f"left the record at step {j}$"):
-        for _ in traj._replay(0, traj.n_steps, watched):
+        for _ in traj._replay(traj.n_steps, watched):
             pass
+    with pytest.raises(ValueError, match=f"left the record at step {j}$"):
+        traj.state(traj.n_steps)
     res = check_claim_b(traj, example_circuit)
     assert res.details[-1] == f"replay left the record at step {j}"
 
@@ -1054,33 +1065,49 @@ def test_run_keeps_no_states(example_circuit):
     traj = run(start, StepBudget(5), keep_states=False)
     assert traj.labels == run(start, StepBudget(5)).labels
     assert not hasattr(traj, "states")
-    # the checkpoints are a cache only replays fill: no constructor
-    # argument, and a filled cache leaves the trajectory equal
-    with pytest.raises(TypeError, match="checkpoints"):
-        Trajectory(start, traj.rules, checkpoints={0: start})
-    clocked = build_initial(BuildSpec(example_circuit, "III"))
-    long = run(clocked, StepBudget(2 * Trajectory.CHECKPOINT_EVERY))
-    fresh = run(clocked, StepBudget(2 * Trajectory.CHECKPOINT_EVERY))
-    long.state(long.n_steps)
-    assert long.checkpoints and not fresh.checkpoints
-    fresh.final = long.final  # one object: ChainStates compare by identity
-    assert long == fresh and "checkpoints" not in repr(long)
 
 
-def test_one_pass_readers_keep_no_checkpoint(example_circuit):
-    # iter_states() and the whole-trajectory checks, which read through it
-    # or rerun the start, keep nothing; state(t) keeps the checkpoints it
-    # passes
-    b = Trajectory.CHECKPOINT_EVERY
-    traj = run(build_initial(BuildSpec(example_circuit, "III")),
-               StepBudget(b + 10))
-    assert sum(1 for _ in traj.iter_states()) == b + 11
-    assert verify_uog(traj).passed
-    assert check_claim_b(traj, example_circuit).passed
-    assert restricted_hamiltonian(traj).shape == (b + 11, b + 11)
-    assert not traj.checkpoints
-    traj.state(traj.n_steps)
-    assert list(traj.checkpoints) == [b]
+def test_state_reads_keep_no_states(monkeypatch):
+    # random state(t) reads on a 16-qubit work register (1 MiB of
+    # amplitudes) keep nothing, and hold about two registers at a time
+    _fresh_rules(monkeypatch, "II")
+    start = build_initial(BuildSpec(small_circuit(16, 1, 3), "II",
+                                    random_state(16, 3)))
+    for _ in range(2):  # the second run replays blocks, as state(t) does
+        traj = run(start, StepBudget(8 * 1024))
+    ts = np.random.default_rng(0).integers(0, traj.n_steps, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in (traj.n_steps, *ts):
+            traj.state(t)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - before < 2 ** 20 and peak - before < 4 * 2 ** 20
+
+
+def test_state_replays_the_full_width_run_at_block_speed(monkeypatch):
+    # state(n_steps) on the full-width x = 1 tier-IV run at L = 16
+    # (6 291 658 steps) takes fewer than 1 % of them one at a time (8454)
+    # and lands on traj.final; the spy stops a step-by-step replay early
+    _fresh_rules(monkeypatch, "IV")
+    start = build_initial(BuildSpec(small_circuit(3, 2, 1), "IV",
+                                    target_x=1,
+                                    bullet_offset=full_width_offset(16, 1)))
+    traj = run(start, StepBudget(10 ** 7))
+    assert start.L == 16 and traj.n_steps == 192 * 2 ** 15 + 202
+    calls, step = [], _Cursor.step
+
+    def spy(cur):
+        calls.append(1)
+        assert len(calls) < 0.01 * traj.n_steps, "replay single-steps"
+        return step(cur)
+
+    monkeypatch.setattr(_Cursor, "step", spy)
+    end = traj.state(traj.n_steps)
+    assert end.rows == traj.final.rows
+    assert np.array_equal(end.work.amps, traj.final.work.amps)
 
 
 def _assert_equal_states(a, b):
@@ -1096,36 +1123,37 @@ def _assert_equal_states(a, b):
        long=st.booleans(), data=st.data())
 def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
                                            long, data):
-    # state(t) and iter_states() replay, from the checkpoints, exactly the
-    # states an observer's chain_state() saw during the run; a long draw
-    # crosses two checkpoints (tier III with k = 2 outlives it)
-    b = Trajectory.CHECKPOINT_EVERY
+    # state(t) and iter_states() replay exactly the states an observer's
+    # chain_state() saw during the run, state(t) through the blocks that
+    # two bare runs stored; a long draw runs past 2000 steps (tier III with
+    # k = 2 outlives it)
     if long:
-        steps, k = steps + 2 * b, 2 if tier == "III" else k
+        steps, k = steps + 2048, 2 if tier == "III" else k
     extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
     start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
                                     random_state(n, seed), **extra))
+    for _ in range(2):
+        run(start, StepBudget(steps, "dead_end"))
     seen = [start]
     traj = run(start, StepBudget(steps, "dead_end"),
                observer=lambda t, view, _m: seen.append(view.chain_state()))
     n_steps = traj.n_steps
     assert len(seen) == n_steps + 1
-    assert not (long and tier == "III") or n_steps > 2 * b
+    assert not (long and tier == "III") or n_steps > 2048
     ts = data.draw(st.permutations(
-        [min(t, n_steps) for t in (0, b - 1, b, b + 1, n_steps)]
-        + [data.draw(st.integers(0, n_steps))]))
-    for t in ts:  # the first replays keep the checkpoints they pass
+        [0, n_steps // 2, n_steps, data.draw(st.integers(0, n_steps))]))
+    for t in ts:
         _assert_equal_states(traj.state(t), seen[t])
+    _assert_equal_states(traj.state(np.int64(ts[0])), seen[ts[0]])
     replayed = list(traj.iter_states())
     assert len(replayed) == len(seen)
     for a, want in zip(replayed, seen):
         _assert_equal_states(a, want)
-    assert list(traj.checkpoints) == list(range(b, n_steps + 1, b))
-    for t in ts:
-        _assert_equal_states(traj.state(t), seen[t])
     for t in (-1, n_steps + 1):
         with pytest.raises(IndexError):
             traj.state(t)
+    with pytest.raises(TypeError):  # an index: no replay lands on 1.5
+        traj.state(1.5)
     if not n_steps:
         return
     # negative control: a record changed at step j replays up to state j,

@@ -95,8 +95,7 @@ def test_wide_period_observer_reads_the_view(perfbench, example_circuit,
     op = workloads.Op("period")
     workloads.check_wide_period(build_initial(workloads.wide_spec(1)), op)
     assert op.ok, op.error
-    # one per observed step, and the final state: run() builds no
-    # checkpoint, the first replay does
+    # one per observed step, and the final state: run() builds no other
     assert len(built) == workloads.wide_period() + 1
     op = workloads.Op("period")
     workloads.check_wide_period(
