@@ -39,5 +39,6 @@ print(f"final clock: {clock_value(traj.final)} (frozen at the target)")
 print("\nwith the bullet pushed to full width the frozen tail dominates:")
 off = full_width_offset(state.L, 3)
 long_spec = BuildSpec(circuit, "IV", "000", target_x=3, bullet_offset=off)
-res = check_posttarget_freeze(build_initial(long_spec), 20000)
+res = check_posttarget_freeze(run(build_initial(long_spec),
+                                   StepBudget(20000, "step_limit")))
 print(res.line())

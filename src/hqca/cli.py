@@ -16,7 +16,7 @@ import numpy as np
 from .builder import (NUMBER_KEYS, InstanceParseError, build_initial,
                       parse_instance_file, parse_number)
 from .engine import (Ambiguous, StepBudget, Trajectory, clock_value, run,
-                     trace_observer)
+                     write_trace)
 from .state import validate_config
 from .symbols import format_dimension_audit
 from .verify import (MAX_DENSE_SITES, check_claim_b, check_clock_counter,
@@ -94,20 +94,25 @@ def cmd_run(args) -> int:
     try:  # a trace that cannot be opened, written or closed is an input error
         with (open(_out_path(args.trace), "w", encoding="utf-8")
               if args.trace else contextlib.nullcontext()) as fh:
-            traj = run(state, budget,
-                       observer=trace_observer(fh, every) if fh else None)
-    except Ambiguous as err:
+            try:
+                traj, err = run(state, budget), None
+            except Ambiguous as amb:  # traced up to the state that raised it
+                traj, err = amb.traj, amb
+            if fh:
+                write_trace(fh, traj, every)
+    except OSError as oserr:
+        print(f"error: {oserr}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if err is not None:
         print(f"error: ambiguous transition: {err}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     ck = clock_value(traj.final)
     print(f"steps={traj.n_steps} status={traj.stop_reason}"
           f" clock={ck if ck is not None else '-'}")
-    for label in Trajectory.EVENT_LABELS["compare_match"]:
-        for t in traj.marker_steps(label):
-            print(f"marker Rx rule {label} at step {t}")
+    match = Trajectory.EVENT_LABELS["compare_match"]
+    for t in sorted(traj.marker_steps(*match),  # one pass, label by label
+                    key=lambda t: match.index(traj.labels[t])):
+        print(f"marker Rx rule {traj.labels[t]} at step {t}")
     return EXIT_OK
 
 

@@ -8,39 +8,35 @@ predicted_cycle_steps (188 there), and 13b, the rule that closes each
 cycle, leads into the start as well; tier IV's has one (21), the first
 step of a short reverse tail of at most 3L steps before a dead end.
 
-run() walks the unique forward path to a dead end or its step cap,
-recording the fired rule label and window site of every step and no state:
-Trajectory.state replays one from those records, through the run's own
-blocks where they match them (Trajectory._replay), and keeps nothing.
-Anything else a caller wants per step (a trace file, a replay on another
-backend, the freeze check) comes from an observer, which reads the run's
-cursor.
-
-run() is the package's one stepping loop; the harnesses and checks in
-verify drive the chain through it.  It steps a per-run cursor (_Cursor),
+run(), the package's one stepping loop, walks the unique forward path to
+a dead end or its step cap, recording the fired rule label and window site
+of every step and no state.  Whatever a caller reads of the states (a past
+state, a trace file, the checks in verify) comes from a replay of that
+record (Trajectory._replay), through the run's own blocks where they match
+it, which keeps nothing.  run() steps a per-run cursor (_Cursor),
 not a ChainState per step: mutable rows and the head, the one active cell
 of a valid state, rewritten in the window cells after one lookup in the
 rule set's compiled matcher, so a single step's cost does not grow with
 the chain length L.  check_uog's repeat check compares the head with the
 start's, and the rows only where those agree.  run() builds ChainStates
-only for Ambiguous, the final state and observers.
+only for Ambiguous and the final state.
 
-Without an observer run() replays recurring stretches of up to BLOCK_STEPS
-steps from a store on the rule set, keyed by (L, check_uog, head).  A
-stretch ends where its window reaches an end of the chain, where the head
-is back at its first head, or after BLOCK_STEPS steps.  A stretch seen
-twice is stored with its footprint, the cells its probes (reverse ones too
-under check_uog) and its gates read before it wrote them, and with its
-gates on the work vector, which a replay applies in order: the kernel calls
-of its single steps.  The store is emptied at BLOCK_CAP blocks.  Observers,
-steps no block fits and those after a flagged repeat go one by one.
+run() replays recurring stretches of up to BLOCK_STEPS steps from a store
+on the rule set, keyed by (L, check_uog, head).  A stretch ends where its
+window reaches an end of the chain, where the head is back at its first
+head, or after BLOCK_STEPS steps.  A stretch seen twice is stored with its
+footprint, the cells its probes (reverse ones too under check_uog) and its
+gates read before it wrote them, and with its gates on the work vector,
+which a replay applies in order: the kernel calls of its single steps.
+The store is emptied at BLOCK_CAP blocks.  Steps no block fits and those
+after a flagged repeat go one by one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import dropwhile
+from itertools import dropwhile, islice
 from operator import index, itemgetter
 
 import numpy as np
@@ -83,12 +79,10 @@ class StepBudget:
 @dataclass
 class Trajectory:
     """Forward path from a start state: labels[t] and sites[t] name the rule
-    and window of step t, the transition from state t to state t+1, and markers
-    is derived from them.  state(t) and iter_states() replay states from them
-    on the run's rules, from the start and keeping none; state(t), and a
-    replay watching some labels, take blocks from the run's store,
-    (L, checked), where they match the record.  checked: run() made it
-    under check_uog."""
+    and window of step t, the transition from state t to state t+1, and
+    markers is derived from them.  Every state read replays them from the
+    start on the run's rules, keeping none (_replay).  checked: run() made
+    it under check_uog."""
 
     start: ChainState
     rules: RuleSet
@@ -127,9 +121,8 @@ class Trajectory:
         replay from the run's block store, with nothing learnt, where a
         block fits the rows and ends at or before t, its labels and sites
         are the record's there, and it fires no watched label before its
-        last step.  A step off the
-        record raises ValueError, and so does a replay to the end that
-        stops away from final."""
+        last step.  A step off the record raises ValueError, and so does a
+        replay to the end that stops away from final."""
         cur = _Cursor(self.start, self.rules)
         labels, sites, k = self.labels, self.sites, 0
         store = {} if watched is None else self.rules.blocks.get(
@@ -149,12 +142,14 @@ class Trajectory:
                 if (fired is None or fired[0] != sites[k]
                         or fired[1].rule.label != labels[k]):
                     raise ValueError(f"replay left the record at step {k}")
+                cur.site, cur.label, cur.gate = sites[k], labels[k], \
+                    fired[1].gate
                 k += 1
             if watched is None or k == t or labels[k - 1] in watched:
                 yield k, cur
         end = self.final
         if t == self.n_steps and end and not (
-                cur.config_equal(end)
+                {reg: tuple(row) for reg, row in cur.rows.items()} == end.rows
                 and np.array_equal(cur.work.amps, end.work.amps)):
             raise ValueError(f"replay left the record at final state {t}")
 
@@ -185,9 +180,11 @@ class Trajectory:
     }
 
     def events(self) -> dict:
-        """Named-event view of the markers (event -> sorted step indices)."""
+        """Named-event view of the markers (event -> sorted step indices),
+        from one pass over the labels."""
+        hits = self.marker_steps(*sum(self.EVENT_LABELS.values(), ()))
         return {name: steps for name, labels in self.EVENT_LABELS.items()
-                if (steps := self.marker_steps(*labels))}
+                if (steps := [t for t in hits if self.labels[t] in labels])}
 
 
 class _Cursor:
@@ -207,10 +204,10 @@ class _Cursor:
     naming a rule that left other than one active cell; replay() writes a
     block and applies its gates.
 
-    run() hands the cursor to observers as the view of the state reached:
-    tier, L, rows (live lists, read-only, valid until the next step), work,
-    head, the fired rule's site, label and gate kind (None without one),
-    chain_state() and config_equal().
+    Trajectory._replay yields the cursor as the view of each state it
+    reaches: tier, L, rows (live lists, read-only, valid until the next
+    step), work, head, chain_state() and config_equal(), and after a single
+    step the fired rule's site, label and gate kind (None without one).
     """
 
     __slots__ = ("tier", "L", "rows", "work", "head", "site", "label",
@@ -412,11 +409,11 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     at its window, and that no configuration repeats; violations are
     recorded as (step, message), not raised.  The repeat check keeps no
     configurations: from the first return to the start, at step p, it
-    flags every state t as equal to state t - p.  observer(t, state,
-    match) is called after each step t >= 1 with the cursor as both state
-    and match (see _Cursor); the start state is traj.start.  Without an
-    observer, stretches replay from the rule set's block store (see
-    above), which serves one run at a time: it is not thread-safe.
+    flags every state t as equal to state t - p.  Stretches replay from the
+    rule set's block store (see above), which serves one run at a time: it
+    is not thread-safe.  observer(t, view, view), kept for the benchmark
+    harness, is called after the run from a replay of the record (see
+    _Cursor), for each t >= 1.
     """
     if keep_states:  # accepted as False only: past states are replayed
         raise TypeError("run keeps no states: use Trajectory.state(t)")
@@ -426,8 +423,8 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     cur = _Cursor(start, rs)
     start_head = cur.head
     start_rows = {reg: list(row) for reg, row in start.rows.items()}
-    store = None if observer else rs.blocks.setdefault((cur.L, check_uog), {})
-    cur.rec = None if observer else []
+    store = rs.blocks.setdefault((cur.L, check_uog), {})
+    cur.rec = []
     uog_start = (start_head, start_rows) if check_uog else None
     seg, seg_head = 0, start_head  # the stretch cur.rec holds the keys of
     t, max_steps, period = 0, budget.max_steps, None
@@ -478,10 +475,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
                      f" {cur.head[0] - rev[0][0]}, but {hit.rule.label} at"
                      f" {i} fired"))
                 seg_head = None
-        if observer is not None:
-            cur.site, cur.label, cur.gate = i, hit.rule.label, hit.gate
-            observer(t, cur, cur)
-        elif store is not None and (
+        if store is not None and (
                 i in ends and sites[-2:-1] != [i]  # reaches an end
                 or t >= seg + BLOCK_STEPS or cur.head == seg_head):
             _learn(store, cur, seg_head, labels[seg:], check_uog)
@@ -489,6 +483,9 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     else:
         traj.stop_reason = "step_limit"
     traj.final = cur.chain_state()
+    if observer is not None:
+        for t, view in islice(traj._replay(traj.n_steps), 1, None):
+            observer(t, view, view)
     return traj
 
 
@@ -570,18 +567,17 @@ def restricted_hamiltonian(traj: Trajectory):
 # -- trace output -------------------------------------------------------------
 
 
-def trace_observer(fh, snapshot_every: int = None):
-    """run() observer writing a tab-separated trace to fh as the run goes.
+def write_trace(fh, traj: Trajectory, snapshot_every: int = None):
+    """Write traj's tab-separated trace to fh from one replay of its record.
 
     One line per step: step, rule, site, the head's register:symbol after
     the step (off the cursor, no row scan), clock, digest.  After every
     step divisible by snapshot_every the state's snapshot block follows.
     """
-    def observe(t, view, m):
-        head, state = view.head, view.chain_state()
+    for t, cur in islice(traj._replay(traj.n_steps), 1, None):
+        head, state = cur.head, cur.chain_state()
         ck = clock_value(state)
-        fh.write(f"{t - 1}\t{m.label}\t{m.site}\t{head[1]}:{head[2]}\t"
+        fh.write(f"{t - 1}\t{cur.label}\t{cur.site}\t{head[1]}:{head[2]}\t"
                  f"{ck if ck is not None else '-'}\t{state.digest():016x}\n")
         if snapshot_every and t % snapshot_every == 0:
             fh.write(state.snapshot() + "\n")
-    return observe

@@ -4,17 +4,16 @@ Each check compares engine behaviour against a second computational path
 that shares no code with the rule engine: dense circuit algebra for the
 work qubits, plain integer arithmetic for the clock, exhaustive sweeps for
 the comparator, and, as the oracle for the hybrid data register, a full
-2^L statevector that replays every gate the chain fires.  check_claim_b is
-the one work-register check for every tier, read from a replay of the record
-to traj.final that replays the run's blocks and stops only after the labels
-that make a checkpoint; on tier IV, claim B at k = x and the post-target
-freeze give that the frozen work register is U^x psi.  verify_uog is no
-second path: it reads the engine's own check, run(check_uog=True), from the
-run that made the trajectory or from a rerun; the tests hold that check to a
-full scan of every rule on every window.  The harnesses step through run();
-the other checks read the trajectory or their observers.  Each takes the
-tier, work window and input work vector from traj.start, and reports one
-CheckResult.
+2^L statevector that replays every gate the chain fires.  The checks read
+a trajectory through one replay of its record (Trajectory._replay), held
+to the record at every step and to traj.final; check_claim_b and
+check_posttarget_freeze stop only after the labels they watch and take the
+stretches between from the run's blocks.  On tier IV, claim B at k = x and
+the freeze give that the frozen work register is U^x psi.  verify_uog is
+no second path: it reads run(check_uog=True), from the run that made the
+trajectory or from a rerun; the tests hold that check to a full scan of
+every rule on every window.  Each check takes the tier, work window and
+input work vector from traj.start, and reports one CheckResult.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ def format_report(results) -> str:
 
 
 # -- walk-line structure and work-qubit oracle -----------------------------------
-# ClaimBCheck keeps no states: step(t, state, label) takes state t, reached
-# by rule label, from a replay's cursor or any other view with rows and work
-# (read during the call only); result(traj) reports after the run.  Whether
-# state t is a checkpoint follows from its label, with no scan of its rows.
 
 
 def verify_uog(traj: Trajectory) -> CheckResult:
@@ -103,7 +98,10 @@ _COUNTED = {"I": ("4a", frozenset(("6a", "6b")), "rounds"),
 
 class ClaimBCheck:
     """check_claim_b's check: one reference vector advances round by round,
-    restarting from the input when a checkpoint asks for fewer rounds."""
+    restarting from the input when a checkpoint asks for fewer rounds.  It
+    keeps no states: step(t, state, label) reads state t, reached by rule
+    label (a checkpoint by its label alone), from any view with rows and
+    work; result(traj) reports."""
 
     def __init__(self, start: ChainState, circuit: CircuitProgram):
         self.start, self.circuit = start, circuit
@@ -172,12 +170,10 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     shows C, with the clock reading k as its power: the states after the
     rules whose forward side leaves C on the clock pointer (15, 16 and 20),
     read from the rule table.  A check that compares no state fails, and so
-    does one that meets a malformed clock.  It reads one replay of the record
-    through its cursor, which takes the stretches between checkpoints from
-    the run's blocks where they match the record and yields only the
-    checkpoints and the final state; tier I's gate turns (4a) are counted
-    from the record's labels.  The replay's error, off the record or away
-    from traj.final, fails the check as a detail."""
+    does one that meets a malformed clock.  It reads one replay of the
+    record that stops only at the checkpoints and at the end, and counts
+    tier I's gate turns from the labels; the replay's error, off the record
+    or away from traj.final, fails the check as a detail."""
     check = ClaimBCheck(traj.start, circuit)
     labels, fed = traj.labels, 0
     try:
@@ -325,10 +321,10 @@ def check_comparator(l_bits: int) -> CheckResult:
 
 
 def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
-    """Run the hybrid chain, replay each fired gate on the full 2^L
-    data-register vector from a run() observer, and compare the two
-    vectors up to the first difference after each step that fired a gate
-    or changed the data row or WorkState: any other step would repeat the
+    """Run the hybrid chain, then step a replay of its record, replay each
+    gate it fires on the full 2^L data-register vector, and compare the two
+    vectors after each step that fired a gate or changed the data row or
+    WorkState, up to the first difference: any other step would repeat the
     last compared difference, so only those build the 2^L embedding.
 
     Equal vectors also mean equal classical data readouts, so the oracle
@@ -338,26 +334,22 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     if hybrid.L > MAX_DENSE_SITES:
         raise ValueError(f"dense oracle needs L <= {MAX_DENSE_SITES}")
     dense = DenseData(hybrid.L, as_dense_vector(hybrid))
-    details, worst, failed_at = [], 0.0, None
+    details, worst = [], 0.0
     last = (list(hybrid.rows[D]), hybrid.work)  # the dense start's
-
-    def replay(t, view, _fired):
-        nonlocal dense, worst, failed_at, last
-        if failed_at is not None:
-            return
-        if view.gate is not None:
+    traj = run(hybrid, StepBudget(steps, "step_limit"))
+    compared = traj.n_steps
+    for t, view in traj._replay(traj.n_steps):
+        if t and view.gate is not None:
             dense = dense.apply_gate(view.gate, view.site, view.site + 1)
         elif view.rows[D] == last[0] and view.work is last[1]:
-            return
+            continue
         last = (list(view.rows[D]), view.work)  # a copy of the live row
         diff = float(np.linalg.norm(as_dense_vector(view) - dense.amps))
         worst = max(worst, diff)
         if diff > 1e-10:
             details.append(f"t={t - 1}: data vectors differ by {diff:.3e}")
-            failed_at = t
-
-    traj = run(hybrid, StepBudget(steps, "step_limit"), observer=replay)
-    compared = failed_at if failed_at is not None else traj.n_steps
+            compared = t
+            break
     return CheckResult("backend_equivalence", not details,
                        f"steps={compared} max|dv|={worst:.2e}",
                        "<=1e-10", details)
@@ -366,35 +358,41 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
 # -- tier-IV freeze ---------------------------------------------------------------
 
 
-def check_posttarget_freeze(start: ChainState, max_steps: int) -> CheckResult:
-    """After the compare sweep succeeds, the data and clock registers and
-    the work amplitudes must never change again."""
-    # at the compare-match: its step, work and copies of the live D, C, T rows
-    frozen, details = {}, []
-
-    def observer(t, view, _fired):
-        if not frozen:
-            if view.label in Trajectory.EVENT_LABELS["compare_match"]:
-                frozen.update(at=t, work=view.work, rows={
-                    reg: list(view.rows[reg]) for reg in (D, C, T)})
-            return
-        for reg, name in ((D, "data"), (C, "clock"), (T, "target")):
-            if view.rows[reg] != frozen["rows"][reg]:
-                details.append(f"t={t}: {name} register changed")
-        work, then = view.work, frozen["work"]
-        if work is not then and (work.support != then.support
-                                 or not np.array_equal(work.amps, then.amps)):
-            details.append(f"t={t}: work state changed")
-
-    traj = run(start, StepBudget(max_steps, "step_limit"), observer=observer)
-    n_match = len(traj.marker_steps(
-        *Trajectory.EVENT_LABELS["compare_match"]))
-    if n_match != 1:
-        details.append(f"{n_match} compare-success markers, expected 1")
-    tail = traj.n_steps - frozen["at"] if frozen else None
+def check_posttarget_freeze(traj: Trajectory) -> CheckResult:
+    """After the record's one compare-match (28 or 30), the data, clock and
+    target registers and the work amplitudes never change again.  Only a
+    rule with a gate (Rule.__init__ lets no other write D or the work) or
+    with a C or T pattern that differs between its sides can change them,
+    so one replay of the record compares them with copies taken at the
+    match after each such rule, read from the table, and at the end.  The
+    replay's error, off the record or away from traj.final, is a detail."""
+    match = Trajectory.EVENT_LABELS["compare_match"]
+    watched = frozenset(match).union(
+        r.label for r in traj.rules.rules if r.gate is not None
+        or any(r.lhs.get(reg) != r.rhs.get(reg) for reg in (C, T)))
+    hits = traj.marker_steps(*match)
+    at = hits[0] + 1 if hits else None  # the state after the first match
+    frozen, details = None, []
+    try:
+        for t, view in traj._replay(traj.n_steps, watched):
+            if t == at:
+                frozen = view.chain_state()  # rows copied, work kept
+            elif frozen is not None:
+                for reg, name in ((D, "data"), (C, "clock"), (T, "target")):
+                    if tuple(view.rows[reg]) != frozen.rows[reg]:
+                        details.append(f"t={t}: {name} register changed")
+                work, then = view.work, frozen.work
+                if work.support != then.support or not np.array_equal(
+                        work.amps, then.amps):
+                    details.append(f"t={t}: work state changed")
+    except ValueError as err:
+        details.append(str(err))
+    if len(hits) != 1:
+        details.append(f"{len(hits)} compare-success markers, expected 1")
+    tail = traj.n_steps - at if hits else None
     return CheckResult(
         "posttarget_freeze", not details,
-        f"success_at={frozen.get('at')} tail={tail} stop={traj.stop_reason}",
+        f"success_at={at} tail={tail} stop={traj.stop_reason}",
         "frozen", details[:10])
 
 
@@ -411,8 +409,8 @@ def check_phase_structure(traj: Trajectory) -> CheckResult:
     expect = ["19"] * (l - 3) + ["20", "21"]
     if prefix != expect:
         details.append(f"prefix {prefix[:6]}... != 19^(L-3),20,21")
-    handoffs = traj.markers.get("13a", [])
-    wakes = traj.markers.get("14", [])
+    markers = traj.markers
+    handoffs, wakes = markers.get("13a", []), markers.get("14", [])
     if len(wakes) > len(handoffs) or len(handoffs) - len(wakes) > 1:
         details.append(f"{len(handoffs)} hand-offs vs {len(wakes)} pointer wakes")
     for a, b in zip(handoffs, wakes):

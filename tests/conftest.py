@@ -1,7 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from hqca import BuildSpec, CircuitProgram, build_initial, worked_example_circuit
+from hqca import engine
+from hqca.rules import rule_set
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +46,27 @@ def feed_states(check, traj, states):
     for t in range(1, len(states)):
         check.step(t, states[t], traj.labels[t - 1])
     return check
+
+
+def _learn_nothing(_store, cur, *_args):
+    cur.rec = []  # what engine._learn empties, with no block built
+
+
+@contextlib.contextmanager
+def single_steps(tier):
+    """Inside it, run() and every replay on the tier's rule set take one
+    step at a time: the rule set's block store is empty and engine._learn
+    learns nothing.  The single-step reference for the block memo; the
+    store comes back on exit."""
+    rs = rule_set(tier)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rs, "blocks", {})
+        m.setattr(rs, "stretches", set())
+        m.setattr(engine, "_learn", _learn_nothing)
+        yield rs
+
+
+def stepped(start, budget, check_uog=False):
+    """run() one step at a time (see single_steps)."""
+    with single_steps(start.tier):
+        return engine.run(start, budget, check_uog=check_uog)

@@ -16,9 +16,8 @@ from hqca import (BuildSpec, StepBudget, WalkLine, apply_circuit_power,
                   verify_uog, work_window, worked_example_circuit)
 from hqca.builder import full_width_offset
 from hqca.symbols import alphabet_dimension
-from hqca.verify import (ClaimBCheck, check_claim_b, check_clock_counter,
-                         check_comparator, check_posttarget_freeze,
-                         cross_check_backends)
+from hqca.verify import (check_claim_b, check_clock_counter, check_comparator,
+                         check_posttarget_freeze, cross_check_backends)
 
 from conftest import random_state, small_circuit
 
@@ -125,17 +124,14 @@ def test_criterion_04_uog():
     if not r2.passed:
         problems.append(("II", r2.details[:2]))
     # clocked tier: 10^6-step prefix, streaming, checked on the fly, and
-    # claim B at every clock value in the same pass
+    # claim B at every clock value from a replay of its record
     start = build_initial(BuildSpec(circuit, "III", random_state(3, 4)))
-    claim_b = ClaimBCheck(start, circuit)
-    t3 = run(start, StepBudget(10 ** 6, "step_limit"), check_uog=True,
-             observer=lambda t, view, _fired: claim_b.step(
-                 t, view, view.label))
+    t3 = run(start, StepBudget(10 ** 6, "step_limit"), check_uog=True)
     if t3.uog_violations:
         problems.append(("III", t3.uog_violations[:2]))
     if t3.n_steps != 10 ** 6:
         problems.append(("III", f"stopped at {t3.n_steps}"))
-    r3 = claim_b.result(t3)
+    r3 = check_claim_b(t3, circuit)
     if not r3.passed or not r3.measured.startswith("states=5209 k_max=5208"):
         problems.append(("III", r3.measured, r3.details[:2]))
     elapsed = time.monotonic() - t0
@@ -176,7 +172,8 @@ def test_criterion_07_comparator():
                                     bullet_offset=off))
     traj = run(start, StepBudget(700, "step_limit"))
     rx = traj.marker_steps("28", "30")
-    freeze = check_posttarget_freeze(start, 10 ** 5 + 600)
+    freeze = check_posttarget_freeze(
+        run(start, StepBudget(10 ** 5 + 600, "step_limit")))
     ok = res.passed and len(rx) == 1 and freeze.passed
     report(7, ok, f"{res.measured} exhaustive; one Rx marker at step {rx};"
                   f" {freeze.measured}")

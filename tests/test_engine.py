@@ -14,12 +14,12 @@ from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, CircuitProgram,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca import engine
 from hqca.builder import full_width_offset
-from hqca.engine import BLOCK_CAP, Trajectory, _Cursor, trace_observer
+from hqca.engine import BLOCK_CAP, Trajectory, _Cursor, write_trace
 from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
 from hqca.verify import FIDELITY_TOL, check_claim_b
 from hqca.symbols import BULLET, C, D, P, QUANTUM, TURN
 
-from conftest import random_state, small_circuit
+from conftest import random_state, small_circuit, stepped
 
 
 def test_single_pass_step_count_small():
@@ -261,38 +261,27 @@ def _reference_walk(start, max_steps, check_uog=False):
 
 def _assert_run_matches_reference(start, budget, check_uog=False,
                                   allow_ambiguous=False):
-    """run() takes the reference loop's path, checks and stop.
+    """run(), one step at a time, takes the reference loop's path, checks
+    and stop, and a replay of its record the reference's states.
 
     Only allow_ambiguous accepts a reference that ends in an ambiguity;
     run() must then raise Ambiguous at the same step.
     """
     ref = _reference_walk(start, budget.max_steps, check_uog)
     assert allow_ambiguous or ref.stop != "ambiguous"
-    steps, seen, labels, sites = [], [], [], []
-
-    def observe(t, state, m):
-        # once per step t >= 1, with the state reached and the fired match
-        steps.append(t)
-        seen.append(state.chain_state().digest())
-        labels.append(m.label)
-        sites.append(m.site)
-
     try:
-        traj = run(start, budget, check_uog=check_uog, observer=observe)
+        traj = stepped(start, budget, check_uog)
     except Ambiguous as err:
         assert ref.stop == "ambiguous"
-        assert steps == list(range(1, len(ref.labels) + 1))
-        assert labels == ref.labels and sites == ref.sites
-        assert seen == ref.digests[1:]
+        assert err.traj.labels == ref.labels and err.traj.sites == ref.sites
+        assert [st.digest() for st in err.traj.iter_states()] == ref.digests
         assert [(m.label, m.site) for m in err.matches] == [
             (m.label, m.site) for m in ref.ambiguous]
         assert err.state.snapshot() == ref.final.snapshot()
         return None
     assert traj.stop_reason == ref.stop
     assert traj.labels == ref.labels and traj.sites == ref.sites
-    assert steps == list(range(1, traj.n_steps + 1))
-    assert labels == traj.labels and sites == traj.sites
-    assert seen == ref.digests[1:]
+    assert [st.digest() for st in traj.iter_states()] == ref.digests
     assert traj.markers == ref.markers
     assert traj.uog_violations == ref.violations
     assert traj.final.snapshot() == ref.final.snapshot()
@@ -303,8 +292,8 @@ def _assert_run_matches_reference(start, budget, check_uog=False,
 
 
 def _assert_bare_runs_match(start, budget, check_uog, traj):
-    """Two runs without an observer, the second on the block store that
-    the first warmed, end as traj, a run with one, did."""
+    """Two runs, the second on the block store that the first warmed,
+    end as traj, a run one step at a time, did."""
     for _ in range(2):
         bare = run(start, budget, check_uog=check_uog)
         assert bare.labels == traj.labels and bare.sites == traj.sites
@@ -404,11 +393,8 @@ def test_stray_active_symbol_run_matches_reference(example_circuit, tier, reg,
     # step, where a run of the valid start matches the full scan
     start, stray = _stray_start(example_circuit, tier, reg, site, symbol)
     assert len(_reference_walk(stray, 1).labels) == 1
-    seen = []
     with pytest.raises(ValueError, match="start has 2 active cells"):
-        run(stray, budget, check_uog=True,
-            observer=lambda t, _v, _m: seen.append(t))
-    assert seen == []
+        run(stray, budget, check_uog=True)
     with pytest.raises(ValueError, match="start has 2 active cells"):
         Trajectory(stray, rule_set(tier)).state(0)
     _assert_run_matches_reference(start, budget, check_uog=True)
@@ -465,10 +451,10 @@ def test_a_rule_that_leaves_two_heads_is_named(example_circuit, monkeypatch):
     rs = RuleSet("I", rule_set("I").without("1").rules + (r98,))
     monkeypatch.setitem(_RULESET_CACHE, "I", rs)
     start = build_initial(BuildSpec(example_circuit, "I"))
-    seen = []
     with pytest.raises(ValueError, match="rule 98 left 2 active cells"):
-        run(start, StepBudget(10), observer=lambda t, _v, _m: seen.append(t))
-    assert seen == []
+        stepped(start, StepBudget(10))
+    with pytest.raises(ValueError, match="rule 98 left 2 active cells"):
+        run(start, StepBudget(10))
     ref = _reference_walk(start, 10)
     assert ref.labels == ["98", "2"] and ref.stop == "ambiguous"
     assert [(m.label, m.site) for m in ref.ambiguous] == [("98", 1), ("2", 3)]
@@ -499,24 +485,14 @@ def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
     else:
         start = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                         bullet_offset=3))
-    back = []
-
-    def observe(t, state, _m):
-        if [state.head] == active_sites(start):
-            assert state.rows["C"] != list(start.rows["C"])
-            back.append(t)
-
-    traj = run(start, StepBudget(400, "step_limit"), check_uog=True,
-               observer=observe)
+    traj = run(start, StepBudget(400, "step_limit"), check_uog=True)
+    back = [t for t, cur in traj._replay(traj.n_steps)
+            if t and [cur.head] == active_sites(start)]
     assert len(back) == 2 and traj.uog_violations == []
+    assert all(traj.state(t).rows["C"] != start.rows["C"] for t in back)
     _assert_run_matches_reference(start, StepBudget(400, "step_limit"),
                                   check_uog=True)
     assert verify_uog(run(start, StepBudget(400, "step_limit"))).passed
-
-
-def _observed(start, budget, check_uog=False):
-    """A run with an observer, which takes one step at a time."""
-    return run(start, budget, check_uog=check_uog, observer=lambda *_: None)
 
 
 def _x9_start(example_circuit):
@@ -544,7 +520,7 @@ def test_block_memo_x9_to_its_dead_end(example_circuit, monkeypatch):
     # 26 326 steps, most of them replayed from the store on the second run
     _fresh_rules(monkeypatch, "IV")
     start = _x9_start(example_circuit)
-    traj = _observed(start, StepBudget(10 ** 5))
+    traj = stepped(start, StepBudget(10 ** 5))
     assert traj.n_steps == 26326 and traj.stop_reason == "dead_end"
     _assert_bare_runs_match(start, StepBudget(10 ** 5), False, traj)
 
@@ -555,7 +531,7 @@ def test_block_memo_chunked_runs_equal_one_run(example_circuit, monkeypatch):
     _fresh_rules(monkeypatch, "IV")
     start = build_initial(BuildSpec(example_circuit, "IV", random_state(3, 1),
                                     target_x=5, bullet_offset=6))
-    whole = _observed(start, StepBudget(10 ** 6))
+    whole = stepped(start, StepBudget(10 ** 6))
     assert whole.n_steps == 99276
     for _ in range(2):
         labels, sites, state, stop = [], [], start, None
@@ -584,7 +560,7 @@ def test_block_memo_tier2_repeats_over_three_periods(example_circuit,
         inside = run(start, StepBudget(skip)).final
         for _ in range(2):
             run(inside, budget, check_uog=True)
-    traj = _observed(start, budget, check_uog=True)
+    traj = stepped(start, budget, check_uog=True)
     assert traj.uog_violations == [
         (t, f"configuration equals state {t - period}")
         for t in range(period, 3 * period + 1)]
@@ -605,7 +581,7 @@ def test_block_memo_reads_the_reverse_probe_under_check_uog(
                         RuleSet("III", rule_set("III").rules + (extra,)))
     start = build_initial(BuildSpec(example_circuit, "III"))
     budget = StepBudget(3000, "step_limit")
-    traj = _observed(start, budget, check_uog=True)
+    traj = stepped(start, budget, check_uog=True)
     flagged = [t for t, _ in traj.uog_violations]
     assert len(flagged) == 8
     assert {traj.labels[t - 1] for t in flagged} == {"11"}
@@ -627,7 +603,7 @@ def test_check_uog_names_a_reverse_match_of_another_rule(example_circuit,
     monkeypatch.setitem(_RULESET_CACHE, "III", rs)
     start = build_initial(BuildSpec(example_circuit, "III"))
     budget = StepBudget(3000, "step_limit")
-    traj = _observed(start, budget, check_uog=True)
+    traj = stepped(start, budget, check_uog=True)
     fired = [t + 1 for t in traj.marker_steps("11")]
     assert [t for t, _ in traj.uog_violations] == fired
     named = [(t, msg) for t, msg in traj.uog_violations
@@ -649,7 +625,7 @@ def test_check_uog_names_a_reverse_match_at_another_window(example_circuit,
     _fresh_rules(monkeypatch, "I")
     start = build_initial(BuildSpec(example_circuit, "I"))
     budget = StepBudget(200, "dead_end")
-    traj = _observed(start, budget, check_uog=True)
+    traj = stepped(start, budget, check_uog=True)
     fired = traj.marker_steps("5a")
     assert fired and traj.uog_violations == [
         (t + 1, f"reverse match 5a at {traj.sites[t] - 1}, but 5a at"
@@ -658,8 +634,8 @@ def test_check_uog_names_a_reverse_match_at_another_window(example_circuit,
 
 
 def test_block_memo_replays_most_steps(example_circuit, monkeypatch):
-    # on a warm store fewer than 10 % of the steps take _Cursor.step; with
-    # an observer every step does, and the observer sees each one
+    # on a warm store fewer than 10 % of the steps take _Cursor.step; one
+    # step at a time every step does
     _fresh_rules(monkeypatch, "IV")
     start = _x9_start(example_circuit)
     run(start, StepBudget(10 ** 5))
@@ -670,10 +646,7 @@ def test_block_memo_replays_most_steps(example_circuit, monkeypatch):
     traj = run(start, StepBudget(10 ** 5))
     assert traj.n_steps == 26326 and len(calls) < 0.1 * traj.n_steps
     calls.clear()
-    seen = []
-    traj = run(start, StepBudget(10 ** 5),
-               observer=lambda t, *_: seen.append(t))
-    assert seen == list(range(1, 26327))
+    assert stepped(start, StepBudget(10 ** 5)).labels == traj.labels
     assert len(calls) == 26327  # the last call finds the dead end
 
 
@@ -739,7 +712,7 @@ def test_block_store_stays_under_its_cap(example_circuit, monkeypatch):
         assert 0 < len(_blocks(rs)) <= cap
         assert len(rs.stretches) <= 8 * cap
     assert max(replayed) > 2 * 4  # a replay after the store was emptied twice
-    assert traj.labels == _observed(start, StepBudget(10 ** 5)).labels
+    assert traj.labels == stepped(start, StepBudget(10 ** 5)).labels
 
 
 def _with_data(start, cells):
@@ -767,14 +740,14 @@ def test_block_memo_replays_a_classical_gate_write(example_circuit,
     monkeypatch.setattr(engine, "_apply_gate_effect", spy)
     for tier, steps in (("I", 200), ("II", predicted_cycle_steps(3, 2)),
                         ("III", 5000)):
-        _observed(build_initial(BuildSpec(example_circuit, tier,
-                                          random_state(3, 1))),
-                  StepBudget(steps))
+        stepped(build_initial(BuildSpec(example_circuit, tier,
+                                        random_state(3, 1))),
+                StepBudget(steps))
     assert len(written) > 100 and not any(written)
     _fresh_rules(monkeypatch, "I")
     start = _with_data(build_initial(BuildSpec(example_circuit, "I",
                                                random_state(3, 1))), {2: "1"})
-    traj = _observed(start, StepBudget(200))
+    traj = stepped(start, StepBudget(200))
     assert traj.stop_reason == "dead_end" and any(written)
     replayed, replay = [], _Cursor.replay
 
@@ -802,9 +775,9 @@ def test_block_memo_raises_a_non_classical_gate_where_a_step_does(
     # the left or the right cell changed, the run raises
     # NonClassicalGateError in the state where single steps raise it
     rs = _fresh_rules(monkeypatch, "III")
-    traj = _observed(build_initial(BuildSpec(example_circuit, "III",
-                                             random_state(3, 1))),
-                     StepBudget(500))
+    traj = stepped(build_initial(BuildSpec(example_circuit, "III",
+                                           random_state(3, 1))),
+                   StepBudget(500))
     t = [t for t, (label, i) in enumerate(zip(traj.labels, traj.sites))
          if label == "5a" and i == gate][nth]
     before, budget = traj.state(t), StepBudget(500)
@@ -824,11 +797,11 @@ def test_block_memo_raises_a_non_classical_gate_where_a_step_does(
 
     monkeypatch.setattr(engine, "_apply_gate_effect", spy)
     bad = _with_data(before, {site: symbol})
-    with pytest.raises(NonClassicalGateError) as stepped:
-        _observed(bad, budget)
+    with pytest.raises(NonClassicalGateError) as single:
+        stepped(bad, budget)
     with pytest.raises(NonClassicalGateError) as bare:
         run(bad, budget)
-    assert str(bare.value) == str(stepped.value)
+    assert str(bare.value) == str(single.value)
     (stepped_rows, stepped_work), (bare_rows, bare_work) = raised
     assert bare_rows == stepped_rows
     assert np.array_equal(bare_work, stepped_work)
@@ -1123,9 +1096,9 @@ def _assert_equal_states(a, b):
        long=st.booleans(), data=st.data())
 def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
                                            long, data):
-    # state(t) and iter_states() replay exactly the states an observer's
-    # chain_state() saw during the run, state(t) through the blocks that
-    # two bare runs stored; a long draw runs past 2000 steps (tier III with
+    # state(t) and iter_states() replay exactly the states that a cursor
+    # stepping from the start reaches, state(t) through the blocks that two
+    # bare runs stored; a long draw runs past 2000 steps (tier III with
     # k = 2 outlives it)
     if long:
         steps, k = steps + 2048, 2 if tier == "III" else k
@@ -1133,11 +1106,11 @@ def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
     start = build_initial(BuildSpec(small_circuit(n, k, seed), tier,
                                     random_state(n, seed), **extra))
     for _ in range(2):
-        run(start, StepBudget(steps, "dead_end"))
-    seen = [start]
-    traj = run(start, StepBudget(steps, "dead_end"),
-               observer=lambda t, view, _m: seen.append(view.chain_state()))
+        traj = run(start, StepBudget(steps, "dead_end"))
     n_steps = traj.n_steps
+    cur, seen = _Cursor(start, rule_set(tier)), [start]
+    while len(seen) <= n_steps and cur.step():
+        seen.append(cur.chain_state())
     assert len(seen) == n_steps + 1
     assert not (long and tier == "III") or n_steps > 2048
     ts = data.draw(st.permutations(
@@ -1174,9 +1147,10 @@ def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
 
 def test_trace_format(tmp_path, example_circuit):
     path = tmp_path / "trace.tsv"
+    traj = run(build_initial(BuildSpec(example_circuit, "I")),
+               StepBudget(5, "step_limit"))
     with open(path, "w", encoding="utf-8") as fh:
-        traj = run(build_initial(BuildSpec(example_circuit, "I")),
-                   StepBudget(5, "step_limit"), observer=trace_observer(fh))
+        write_trace(fh, traj)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 5
     first = lines[0].split("\t")
@@ -1184,8 +1158,7 @@ def test_trace_format(tmp_path, example_circuit):
     assert first[3] == "P:→S" and len(first[5]) == 16
     # snapshot blocks interleave after the steps they follow
     with open(path, "w", encoding="utf-8") as fh:
-        run(build_initial(BuildSpec(example_circuit, "I")),
-            StepBudget(5, "step_limit"), observer=trace_observer(fh, 2))
+        write_trace(fh, traj, 2)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [i for i, ln in enumerate(lines) if ln.startswith("P: ")] == [2, 6]
     assert lines[3] == traj.state(2).snapshot().splitlines()[1]
@@ -1211,3 +1184,19 @@ def test_named_events(example_circuit):
     assert ev["turn_gate"] == [8, 76]
     assert len(ev["oscillation_end"]) == 5
     assert "compare_fail" not in ev
+
+
+@settings(max_examples=30, deadline=None)
+@given(tier=st.sampled_from(("I", "II", "III", "IV")), n=st.integers(2, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 10 ** 6),
+       target=st.integers(1, 3), steps=st.integers(1, 4000))
+def test_events_equal_their_labels_markers(tier, n, k, seed, target, steps):
+    # events() reads the labels in one pass; it equals the markers of each
+    # event's labels, read one event at a time, with empty events left out
+    extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
+    traj = run(build_initial(BuildSpec(small_circuit(n, k, seed), tier,
+                                       random_state(n, seed), **extra)),
+               StepBudget(steps))
+    want = {name: steps for name, labels in Trajectory.EVENT_LABELS.items()
+            if (steps := traj.marker_steps(*labels))}
+    assert list(traj.events().items()) == list(want.items())  # in order

@@ -8,7 +8,7 @@ from hqca import (FORWARD, REVERSE, BuildSpec, StepBudget, applicable,
                   predicted_single_pass_steps, run, verify_uog)
 from hqca import engine, rules
 from hqca.builder import full_width_offset
-from hqca.rules import _RULESET_CACHE, rule_set
+from hqca.rules import _RULESET_CACHE, RuleSet, rule_set
 from hqca.state import WorkState
 from hqca.verify import (ClaimBCheck, build_clock_chain,
                          build_comparator_chain, check_claim_b,
@@ -17,7 +17,7 @@ from hqca.verify import (ClaimBCheck, build_clock_chain,
                          clock_increment, comparator_verdict,
                          cross_check_backends)
 
-from conftest import feed_states, random_state, small_circuit
+from conftest import feed_states, random_state, single_steps, small_circuit
 
 
 def test_work_oracle_tier1(example_circuit, random_work):
@@ -301,17 +301,15 @@ def test_verify_uog_matches_applicable_recount(tier, n, k, seed, target,
                StepBudget(steps, "dead_end"))
     report = verify_uog(traj)
     assert report.details == _uog_recount(traj)
-    # claim B fed from run()'s view during the run reports what the
-    # replay of the record gives; that run and a bare one, both checked,
-    # are their own reruns and report what the record's rerun does
+    # claim B on a checked run of the same start, read from that run's
+    # store, reports what it does on the record; that run and a second
+    # one, both checked, are their own reruns and report what the record's
+    # rerun does
     circuit = small_circuit(n, k, seed)
-    claim_b = ClaimBCheck(traj.start, circuit)
-    streamed = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True,
-                   observer=lambda t, view, _fired: claim_b.step(
-                       t, view, view.label))
-    assert claim_b.result(streamed) == check_claim_b(traj, circuit)
-    bare = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True)
-    assert verify_uog(streamed) == report == verify_uog(bare)
+    checked = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True)
+    assert check_claim_b(checked, circuit) == check_claim_b(traj, circuit)
+    again = run(traj.start, StepBudget(steps, "dead_end"), check_uog=True)
+    assert verify_uog(checked) == report == verify_uog(again)
     # a rule missing from the table: both read the swapped rule set, and
     # the rerun stops where the dropped rule first fired
     dropped = traj.labels[seed % traj.n_steps]
@@ -361,21 +359,40 @@ def test_backends_catch_swapping_identity(example_circuit, monkeypatch):
     assert res.measured.startswith("steps=14 ")
 
 
-def _backends_with_a_data_flip(example_circuit, monkeypatch, step):
-    """cross_check_backends on a run whose step-th firing, which fires no
-    gate (the gates are steps 10-16), also flips the data bit at site 1."""
-    orig = engine._Cursor.fire
-    calls = []
+def _firings(monkeypatch, change):
+    """Patch _Cursor.fire through change(fire, cur, i, hit, k), where k
+    counts the cursor's firings from 0: under single_steps every run and
+    replay fires step k of the record as its k-th.  Returns the labels the
+    latest cursor fired."""
+    fired, init, fire = [], engine._Cursor.__init__, engine._Cursor.fire
 
-    def flip_at_step(cur, i, hit):
-        calls.append(hit.gate)
-        if len(calls) == step:
+    def counted_init(cur, *args):
+        fired.clear()
+        init(cur, *args)
+
+    def counted_fire(cur, i, hit):
+        fired.append(hit.rule.label)
+        return change(fire, cur, i, hit, len(fired) - 1)
+
+    monkeypatch.setattr(engine._Cursor, "__init__", counted_init)
+    monkeypatch.setattr(engine._Cursor, "fire", counted_fire)
+    return fired
+
+
+def _backends_with_a_data_flip(example_circuit, monkeypatch, step):
+    """cross_check_backends on a run, and a replay, whose record step
+    step - 1, which fires no gate (the gates are steps 9-15), also flips
+    the data bit at site 1."""
+    def flip(fire, cur, i, hit, k):
+        if k == step - 1:
             assert hit.gate is None and cur.rows["D"][0] == "1"
             hit = hit._replace(writes=hit.writes + (("D", 1 - i, "0"),))
-        return orig(cur, i, hit)
+        return fire(cur, i, hit)
 
-    monkeypatch.setattr(engine._Cursor, "fire", flip_at_step)
-    return cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
+    _firings(monkeypatch, flip)
+    with single_steps("I"):
+        return cross_check_backends(BuildSpec(example_circuit, "I", "101"),
+                                    100)
 
 
 def test_backends_catch_data_write_without_gate(example_circuit, monkeypatch):
@@ -395,11 +412,16 @@ def test_backends_catch_data_write_after_a_compare(example_circuit,
     assert res.measured.startswith("steps=20 ")
 
 
+def _freeze(start, max_steps):
+    return check_posttarget_freeze(run(start, StepBudget(max_steps,
+                                                         "step_limit")))
+
+
 def test_posttarget_freeze(example_circuit):
     off = full_width_offset(16, 3)
     s = build_initial(BuildSpec(example_circuit, "IV", "000", target_x=3,
                                 bullet_offset=off))
-    res = check_posttarget_freeze(s, 3000)
+    res = _freeze(s, 3000)
     assert res.passed, res.details
 
 
@@ -407,63 +429,128 @@ def test_posttarget_freeze_fails_without_a_compare_match(example_circuit):
     # negative control: the rule-30 match comes at step 580, after the cap
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                 bullet_offset=3))
-    res = check_posttarget_freeze(s, 150)
+    res = _freeze(s, 150)
     assert not res.passed
     assert res.details == ["0 compare-success markers, expected 1"]
     assert res.measured == "success_at=None tail=None stop=step_limit"
-    res = check_posttarget_freeze(s, 700)
+    res = _freeze(s, 700)
     assert res.passed
     assert res.measured == "success_at=581 tail=119 stop=step_limit"
 
 
 def test_posttarget_freeze_catches_a_write_after_the_match(example_circuit,
                                                          monkeypatch):
-    # negative control: the check compares the view's live rows with copies
-    # taken at the compare-match (step 580 here), so a clock cell written at
-    # step 590 must fail it; a copy that aliased the live list would not
+    # negative control: the check compares the replay's live rows with
+    # copies taken at the compare-match (step 580 here), so a clock cell
+    # written at step 590, which fires no watched rule, must fail it at the
+    # next state it reads, the final one; a copy that aliased the live list
+    # would not
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                 bullet_offset=3))
-    orig = engine._Cursor.fire
-    fired = []
 
-    def write_clock_at_590(cur, i, hit):
-        fired.append(hit.rule.label)
-        if len(fired) == 591:
+    def write_clock(fire, cur, i, hit, k):
+        if k == 590:
             new = "1" if cur.rows["C"][i - 1] != "1" else "0"
             hit = hit._replace(writes=hit.writes + (("C", 0, new),))
-        return orig(cur, i, hit)
+        return fire(cur, i, hit)
 
-    monkeypatch.setattr(engine._Cursor, "fire", write_clock_at_590)
-    res = check_posttarget_freeze(s, 700)
-    assert fired[580] == "30"
+    fired = _firings(monkeypatch, write_clock)
+    with single_steps("IV"):
+        res = _freeze(s, 700)
+    assert fired[580] == "30" and len(fired) == 700
     assert not res.passed
-    assert res.details[0] == "t=591: clock register changed"
+    assert res.details == ["t=700: clock register changed"]
     assert res.measured == "success_at=581 tail=119 stop=step_limit"
 
 
 def test_posttarget_freeze_catches_a_work_change_after_the_match(
         example_circuit, monkeypatch):
     # negative control: a firing at step 590, after the compare-match,
-    # that also reverses the work amplitudes must fail the check there
+    # that also reverses the work amplitudes must fail the check
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                 bullet_offset=3))
-    orig = engine._Cursor.fire
-    fired = []
 
-    def change_work_at_590(cur, i, hit):
-        fired.append(hit.rule.label)
-        orig(cur, i, hit)
-        if len(fired) == 591:
+    def change_work(fire, cur, i, hit, k):
+        fire(cur, i, hit)
+        if k == 590:
             amps = cur.work.amps[::-1]
             assert not np.array_equal(amps, cur.work.amps)
             cur.work = WorkState(cur.work.support, amps)
 
-    monkeypatch.setattr(engine._Cursor, "fire", change_work_at_590)
-    res = check_posttarget_freeze(s, 700)
-    assert fired[580] == "30"
+    fired = _firings(monkeypatch, change_work)
+    with single_steps("IV"):
+        res = _freeze(s, 700)
+    assert fired[580] == "30" and len(fired) == 700
     assert not res.passed
-    assert res.details[0] == "t=591: work state changed"
+    assert res.details == ["t=700: work state changed"]
     assert res.measured == "success_at=581 tail=119 stop=step_limit"
+
+
+def test_posttarget_freeze_catches_a_block_that_writes_the_clock(
+        example_circuit, monkeypatch):
+    # negative control: blocks of the crossed return (rule 37) in the store
+    # also write a clock cell.  The run and the check's replay both take
+    # them after the compare-match, so the clock read at the final state
+    # differs from the copy taken at the match; a check that observed a run
+    # step by step would never replay a block and could not fail here
+    monkeypatch.setitem(_RULESET_CACHE, "IV",
+                        RuleSet("IV", rule_set("IV").rules))
+    s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
+                                bullet_offset=3))
+    for _ in range(2):
+        traj = run(s, StepBudget(10 ** 5))
+    assert check_posttarget_freeze(traj).passed
+    doctored = 0
+    for blocks in rule_set("IV").blocks[(s.L, False)].values():
+        for j, block in enumerate(blocks):
+            if "37" in block.labels:
+                blocks[j] = block._replace(
+                    writes=block.writes + (("C", (1,), ("1",)),))
+                doctored += 1
+    assert doctored and s.rows["C"][1] == "0"
+    again = run(s, StepBudget(10 ** 5))
+    assert again.labels == traj.labels and again.final.rows["C"][1] == "1"
+    res = check_posttarget_freeze(again)
+    assert not res.passed
+    assert res.details == [f"t={again.n_steps}: clock register changed"]
+    # the first record, made before the blocks changed, ends away from the
+    # replay that takes them
+    res = check_posttarget_freeze(traj)
+    assert res.details == [
+        f"t={traj.n_steps}: clock register changed",
+        f"replay left the record at final state {traj.n_steps}"]
+
+
+@pytest.mark.parametrize("x, match_at", [(1, 205), (3, 591)])
+def test_posttarget_freeze_to_the_dead_end_at_full_width(x, match_at):
+    # the full-width L = 16 chains hold the freeze for the 6 291 453-step
+    # tail, the tier-III count to its dead end: the run and the check take
+    # 1.7-2.4 s together for each x (2-core x86_64 VM), against 27 s for a
+    # check that observed every step
+    start = build_initial(BuildSpec(small_circuit(3, 2, 1), "IV",
+                                    target_x=x,
+                                    bullet_offset=full_width_offset(16, x)))
+    res = check_posttarget_freeze(run(start, StepBudget(10 ** 7)))
+    assert res.passed, res.details
+    assert res.measured == (f"success_at={match_at} tail={192 * 2 ** 15 - 3}"
+                            " stop=dead_end")
+
+
+def test_posttarget_freeze_runs_at_block_speed(example_circuit, monkeypatch):
+    # on a warm store the run and the check's replay together take fewer
+    # than 10 % of the x = 9 chain's 26 326 steps one at a time (about
+    # 1500: the replay single-steps the gates before the match, which it
+    # watches); a check that observed the run took every one
+    s = build_initial(BuildSpec(example_circuit, "IV", target_x=9,
+                                bullet_offset=3))
+    run(s, StepBudget(10 ** 5))
+    calls, step = [], engine._Cursor.step
+    monkeypatch.setattr(engine._Cursor, "step",
+                        lambda cur: calls.append(1) or step(cur))
+    traj = run(s, StepBudget(10 ** 5))
+    res = check_posttarget_freeze(traj)
+    assert res.passed and traj.n_steps == 26326
+    assert len(calls) < 0.1 * traj.n_steps
 
 
 def test_phase_structure(example_circuit):
