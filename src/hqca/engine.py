@@ -12,14 +12,14 @@ run(), the package's one stepping loop, walks the unique forward path to
 a dead end or its step cap, recording the fired rule label and window site
 of every step and no state.  Whatever a caller reads of the states (a past
 state, a trace file, the checks in verify) comes from a replay of that
-record (Trajectory._replay), through the run's own blocks where they match
-it, which keeps nothing.  run() steps a per-run cursor (_Cursor),
-not a ChainState per step: mutable rows and the head, the one active cell
-of a valid state, rewritten in the window cells after one lookup in the
-rule set's compiled matcher, so a single step's cost does not grow with
-the chain length L.  check_uog's repeat check compares the head with the
-start's, and the rows only where those agree.  run() builds ChainStates
-only for Ambiguous and the final state.
+record (Trajectory._replay), through the blocks the run replayed, kept on
+the trajectory, where they match it; it keeps no state.  run() steps a
+per-run cursor (_Cursor), not a ChainState per step: mutable rows and the
+head, the one active cell of a valid state, rewritten in the window cells
+after one lookup in the rule set's compiled matcher, so a single step's
+cost does not grow with the chain length L.  check_uog's repeat check
+compares the head with the start's, and the rows only where those agree.
+run() builds ChainStates only for Ambiguous and the final state.
 
 run() replays recurring stretches of up to BLOCK_STEPS steps from a store
 on the rule set, keyed by (L, check_uog, head).  A stretch ends where its
@@ -28,8 +28,10 @@ head, or after BLOCK_STEPS steps.  A stretch seen twice is stored with its
 footprint, the cells its probes (reverse ones too under check_uog) and its
 gates read before it wrote them, and with its gates on the work vector,
 which a replay applies in order: the kernel calls of its single steps.
-The store is emptied at BLOCK_CAP blocks.  Steps no block fits and those
-after a flagged repeat go one by one.
+The store is emptied at BLOCK_CAP blocks; the trajectory keeps, by the
+head it starts from, each block its run replayed, so emptying the store
+takes none from its replays.  Steps no block fits and those after a
+flagged repeat go one by one.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class Trajectory:
     and window of step t, the transition from state t to state t+1, and
     markers is derived from them.  Every state read replays them from the
     start on the run's rules, keeping none (_replay).  checked: run() made
-    it under check_uog."""
+    it under check_uog.  blocks: head -> {id: block} of the blocks run()
+    replayed from that head, which emptying the rule set's store keeps."""
 
     start: ChainState
     rules: RuleSet
@@ -92,6 +95,7 @@ class Trajectory:
     stop_reason: str = None
     uog_violations: list = field(default_factory=list)
     checked: bool = field(default=False, init=False)
+    blocks: dict = field(default_factory=dict, init=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -118,19 +122,19 @@ class Trajectory:
         """Step a cursor from the start to state t, yielding (k, cursor) at
         each state k; given watched, a set of rule labels, only at the
         states after a step that fires one and at t.  Then a stretch may
-        replay from the run's block store, with nothing learnt, where a
-        block fits the rows and ends at or before t, its labels and sites
-        are the record's there, and it fires no watched label before its
-        last step.  A step off the record raises ValueError, and so does a
-        replay to the end that stops away from final."""
+        replay one of the blocks the run replayed from the cursor's head,
+        where the block fits the rows and ends at or before t, its labels
+        and sites are the record's there, and it fires no watched label
+        before its last step.  A step off the record raises ValueError, and
+        so does a replay to the end that stops away from final."""
         cur = _Cursor(self.start, self.rules)
         labels, sites, k = self.labels, self.sites, 0
-        store = {} if watched is None else self.rules.blocks.get(
-            (cur.L, self.checked), {})
+        blocks = {} if watched is None else {
+            head: list(kept.values()) for head, kept in self.blocks.items()}
         if watched is None or t == 0:
             yield k, cur
         while k < t:
-            fits = [b for b in store.get(cur.head, ())
+            fits = [b for b in blocks.get(cur.head, ())
                     if (n := len(b.labels)) <= t - k
                     and b.labels == tuple(labels[k:k + n])
                     and b.sites == tuple(sites[k:k + n])
@@ -411,9 +415,10 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     configurations: from the first return to the start, at step p, it
     flags every state t as equal to state t - p.  Stretches replay from the
     rule set's block store (see above), which serves one run at a time: it
-    is not thread-safe.  observer(t, view, view), kept for the benchmark
-    harness, is called after the run from a replay of the record (see
-    _Cursor), for each t >= 1.
+    is not thread-safe; traj.blocks keeps each block replayed.
+    observer(t, view, view), kept for the benchmark harness, is called
+    after the run from a replay of the record (see _Cursor), for each
+    t >= 1.
     """
     if keep_states:  # accepted as False only: past states are replayed
         raise TypeError("run keeps no states: use Trajectory.state(t)")
@@ -430,8 +435,10 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     t, max_steps, period = 0, budget.max_steps, None
     ends = (1, cur.L - 1)  # the windows at the chain's ends
     while t < max_steps:
-        if (store and (blocks := store.get(cur.head))
+        head = cur.head
+        if (store and (blocks := store.get(head))
                 and (block := cur.replay(blocks, max_steps - t, uog_start))):
+            traj.blocks.setdefault(head, {})[id(block)] = block
             _learn(store, cur, seg_head, labels[seg:], check_uog)
             labels += block.labels
             sites += block.sites

@@ -8,17 +8,19 @@ the comparator, and, as the oracle for the hybrid data register, a full
 a trajectory through one replay of its record (Trajectory._replay), held
 to the record at every step and to traj.final; check_claim_b and
 check_posttarget_freeze stop only after the labels they watch and take the
-stretches between from the run's blocks.  On tier IV, claim B at k = x and
-the freeze give that the frozen work register is U^x psi.  verify_uog is
-no second path: it reads run(check_uog=True), from the run that made the
-trajectory or from a rerun; the tests hold that check to a full scan of
-every rule on every window.  Each check takes the tier, work window and
-input work vector from traj.start, and reports one CheckResult.
+stretches between from the blocks the run replayed, which the trajectory
+keeps.  On tier IV, claim B at k = x and the freeze give that the frozen
+work register is U^x psi.  verify_uog is no second path: it reads
+run(check_uog=True), from the run that made the trajectory or from a
+rerun; the tests hold that check to a full scan of every rule on every
+window.  Each check takes the tier, work window and input work vector
+from traj.start, and reports one CheckResult.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -96,70 +98,6 @@ _COUNTED = {"I": ("4a", frozenset(("6a", "6b")), "rounds"),
             "II": ("13b", frozenset(("13b",)), "power")}
 
 
-class ClaimBCheck:
-    """check_claim_b's check: one reference vector advances round by round,
-    restarting from the input when a checkpoint asks for fewer rounds.  It
-    keeps no states: step(t, state, label) reads state t, reached by rule
-    label (a checkpoint by its label alone), from any view with rows and
-    work; result(traj) reports."""
-
-    def __init__(self, start: ChainState, circuit: CircuitProgram):
-        self.start, self.circuit = start, circuit
-        self.details, self.k_max = [], None
-        self.compared = self.count = 0  # count: 4a (tier I) or 13b (II)
-        self.worst, self.expect, self.done = 1.0, start.work.amps, 0
-        self.last = start.work
-        leave_c = rule_set(start.tier).candidates(REVERSE, "C")
-        self._counted, self._watched, self._kind = _COUNTED.get(
-            start.tier, (None, frozenset(r.label for r, _ in leave_c), "k"))
-        if "C" in start.rows.get(CP, ()):  # a start no rule has led to
-            self._checkpoint(0, start)
-
-    def step(self, t: int, state, label: str):
-        self.last = state.work
-        self.count += label == self._counted
-        if label in self._watched:
-            self._checkpoint(t, state)
-
-    def _checkpoint(self, t, state):
-        if self._kind != "k":
-            self._compare(t, self._kind, self.count, state.work)
-        elif (k := clock_value(state)) is None:
-            self.details.append(f"t={t}: malformed clock")
-        else:
-            self.k_max = max(k, self.k_max or 0)
-            self._compare(t, "k", k, state.work)
-
-    def _compare(self, t, kind, count, work):
-        if work.support != self.start.work.support:
-            raise ValueError(f"work support {work.support} is not the"
-                             f" start's window {self.start.work.support}")
-        rounds = count if kind == "rounds" else count * self.circuit.depth
-        if rounds < self.done:
-            self.expect, self.done = self.start.work.amps, 0
-        for j in range(self.done, rounds):
-            self.expect = apply_round(self.expect, self.circuit,
-                                      j % self.circuit.depth + 1)
-        self.done, self.compared = rounds, self.compared + 1
-        f = fidelity(self.expect, work.amps)
-        self.worst = min(self.worst, f)
-        if f < 1.0 - FIDELITY_TOL:
-            self.details.append(f"t={t} {kind}={count}: fidelity {f:.3e}")
-
-    def result(self, traj: Trajectory) -> CheckResult:
-        if self.start.tier == "I":  # the final state holds every gate turn
-            self._compare(traj.n_steps, "rounds", self.count, self.last)
-        return self._report()
-
-    def _report(self) -> CheckResult:
-        name, measured = "work_oracle", f"min_fidelity={self.worst:.12f}"
-        if self.start.tier in ("III", "IV"):
-            name = "claim_b"
-            measured = f"states={self.compared} k_max={self.k_max} {measured}"
-        return CheckResult(name, self.compared > 0 and not self.details,
-                           measured, f">={1 - FIDELITY_TOL}", self.details)
-
-
 def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     """Claim B on every tier: wherever the tier predicts the work register,
     it must equal the start state's after that many circuit rounds.  The
@@ -167,25 +105,65 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     (6a/6b) with the gate turns (4a) before it, and the final state with all
     of them; for tier II, the state after the x-th reset completion (13b)
     with x circuit powers; for tiers III/IV, every state whose clock pointer
-    shows C, with the clock reading k as its power: the states after the
-    rules whose forward side leaves C on the clock pointer (15, 16 and 20),
-    read from the rule table.  A check that compares no state fails, and so
+    shows C, with the clock reading k as its power: a start that shows it
+    and the states after the rules whose forward side leaves C on the clock
+    pointer (15, 16 and 20), read from the rule table.  One reference vector
+    advances round by round, restarting from the input when a checkpoint
+    asks for fewer rounds.  A check that compares no state fails, and so
     does one that meets a malformed clock.  It reads one replay of the
     record that stops only at the checkpoints and at the end, and counts
     tier I's gate turns from the labels; the replay's error, off the record
     or away from traj.final, fails the check as a detail."""
-    check = ClaimBCheck(traj.start, circuit)
-    labels, fed = traj.labels, 0
+    start, labels, depth = traj.start, traj.labels, circuit.depth
+    leave_c = rule_set(start.tier).candidates(REVERSE, "C")
+    counted, watched, kind = _COUNTED.get(
+        start.tier, (None, frozenset(r.label for r, _ in leave_c), "k"))
+    details, fids, k_max = [], [], None
+    expect, done = start.work.amps, 0  # the reference, after done rounds
+
+    def compare(t, n, work):
+        nonlocal expect, done
+        if work.support != start.work.support:
+            raise ValueError(f"work support {work.support} is not the"
+                             f" start's window {start.work.support}")
+        rounds = n if kind == "rounds" else n * depth
+        if rounds < done:
+            expect, done = start.work.amps, 0
+        for j in range(done, rounds):
+            expect = apply_round(expect, circuit, j % depth + 1)
+        done = rounds
+        fids.append(fidelity(expect, work.amps))
+        if fids[-1] < 1.0 - FIDELITY_TOL:
+            details.append(f"t={t} {kind}={n}: fidelity {fids[-1]:.3e}")
+
+    stops = traj._replay(traj.n_steps, watched)
+    if "C" in start.rows.get(CP, ()):  # a start no rule has led to
+        stops = chain([(0, start)], stops)
+    count = fed = 0  # count: 4a (tier I) or 13b (II) up to state fed
     try:
-        for t, view in traj._replay(traj.n_steps, check._watched):
-            if t:  # the counted labels of the steps not fed, then step t
-                check.count += labels[fed:t - 1].count(check._counted)
-                check.step(t, view, labels[t - 1])
-                fed = t
-        return check.result(traj)
+        for t, view in stops:
+            count += labels[fed:t].count(counted)
+            fed = t
+            if not (labels[t - 1] in watched if t else view is start):
+                continue  # the final state, or state 0 of a 0-step replay
+            if kind != "k":
+                compare(t, count, view.work)
+            elif (k := clock_value(view)) is None:
+                details.append(f"t={t}: malformed clock")
+            else:
+                k_max = max(k, k_max or 0)
+                compare(t, k, view.work)
+        if start.tier == "I":  # the final state holds every gate turn
+            compare(traj.n_steps, count, view.work)
     except ValueError as err:  # off the record, or off the work window
-        check.details.append(str(err))
-        return check._report()
+        details.append(str(err))
+    name = "work_oracle"
+    measured = f"min_fidelity={min(fids, default=1.0):.12f}"
+    if start.tier in ("III", "IV"):
+        name = "claim_b"
+        measured = f"states={len(fids)} k_max={k_max} {measured}"
+    return CheckResult(name, bool(fids) and not details, measured,
+                       f">={1 - FIDELITY_TOL}", details)
 
 
 # -- standalone clock harness ----------------------------------------------------
@@ -370,8 +348,12 @@ def check_posttarget_freeze(traj: Trajectory) -> CheckResult:
     watched = frozenset(match).union(
         r.label for r in traj.rules.rules if r.gate is not None
         or any(r.lhs.get(reg) != r.rhs.get(reg) for reg in (C, T)))
-    hits = traj.marker_steps(*match)
-    at = hits[0] + 1 if hits else None  # the state after the first match
+    labels = traj.labels
+    counts = {label: labels.count(label) for label in match}
+    hits = sum(counts.values())
+    at = None  # the state after the first match
+    if hits:
+        at = 1 + min(labels.index(label) for label, n in counts.items() if n)
     frozen, details = None, []
     try:
         for t, view in traj._replay(traj.n_steps, watched):
@@ -387,8 +369,8 @@ def check_posttarget_freeze(traj: Trajectory) -> CheckResult:
                     details.append(f"t={t}: work state changed")
     except ValueError as err:
         details.append(str(err))
-    if len(hits) != 1:
-        details.append(f"{len(hits)} compare-success markers, expected 1")
+    if hits != 1:
+        details.append(f"{hits} compare-success markers, expected 1")
     tail = traj.n_steps - at if hits else None
     return CheckResult(
         "posttarget_freeze", not details,
@@ -409,8 +391,9 @@ def check_phase_structure(traj: Trajectory) -> CheckResult:
     expect = ["19"] * (l - 3) + ["20", "21"]
     if prefix != expect:
         details.append(f"prefix {prefix[:6]}... != 19^(L-3),20,21")
-    markers = traj.markers
-    handoffs, wakes = markers.get("13a", []), markers.get("14", [])
+    hits = traj.marker_steps("13a", "14")
+    handoffs = [t for t in hits if labels[t] == "13a"]
+    wakes = [t for t in hits if labels[t] == "14"]
     if len(wakes) > len(handoffs) or len(handoffs) - len(wakes) > 1:
         details.append(f"{len(handoffs)} hand-offs vs {len(wakes)} pointer wakes")
     for a, b in zip(handoffs, wakes):

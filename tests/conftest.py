@@ -40,12 +40,22 @@ def build(tier, circuit, **kw):
     return build_initial(BuildSpec(circuit, tier, **kw))
 
 
-def feed_states(check, traj, states):
-    """check, fed states[1:] with traj's labels as verify feeds a replay
-    of traj: the negative controls pass it doctored states."""
-    for t in range(1, len(states)):
-        check.step(t, states[t], traj.labels[t - 1])
-    return check
+@contextlib.contextmanager
+def every_state(t=None, doctor=None):
+    """Inside it, Trajectory._replay yields every state, whatever labels
+    its caller watches, and at step t the ChainState doctor(state t): the
+    negative controls hand the checks doctored states this way.  Yields
+    the list of the watched sets the replays were asked for."""
+    replay, asked = engine.Trajectory._replay, []
+
+    def every(traj, n, watched=None):
+        asked.append(watched)
+        for k, cur in replay(traj, n):
+            yield k, doctor(cur.chain_state()) if k == t else cur
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine.Trajectory, "_replay", every)
+        yield asked
 
 
 def _learn_nothing(_store, cur, *_args):
@@ -54,10 +64,11 @@ def _learn_nothing(_store, cur, *_args):
 
 @contextlib.contextmanager
 def single_steps(tier):
-    """Inside it, run() and every replay on the tier's rule set take one
-    step at a time: the rule set's block store is empty and engine._learn
-    learns nothing.  The single-step reference for the block memo; the
-    store comes back on exit."""
+    """Inside it, run() on the tier's rule set takes one step at a time:
+    the rule set's block store is empty and engine._learn learns nothing,
+    so a record made there keeps no blocks and its replays take one step at
+    a time too, inside or out.  The single-step reference for the block
+    memo; the store comes back on exit."""
     rs = rule_set(tier)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rs, "blocks", {})

@@ -715,6 +715,44 @@ def test_block_store_stays_under_its_cap(example_circuit, monkeypatch):
     assert traj.labels == stepped(start, StepBudget(10 ** 5)).labels
 
 
+def test_a_record_replays_at_block_speed_after_its_store_is_emptied(
+        example_circuit, monkeypatch):
+    # a record keeps the blocks its run replayed: after runs of tier-III
+    # chains of other lengths fill the rule set's store to BLOCK_CAP and so
+    # empty it, state(n_steps) and claim B on the first record take no more
+    # single steps than before (96 and 122 of 2 * 10^4); replays that read
+    # the store take every one
+    rs = _fresh_rules(monkeypatch, "III")
+    start = build_initial(BuildSpec(example_circuit, "III"))
+    traj = run(start, StepBudget(2 * 10 ** 4))
+    calls, step = [], _Cursor.step
+    monkeypatch.setattr(_Cursor, "step",
+                        lambda cur: calls.append(1) or step(cur))
+
+    def single_steps():
+        calls.clear()
+        traj.state(traj.n_steps)
+        n = len(calls)
+        assert check_claim_b(traj, example_circuit).passed
+        return n, len(calls) - n
+
+    before = single_steps()
+    assert max(before) < 0.01 * traj.n_steps
+    stored = {id(b) for b in _blocks(rs)}
+    kept = _blocks(rs)  # holds the ids in stored
+    for seed in range(200):
+        other = build_initial(BuildSpec(small_circuit(2 + seed % 3,
+                                                      1 + seed % 2, seed),
+                                        "III"))
+        if other.L != start.L:
+            run(other, StepBudget(10 ** 4))
+        if not stored & {id(b) for b in _blocks(rs)}:
+            break
+    assert kept and not stored & {id(b) for b in _blocks(rs)}
+    after = single_steps()
+    assert after[0] <= before[0] and after[1] <= before[1]
+
+
 def _with_data(start, cells):
     """start with the data cells {site: symbol} replaced."""
     row = list(start.rows[D])
@@ -1097,9 +1135,9 @@ def _assert_equal_states(a, b):
 def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
                                            long, data):
     # state(t) and iter_states() replay exactly the states that a cursor
-    # stepping from the start reaches, state(t) through the blocks that two
-    # bare runs stored; a long draw runs past 2000 steps (tier III with
-    # k = 2 outlives it)
+    # stepping from the start reaches, state(t) through the blocks that the
+    # second of two bare runs replayed; a long draw runs past 2000 steps
+    # (tier III with k = 2 outlives it)
     if long:
         steps, k = steps + 2048, 2 if tier == "III" else k
     extra = {"target_x": target, "bullet_offset": 2} if tier == "IV" else {}
