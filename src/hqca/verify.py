@@ -142,8 +142,8 @@ def check_claim_b(traj: Trajectory, circuit: CircuitProgram) -> CheckResult:
     count = fed = 0  # count: 4a (tier I) or 13b (II) up to state fed
     try:
         for t, view in stops:
-            count += labels[fed:t].count(counted)
-            fed = t
+            if counted is not None:  # tiers III/IV read the clock instead
+                count, fed = count + labels[fed:t].count(counted), t
             if not (labels[t - 1] in watched if t else view is start):
                 continue  # the final state, or state 0 of a 0-step replay
             if kind != "k":

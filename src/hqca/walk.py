@@ -8,10 +8,11 @@ the eigenbasis with no time-stepping error:
     v_k(t)   = sqrt(2/(l+1)) sin(k (t+1) pi / (l+1)),   t = 0..l-1
 
 The path is bipartite: lambda_{l+1-k} = -lambda_k, c_{l+1-k} = c_k for
-c_k = <k|0>, and v_{l+1-k}(m) = (-1)^m v_k(m), so psi_m(tau) is real for
-even m and imaginary for odd m, and in real arithmetic
+c_k = <k|0>, and v_{l+1-k}(m) = (-1)^m v_k(m); folded into k <= h = ceil(l/2),
 
-    |psi_m(tau)|^2 = (sum_k v_k(m) c_k sqrt(2) cos(lambda_k tau + pi/4))^2
+    |psi_m(tau)|^2 = (sum_{k<=h} g_k v_k(m) c_k f_m(lambda_k tau))^2
+
+with f_m = cos for even m, sin for odd m, and g_k = 2 (1 at lambda_k = 0).
 
 The time average of the position distribution converges to the limiting
 distribution pi(m) = (2 + [m=0] + [m=l-1]) / (2(l+1)); the deviation decays
@@ -29,8 +30,9 @@ from functools import cached_property
 import numpy as np
 
 # Longest line whose batched probabilities use the dense eigenvector product,
-# not the DST-I: on 1e4 columns, one BLAS thread (2-core x86_64 VM), dense/DST
-# time was 0.07-1.02 at l <= 512 (0.11 at 256) and 1.4-1.6 at l = 1000-1500.
+# not the DST-I: on 4e6/l columns, one BLAS thread (2-core x86_64 VM), dense/
+# DST time was 0.19 at l = 256, 0.72-0.91 at 511-512, 0.20-0.28 at 513-768
+# (FFT length 2(l+1)), 0.80-0.88 at 1000, 1024, 1500, 1.27-1.92 at 1023, 2047.
 DENSE_MAX_LENGTH = 512
 
 
@@ -75,23 +77,31 @@ def evolve(line: WalkLine, tau: float) -> np.ndarray:
 def position_distributions(line: WalkLine, taus) -> np.ndarray:
     """|<m| exp(-i H tau) |0>|^2 in real arithmetic, one column per tau.
 
-    Rows k and l+1-k take cos and sin of one rounded phase, as cos(-t + pi/4)
-    = sin(t + pi/4): one trig call per entry, and column norms stay exact.
+    One tangent tan(lambda_k tau / 2) per k <= h gives cos and sin (numpy
+    vectorises float64 tan, not cos and sin); dense lines take two half-size
+    products, O(l h T), longer lines the DST-I of c_k (cos -+ sin).
     """
     taus = np.asarray(taus, dtype=float)
-    l, h = line.l, line.l // 2
-    x = np.empty((l, taus.size))
-    theta = np.multiply.outer(line.eigenvalues[:h], taus)
-    theta += np.pi / 4
-    np.cos(theta, out=x[:h])
-    np.sin(theta, out=x[::-1][:h])
-    x[h:l - h] = np.sqrt(0.5)  # the zero eigenvalue of an odd line
-    x *= np.sqrt(2.0) * line.eigenbasis_coeffs()[:, None]
+    l, h = line.l, (line.l + 1) // 2
+    c = line.eigenbasis_coeffs()[:h, None]
+    w = c * (2.0 if l <= DENSE_MAX_LENGTH else 1.0)
+    w[l - h:] = c[l - h:]  # an odd line's zero eigenvalue is its own partner
+    sin = np.multiply.outer(0.5 * line.eigenvalues[:h], taus)
+    np.tan(sin, out=sin)
+    cos = np.square(sin)
+    cos += 1.0
+    np.divide(2.0 * w, cos, out=cos)  # w (1 + cos), with no third buffer
+    sin *= cos
+    cos -= w
+    p = np.empty((l, taus.size))
     if l <= DENSE_MAX_LENGTH:
-        p = line.eigenvectors @ x
+        for r, f in ((0, cos), (1, sin)):
+            np.matmul(line.eigenvectors[r::2, :h], f, out=p[r::2])
     else:
         from scipy.fft import dst
-        p = dst(x, type=1, norm="ortho", axis=0, overwrite_x=True)
+        np.subtract(cos, sin, out=p[:h])
+        np.add(cos, sin, out=p[::-1][:h])
+        p = dst(p, type=1, norm="ortho", axis=0, overwrite_x=True)
     return np.square(p, out=p)
 
 
@@ -161,13 +171,18 @@ def exact_time_averaged_distribution(line: WalkLine,
     (sin(d tau*) - i (1 - cos(d tau*))) / (d tau*).  The imaginary part is
     odd in d = lambda_j - lambda_k and cancels in the double sum over
     eigenpairs, which is symmetric in j and k, so the averaged distribution
-    is a real quadratic form; O(l^3) work in one matrix product.
+    is a real quadratic form: 2 a (K- +- K+) a for even (odd) m, a = g_k v_k(m)
+    c_k / 2, K-+ = sinc((lambda_j -+ lambda_k) tau* / pi), k <= h; O(l h^2).
     """
-    lam = line.eigenvalues
-    m0 = line.eigenvectors * line.eigenbasis_coeffs()
-    kernel = np.sinc(np.subtract.outer(lam, lam) * tau_star / np.pi)
-    p = np.maximum(((m0 @ kernel) * m0).sum(1), 0.0)
-    return WalkDistribution(p / p.sum(), np.zeros(line.l))
+    l, h = line.l, (line.l + 1) // 2
+    x = line.eigenvalues[:h] * (tau_star / np.pi)
+    a = line.eigenvectors[:, :h] * line.eigenbasis_coeffs()[:h]
+    a[:, l - h:] *= 0.5  # an odd line's zero eigenvalue is its own partner
+    k_minus, k_plus = (np.sinc(f.outer(x, x)) for f in (np.subtract, np.add))
+    p = np.empty(l)
+    for r, kernel in ((0, k_minus + k_plus), (1, k_minus - k_plus)):
+        p[r::2] = 2.0 * ((a[r::2] @ kernel) * a[r::2]).sum(1).clip(0.0)
+    return WalkDistribution(p / p.sum(), np.zeros(l))
 
 
 def success_probability(line: WalkLine, far_fraction: float, tau_star: float,
@@ -233,8 +248,8 @@ def simulate_measurement(trajectory, tau: float, rng):
     state; independent draws should use spawned generators so results do
     not depend on scheduling.  A draw costs the O(l log l) position
     distribution and one Trajectory.state(m), a replay from the start at
-    block speed that keeps nothing: on a 10^6-step tier-III line 0.7-0.9 s,
-    of which the replay takes 0.1-0.35 s.
+    block speed that keeps nothing: on a 10^6-step tier-III line 0.5-0.7 s,
+    of which the DST-I takes 0.44 s and the replay 0.09-0.14 s.
     """
     l = len(trajectory)
     probs = position_distribution(WalkLine(l), tau)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,9 @@ def test_norm_preserved(l, tau):
        taus=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4))
 @example(l=1, taus=[0.0, 2.5, 1e6])
 @example(l=2, taus=[0.4, np.pi / 2, 1e6])
+@example(l=2, taus=[np.pi, 3 * np.pi])  # lambda tau / 2 at the tangent's pole
+@example(l=3, taus=[0.0, 37.0, 1e6])
+@example(l=DENSE_MAX_LENGTH - 1, taus=[0.0, 37.0, 1e6])
 @example(l=DENSE_MAX_LENGTH, taus=[0.0, 37.0, 1e6])
 @example(l=DENSE_MAX_LENGTH + 1, taus=[0.0, 37.0, 1e6])
 def test_position_distributions_match_evolve(l, taus):
@@ -97,6 +101,19 @@ def test_position_distributions_match_expm(l):
     want = np.stack([np.abs(expm(-1j * line.hamiltonian() * t)[:, 0]) ** 2
                      for t in taus], axis=1)
     assert np.max(np.abs(position_distributions(line, taus) - want)) < 1e-10
+
+
+def test_position_distributions_peak_memory():
+    # two h x T tangent buffers and the l x T result: 2 l T doubles
+    line, taus = WalkLine(256), np.linspace(0.0, 1e3, 10_000)
+    line.eigenvectors  # cached before the trace
+    tracemalloc.start()
+    try:
+        position_distributions(line, taus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * line.l * taus.size * 8
 
 
 def test_limiting_distribution_values():
@@ -180,7 +197,7 @@ def test_tv_envelope_averages_over_tau_star(tau_factor):
         assert abs(tv - exact.total_variation(pi)) < _tv_tolerance(mc.stderr)
 
 
-@pytest.mark.parametrize("l", [1, 2, 12])
+@pytest.mark.parametrize("l", [1, 2, 3, 12, 13])
 @pytest.mark.parametrize("tau_star", [0.0, 0.5, 7.3])
 def test_exact_average_matches_gauss_legendre(l, tau_star):
     line = WalkLine(l)
