@@ -129,16 +129,17 @@ class Trajectory:
         so does a replay to the end that stops away from final."""
         cur = _Cursor(self.start, self.rules)
         labels, sites, k = self.labels, self.sites, 0
-        blocks = {} if watched is None else {
-            head: list(kept.values()) for head, kept in self.blocks.items()}
+        blocks = {} if watched is None else {  # as lists, to match slices
+            head: [(b, list(b.labels), list(b.sites)) for b in kept.values()
+                   if watched.isdisjoint(b.labels[:-1])]
+            for head, kept in self.blocks.items()}
         if watched is None or t == 0:
             yield k, cur
         while k < t:
-            fits = [b for b in blocks.get(cur.head, ())
-                    if (n := len(b.labels)) <= t - k
-                    and b.labels == tuple(labels[k:k + n])
-                    and b.sites == tuple(sites[k:k + n])
-                    and watched.isdisjoint(b.labels[:-1])]
+            fits = [b for b, bl, bs in blocks.get(cur.head, ())
+                    if (e := k + len(bl)) <= t and bl[-1] == labels[e - 1]
+                    and bs[-1] == sites[e - 1]
+                    and bl == labels[k:e] and bs == sites[k:e]]
             if fits and (block := cur.replay(fits, t - k, None)):
                 k += len(block.labels)
             else:

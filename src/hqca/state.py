@@ -9,6 +9,9 @@ significant), is the oracle that verify.cross_check_backends checks this
 claim against at small L.  Both apply gates to adjacent sites through
 circuit's kernel, which never aliases the old state's amplitudes, and
 both keep their amplitudes read-only, so no state changes under a caller.
+dense_indices places a hybrid state's work amplitudes in the 2^L vector:
+as_dense_vector uses it only to build the oracle's start, and the check
+compares at those indices on one reused copy of the dense vector.
 """
 
 from __future__ import annotations
@@ -143,14 +146,21 @@ class ChainState:
         return f"<ChainState tier {self.tier} L={self.L} digest={self.digest():016x}>"
 
 
-def as_dense_vector(state: ChainState) -> np.ndarray:
-    """Data register as one read-only 2^L vector, site 1 most significant."""
+def dense_indices(state) -> np.ndarray:
+    """Index of each work amplitude in the 2^L data vector, site 1 most
+    significant: the data row's bits with the support's bits of k."""
     L, k = state.L, np.arange(len(state.work.amps))
     idx = np.full_like(k, int("".join(state.rows[D]).replace(QUANTUM, "0"), 2))
     for pos, site in enumerate(reversed(state.work.support)):
         idx |= ((k >> pos) & 1) << (L - site)
-    out = np.zeros(2 ** L, dtype=complex)
-    out[idx] = state.work.amps
+    return idx
+
+
+def as_dense_vector(state: ChainState) -> np.ndarray:
+    """Data register as one read-only 2^L vector, site 1 most significant:
+    the dense oracle's start."""
+    out = np.zeros(2 ** state.L, dtype=complex)
+    out[dense_indices(state)] = state.work.amps
     out.setflags(write=False)  # DenseData keeps it without a copy
     return out
 

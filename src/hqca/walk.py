@@ -35,6 +35,17 @@ import numpy as np
 # (FFT length 2(l+1)), 0.80-0.88 at 1000, 1024, 1500, 1.27-1.92 at 1023, 2047.
 DENSE_MAX_LENGTH = 512
 
+# Bytes of position_distributions' buffers per chunk of T columns in
+# time_averaged_distribution: two h x T tangent buffers and the l x T result,
+# 16 l T.  It is the per-core L2 (2 MiB, 2-core x86_64 VM, one BLAS thread):
+# the sampled fits of l = 16, 64, 256 at 10^4 samples took 0.056 s at 1 and
+# 2 MiB, 0.057 s at 4, 0.059 s at 8 and 0.071 s at 64 MB (4e6/l columns),
+# with a traced peak at the budget.  DST lines take at least 32 columns
+# while those fit in 64 MiB: at l = 5e4 and 1e5 fewer cost 20-40 % more per
+# column (11 and 24 ms at one column, 8.3 and 17 ms at 32); at l = 2e4 the
+# cost was flat.
+CHUNK_BYTES = 2 ** 21
+
 
 class WalkLine:
     """Path of l positions with its exact eigendecomposition.
@@ -146,17 +157,20 @@ def time_averaged_distribution(line: WalkLine, tau_star: float, samples: int,
     """Monte-Carlo estimate of the tau-uniform average of |psi_m(tau)|^2.
 
     Averages position_distributions at `samples` uniform times in [0, tau*],
-    with per-position stderr, in chunks of O(l * chunk) memory.
+    with per-position stderr, in chunks of CHUNK_BYTES (2 MiB) of buffers,
+    or of up to 32 columns on long lines, so memory does not grow with samples.
     """
     if tau_star < 0 or samples < 1:
         raise ValueError("need tau_star >= 0 and samples >= 1")
-    chunk = max(1, 4_000_000 // line.l)
+    chunk = max(CHUNK_BYTES // (16 * line.l),
+                min(32, 2 ** 26 // (16 * line.l)), 1)
     total, total_sq = np.zeros(line.l), np.zeros(line.l)
     for done in range(0, samples, chunk):
         taus = rng.uniform(0.0, tau_star, size=min(chunk, samples - done))
         probs = position_distributions(line, taus)
         total += probs.sum(axis=1)
         total_sq += np.square(probs, out=probs).sum(axis=1)
+        del probs  # freed before the next chunk's buffers are made
     mean = total / samples
     var = (total_sq - samples * mean ** 2) / max(samples - 1, 1)
     return WalkDistribution(mean / mean.sum(),

@@ -9,7 +9,7 @@ from hqca import (FORWARD, REVERSE, BuildSpec, StepBudget, applicable,
 from hqca import engine, rules
 from hqca.builder import full_width_offset
 from hqca.rules import _RULESET_CACHE, RuleSet, rule_set
-from hqca.state import WorkState
+from hqca.state import DenseData, WorkState
 from hqca.verify import (build_clock_chain, build_comparator_chain,
                          check_claim_b, check_clock_counter, check_comparator,
                          check_phase_structure, check_posttarget_freeze,
@@ -352,6 +352,28 @@ def test_backends_catch_swapping_identity(example_circuit, monkeypatch):
     res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
     assert not res.passed
     assert res.measured.startswith("steps=14 ")
+
+
+def test_backends_catch_mass_off_the_support(example_circuit, monkeypatch):
+    # every dense gate also puts 1e-6 on a data bit the hybrid holds
+    # classically, leaving the support's amplitudes as they were: only a
+    # comparison that counts the mass off the support sees it
+    spec = BuildSpec(example_circuit, "I", "101")
+    start = build_initial(spec)
+    off = next(s for s in range(1, start.L + 1)
+               if s not in start.work.support)
+    orig = DenseData.apply_gate
+
+    def leaky_gate(dense, kind, site_i, site_j):
+        amps = orig(dense, kind, site_i, site_j).amps.copy()
+        amps[np.argmax(np.abs(amps)) ^ 1 << (dense.n_sites - off)] += 1e-6
+        return DenseData(dense.n_sites, amps)
+
+    monkeypatch.setattr(DenseData, "apply_gate", leaky_gate)
+    res = cross_check_backends(spec, 100)
+    assert not res.passed
+    assert res.measured.startswith("steps=10 ")
+    assert res.details == ["t=9: data vectors differ by 1.000e-06"]
 
 
 def _firings(monkeypatch, change):

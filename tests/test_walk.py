@@ -15,8 +15,8 @@ from hqca import (BuildSpec, StepBudget, WalkLine, build_initial, evolve,
                   position_distribution, position_distributions, run,
                   simulate_measurement, success_probability,
                   time_averaged_distribution)
-from hqca.walk import (DENSE_MAX_LENGTH, WalkDistribution, distribution_dump,
-                       exact_time_averaged_distribution)
+from hqca.walk import (CHUNK_BYTES, DENSE_MAX_LENGTH, WalkDistribution,
+                       distribution_dump, exact_time_averaged_distribution)
 
 from conftest import small_circuit
 
@@ -114,6 +114,25 @@ def test_position_distributions_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * line.l * taus.size * 8
+
+
+def test_time_average_peak_memory():
+    # chunks of CHUNK_BYTES of buffers, each freed before the next: the
+    # peak stays at the budget, up to O(l + T) vectors, and does not grow
+    # with the number of samples
+    line = WalkLine(256)
+    time_averaged_distribution(line, 2560.0, 10, np.random.default_rng(0))
+    peaks = []
+    for samples in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            time_averaged_distribution(line, 2560.0, samples,
+                                       np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.05 * CHUNK_BYTES
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_limiting_distribution_values():
