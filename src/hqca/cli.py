@@ -164,26 +164,26 @@ def cmd_verify(args) -> int:
     results = []
     state = build_initial(spec)
     budget = StepBudget(instance.options.get("budget", 200_000), "dead_end")
-    if {"uog", "oracle"} & set(wanted):
-        try:
+    try:  # every suite runs chains, and any run may meet an ambiguity
+        if {"uog", "oracle"} & set(wanted):
             traj = run(state, budget, check_uog="uog" in wanted)
-        except Ambiguous as err:
-            print(f"error: ambiguous transition: {err}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-        if "uog" in wanted:
-            results.append(verify_uog(traj))
-        if "oracle" in wanted:
-            results.append(check_claim_b(traj, spec.circuit))
-    if "clock" in wanted:
-        results.append(check_clock_counter(args.l_bits))
-    if "comparator" in wanted:
-        results.append(check_comparator(min(args.l_bits, 4)))
-    if "backends" in wanted:
-        if state.L <= MAX_DENSE_SITES:
-            results.append(cross_check_backends(spec, steps=500))
-        else:
-            print("backends suite skipped: chain too long for the dense"
-                  " oracle", file=sys.stderr)
+            if "uog" in wanted:
+                results.append(verify_uog(traj))
+            if "oracle" in wanted:
+                results.append(check_claim_b(traj, spec.circuit))
+        if "clock" in wanted:
+            results.append(check_clock_counter(args.l_bits))
+        if "comparator" in wanted:
+            results.append(check_comparator(min(args.l_bits, 4)))
+        if "backends" in wanted:
+            if state.L <= MAX_DENSE_SITES:
+                results.append(cross_check_backends(spec, steps=500))
+            else:
+                print("backends suite skipped: chain too long for the dense"
+                      " oracle", file=sys.stderr)
+    except Ambiguous as err:
+        print(f"error: ambiguous transition: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     if not results:  # the backends suite alone, on a long chain
         return EXIT_INPUT_ERROR
     print(format_report(results))

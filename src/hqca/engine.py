@@ -10,16 +10,15 @@ step of a short reverse tail of at most 3L steps before a dead end.
 
 run(), the package's one stepping loop, walks the unique forward path to
 a dead end or its step cap, recording the fired rule label and window site
-of every step and no state.  Whatever a caller reads of the states (a past
-state, a trace file, the checks in verify) comes from a replay of that
-record (Trajectory._replay), through the blocks the run replayed, kept on
-the trajectory, where they match it; it keeps no state.  run() steps a
+of every step and no state.  Whatever a caller reads of a run (a past
+state, an observer's states, a trace file, the checks in verify) comes from
+that record: its labels and sites, and a replay of them (Trajectory._replay)
+through the blocks the run replayed, where they match it.  run() steps a
 per-run cursor (_Cursor), not a ChainState per step: mutable rows and the
 head, the one active cell of a valid state, rewritten in the window cells
 after one lookup in the rule set's compiled matcher, so a single step's
 cost does not grow with the chain length L.  check_uog's repeat check
 compares the head with the start's, and the rows only where those agree.
-run() builds ChainStates only for Ambiguous and the final state.
 
 run() replays recurring stretches of up to BLOCK_STEPS steps from a store
 on the rule set, keyed by (L, check_uog, head).  A stretch ends where its
@@ -147,8 +146,6 @@ class Trajectory:
                 if (fired is None or fired[0] != sites[k]
                         or fired[1].rule.label != labels[k]):
                     raise ValueError(f"replay left the record at step {k}")
-                cur.site, cur.label, cur.gate = sites[k], labels[k], \
-                    fired[1].gate
                 k += 1
             if watched is None or k == t or labels[k - 1] in watched:
                 yield k, cur
@@ -211,12 +208,11 @@ class _Cursor:
 
     Trajectory._replay yields the cursor as the view of each state it
     reaches: tier, L, rows (live lists, read-only, valid until the next
-    step), work, head, chain_state() and config_equal(), and after a single
-    step the fired rule's site, label and gate kind (None without one).
+    step), work, head and chain_state(); what a step fired is the record's.
     """
 
-    __slots__ = ("tier", "L", "rows", "work", "head", "site", "label",
-                 "gate", "rec", "_rs", "_fwd", "_rev")
+    __slots__ = ("tier", "L", "rows", "work", "head", "rec", "_rs", "_fwd",
+                 "_rev")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         active = active_sites(state)
@@ -325,9 +321,6 @@ class _Cursor:
                                       for reg, row in self.rows.items()},
                           self.work)
 
-    def config_equal(self, other: ChainState) -> bool:
-        return self.chain_state().config_equal(other)
-
 
 # Steps as run() replays them.  Per register, reads holds an itemgetter of
 # the cells their probes and gates read before writing them and the values it
@@ -417,9 +410,9 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     flags every state t as equal to state t - p.  Stretches replay from the
     rule set's block store (see above), which serves one run at a time: it
     is not thread-safe; traj.blocks keeps each block replayed.
-    observer(t, view, view), kept for the benchmark harness, is called
-    after the run from a replay of the record (see _Cursor), for each
-    t >= 1.
+    observer(t, state, state), kept for the benchmark harness, is called
+    after the run for each t >= 1 with the ChainState of state t, built
+    from a replay of the record.
     """
     if keep_states:  # accepted as False only: past states are replayed
         raise TypeError("run keeps no states: use Trajectory.state(t)")
@@ -492,8 +485,9 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
         traj.stop_reason = "step_limit"
     traj.final = cur.chain_state()
     if observer is not None:
-        for t, view in islice(traj._replay(traj.n_steps), 1, None):
-            observer(t, view, view)
+        for t, cur in islice(traj._replay(traj.n_steps), 1, None):
+            state = cur.chain_state()
+            observer(t, state, state)
     return traj
 
 
@@ -578,14 +572,15 @@ def restricted_hamiltonian(traj: Trajectory):
 def write_trace(fh, traj: Trajectory, snapshot_every: int = None):
     """Write traj's tab-separated trace to fh from one replay of its record.
 
-    One line per step: step, rule, site, the head's register:symbol after
-    the step (off the cursor, no row scan), clock, digest.  After every
-    step divisible by snapshot_every the state's snapshot block follows.
+    One line per step: step, the record's rule and site, the head's
+    register:symbol after it (off the cursor, no row scan), clock, digest.
+    After every step divisible by snapshot_every its snapshot block follows.
     """
     for t, cur in islice(traj._replay(traj.n_steps), 1, None):
         head, state = cur.head, cur.chain_state()
         ck = clock_value(state)
-        fh.write(f"{t - 1}\t{cur.label}\t{cur.site}\t{head[1]}:{head[2]}\t"
-                 f"{ck if ck is not None else '-'}\t{state.digest():016x}\n")
+        fh.write(f"{t - 1}\t{traj.labels[t - 1]}\t{traj.sites[t - 1]}\t"
+                 f"{head[1]}:{head[2]}\t{ck if ck is not None else '-'}\t"
+                 f"{state.digest():016x}\n")
         if snapshot_every and t % snapshot_every == 0:
             fh.write(state.snapshot() + "\n")

@@ -27,7 +27,7 @@ import numpy as np
 from .builder import BuildSpec, build_initial
 from .circuit import CircuitProgram, apply_round, fidelity
 from .engine import Ambiguous, StepBudget, Trajectory, clock_value, run
-from .rules import REVERSE, rule_set
+from .rules import REVERSE, rule_set, try_match
 from .state import (ChainState, DenseData, WorkState, as_dense_vector,
                     dense_indices)
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
@@ -200,11 +200,10 @@ def clock_increment(bits: str):
     """
     traj = run(build_clock_chain(bits),
                StepBudget(8 * len(bits) + 8, "step_limit"))
-    done = Trajectory.EVENT_LABELS["clock_done"]
-    for t, label in enumerate(traj.labels):
-        if label in done:
-            return ("".join(traj.final.rows[C][1:]), traj.labels[:t + 1],
-                    traj.final)
+    done = traj.marker_steps(*Trajectory.EVENT_LABELS["clock_done"])
+    if done:
+        return ("".join(traj.final.rows[C][1:]), traj.labels[:done[0] + 1],
+                traj.final)
     if traj.stop_reason == "dead_end":
         return None, traj.labels, traj.final
     raise RuntimeError("clock transition did not terminate")
@@ -268,10 +267,10 @@ def comparator_verdict(clock_bits: str, target_digits: str):
     verdict's."""
     traj = run(build_comparator_chain(clock_bits, target_digits),
                StepBudget(4 * len(clock_bits) + 8, "step_limit"))
-    for t, label in enumerate(traj.labels):
-        if label in _VERDICTS:
-            return _VERDICTS[label], traj.labels[:t + 1]
-    raise RuntimeError("comparator sweep did not reach a verdict")
+    verdicts = traj.marker_steps(*_VERDICTS)
+    if not verdicts:
+        raise RuntimeError("comparator sweep did not reach a verdict")
+    return _VERDICTS[traj.labels[verdicts[0]]], traj.labels[:verdicts[0] + 1]
 
 
 def check_comparator(l_bits: int) -> CheckResult:
@@ -308,7 +307,8 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     one buffer kept for the whole check, subtracts the hybrid's 2^n work
     amplitudes at their dense indices (state.dense_indices) and takes the
     norm of what is left, so mass off the hybrid's support counts in full;
-    the hybrid state is never embedded in 2^L.
+    the hybrid state is never embedded in 2^L.  The gate kind of a step is
+    its recorded rule's, matched back at its window, or the check fails.
 
     Equal vectors also mean equal classical data readouts, so the oracle
     would fire the same rules as the hybrid run.
@@ -321,10 +321,16 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     details, worst = [], 0.0
     last = (list(hybrid.rows[D]), hybrid.work)  # the dense start's
     traj = run(hybrid, StepBudget(steps, "step_limit"))
-    compared = traj.n_steps
+    gated = {r.label: r for r in traj.rules.rules if r.gate is not None}
     for t, view in traj._replay(traj.n_steps):
-        if t and view.gate is not None:
-            dense = dense.apply_gate(view.gate, view.site, view.site + 1)
+        if t and (rule := gated.get(traj.labels[t - 1])):
+            i = traj.sites[t - 1]
+            bound = try_match(rule, view, i, REVERSE)
+            if bound is None:
+                details.append(f"t={t - 1}: rule {rule.label} does not match"
+                               f" back at {i}")
+                break
+            dense = dense.apply_gate(bound[rule.gate], i, i + 1)
         elif view.rows[D] == last[0] and view.work is last[1]:
             continue
         last = (list(view.rows[D]), view.work)  # a copy of the live row
@@ -334,10 +340,9 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
         worst = max(worst, diff)
         if diff > 1e-10:
             details.append(f"t={t - 1}: data vectors differ by {diff:.3e}")
-            compared = t
             break
     return CheckResult("backend_equivalence", not details,
-                       f"steps={compared} max|dv|={worst:.2e}",
+                       f"steps={t} max|dv|={worst:.2e}",
                        "<=1e-10", details)
 
 

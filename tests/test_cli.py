@@ -105,18 +105,27 @@ def test_run_ambiguous_exit_1_keeps_the_trace(tmp_path, capsys, monkeypatch):
     assert line.split("\t")[:4] == ["0", "1", "1", "P:→S"]
 
 
-@pytest.mark.parametrize("suite", ["uog", "all"])
-def test_verify_ambiguous_exit_1(tmp_path, capsys, monkeypatch, suite):
-    # the same duplicate 2x, under the uog suite alone and under all: one
-    # error line naming the ambiguity, exit 1, no traceback
-    r2 = rules.rule_set("I").by_label["2"]
-    dup = rules.Rule("2x", "I", r2.lhs, r2.rhs, r2.gate)
-    monkeypatch.setitem(rules._RULESET_CACHE, "I", rules.RuleSet(
-        "I", rules.rule_set("I").rules + (dup,)))
-    assert main(["verify", write(tmp_path, TIER1), "--suite", suite]) == 1
+@pytest.mark.parametrize("text,tier,label,site,suite", [
+    pytest.param(TIER1, "I", "2", 2, "uog", id="uog"),
+    pytest.param(TIER1, "I", "2", 2, "all", id="all"),
+    pytest.param(TIER1, "I", "2", 2, "backends", id="backends"),
+    pytest.param(TIER3, "III", "17", 4, "clock", id="clock"),
+    pytest.param(TIER4, "IV", "27", 5, "comparator", id="comparator"),
+    # the main run stops before rule 27 fires; the comparator sweep meets it
+    pytest.param(TIER4 + "budget=100\n", "IV", "27", 5, "all",
+                 id="all-comparator")])
+def test_verify_ambiguous_exit_1(tmp_path, capsys, monkeypatch, text, tier,
+                                 label, site, suite):
+    # a copy of a rule the suite's runs fire, under a suite alone and under
+    # all: one error line naming the ambiguity, exit 1, no traceback
+    rule = rules.rule_set(tier).by_label[label]
+    dup = rules.Rule(label + "x", tier, rule.lhs, rule.rhs, rule.gate)
+    monkeypatch.setitem(rules._RULESET_CACHE, tier, rules.RuleSet(
+        tier, rules.rule_set(tier).rules + (dup,)))
+    assert main(["verify", write(tmp_path, text), "--suite", suite]) == 1
     assert capsys.readouterr() == ("", (
         "error: ambiguous transition: 2 forward matches:"
-        " [('2', 2), ('2x', 2)]\n"))
+        f" [('{label}', {site}), ('{label}x', {site})]\n"))
 
 
 @pytest.mark.parametrize("text", [TIER3, TIER4], ids=["III", "IV"])

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, CircuitProgram,
-                  NonClassicalGateError, StepBudget, active_sites, applicable,
-                  apply, apply_circuit_power, build_initial, clock_value,
-                  fidelity, predicted_cycle_steps,
+from hqca import (FORWARD, REVERSE, Ambiguous, BuildSpec, ChainState,
+                  CircuitProgram, NonClassicalGateError, StepBudget,
+                  active_sites, applicable, apply, apply_circuit_power,
+                  build_initial, clock_value, fidelity, predicted_cycle_steps,
                   predicted_oscillation_steps, predicted_single_pass_steps,
                   restricted_hamiltonian, rule_set, run, verify_uog)
 from hqca import engine
@@ -1181,6 +1181,24 @@ def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
         doctored.state(n_steps)
     with pytest.raises(ValueError, match=f"left the record at step {j}"):
         list(doctored.iter_states())
+
+
+@pytest.mark.parametrize("tier,work", [("II", "101"), ("III", "000")])
+def test_observer_is_handed_chain_states(example_circuit, tier, work):
+    # run's observer gets (t, s, s) for t = 1..n_steps, s the immutable
+    # ChainState of state t: read after the run, each still equals state(t)
+    # (a reused cursor would read as the final state everywhere)
+    seen = []
+    traj = run(build_initial(BuildSpec(example_circuit, tier, work)),
+               StepBudget(400, "step_limit"),
+               observer=lambda *args: seen.append(args))
+    assert [t for t, _s, _m in seen] == list(range(1, traj.n_steps + 1))
+    for t, s, m in seen:
+        assert type(s) is ChainState and m is s
+        assert all(type(row) is tuple for row in s.rows.values())
+        want = traj.state(t)
+        assert s.config_key() == want.config_key()
+        assert np.array_equal(s.work.amps, want.work.amps)
 
 
 def test_trace_format(tmp_path, example_circuit):

@@ -79,9 +79,9 @@ def test_verify_suite_makes_one_cli_run(perfbench, tmp_path, monkeypatch):
 def test_wide_period_observer_reads_the_view(perfbench, example_circuit,
                                              monkeypatch):
     # workloads.check_wide_period's observer calls state.config_equal(start)
-    # on run()'s view, which builds one ChainState per call through
-    # chain_state(); a start whose configuration does not recur after the
-    # predicted cycle must fail it
+    # on the ChainState that run() hands it, built once per observed step
+    # through chain_state(); a start whose configuration does not recur
+    # after the predicted cycle must fail it
     import workloads
     from hqca import engine
     built = []

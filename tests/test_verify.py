@@ -10,6 +10,7 @@ from hqca import engine, rules
 from hqca.builder import full_width_offset
 from hqca.rules import _RULESET_CACHE, RuleSet, rule_set
 from hqca.state import DenseData, WorkState
+from hqca.symbols import BULLET
 from hqca.verify import (build_clock_chain, build_comparator_chain,
                          check_claim_b, check_clock_counter, check_comparator,
                          check_phase_structure, check_posttarget_freeze,
@@ -354,6 +355,22 @@ def test_backends_catch_swapping_identity(example_circuit, monkeypatch):
     assert res.measured.startswith("steps=14 ")
 
 
+def test_backends_catch_swapped_hybrid_gates(example_circuit, monkeypatch):
+    # the hybrid fires S for W and W for S; the dense oracle reads each
+    # gate's kind from the rule table, matched back at the recorded window,
+    # so the two vectors part at the first gate the swap changes
+    orig = engine._apply_gate_effect
+    swap = {"W": "S", "S": "W"}
+
+    def swapped(state, kind, i, adjoint):
+        return orig(state, swap.get(kind, kind), i, adjoint)
+
+    monkeypatch.setattr(engine, "_apply_gate_effect", swapped)
+    res = cross_check_backends(BuildSpec(example_circuit, "I", "101"), 100)
+    assert not res.passed
+    assert res.measured.startswith("steps=11 ")
+
+
 def test_backends_catch_mass_off_the_support(example_circuit, monkeypatch):
     # every dense gate also puts 1e-6 on a data bit the hybrid holds
     # classically, leaving the support's amplitudes as they were: only a
@@ -410,6 +427,27 @@ def _backends_with_a_data_flip(example_circuit, monkeypatch, step):
     with single_steps("I"):
         return cross_check_backends(BuildSpec(example_circuit, "I", "101"),
                                     100)
+
+
+def test_backends_fail_a_gate_rule_that_does_not_match_back(example_circuit,
+                                                           monkeypatch):
+    # record step 9 fires 5a, the first gate; a fault that also blanks the
+    # gate cell 5a moves right leaves no 5a to match back at that window,
+    # so the oracle has no gate kind: the check fails there with a detail
+    # (a 10-step budget: the broken chain's next gate would raise in run)
+    def blank(fire, cur, i, hit, k):
+        if k == 9:
+            assert hit.rule.label == "5a"
+            hit = hit._replace(writes=hit.writes + (("P", 1, BULLET),))
+        return fire(cur, i, hit)
+
+    _firings(monkeypatch, blank)
+    with single_steps("I"):
+        res = cross_check_backends(BuildSpec(example_circuit, "I", "101"),
+                                   10)
+    assert not res.passed
+    assert res.measured.startswith("steps=10 ")
+    assert res.details == ["t=9: rule 5a does not match back at 8"]
 
 
 def test_backends_catch_data_write_without_gate(example_circuit, monkeypatch):
