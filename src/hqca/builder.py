@@ -5,10 +5,10 @@ that turning points see a 1 exactly when a gate round is aligned with the
 work qubits.  Tier II wraps the chain in turn sentinels so the program can
 reset without undoing gates.  Tier III parks the program at the right end
 and adds the clock and clock-pointer registers, pre-loaded so that the only
-forward path first zeroes the clock.  Tier IV adds the target register
-(binary target count, bullet-padded) and the second clock whose bullet
-boundary is tied to the target's, which is what bounds the post-target walk
-length.
+forward path first zeroes the clock.  Tier IV starts from tier III's start
+and adds the target register (binary target count, bullet-padded) and the
+second clock whose bullet boundary is tied to the target's, which is what
+bounds the post-target walk length.
 """
 
 from __future__ import annotations
@@ -77,45 +77,38 @@ def _data_row_tier_I(n: int, k: int) -> list:
 
 
 def build_initial(spec: BuildSpec) -> ChainState:
-    """The start state of the requested tier; always passes validate_config."""
+    """The start state of the requested tier; always passes validate_config.
+    Tier IV's is tier III's, the clock not yet zeroed, plus the target and
+    second-clock rows, so every built start but tier II's (which closes a
+    configuration cycle) is an end of its path: it has no reverse rule."""
     n, k = spec.circuit.n_qubits, spec.circuit.depth
     tier = spec.tier
+    if tier not in TIERS:
+        raise BuildError(f"unknown tier {tier!r}")
     length = chain_length(tier, n, k)
     program = list(spec.circuit.program_string())
-    window = work_window(tier, n, k)
-    support = tuple(window)
-
+    pad = [BULLET] * (length - 3 - len(program))
+    d_row = _data_row_tier_I(n, k)
     if tier == "I":
-        p_row = ["→"] + program
-        p_row += [BULLET] * (length - len(p_row))
-        d_row = _data_row_tier_I(n, k)
-        rows = {P: tuple(p_row), D: tuple(d_row)}
-    elif tier in ("II", "III", "IV"):
-        d_row = ["0"] + _data_row_tier_I(n, k) + ["0"]
-        if tier == "II":
-            p_row = [TURN, "→"] + program
-            p_row += [BULLET] * (length - 1 - len(p_row)) + [TURN]
-        else:
-            # park the program against the right sentinels
-            start = length - k * (n + 1)
-            tail = [TURN, TURN] if tier == "III" else ["←", TURN]
-            p_row = ([TURN] + [BULLET] * (start - 2) + program + tail)
-        rows = {P: tuple(p_row), D: tuple(d_row)}
+        p_row = ["→"] + program + pad + [BULLET, BULLET]
     else:
-        raise BuildError(f"unknown tier {tier!r}")
-
-    if tier == "III":
+        d_row = ["0"] + d_row + ["0"]
+        if tier == "II":
+            p_row = [TURN, "→"] + program + pad + [TURN]
+        else:  # the program parked against the right sentinels
+            p_row = [TURN] + pad + program + [TURN, TURN]
+    rows = {P: tuple(p_row), D: tuple(d_row)}
+    if tier in ("III", "IV"):
         rows[C] = tuple([BULLET, "0"] + ["1"] * (length - 2))
         rows[CP] = tuple([BULLET, "R"] + [BULLET] * (length - 2))
-    elif tier == "IV":
-        rows[C] = tuple([BULLET] + ["0"] * (length - 1))
-        rows[CP] = tuple([BULLET] * (length - 1) + ["X"])
+    if tier == "IV":
         t_row, bullet_site = target_row(length, spec.target_x, spec.bullet_offset)
         rows[T] = t_row
         rows[C2] = tuple([BULLET] * (bullet_site - 1) + ["0"]
                          + ["1"] * (length - bullet_site))
 
     assert len(rows[P]) == length
+    support = tuple(work_window(tier, n, k))
     return ChainState(tier, rows, spec.work_state(support))
 
 
@@ -130,9 +123,7 @@ def target_row(length: int, x: int, bullet_offset: int):
     if x is None:
         raise BuildError("tier IV needs a target count")
     if x < 1:
-        raise BuildError(
-            "target must be >= 1: the machine applies the circuit once"
-            " before its first comparison, so a 0 target can never match")
+        raise BuildError("target must be >= 1")
     if bullet_offset < 1:
         raise BuildError("bullet_offset must be >= 1")
     bits = format(x, "b")

@@ -17,6 +17,7 @@ from .builder import (NUMBER_KEYS, InstanceParseError, build_initial,
                       parse_instance_file, parse_number)
 from .engine import (Ambiguous, StepBudget, Trajectory, clock_value, run,
                      write_trace)
+from .rules import NonClassicalGateError
 from .state import validate_config
 from .symbols import format_dimension_audit
 from .verify import (MAX_DENSE_SITES, check_claim_b, check_clock_counter,
@@ -96,16 +97,15 @@ def cmd_run(args) -> int:
               if args.trace else contextlib.nullcontext()) as fh:
             try:
                 traj, err = run(state, budget), None
-            except Ambiguous as amb:  # traced up to the state that raised it
-                traj, err = amb.traj, amb
+            except (Ambiguous, NonClassicalGateError) as fault:
+                traj, err = fault.traj, fault  # traced up to its state
             if fh:
                 write_trace(fh, traj, every)
     except OSError as oserr:
         print(f"error: {oserr}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if err is not None:
-        print(f"error: ambiguous transition: {err}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        raise err  # reported by main, after the trace is written
     ck = clock_value(traj.final)
     print(f"steps={traj.n_steps} status={traj.stop_reason}"
           f" clock={ck if ck is not None else '-'}")
@@ -164,26 +164,22 @@ def cmd_verify(args) -> int:
     results = []
     state = build_initial(spec)
     budget = StepBudget(instance.options.get("budget", 200_000), "dead_end")
-    try:  # every suite runs chains, and any run may meet an ambiguity
-        if {"uog", "oracle"} & set(wanted):
-            traj = run(state, budget, check_uog="uog" in wanted)
-            if "uog" in wanted:
-                results.append(verify_uog(traj))
-            if "oracle" in wanted:
-                results.append(check_claim_b(traj, spec.circuit))
-        if "clock" in wanted:
-            results.append(check_clock_counter(args.l_bits))
-        if "comparator" in wanted:
-            results.append(check_comparator(min(args.l_bits, 4)))
-        if "backends" in wanted:
-            if state.L <= MAX_DENSE_SITES:
-                results.append(cross_check_backends(spec, steps=500))
-            else:
-                print("backends suite skipped: chain too long for the dense"
-                      " oracle", file=sys.stderr)
-    except Ambiguous as err:
-        print(f"error: ambiguous transition: {err}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    if {"uog", "oracle"} & set(wanted):
+        traj = run(state, budget, check_uog="uog" in wanted)
+        if "uog" in wanted:
+            results.append(verify_uog(traj))
+        if "oracle" in wanted:
+            results.append(check_claim_b(traj, spec.circuit))
+    if "clock" in wanted:
+        results.append(check_clock_counter(args.l_bits))
+    if "comparator" in wanted:
+        results.append(check_comparator(min(args.l_bits, 4)))
+    if "backends" in wanted:
+        if state.L <= MAX_DENSE_SITES:
+            results.append(cross_check_backends(spec, steps=500))
+        else:
+            print("backends suite skipped: chain too long for the dense"
+                  " oracle", file=sys.stderr)
     if not results:  # the backends suite alone, on a long chain
         return EXIT_INPUT_ERROR
     print(format_report(results))
@@ -233,6 +229,10 @@ def main(argv=None) -> int:
         return err.code if isinstance(err.code, int) else EXIT_INPUT_ERROR
     except BrokenPipeError:
         return EXIT_OK
+    except (Ambiguous, NonClassicalGateError) as err:  # from any command's run
+        what = "ambiguous transition: " if isinstance(err, Ambiguous) else ""
+        print(f"error: {what}{err}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -1,12 +1,11 @@
 """Trajectory engine: unique-forward stepping, markers and trace output.
 
 A valid chain state has exactly one applicable forward rule (or none, at a
-dead end) and exactly one reverse rule, the start state aside.  On the
-worked example the start states of tiers I and III have no reverse rule;
-tier II's has one (13b at site 1): its configurations recur with period
-predicted_cycle_steps (188 there), and 13b, the rule that closes each
-cycle, leads into the start as well; tier IV's has one (21), the first
-step of a short reverse tail of at most 3L steps before a dead end.
+dead end) and exactly one reverse rule, the start state aside.  The built
+starts of tiers I, III and IV have no reverse rule: each is an end of its
+path.  Tier II's has one (13b at site 1): its configurations recur with
+period predicted_cycle_steps (188 on the worked example), and 13b, the
+rule that closes each cycle, leads into the start as well.
 
 run(), the package's one stepping loop, walks the unique forward path to
 a dead end or its step cap, recording the fired rule label and window site
@@ -42,8 +41,8 @@ from operator import index, itemgetter
 
 import numpy as np
 
-from .rules import (FORWARD, REVERSE, Hit, RuleSet, _apply_gate_effect,
-                    applicable, apply, as_match, rule_set)
+from .rules import (FORWARD, REVERSE, Hit, NonClassicalGateError, RuleSet,
+                    _apply_gate_effect, applicable, apply, as_match, rule_set)
 from .state import ChainState, active_sites
 from .symbols import BULLET, C, D
 
@@ -195,9 +194,9 @@ class _Cursor:
     head is the (site, register, symbol) of the one active cell, and
     __init__ raises ValueError for a start with another count.  rows maps
     each register to a list that a step rewrites in its window cells only.
-    step() and reverse() look the head's window up in the rule set's compiled
-    matcher through the symbol's probe in _fwd or _rev, bound to these
-    lists once per run, and append the key to rec while it is a list.  A
+    lookup(direction) looks the head's window up in the rule set's compiled
+    matcher through the symbol's probe in _probes[direction], bound to these
+    lists once per run, and appends the key to rec while it is a list.  A
     memo Hit is ready to fire: its key fixes the window's P and CP cells, so
     it carries the window's active cells after the firing.  fire() writes
     the Hit's cells in place, runs its gate through rules._apply_gate_effect
@@ -211,8 +210,8 @@ class _Cursor:
     step), work, head and chain_state(); what a step fired is the record's.
     """
 
-    __slots__ = ("tier", "L", "rows", "work", "head", "rec", "_rs", "_fwd",
-                 "_rev")
+    __slots__ = ("tier", "L", "rows", "work", "head", "rec", "_rs",
+                 "_probes")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         active = active_sites(state)
@@ -222,7 +221,8 @@ class _Cursor:
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
         self.rec, self._rs = None, rs
-        self._fwd, self._rev = {}, {}  # symbol -> ([(row, shift)...], memo)
+        # direction -> symbol -> ([(row, shift)...], memo)
+        self._probes = {FORWARD: {}, REVERSE: {}}
 
     def _bind(self, bound, direction, symbol):
         """The symbol's probe, bound to this cursor's rows, and its memo."""
@@ -230,15 +230,17 @@ class _Cursor:
         bound[symbol] = ([(self.rows[reg], k) for reg, k in probe], memo)
         return bound[symbol]
 
-    def reverse(self):
-        """((offset, Hit), ...): the reverse matches anchored at the head."""
+    def lookup(self, direction):
+        """((offset, Hit), ...): the matches in direction anchored at the
+        head."""
         site, _reg, s = self.head
-        cells, memo = self._rev.get(s) or self._bind(self._rev, REVERSE, s)
+        bound = self._probes[direction]
+        cells, memo = bound.get(s) or self._bind(bound, direction, s)
         key = (tuple([row[site + k] for row, k in cells])
                if 1 < site < self.L else None)
         found = memo.get(key)
         if found is None:  # an end of the chain, or a window not yet seen
-            key, found = self._rs.hits(REVERSE, self, site, s)
+            key, found = self._rs.hits(direction, self, site, s)
         if self.rec is not None:
             self.rec.append(key)
         return found
@@ -246,15 +248,8 @@ class _Cursor:
     def step(self):
         """Fire the unique forward hit in place: (site, Hit), or None at a
         dead end.  Several hits raise Ambiguous before any cell changes."""
-        site, _reg, s = self.head
-        cells, memo = self._fwd.get(s) or self._bind(self._fwd, FORWARD, s)
-        key = (tuple([row[site + k] for row, k in cells])
-               if 1 < site < self.L else None)
-        found = memo.get(key)
-        if found is None:  # an end of the chain, or a window not yet seen
-            key, found = self._rs.hits(FORWARD, self, site, s)
-        if self.rec is not None:
-            self.rec.append(key)
+        found = self.lookup(FORWARD)
+        site = self.head[0]
         if len(found) != 1:
             if not found:
                 return None
@@ -401,15 +396,17 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     """Drive the unique forward path to a dead end or budget.max_steps.
 
     start must have one active cell, else ValueError (see _Cursor); a
-    state with several forward matches raises Ambiguous, whose traj holds
-    the steps before it.  check_uog verifies, on the fly, that every
-    non-initial state has exactly one reverse match, the rule just fired
-    at its window, and that no configuration repeats; violations are
-    recorded as (step, message), not raised.  The repeat check keeps no
-    configurations: from the first return to the start, at step p, it
-    flags every state t as equal to state t - p.  Stretches replay from the
-    rule set's block store (see above), which serves one run at a time: it
-    is not thread-safe; traj.blocks keeps each block replayed.
+    state with several forward matches raises Ambiguous, and a gate that
+    leaves the computational basis NonClassicalGateError: the error's traj
+    holds the steps before that state.  check_uog verifies, on the fly,
+    that every non-initial state has exactly one reverse match, the rule
+    just fired at its window, and that no configuration repeats;
+    violations are recorded as (step, message), not raised.  The repeat
+    check keeps no configurations: from the first return to the start, at
+    step p, it flags every state t as equal to state t - p.  Stretches
+    replay from the rule set's block store (see above), which serves one
+    run at a time: it is not thread-safe; traj.blocks keeps each block
+    replayed.
     observer(t, state, state), kept for the benchmark harness, is called
     after the run for each t >= 1 with the ChainState of state t, built
     from a replay of the record.
@@ -441,7 +438,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
             continue
         try:
             fired = cur.step()
-        except Ambiguous as err:
+        except (Ambiguous, NonClassicalGateError) as err:
             err.traj = traj  # the steps before the state that raised it
             raise
         if fired is None:
@@ -465,7 +462,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
             if period is not None:
                 traj.uog_violations.append(
                     (t, f"configuration equals state {t - period}"))
-            rev = cur.reverse()
+            rev = cur.lookup(REVERSE)
             if len(rev) != 1:
                 traj.uog_violations.append((t, f"{len(rev)} reverse matches"))
                 seg_head = None  # no block holds this step
@@ -535,7 +532,7 @@ def restricted_hamiltonian(traj: Trajectory):
     entry with |s - t| != 1 means a rule leaks off the path and is raised,
     and so is a rule image that is no trajectory state.  Two images may lie
     past the trajectory: the final state's forward image, and the start's
-    reverse image (tier II's 13b, tier IV's 21).
+    reverse image, which only tier II's start has (13b).
     """
     rs = rule_set(traj.start.tier)
     states = list(traj.iter_states())

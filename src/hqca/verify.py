@@ -27,7 +27,7 @@ import numpy as np
 from .builder import BuildSpec, build_initial
 from .circuit import CircuitProgram, apply_round, fidelity
 from .engine import Ambiguous, StepBudget, Trajectory, clock_value, run
-from .rules import REVERSE, rule_set, try_match
+from .rules import REVERSE, NonClassicalGateError, rule_set, try_match
 from .state import (ChainState, DenseData, WorkState, as_dense_vector,
                     dense_indices)
 from .symbols import BULLET, C, C2, CP, D, P, T, TURN
@@ -309,6 +309,8 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     norm of what is left, so mass off the hybrid's support counts in full;
     the hybrid state is never embedded in 2^L.  The gate kind of a step is
     its recorded rule's, matched back at its window, or the check fails.
+    A run that meets a gate leaving the computational basis has the steps
+    before it compared, and fails the check with the error as a detail.
 
     Equal vectors also mean equal classical data readouts, so the oracle
     would fire the same rules as the hybrid run.
@@ -320,7 +322,10 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
     gap = np.empty_like(dense.amps)  # dense minus hybrid, at each compare
     details, worst = [], 0.0
     last = (list(hybrid.rows[D]), hybrid.work)  # the dense start's
-    traj = run(hybrid, StepBudget(steps, "step_limit"))
+    try:
+        traj, fault = run(hybrid, StepBudget(steps, "step_limit")), None
+    except NonClassicalGateError as err:
+        traj, fault = err.traj, err
     gated = {r.label: r for r in traj.rules.rules if r.gate is not None}
     for t, view in traj._replay(traj.n_steps):
         if t and (rule := gated.get(traj.labels[t - 1])):
@@ -341,6 +346,8 @@ def cross_check_backends(spec: BuildSpec, steps: int) -> CheckResult:
         if diff > 1e-10:
             details.append(f"t={t - 1}: data vectors differ by {diff:.3e}")
             break
+    if fault is not None:
+        details.append(f"t={traj.n_steps}: {fault}")
     return CheckResult("backend_equivalence", not details,
                        f"steps={t} max|dv|={worst:.2e}",
                        "<=1e-10", details)

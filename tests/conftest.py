@@ -40,6 +40,15 @@ def build(tier, circuit, **kw):
     return build_initial(BuildSpec(circuit, tier, **kw))
 
 
+def first_handback(start):
+    """(state, step): the state after a clocked run's first clock hand-back
+    (rule 21), which ends the clearing prefix, and the steps to it.  On
+    tier IV that prefix is L or L + 2 steps."""
+    traj = engine.run(start, engine.StepBudget(3 * start.L, "step_limit"))
+    tail = traj.marker_steps("21")[0] + 1
+    return traj.state(tail), tail
+
+
 @contextlib.contextmanager
 def every_state(t=None, doctor=None):
     """Inside it, Trajectory._replay yields every state, whatever labels

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hqca import BuildSpec, build_initial, chain_length, work_window
 from hqca.builder import (BuildError, full_width_offset, parse_instance_text,
@@ -7,7 +8,7 @@ from hqca.builder import (BuildError, full_width_offset, parse_instance_text,
 from hqca.rules import FORWARD, REVERSE, applicable, apply
 from hqca.state import NORM_TOL, validate_config
 
-from conftest import small_circuit
+from conftest import first_handback, random_state, small_circuit
 
 
 def test_chain_length_values():
@@ -42,14 +43,23 @@ def test_tier3_start_matches_reference(example_circuit):
 
 
 def test_tier4_start_matches_reference(example_circuit):
+    # tier III's start plus the target and second-clock rows
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                 bullet_offset=3))
-    assert s.rows["P"][-2:] == ("←", "t")
-    assert s.rows["C"] == tuple(["•"] + ["0"] * 15)
-    assert s.rows["CP"] == tuple(["•"] * 15 + ["X"])
+    t3 = build_initial(BuildSpec(example_circuit, "III"))
+    assert {reg: s.rows[reg] for reg in t3.rows} == t3.rows
     # bullet 3 sites left of the most significant 1 of binary 3
     assert s.rows["T"] == tuple(["•"] * 12 + ["0", "0", "1", "1"])
     assert s.rows["C2"] == tuple(["•"] * 11 + ["0"] + ["1"] * 4)
+    # the first hand-back, 16 steps on: the clock zeroed, the pointer
+    # parked at the right end and the program's tail turned
+    handed, tail = first_handback(s)
+    assert tail == 16
+    assert handed.rows["P"][-2:] == ("←", "t")
+    assert handed.rows["C"] == tuple(["•"] + ["0"] * 15)
+    assert handed.rows["CP"] == tuple(["•"] * 15 + ["X"])
+    assert handed.rows["T"] == s.rows["T"]
+    assert handed.rows["C2"] == s.rows["C2"]
 
 
 def test_all_tiers_validate():
@@ -69,20 +79,50 @@ def test_tier1_start_has_one_forward_no_reverse(example_circuit):
 
 
 def test_tier4_reverse_tail_bounded(example_circuit):
+    # from the first hand-back every state has one reverse rule, back to
+    # the built start, which has none: the prefix is a bounded tail
     for x, offset in ((3, 3), (2, 3), (5, 4)):
         s = build_initial(BuildSpec(example_circuit, "IV", target_x=x,
                                     bullet_offset=offset))
         assert len(applicable(s, FORWARD)) == 1
-        st, steps = s, 0
+        state, tail = first_handback(s)
+        steps = 0
         while True:
-            rev = applicable(st, REVERSE)
+            rev = applicable(state, REVERSE)
             if not rev:
                 break
             assert len(rev) == 1
-            st = apply(st, rev[0])
+            state = apply(state, rev[0])
             steps += 1
             assert steps <= 3 * s.L
-        assert steps >= 1
+        assert steps == tail >= 1
+        assert state.rows == s.rows
+        assert np.array_equal(state.work.amps, s.work.amps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), k=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
+       x=st.integers(1, 9), offset=st.one_of(st.integers(1, 3), st.none()))
+def test_built_starts_are_path_ends(n, k, seed, x, offset):
+    # no rule leads into the built start of tiers I, III and IV, on a full
+    # scan of every window; tier IV's is tier III's start plus its target
+    # and second-clock rows
+    circuit, work = small_circuit(n, k, seed), random_state(n, seed)
+    length = chain_length("IV", n, k)
+    offset = offset or full_width_offset(length, x)
+    try:
+        target_row(length, x, offset)
+    except BuildError:
+        assume(False)
+    starts = {tier: build_initial(BuildSpec(circuit, tier, work))
+              for tier in ("I", "III")}
+    starts["IV"] = build_initial(BuildSpec(circuit, "IV", work, x, offset))
+    for start in starts.values():
+        assert applicable(start, REVERSE, full_scan=True) == []
+    t3, t4 = starts["III"], starts["IV"]
+    assert {reg: t4.rows[reg] for reg in t3.rows} == t3.rows
+    assert t4.rows["T"] == target_row(length, x, offset)[0]
+    assert np.array_equal(t4.work.amps, t3.work.amps)
 
 
 def test_target_row_layout():

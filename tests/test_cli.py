@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from hqca import (StepBudget, active_sites, build_initial, clock_value,
-                  parse_instance_text, rules, run)
+from hqca import (REVERSE, StepBudget, active_sites, applicable,
+                  build_initial, clock_value, parse_instance_text, rules, run)
 from hqca.cli import main
 
 TIER1 = """n=3
@@ -126,6 +126,71 @@ def test_verify_ambiguous_exit_1(tmp_path, capsys, monkeypatch, text, tier,
     assert capsys.readouterr() == ("", (
         "error: ambiguous transition: 2 forward matches:"
         f" [('{label}', {site}), ('{label}x', {site})]\n"))
+
+
+def _gate_fault(monkeypatch):
+    """From a cold tier-I block store, the run's first gate (record step
+    9, a single step) raises NonClassicalGateError."""
+    from hqca import engine
+    monkeypatch.setitem(rules._RULESET_CACHE, "I", rules.RuleSet(
+        "I", rules.rule_set("I").rules))
+    effect, calls = engine._apply_gate_effect, []
+
+    def first_raises(state, kind, i, adjoint):
+        calls.append(i)
+        if len(calls) == 1:
+            raise rules.NonClassicalGateError(f"gate {kind} at {i} doctored")
+        return effect(state, kind, i, adjoint)
+
+    monkeypatch.setattr(engine, "_apply_gate_effect", first_raises)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["walk", "--samples", "10"], ["verify", "--suite", "all"],
+    ["verify", "--suite", "oracle"]], ids=["run", "walk", "verify", "oracle"])
+def test_a_gate_off_the_basis_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # an engine fault other than an ambiguity, met in the command's run:
+    # one error line, exit 1, no traceback
+    _gate_fault(monkeypatch)
+    assert main([argv[0], write(tmp_path, TIER1), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", "error: gate I at 8 doctored\n")
+
+
+def test_a_gate_off_the_basis_keeps_the_trace(tmp_path, capsys, monkeypatch):
+    # the trace keeps the lines of steps 0-8, written before the fault
+    _gate_fault(monkeypatch)
+    trace = tmp_path / "t.tsv"
+    rc = main(["run", write(tmp_path, TIER1), "--trace", str(trace)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: gate I at 8 doctored\n"
+    steps = [ln.split("\t")[0]
+             for ln in trace.read_text(encoding="utf-8").splitlines()]
+    assert steps == [str(t) for t in range(9)]
+
+
+def test_a_gate_off_the_basis_fails_the_backend_check(tmp_path, capsys,
+                                                      monkeypatch):
+    # the backend check compares the 9 steps before the fault and fails
+    # with the error as its detail
+    _gate_fault(monkeypatch)
+    rc = main(["verify", write(tmp_path, TIER1), "--suite", "backends"])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "CHECK backend_equivalence FAIL steps=9 max|dv|=0.00e+00 <=1e-10\n"
+        "  t=9: gate I at 8 doctored\n", "")
+
+
+def test_walk_tier4_line_is_the_whole_path(tmp_path, capsys):
+    # the built tier-IV start is an end of its path, so the walk line is
+    # the path: the forward steps to the dead end plus 1
+    text = TIER4 + "budget=8000\n"
+    start = build_initial(parse_instance_text(text).spec)
+    assert applicable(start, REVERSE, full_scan=True) == []
+    traj = run(start, StepBudget(8000))
+    assert traj.stop_reason == "dead_end" and traj.n_steps == 6738
+    rc = main(["walk", write(tmp_path, text), "--samples", "10"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "line l=6739"
 
 
 @pytest.mark.parametrize("text", [TIER3, TIER4], ids=["III", "IV"])
@@ -314,8 +379,8 @@ CHECK backend_equivalence PASS steps=500 max|dv|=0.00e+00 <=1e-10
 """
 
 VERIFY_ALL_TIER4 = """\
-CHECK uog PASS states=6723 clean
-CHECK claim_b PASS states=3 k_max=3 min_fidelity=1.000000000000 >=0.9999999999
+CHECK uog PASS states=6739 clean
+CHECK claim_b PASS states=4 k_max=3 min_fidelity=1.000000000000 >=0.9999999999
 CHECK clock_counter[3b] PASS increments=7+saturation exact
 CHECK comparator[3b] PASS pairs=64 exact
 CHECK backend_equivalence PASS steps=500 max|dv|=0.00e+00 <=1e-10
@@ -344,7 +409,7 @@ def test_verify_all_tier2(tmp_path, capsys):
 
 
 def test_verify_all_tier4(tmp_path, capsys):
-    # the run dead-ends at step 6722, inside the budget
+    # the run dead-ends at step 6738, inside the budget
     rc = main(["verify", write(tmp_path, TIER4 + "budget=8000\n"), "--suite",
                "all", "--l-bits", "3"])
     assert rc == 0

@@ -19,7 +19,7 @@ from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
 from hqca.verify import FIDELITY_TOL, check_claim_b
 from hqca.symbols import BULLET, C, D, P, QUANTUM, TURN
 
-from conftest import random_state, small_circuit, stepped
+from conftest import first_handback, random_state, small_circuit, stepped
 
 
 def test_single_pass_step_count_small():
@@ -202,13 +202,15 @@ def test_verify_uog_flags_a_cut_dead_end(example_circuit):
 
 
 @pytest.mark.parametrize("tier, expect", [("I", []), ("II", [("13b", 1)]),
-                                          ("III", []), ("IV", [("21", 15)])])
+                                          ("III", []), ("IV", [])])
 def test_start_state_reverse_rules(example_circuit, tier, expect):
-    # tier II's start closes a 188-step cycle, so 13b leads into it; tier
-    # IV's start opens a short reverse tail
+    # tier II's start closes a 188-step cycle, so 13b leads into it; the
+    # other starts are ends of their paths, on a full scan too
     extra = {"target_x": 3, "bullet_offset": 3} if tier == "IV" else {}
     start = build_initial(BuildSpec(example_circuit, tier, **extra))
     assert [(m.label, m.site) for m in applicable(start, REVERSE)] == expect
+    assert [(m.label, m.site) for m in applicable(
+        start, REVERSE, full_scan=True)] == expect
     if tier == "II":
         traj = run(start, StepBudget(predicted_cycle_steps(3, 2), "step_limit"))
         assert traj.final.config_equal(start) and traj.labels[-1] == "13b"
@@ -367,7 +369,8 @@ STRAYS = [
     ("III", "P", 1, "g", StepBudget(200, "dead_end")),  # dead end at 108
     # inert pointer: the stray C stayed put all run long
     ("III", "CP", 1, "C", StepBudget(3000, "step_limit")),
-    # its S gate swapped two classical data bits, then two rules matched
+    # from the first hand-back: its S gate swapped two classical data
+    # bits, then two rules matched
     ("IV", "P", 14, "g", StepBudget(200, "dead_end")),
 ]
 STRAY_IDS = ["tier1_dead_end", "tier3_dead_end", "tier3_inert_pointer",
@@ -377,6 +380,8 @@ STRAY_IDS = ["tier1_dead_end", "tier3_dead_end", "tier3_inert_pointer",
 def _stray_start(circuit, tier, reg, site, symbol):
     extra = {"target_x": 3, "bullet_offset": 3} if tier == "IV" else {}
     start = build_initial(BuildSpec(circuit, tier, **extra))
+    if tier == "IV":  # where the program's turned tail meets the stray
+        start, _ = first_handback(start)
     row = list(start.rows[reg])
     row[site - 1] = symbol
     stray = start.replace(rows={reg: tuple(row)})
@@ -476,15 +481,17 @@ def test_check_uog_active_cells_back_at_the_start_are_no_repeat(
         example_circuit, tier):
     # the repeat check compares rows only where the active cells equal the
     # start's: after a clock increment they do (tier III from its first
-    # state with the pointer C at the right end, tier IV from its built
-    # start) while the clock row differs, and that is no repeat
+    # state with the pointer C at the right end, tier IV from its first
+    # hand-back, the head the program's turned tail) while the clock row
+    # differs, and that is no repeat
     if tier == "III":
         start = run(build_initial(BuildSpec(example_circuit, "III")),
                     StepBudget(14, "step_limit")).final
         assert active_sites(start) == [(16, "CP", "C")]
     else:
-        start = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
-                                        bullet_offset=3))
+        start, _ = first_handback(build_initial(BuildSpec(
+            example_circuit, "IV", target_x=3, bullet_offset=3)))
+        assert active_sites(start) == [(15, "P", "←")]
     traj = run(start, StepBudget(400, "step_limit"), check_uog=True)
     back = [t for t, cur in traj._replay(traj.n_steps)
             if t and [cur.head] == active_sites(start)]
@@ -517,11 +524,11 @@ def _blocks(rs, *keys):
 
 
 def test_block_memo_x9_to_its_dead_end(example_circuit, monkeypatch):
-    # 26 326 steps, most of them replayed from the store on the second run
+    # 26 342 steps, most of them replayed from the store on the second run
     _fresh_rules(monkeypatch, "IV")
     start = _x9_start(example_circuit)
     traj = stepped(start, StepBudget(10 ** 5))
-    assert traj.n_steps == 26326 and traj.stop_reason == "dead_end"
+    assert traj.n_steps == 26342 and traj.stop_reason == "dead_end"
     _assert_bare_runs_match(start, StepBudget(10 ** 5), False, traj)
 
 
@@ -532,7 +539,7 @@ def test_block_memo_chunked_runs_equal_one_run(example_circuit, monkeypatch):
     start = build_initial(BuildSpec(example_circuit, "IV", random_state(3, 1),
                                     target_x=5, bullet_offset=6))
     whole = stepped(start, StepBudget(10 ** 6))
-    assert whole.n_steps == 99276
+    assert whole.n_steps == 99292
     for _ in range(2):
         labels, sites, state, stop = [], [], start, None
         while stop != "dead_end":
@@ -619,9 +626,10 @@ def test_check_uog_names_a_reverse_match_at_another_window(example_circuit,
     # negative control for the window half of the naming: the cursor's
     # reverse lookup reports rule 5a's reverse match one window left of
     # where 5a fired, and every state 5a reaches is flagged
-    reverse = _Cursor.reverse
-    monkeypatch.setattr(_Cursor, "reverse", lambda cur: tuple(
-        (off + (h.rule.label == "5a"), h) for off, h in reverse(cur)))
+    lookup = _Cursor.lookup
+    monkeypatch.setattr(_Cursor, "lookup", lambda cur, direction: tuple(
+        (off + (direction == REVERSE and h.rule.label == "5a"), h)
+        for off, h in lookup(cur, direction)))
     _fresh_rules(monkeypatch, "I")
     start = build_initial(BuildSpec(example_circuit, "I"))
     budget = StepBudget(200, "dead_end")
@@ -644,10 +652,10 @@ def test_block_memo_replays_most_steps(example_circuit, monkeypatch):
     monkeypatch.setattr(_Cursor, "step",
                         lambda cur: calls.append(1) or step(cur))
     traj = run(start, StepBudget(10 ** 5))
-    assert traj.n_steps == 26326 and len(calls) < 0.1 * traj.n_steps
+    assert traj.n_steps == 26342 and len(calls) < 0.1 * traj.n_steps
     calls.clear()
     assert stepped(start, StepBudget(10 ** 5)).labels == traj.labels
-    assert len(calls) == 26327  # the last call finds the dead end
+    assert len(calls) == 26343  # the last call finds the dead end
 
 
 def test_block_memo_is_per_rule_set_and_chain_length(example_circuit,
@@ -673,7 +681,7 @@ def test_block_memo_is_per_rule_set_and_chain_length(example_circuit,
     assert copy.blocks == {} and copy.stretches == set()
     monkeypatch.setitem(_RULESET_CACHE, "IV", copy)
     for _ in range(2):
-        assert run(start, StepBudget(10 ** 5)).n_steps == 26326
+        assert run(start, StepBudget(10 ** 5)).n_steps == 26342
     assert replayed and not theirs & set(replayed)
     monkeypatch.setitem(_RULESET_CACHE, "IV", parent)
     replayed.clear()
@@ -1100,14 +1108,14 @@ def test_state_reads_keep_no_states(monkeypatch):
 
 def test_state_replays_the_full_width_run_at_block_speed(monkeypatch):
     # state(n_steps) on the full-width x = 1 tier-IV run at L = 16
-    # (6 291 658 steps) takes fewer than 1 % of them one at a time (8454)
+    # (6 291 674 steps) takes fewer than 1 % of them one at a time (8522)
     # and lands on traj.final; the spy stops a step-by-step replay early
     _fresh_rules(monkeypatch, "IV")
     start = build_initial(BuildSpec(small_circuit(3, 2, 1), "IV",
                                     target_x=1,
                                     bullet_offset=full_width_offset(16, 1)))
     traj = run(start, StepBudget(10 ** 7))
-    assert start.L == 16 and traj.n_steps == 192 * 2 ** 15 + 202
+    assert start.L == 16 and traj.n_steps == 192 * 2 ** 15 + 218
     calls, step = [], _Cursor.step
 
     def spy(cur):

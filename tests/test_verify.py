@@ -450,6 +450,29 @@ def test_backends_fail_a_gate_rule_that_does_not_match_back(example_circuit,
     assert res.details == ["t=9: rule 5a does not match back at 8"]
 
 
+def test_backends_fail_a_gate_that_leaves_the_basis(example_circuit,
+                                                   monkeypatch):
+    # the fault above, with a 100-step budget: the broken chain's later
+    # S gate meets a blank data cell and raises in the check's own run.
+    # The check compares the steps before it and fails with the error as
+    # a detail, after the failed match-back
+    def blank(fire, cur, i, hit, k):
+        if k == 9:
+            hit = hit._replace(writes=hit.writes + (("P", 1, BULLET),))
+        return fire(cur, i, hit)
+
+    _firings(monkeypatch, blank)
+    with single_steps("I"):
+        res = cross_check_backends(BuildSpec(example_circuit, "I", "101"),
+                                   100)
+    assert not res.passed
+    assert res.measured.startswith("steps=10 ")
+    assert res.details == [
+        "t=9: rule 5a does not match back at 8",
+        "t=25: gate S on data sites (8,9) = (?,1) leaves the computational"
+        " basis; valid chains never do this"]
+
+
 def test_backends_catch_data_write_without_gate(example_circuit, monkeypatch):
     # the data row changes at step 4, so the check must compare and fail
     # there, not at the next gate
@@ -472,6 +495,11 @@ def _freeze(start, max_steps):
                                                          "step_limit")))
 
 
+def _match_steps(start):
+    """The compare-match steps (28 or 30) of the start's record."""
+    return run(start, StepBudget(10 ** 5)).marker_steps("28", "30")
+
+
 def test_posttarget_freeze(example_circuit):
     off = full_width_offset(16, 3)
     s = build_initial(BuildSpec(example_circuit, "IV", "000", target_x=3,
@@ -481,64 +509,67 @@ def test_posttarget_freeze(example_circuit):
 
 
 def test_posttarget_freeze_fails_without_a_compare_match(example_circuit):
-    # negative control: the rule-30 match comes at step 580, after the cap
+    # negative control: the rule-30 match comes at step 596, after the cap
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                 bullet_offset=3))
     res = _freeze(s, 150)
     assert not res.passed
     assert res.details == ["0 compare-success markers, expected 1"]
     assert res.measured == "success_at=None tail=None stop=step_limit"
-    res = _freeze(s, 700)
+    res = _freeze(s, 716)
     assert res.passed
-    assert res.measured == "success_at=581 tail=119 stop=step_limit"
+    assert res.measured == "success_at=597 tail=119 stop=step_limit"
 
 
 def test_posttarget_freeze_catches_a_write_after_the_match(example_circuit,
                                                          monkeypatch):
     # negative control: the check compares the replay's live rows with
-    # copies taken at the compare-match (step 580 here), so a clock cell
-    # written at step 590, which fires no watched rule, must fail it at the
-    # next state it reads, the final one; a copy that aliased the live list
-    # would not
+    # copies taken at the compare-match (read from the record), so a clock
+    # cell written 10 steps later, which fires no watched rule, must fail it
+    # at the next state it reads, the final one; a copy that aliased the
+    # live list would not
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                 bullet_offset=3))
+    (match,) = _match_steps(s)
 
     def write_clock(fire, cur, i, hit, k):
-        if k == 590:
+        if k == match + 10:
             new = "1" if cur.rows["C"][i - 1] != "1" else "0"
             hit = hit._replace(writes=hit.writes + (("C", 0, new),))
         return fire(cur, i, hit)
 
     fired = _firings(monkeypatch, write_clock)
     with single_steps("IV"):
-        res = _freeze(s, 700)
-    assert fired[580] == "30" and len(fired) == 700
+        res = _freeze(s, match + 120)
+    assert fired[match] == "30" and len(fired) == match + 120
     assert not res.passed
-    assert res.details == ["t=700: clock register changed"]
-    assert res.measured == "success_at=581 tail=119 stop=step_limit"
+    assert res.details == [f"t={match + 120}: clock register changed"]
+    assert res.measured == f"success_at={match + 1} tail=119 stop=step_limit"
 
 
 def test_posttarget_freeze_catches_a_work_change_after_the_match(
         example_circuit, monkeypatch):
-    # negative control: a firing at step 590, after the compare-match,
-    # that also reverses the work amplitudes must fail the check
+    # negative control: a firing 10 steps after the compare-match (read
+    # from the record) that also reverses the work amplitudes must fail the
+    # check
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
                                 bullet_offset=3))
+    (match,) = _match_steps(s)
 
     def change_work(fire, cur, i, hit, k):
         fire(cur, i, hit)
-        if k == 590:
+        if k == match + 10:
             amps = cur.work.amps[::-1]
             assert not np.array_equal(amps, cur.work.amps)
             cur.work = WorkState(cur.work.support, amps)
 
     fired = _firings(monkeypatch, change_work)
     with single_steps("IV"):
-        res = _freeze(s, 700)
-    assert fired[580] == "30" and len(fired) == 700
+        res = _freeze(s, match + 120)
+    assert fired[match] == "30" and len(fired) == match + 120
     assert not res.passed
-    assert res.details == ["t=700: work state changed"]
-    assert res.measured == "success_at=581 tail=119 stop=step_limit"
+    assert res.details == [f"t={match + 120}: work state changed"]
+    assert res.measured == f"success_at={match + 1} tail=119 stop=step_limit"
 
 
 def test_posttarget_freeze_catches_a_block_that_writes_the_clock(
@@ -574,7 +605,7 @@ def test_posttarget_freeze_catches_a_block_that_writes_the_clock(
     assert check_posttarget_freeze(traj).passed
 
 
-@pytest.mark.parametrize("x, match_at", [(1, 205), (3, 591)])
+@pytest.mark.parametrize("x, match_at", [(1, 221), (3, 607)])
 def test_posttarget_freeze_to_the_dead_end_at_full_width(x, match_at):
     # the full-width L = 16 chains hold the freeze for the 6 291 453-step
     # tail, the tier-III count to its dead end: the run and the check take
@@ -591,7 +622,7 @@ def test_posttarget_freeze_to_the_dead_end_at_full_width(x, match_at):
 
 def test_posttarget_freeze_runs_at_block_speed(example_circuit, monkeypatch):
     # on a warm store the run and the check's replay together take fewer
-    # than 10 % of the x = 9 chain's 26 326 steps one at a time (about
+    # than 10 % of the x = 9 chain's 26 342 steps one at a time (about
     # 1500: the replay single-steps the gates before the match, which it
     # watches); a check that observed the run took every one
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=9,
@@ -602,7 +633,7 @@ def test_posttarget_freeze_runs_at_block_speed(example_circuit, monkeypatch):
                         lambda cur: calls.append(1) or step(cur))
     traj = run(s, StepBudget(10 ** 5))
     res = check_posttarget_freeze(traj)
-    assert res.passed and traj.n_steps == 26326
+    assert res.passed and traj.n_steps == 26342
     assert len(calls) < 0.1 * traj.n_steps
 
 
