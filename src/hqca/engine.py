@@ -19,22 +19,34 @@ after one lookup in the rule set's compiled matcher, so a single step's
 cost does not grow with the chain length L.  check_uog's repeat check
 compares the head with the start's, and the rows only where those agree.
 
-run() replays recurring stretches of up to BLOCK_STEPS steps from a store
-on the rule set, keyed by (L, check_uog, head).  A stretch ends where its
+run() replays blocks of up to BLOCK_STEPS steps from a store on the rule
+set, one per (L, check_uog).  The rules are translation invariant, so a
+block is kept relative to its base, the site of its first head: its
+footprint (the cells its probes, reverse ones too under check_uog, and its
+gates read before it wrote them), its writes, its gates on the work vector
+(which a replay applies in order: the kernel calls of its single steps) and
+its heads are offsets from the base, its sites those at the base it was
+learnt at, and it replays at any base of its range, where every probe stays
+inside the chain and every cell on it; a block with a probe at an end
+replays only at its own base.  The store is indexed by the head's register,
+symbol and forward probe key (_Cursor.index_key), which the step that
+follows a miss reuses, and holds the blocks of an index longest first.
+Blocks come two ways.  A stretch of single steps, which ends where its
 window reaches an end of the chain, where the head is back at its first
-head, or after BLOCK_STEPS steps.  A stretch seen twice is stored with its
-footprint, the cells its probes (reverse ones too under check_uog) and its
-gates read before it wrote them, and with its gates on the work vector,
-which a replay applies in order: the kernel calls of its single steps.
-The store is emptied at BLOCK_CAP blocks; the trajectory keeps, by the
-head it starts from, each block its run replayed, so emptying the store
-takes none from its replays.  Steps no block fits and those after a
-flagged repeat go one by one.
+head, or after STRETCH_STEPS steps, is learnt once it has come up twice, at
+any base.  And a replay, the single steps after it and the replay after
+those compose into one block once the three come up twice, as do single
+steps and the replay after them, or a replay and single steps up to an end
+of the chain (blocks of blocks, as in Hashlife's memo, Gosper 1984); no
+block runs past a step that reaches an end.  The store is emptied at
+BLOCK_CAP blocks; the trajectory keeps each block its run replayed, so
+emptying the store takes none from its replays.  Steps no block fits and
+those after a flagged repeat go one by one.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from itertools import dropwhile, islice
 from operator import index, itemgetter
@@ -82,8 +94,8 @@ class Trajectory:
     and window of step t, the transition from state t to state t+1, and
     markers is derived from them.  Every state read replays them from the
     start on the run's rules, keeping none (_replay).  checked: run() made
-    it under check_uog.  blocks: head -> {id: block} of the blocks run()
-    replayed from that head, which emptying the rule set's store keeps."""
+    it under check_uog.  blocks: {id: block} of the blocks run() replayed,
+    which emptying the rule set's store keeps."""
 
     start: ChainState
     rules: RuleSet
@@ -120,25 +132,39 @@ class Trajectory:
         """Step a cursor from the start to state t, yielding (k, cursor) at
         each state k; given watched, a set of rule labels, only at the
         states after a step that fires one and at t.  Then a stretch may
-        replay one of the blocks the run replayed from the cursor's head,
-        where the block fits the rows and ends at or before t, its labels
-        and sites are the record's there, and it fires no watched label
-        before its last step.  A step off the record raises ValueError, and
-        so does a replay to the end that stops away from final."""
+        replay one of the blocks the run replayed, at the cursor's head,
+        where the block fits the rows there and ends at or before t, its
+        labels and its sites at that base are the record's, and it fires no
+        watched label before its last step.  A step off the record raises
+        ValueError, and so does a replay to the end that stops away from
+        final."""
         cur = _Cursor(self.start, self.rules)
         labels, sites, k = self.labels, self.sites, 0
-        blocks = {} if watched is None else {  # as lists, to match slices
-            head: [(b, list(b.labels), list(b.sites)) for b in kept.values()
-                   if watched.isdisjoint(b.labels[:-1])]
-            for head, kept in self.blocks.items()}
+        # (register, symbol, first label) -> [(block, labels, sites at home
+        # as lists)], longest first: the record names a block's first label
+        blocks = {}
+        for b in (() if watched is None else self.blocks.values()):
+            if watched.isdisjoint(b.labels[:-1]):
+                blocks.setdefault((*b.key[:2], b.labels[0]), []).append(
+                    (b, list(b.labels), list(b.sites)))
+        for kept in blocks.values():
+            kept.sort(key=lambda bl: -len(bl[1]))
         if watched is None or t == 0:
             yield k, cur
         while k < t:
-            fits = [b for b, bl, bs in blocks.get(cur.head, ())
-                    if (e := k + len(bl)) <= t and bl[-1] == labels[e - 1]
-                    and bs[-1] == sites[e - 1]
-                    and bl == labels[k:e] and bs == sites[k:e]]
-            if fits and (block := cur.replay(fits, t - k, None)):
+            block = None
+            if blocks:  # the longest that holds to the record and fits
+                base, reg, s = cur.head
+                for b, bl, bs in blocks.get((reg, s, labels[k]), ()):
+                    d = base - b.home
+                    if ((e := k + len(bl)) <= t and bl[-1] == labels[e - 1]
+                            and bs[-1] + d == sites[e - 1]
+                            and bl == labels[k:e]
+                            and (bs == sites[k:e] if not d else
+                                 [i + d for i in bs] == sites[k:e])
+                            and (block := cur.replay([b], t - k, None))):
+                        break
+            if block:
                 k += len(block.labels)
             else:
                 fired = cur.step()
@@ -203,7 +229,10 @@ class _Cursor:
     (apply()'s rewrite too), appending to rec what the gate read and did,
     and takes the new head from it, with no rescan, or raises ValueError
     naming a rule that left other than one active cell; replay() writes a
-    block and applies its gates.
+    block at the head's site and applies its gates.  index_key() reads the
+    block store's index at the head; the forward key it reads, or the one
+    a block replayed at its home names (its next), waits in _fkey for
+    lookup(FORWARD), and no other change of state leaves it set.
 
     Trajectory._replay yields the cursor as the view of each state it
     reaches: tier, L, rows (live lists, read-only, valid until the next
@@ -211,7 +240,7 @@ class _Cursor:
     """
 
     __slots__ = ("tier", "L", "rows", "work", "head", "rec", "_rs",
-                 "_probes")
+                 "_probes", "_fkey")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         active = active_sites(state)
@@ -220,7 +249,7 @@ class _Cursor:
         self.head = active[0]
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
-        self.rec, self._rs = None, rs
+        self.rec, self._rs, self._fkey = None, rs, None
         # direction -> symbol -> ([(row, shift)...], memo)
         self._probes = {FORWARD: {}, REVERSE: {}}
 
@@ -230,14 +259,35 @@ class _Cursor:
         bound[symbol] = ([(self.rows[reg], k) for reg, k in probe], memo)
         return bound[symbol]
 
+    def index_key(self):
+        """(register, symbol, forward probe key) of the head, the block
+        store's index; the key, as lookup(FORWARD) reads it (None off the
+        chain), is kept for that lookup, or taken from the replay that led
+        here."""
+        site, reg, s = self.head
+        if self._fkey is not None:
+            return reg, s, self._fkey
+        bound, L = self._probes[FORWARD], self.L
+        cells, _memo = bound.get(s) or self._bind(bound, FORWARD, s)
+        if 1 < site < L:
+            key = tuple([row[site + k] for row, k in cells])
+        else:
+            key = tuple([row[site + k] if 0 <= site + k < L else None
+                         for row, k in cells])
+        self._fkey = key
+        return reg, s, key
+
     def lookup(self, direction):
         """((offset, Hit), ...): the matches in direction anchored at the
         head."""
         site, _reg, s = self.head
         bound = self._probes[direction]
         cells, memo = bound.get(s) or self._bind(bound, direction, s)
-        key = (tuple([row[site + k] for row, k in cells])
-               if 1 < site < self.L else None)
+        if direction == FORWARD and self._fkey is not None:
+            key, self._fkey = self._fkey, None
+        else:
+            key = (tuple([row[site + k] for row, k in cells])
+                   if 1 < site < self.L else None)
         found = memo.get(key)
         if found is None:  # an end of the chain, or a window not yet seen
             key, found = self._rs.hits(direction, self, site, s)
@@ -281,35 +331,45 @@ class _Cursor:
 
     def replay(self, blocks, left: int, start):
         """Write, and apply the gates of, the first block that fits in left
-        steps and whose footprint the rows hold, and return it, or None.  If
-        it passes the head of start, (head, rows), it must leave alone a cell
-        that differs from start's."""
-        rows = self.rows
-        for k, block in enumerate(blocks):
-            reads, writes, gates, head, labels, _sites, heads = block
-            if len(labels) > left:
+        steps at the head's site, its base: the base is in the block's
+        range and the rows hold its footprint there.  Return it, or None.
+        If it passes the head of start, (head, rows), it must leave alone a
+        cell that differs from start's."""
+        rows, base = self.rows, self.head[0]
+        for block in blocks:
+            if not block.lo <= base <= block.hi or len(block.labels) > left:
                 continue
-            for reg, get, want in reads:
-                if get(rows[reg]) != want:
+            d = base - block.lo  # the getters read the rows from cell d on
+            for reg, get, want in block.reads:
+                if get(rows[reg][d:] if d else rows[reg]) != want:
                     break
             else:
-                if start and start[0] in heads:
-                    kept = {reg: row[:] for reg, row in rows.items()}
-                    for reg, idx, _cells in writes:
-                        for i in idx:
-                            kept[reg][i] = start[1][reg][i]
-                    if kept == start[1]:
-                        continue
-                for reg, idx, cells in writes:
-                    row = rows[reg]
-                    for i, c in zip(idx, cells):
-                        row[i] = c
-                for kind, i in gates:  # fire()'s kernel calls, in order
-                    self.work = self.work.apply_gate(kind, i, i + 1)
-                self.head = head
-                blocks.insert(0, blocks.pop(k))  # the last replayed first
-                return block
-        return None
+                if not (start and self._passes(block, base, start)):
+                    break
+        else:
+            return None
+        for reg, runs in block.writes:
+            row = rows[reg]
+            for a, b, cells in runs:
+                row[base + a:base + b] = cells
+        for kind, i in block.gates:  # fire()'s kernel calls, in order
+            i += base
+            self.work = self.work.apply_gate(kind, i, i + 1)
+        off, reg, s = block.head
+        self.head = (base + off, reg, s)
+        self._fkey = block.next if base == block.home else None
+        return block
+
+    def _passes(self, block, base, start) -> bool:
+        """Whether block, at base, might pass the configuration start."""
+        if start[0][0] - base not in block.heads.get(start[0][1:], ()):
+            return False
+        kept = {reg: row[:] for reg, row in self.rows.items()}
+        for reg, runs in block.writes:
+            for a, b, _cells in runs:
+                a, b = base + a, base + b
+                kept[reg][a:b] = start[1][reg][a:b]
+        return kept == start[1]
 
     def chain_state(self) -> ChainState:
         return ChainState(self.tier, {reg: tuple(row)
@@ -317,78 +377,226 @@ class _Cursor:
                           self.work)
 
 
-# Steps as run() replays them.  Per register, reads holds an itemgetter of
-# the cells their probes and gates read before writing them and the values it
-# must return, writes the final cells; gates, the (kind, site) of each gate on
-# the work vector, in order; heads, the heads under check_uog.
-_Block = namedtuple("_Block", "reads writes gates head labels sites heads")
+class _Block(namedtuple("_Block", "reads writes gates head labels sites heads"
+                        " lo hi home key next")):
+    """Steps as run() replays them, relative to their first head site, the
+    base: cell offset o is row[base + o], site offset i is site base + i.
+    Its sites, though, are those of its steps at home, the base it was
+    learnt at, as run() records them there; elsewhere each moves by base -
+    home.  Per register, reads holds (get, want): get, an itemgetter on
+    row[base - lo:] at lo plus the offsets of the cells the probes and
+    gates read before the steps wrote them, returns want, their values;
+    writes holds runs (a, b, cells) of the final cells at offsets a..b-1.
+    gates, the (kind, site offset) of each gate on the work vector, in
+    order; head, the head after the steps (site as an offset); heads, the
+    site offsets of the heads under check_uog by register and symbol.  The
+    block replays at the bases lo..hi, where every probe stays inside the
+    chain (1 < site < L); one with a probe at an end has lo = hi = home.
+    key is the index key of its first state (_Cursor.index_key); next, the
+    forward probe key after it at home, where its writes and footprint hold
+    that key's cells, else None."""
 
-# BLOCK_STEPS, measured on the stream chains, the full-width x = 1 run and
-# the tier-III run to its dead end (2-core VM, in process, cold stores): as
-# stretches end at the chain's ends, 96 and 128 store the same blocks but for
-# one stretch of over 96 steps, and ran alike (t4_freeze 25 and 31 ms, t3_L16
-# 17 and 15 ms, full width 0.67 and 0.64 s, tier III 1.35 and 1.36 s); 64
-# halves the blocks and ran 1.0-1.6x slower than 96.  BLOCK_CAP: a chain keeps
-# up to 28 blocks (the stream job, 111 kB; a 10^5-step tier-III run 11, the
-# full-width run 17).
-BLOCK_STEPS = 96
+    __slots__ = ()
+
+    def footprint(self):
+        """(register, offsets, values) of the cells the block reads before
+        it writes them, per register."""
+        for reg, get, want in self.reads:
+            at = get.__reduce__()[1]  # the getter's indices: lo + offsets
+            yield (reg, [k - self.lo for k in at],
+                   want if len(at) > 1 else (want,))
+
+
+# BLOCK_STEPS caps the length of a composed block and STRETCH_STEPS that of
+# a stretch learnt from single steps.  Each sweep of the benchmark's t3_L169
+# chain shifts a site, so no long stretch of it recurs at its site, but most
+# of its steps recur, translated, in stretches of up to 8 or 16 steps, which
+# compose up to the cap.  Measured in process against the block memo keyed
+# by head (alternating runs, cold stores, 2-core VM): STRETCH_STEPS 16
+# learns about half the blocks of 8 (28 against 49 on the verify_suite run)
+# and ran that run 1.14 against 1.28 times as long as the head-keyed memo,
+# t4_freeze 0.96 against 1.01 times; a cap of 128 rather than 96 let a
+# 16-step block join an 81-step one on t4_freeze (0.90 against 1.03 times),
+# and 192 ran like 128.  BLOCK_CAP: the store is emptied at that many
+# blocks.
+BLOCK_STEPS = 128
+STRETCH_STEPS = 16
 BLOCK_CAP = 256
 
 
-def _learn(store: dict, cur: _Cursor, head, labels, check_uog: bool):
-    """Build the block of a stretch from head that came up before, from the
-    probe keys in cur.rec (the reverse ones too under check_uog) and, after
-    the key of a gate step, fire()'s record of the gate: its two data cells,
-    the cells a classical gate wrote (or None) and whether it ran the kernel;
-    otherwise note that it came up.  Empties cur.rec."""
-    keys, cur.rec = iter(cur.rec), []
-    if head is None or len(labels) < 2:  # one step is no shortcut
-        return
-    rs, L, labels = cur._rs, cur.L, tuple(labels)
+class _Build:
+    """A block under construction at base: its footprint and final cells by
+    register and offset, its gates and heads as offsets, its labels and
+    sites, and the range of bases it replays at."""
+
+    __slots__ = ("rs", "base", "L", "reads", "final", "gates", "heads",
+                 "labels", "sites", "head", "lo", "hi")
+
+    def __init__(self, rs, base, L):
+        self.rs, self.base, self.L = rs, base, L
+        self.lo, self.hi = -L, 2 * L  # any base
+        self.reads, self.final = defaultdict(dict), defaultdict(dict)
+        self.heads, self.gates, self.labels, self.sites = {}, [], [], []
+
+    def steps(self, keys, head, labels, check_uog):
+        """Add the single steps from head whose probe keys (the reverse ones
+        too under check_uog) and gate records fire() left in keys."""
+        base, L, reads, final = self.base, self.L, self.reads, self.final
+        sites, gates, heads, compiled = (self.sites, self.gates, self.heads,
+                                         self.rs.compiled)
+        low = high = head[0]  # the probes' sites
+        for direction in (FORWARD, REVERSE)[:1 + check_uog] * len(labels):
+            key = next(keys)
+            site, _reg, s = head
+            if site < low:
+                low = site
+            elif site > high:
+                high = site
+            cells, memo = compiled(direction, s)
+            for (reg, shift), v in zip(cells, key):
+                k = site + shift
+                if 0 <= k < L and (k := k - base) not in final[reg]:
+                    reads[reg].setdefault(k, v)
+            if direction == FORWARD:
+                ((offset, hit),) = memo[key]
+                i = site - offset
+                sites.append(i)
+                writes = hit.writes
+                if hit.gate is not None:  # the record fire() appended
+                    data, new, quantum = next(keys)
+                    for k, v in zip((i - 1 - base, i - base), data):
+                        if k not in final[D]:
+                            reads[D].setdefault(k, v)
+                    if new is not None:
+                        writes += ((D, 0, new[0]), (D, 1, new[1]))
+                    if quantum:
+                        gates.append((hit.gate, i - base))
+                for reg, off, s in writes:
+                    final[reg][i - 1 + off - base] = s
+                off, reg, s = hit.active[0]
+                head = (i + off, reg, s)
+            else:
+                heads.setdefault(head[1:], set()).add(head[0] - base)
+        if 1 < low and high < L:  # every probe lies on the chain
+            self.lo = max(self.lo, 2 + base - low)
+            self.hi = min(self.hi, L - 1 + base - high)
+        else:
+            self.lo = self.hi = base
+        self.labels += labels
+        self.head = (head[0] - base, head[1], head[2])
+
+    def block(self, block, shift):
+        """Add a block that replays at base + shift after what is here: its
+        reads of cells not written here join the footprint."""
+        reads, final = self.reads, self.final
+        for reg, offs, values in block.footprint():
+            done, read = final[reg], reads[reg]
+            for k, v in zip(offs, values):
+                if (k := k + shift) not in done:
+                    read.setdefault(k, v)
+        for reg, runs in block.writes:
+            done = final[reg]
+            for a, b, cells in runs:
+                done.update(zip(range(a + shift, b + shift), cells))
+        self.gates += [(kind, i + shift) for kind, i in block.gates]
+        for symbol, offs in block.heads.items():
+            self.heads.setdefault(symbol, set()).update(h + shift
+                                                        for h in offs)
+        self.labels += block.labels
+        moved = self.base + shift - block.home  # its sites here
+        self.sites += [i + moved for i in block.sites]
+        self.lo = max(self.lo, block.lo - shift)
+        self.hi = min(self.hi, block.hi - shift)
+        off, reg, s = block.head
+        self.head = (off + shift, reg, s)
+
+    def freeze(self, key):
+        """The block, stored under the index key of its first state."""
+        reads, writes, lo, (off, _reg, head_s) = [], [], self.lo, self.head
+        after, home = [], self.base  # the probe key after it, at home
+        for reg, shift in self.rs.compiled(FORWARD, head_s)[0]:
+            k = off + shift
+            if not 0 <= home + k < self.L:  # off the chain
+                after.append(None)
+            elif (v := self.final[reg].get(k, self.reads[reg].get(k))) \
+                    is not None:
+                after.append(v)
+            else:  # a cell the block neither read nor wrote
+                after = None
+                break
+        for reg, cells in self.reads.items():
+            if not cells:
+                continue
+            offs = sorted(cells)
+            want = tuple(map(cells.__getitem__, offs))
+            reads.append((reg, itemgetter(*[lo + k for k in offs]),
+                          want if len(want) > 1 else want[0]))
+        for reg, cells in self.final.items():
+            if not cells:
+                continue
+            offs = sorted(cells)
+            cut = [j for j in range(1, len(offs))
+                   if offs[j] != offs[j - 1] + 1]
+            runs = []  # contiguous runs, one slice write each
+            for j, e in zip([0, *cut], [*cut, len(offs)]):
+                runs.append((offs[j], offs[e - 1] + 1,
+                             tuple(map(cells.__getitem__, offs[j:e]))))
+            writes.append((reg, tuple(runs)))
+        return _Block(tuple(reads), tuple(writes), tuple(self.gates),
+                      self.head, tuple(self.labels), tuple(self.sites),
+                      {symbol: tuple(offs) for symbol, offs
+                       in self.heads.items()}, lo, self.hi, home, key,
+                      after and tuple(after))
+
+
+def _keep(store: dict, rs: RuleSet, block):
+    """Store block under its index key, longest first; a full store is
+    emptied first, to refill with what recurs next."""
+    stores = rs.blocks.values()
+    if BLOCK_CAP <= sum(sum(map(len, d.values())) for d in stores):
+        for d in stores:
+            d.clear()
+    blocks = store.setdefault(block.key, [])
+    n = len(block.labels)
+    blocks.insert(next((j for j, b in enumerate(blocks)
+                        if len(b.labels) <= n), len(blocks)), block)
+
+
+def _seen(rs: RuleSet, sig) -> bool:
+    """Whether sig came up before: in rs.stretches on its first sight, out
+    again on the next."""
     if len(rs.stretches) >= 8 * BLOCK_CAP:
         rs.stretches.clear()
-    sig = hash((L, check_uog, head, labels))  # the sites follow from these
-    rs.stretches ^= {sig}  # in on its first sight, out again on the next
-    if sig in rs.stretches:
+    rs.stretches ^= {sig}
+    return sig not in rs.stretches
+
+
+def _learn(store: dict, cur: _Cursor, first, head, labels, second,
+           check_uog: bool):
+    """Build the block of a replay, first = (block, base) or None, the
+    single steps after it, from head, and the replay after them, second =
+    (block, base) or None, once these come up a second time, else note
+    that they came up.  Single steps alone are a stretch, learnt at any
+    base: the sites follow from the head and labels.  Their keys are the
+    probe keys in cur.rec (the reverse ones too under check_uog) and,
+    after the key of a gate step, fire()'s record of the gate: its two data
+    cells, the cells a classical gate wrote (or None) and whether it ran
+    the kernel.  The caller sees that the parts hold two steps or more and
+    fit in BLOCK_STEPS."""
+    rs, labels = cur._rs, tuple(labels)
+    if not _seen(rs, hash((cur.L, check_uog, head[1:], first and id(first[0]),
+                           labels, second and id(second[0])))):
         return
-    stores = rs.blocks.values()
-    if BLOCK_CAP <= sum(len(v) for d in stores for v in d.values()):
-        for d in stores:  # full: refill it with what recurs next
-            d.clear()
-    start, reads, final, heads, sites, gates = head, {}, {}, set(), [], []
-    for direction, key in zip((FORWARD, REVERSE)[:1 + check_uog] * len(labels),
-                              keys):
-        site, _reg, s = head
-        cells, memo = rs.compiled(direction, s)
-        for (reg, shift), v in zip(cells, key):
-            if 0 <= site + shift < L and site + shift not in final.get(reg, ()):
-                reads.setdefault(reg, {}).setdefault(site + shift, v)
-        if direction == FORWARD:
-            ((offset, hit),) = memo[key]
-            i = site - offset
-            sites.append(i)
-            writes = hit.writes
-            if hit.gate is not None:  # the record fire() appended
-                data, new, quantum = next(keys)
-                for k, v in zip((i - 1, i), data):
-                    if k not in final.get(D, ()):
-                        reads.setdefault(D, {}).setdefault(k, v)
-                if new is not None:
-                    writes += ((D, 0, new[0]), (D, 1, new[1]))
-                if quantum:
-                    gates.append((hit.gate, i))
-            for reg, off, s in writes:
-                final.setdefault(reg, {})[i - 1 + off] = s
-            off, reg, s = hit.active[0]
-            head = (i + off, reg, s)
-        else:
-            heads.add(head)
-    block = _Block(tuple((reg, itemgetter(*c), itemgetter(*c)(c))
-                         for reg, c in reads.items()),
-                   tuple((reg, tuple(c), tuple(c.values()))
-                         for reg, c in final.items()),
-                   tuple(gates), head, labels, tuple(sites), frozenset(heads))
-    store[start] = [block, *store.get(start, ())]
+    base = first[1] if first else head[0]
+    build = _Build(rs, base, cur.L)
+    if first:
+        build.block(first[0], 0)
+    if labels:
+        build.steps(iter(cur.rec), head, labels, check_uog)
+    if second:
+        build.block(second[0], second[1] - base)
+    _keep(store, rs, build.freeze(first[0].key if first
+                                  else (*head[1:], cur.rec[0])))
 
 
 def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
@@ -423,19 +631,36 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     cur.rec = []
     uog_start = (start_head, start_rows) if check_uog else None
     seg, seg_head = 0, start_head  # the stretch cur.rec holds the keys of
+    last = None  # (block, base) of a replay that ended at step t
     t, max_steps, period = 0, budget.max_steps, None
     ends = (1, cur.L - 1)  # the windows at the chain's ends
     while t < max_steps:
-        head = cur.head
-        if (store and (blocks := store.get(head))
-                and (block := cur.replay(blocks, max_steps - t, uog_start))):
-            traj.blocks.setdefault(head, {})[id(block)] = block
-            _learn(store, cur, seg_head, labels[seg:], check_uog)
-            labels += block.labels
-            sites += block.sites
-            t += len(block.labels)
-            seg, seg_head = t, cur.head
-            continue
+        if store:
+            base = cur.head[0]
+            if ((blocks := store.get(cur.index_key()))
+                    and (block := cur.replay(blocks, max_steps - t,
+                                             uog_start))):
+                traj.blocks[id(block)] = block
+                n = len(block.labels)
+                if seg_head and (seg < t or last):  # what came before it
+                    if n + t - seg + (len(last[0].labels) if last
+                                      else 0) <= BLOCK_STEPS:
+                        _learn(store, cur, last, seg_head, labels[seg:],
+                               (block, base), check_uog)
+                    if t - seg > 1:
+                        _learn(store, cur, None, seg_head, labels[seg:], None,
+                               check_uog)
+                if seg < t:
+                    cur.rec = []
+                labels += block.labels
+                sites += (block.sites if base == block.home else
+                          [i + base - block.home for i in block.sites])
+                t += n
+                # a block that reaches an end of the chain ends a stretch
+                last = None if sites[-1] in ends and sites[-2] != sites[-1] \
+                    else (block, base)
+                seg, seg_head = t, cur.head
+                continue
         try:
             fired = cur.step()
         except (Ambiguous, NonClassicalGateError) as err:
@@ -473,11 +698,18 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
                      f" {cur.head[0] - rev[0][0]}, but {hit.rule.label} at"
                      f" {i} fired"))
                 seg_head = None
-        if store is not None and (
-                i in ends and sites[-2:-1] != [i]  # reaches an end
-                or t >= seg + BLOCK_STEPS or cur.head == seg_head):
-            _learn(store, cur, seg_head, labels[seg:], check_uog)
-            seg, seg_head = t, cur.head
+        if store is None:
+            continue
+        if i in ends and sites[-2:-1] != [i]:  # reaches an end
+            if last and seg_head and (
+                    len(last[0].labels) + t - seg <= BLOCK_STEPS):
+                _learn(store, cur, last, seg_head, labels[seg:], None,
+                       check_uog)
+        elif t < seg + STRETCH_STEPS and cur.head != seg_head:
+            continue
+        if seg_head and t - seg > 1:  # one step is no shortcut
+            _learn(store, cur, None, seg_head, labels[seg:], None, check_uog)
+        seg, seg_head, last, cur.rec = t, cur.head, None, []
     else:
         traj.stop_reason = "step_limit"
     traj.final = cur.chain_state()

@@ -83,8 +83,11 @@ class DenseData:
         self.amps = _amplitudes(amps, n_sites)
 
     def apply_gate(self, kind: str, site_i: int, site_j: int) -> "DenseData":
+        """The gate on sites (site_i, site_j); the identity returns self."""
         if site_j != site_i + 1:
             raise StateError("gate window must cover adjacent sites")
+        if kind == "I":
+            return self
         out = _apply_two_qubit(self.amps, gate_matrix(kind), site_i - 1,
                                self.n_sites)
         out.setflags(write=False)  # the kernel's fresh vector: no copy

@@ -67,17 +67,18 @@ def every_state(t=None, doctor=None):
         yield asked
 
 
-def _learn_nothing(_store, cur, *_args):
-    cur.rec = []  # what engine._learn empties, with no block built
+def _learn_nothing(*_args):
+    """What engine._learn does inside single_steps."""
 
 
 @contextlib.contextmanager
 def single_steps(tier):
     """Inside it, run() on the tier's rule set takes one step at a time:
-    the rule set's block store is empty and engine._learn learns nothing,
-    so a record made there keeps no blocks and its replays take one step at
-    a time too, inside or out.  The single-step reference for the block
-    memo; the store comes back on exit."""
+    the rule set's block store is empty and engine._learn learns no
+    stretch and composes no replays, so a record made there keeps no
+    blocks and its replays take one step at a time too, inside or out.
+    The single-step reference for the block memo; the store comes back on
+    exit."""
     rs = rule_set(tier)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rs, "blocks", {})

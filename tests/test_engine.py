@@ -814,12 +814,14 @@ def test_block_memo_replays_a_classical_gate_write(example_circuit,
 def test_block_memo_raises_a_non_classical_gate_where_a_step_does(
         example_circuit, monkeypatch, gate, nth, site, symbol):
     # the data cells under a gate are in the footprint of a block that holds
-    # it.  Two runs from the state before the nth gate at (gate, gate + 1)
+    # it.  Three runs from the state before the nth gate at (gate, gate + 1)
     # (a quantum S at (8, 9), a classical W at (11, 12)) store a block that
-    # starts with that gate step; its probes read the left cell (the gate
-    # head's probe does) but never the right one.  From the same state with
-    # the left or the right cell changed, the run raises
-    # NonClassicalGateError in the state where single steps raise it
+    # starts with that gate step (the second may replay, after that step, a
+    # block the first learnt elsewhere; the third joins the two); its probes
+    # read the left cell (the gate head's probe does) but never the right
+    # one.  From the same state with the left or the right cell changed, the
+    # run raises NonClassicalGateError in the state where single steps
+    # raise it
     rs = _fresh_rules(monkeypatch, "III")
     traj = stepped(build_initial(BuildSpec(example_circuit, "III",
                                            random_state(3, 1))),
@@ -827,11 +829,11 @@ def test_block_memo_raises_a_non_classical_gate_where_a_step_does(
     t = [t for t, (label, i) in enumerate(zip(traj.labels, traj.sites))
          if label == "5a" and i == gate][nth]
     before, budget = traj.state(t), StepBudget(500)
-    for _ in range(2):
+    for _ in range(3):
         assert run(before, budget).n_steps == 500
-    head = active_sites(before)[0]
+    key = _Cursor(before, rs).index_key()
     assert any(block.labels[0] == "5a"
-               for block in rs.blocks[(before.L, False)][head])
+               for block in rs.blocks[(before.L, False)][key])
     effect, raised = engine._apply_gate_effect, []
 
     def spy(cur, kind, i, adjoint):
@@ -868,6 +870,150 @@ def test_block_memo_replays_most_tier3_steps(example_circuit, monkeypatch):
     traj = run(start, budget)
     assert traj.n_steps == 2 * 10 ** 4 and len(calls) < 0.01 * traj.n_steps
     assert len(traj.marker_steps("5a")) > 1000
+
+
+def _spy_replays(monkeypatch):
+    """The (base, block) of every block replay from here on."""
+    seen, replay = [], _Cursor.replay
+
+    def spy(cur, *args):
+        base, block = cur.head[0], replay(cur, *args)
+        if block is not None:
+            seen.append((base, block))
+        return block
+
+    monkeypatch.setattr(_Cursor, "replay", spy)
+    return seen
+
+
+def _sweeping_start(seed=1):
+    """A tier-III chain of a random N=4, K=17 circuit (L=169), like the
+    benchmark's t3_L169: each sweep of its program shifts a site."""
+    return build_initial(BuildSpec(small_circuit(4, 17, seed), "III",
+                                   random_state(4, seed)))
+
+
+def _start(tier, n, k, seed):
+    extra = {"target_x": 2, "bullet_offset": 2} if tier == "IV" else {}
+    return build_initial(BuildSpec(small_circuit(n, k, seed), tier,
+                                   random_state(n, seed), **extra))
+
+
+@pytest.mark.parametrize("check_uog", [False, True], ids=["bare", "uog"])
+@pytest.mark.parametrize("tier, n, k, seed, steps", [
+    ("I", 3, 3, 1, 2000), ("II", 3, 2, 2, 3000), ("III", 3, 2, 3, 6000),
+    ("III", 4, 17, 1, 6000), ("IV", 3, 2, 4, 8000)])
+def test_translated_replays_match_single_steps(monkeypatch, tier, n, k, seed,
+                                               steps, check_uog):
+    # blocks replay at bases other than the one they were learnt at, and
+    # the runs still end as the single-step run does: labels, sites, uog
+    # violations, final rows and bit-identical amplitudes
+    _fresh_rules(monkeypatch, tier)
+    start, budget = _start(tier, n, k, seed), StepBudget(steps)
+    traj = stepped(start, budget, check_uog)
+    seen = _spy_replays(monkeypatch)
+    _assert_bare_runs_match(start, budget, check_uog, traj)
+    assert any(base != block.home for base, block in seen)
+
+
+def test_sweeping_chain_replays_most_steps_when_warm(monkeypatch):
+    # no stretch of the sweeping chain recurs at the same site, so with
+    # blocks keyed by their absolute head a warm second run took every one
+    # of its 6000 steps one at a time; translated, fewer than 25 % go so
+    _fresh_rules(monkeypatch, "III")
+    start, budget = _sweeping_start(), StepBudget(6000)
+    run(start, budget, check_uog=True)
+    calls, step = [], _Cursor.step
+    monkeypatch.setattr(_Cursor, "step",
+                        lambda cur: calls.append(1) or step(cur))
+    traj = run(start, budget, check_uog=True)
+    assert traj.n_steps == 6000 and len(calls) < 0.25 * traj.n_steps
+
+
+def _leaves_the_single_steps(start, budget, check_uog, traj):
+    """Whether two bare runs, the second on the warmed store, fail to end as
+    traj, the single-step run, did: they differ from it or raise."""
+    try:
+        _assert_bare_runs_match(start, budget, check_uog, traj)
+    except (AssertionError, IndexError, ValueError):
+        return True
+    return False
+
+
+# Mutation probes of the relative blocks: each mutant, patched in, must
+# leave the single-step path on some chain the differential test runs.
+
+def _unbounded(monkeypatch):
+    """Mutant: a block replays at any base above its range's lower end."""
+    freeze = engine._Build.freeze
+
+    def mutant(build, key):
+        build.hi = 2 * build.L
+        return freeze(build, key)
+
+    monkeypatch.setattr(engine._Build, "freeze", mutant)
+
+
+def _blind_second(monkeypatch):
+    """Mutant: a composition drops its second block's reads."""
+    block = engine._Build.block
+
+    def mutant(build, part, shift):
+        return block(build, part._replace(reads=()) if build.labels else part,
+                     shift)
+
+    monkeypatch.setattr(engine._Build, "block", mutant)
+
+
+def _absolute_heads(monkeypatch):
+    """Mutant: a block keeps its uog heads at the sites it was learnt at."""
+    freeze = engine._Build.freeze
+
+    def mutant(build, key):
+        build.heads = {symbol: {h + build.base for h in offs}
+                       for symbol, offs in build.heads.items()}
+        return freeze(build, key)
+
+    monkeypatch.setattr(engine._Build, "freeze", mutant)
+
+
+@pytest.mark.parametrize("mutant, tier, n, k, seed, steps, check_uog", [
+    (_unbounded, "III", 4, 17, 1, 6000, False),
+    (_blind_second, "IV", 3, 2, 2, 8000, False)],
+    ids=["base_range", "second_reads"])
+def test_relative_block_mutants_leave_the_single_steps(
+        monkeypatch, mutant, tier, n, k, seed, steps, check_uog):
+    start, budget = _start(tier, n, k, seed), StepBudget(steps)
+    traj = stepped(start, budget, check_uog)
+    _fresh_rules(monkeypatch, tier)
+    assert not _leaves_the_single_steps(start, budget, check_uog, traj)
+    _fresh_rules(monkeypatch, tier)
+    mutant(monkeypatch)
+    assert _leaves_the_single_steps(start, budget, check_uog, traj)
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["kept", "mutant"])
+def test_untranslated_uog_heads_pass_the_start_unflagged(example_circuit,
+                                                         monkeypatch, mutate):
+    # mutation probe, on the scenario of
+    # test_block_memo_tier2_repeats_over_three_periods: runs from inside the
+    # tier-II cycle store blocks that pass the start's configuration.  With
+    # their uog heads as offsets, a run from the start single-steps them;
+    # kept at the sites they were learnt at, the heads no longer name the
+    # start's, and the run replays one past its first return unflagged
+    _fresh_rules(monkeypatch, "II")
+    if mutate:
+        _absolute_heads(monkeypatch)
+    period = predicted_cycle_steps(3, 2)
+    start = build_initial(BuildSpec(example_circuit, "II",
+                                    random_state(3, 4)))
+    budget = StepBudget(3 * period, "step_limit")
+    for skip in (50, 120):
+        inside = run(start, StepBudget(skip)).final
+        for _ in range(2):
+            run(inside, budget, check_uog=True)
+    traj = stepped(start, budget, check_uog=True)
+    assert _leaves_the_single_steps(start, budget, True, traj) == mutate
 
 
 def test_tier3_runs_to_its_dead_end(example_circuit):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hqca import BuildSpec, StepBudget, build_initial, run
+from hqca.circuit import _apply_two_qubit, gate_matrix
 from hqca.state import (ChainState, DenseData, StateError, WorkState,
                         active_sites, as_dense_vector, validate_config)
 from hqca.symbols import (BULLET, alphabet, alphabet_dimension,
@@ -131,6 +132,17 @@ def test_gates_need_adjacent_sites():
         WorkState((1, 2, 3), e0).apply_gate("W", 1, 3)
     with pytest.raises(StateError):
         DenseData(3, e0).apply_gate("W", 1, 3)
+    with pytest.raises(StateError):
+        DenseData(3, e0).apply_gate("I", 1, 3)
+
+
+def test_dense_identity_gate_is_the_same_state(random_work):
+    # the identity runs no kernel: the state itself comes back, whose
+    # amplitudes the kernel would have given exactly
+    d = DenseData(3, random_work)
+    assert d.apply_gate("I", 2, 3) is d
+    kernel = _apply_two_qubit(d.amps, gate_matrix("I"), 1, 3)
+    assert np.array_equal(kernel, d.amps)
 
 
 def test_dimension_audit_values():

@@ -590,9 +590,10 @@ def test_posttarget_freeze_catches_a_block_that_writes_the_clock(
     doctored = 0
     for blocks in rule_set("IV").blocks[(s.L, False)].values():
         for j, block in enumerate(blocks):
-            if "37" in block.labels:
-                blocks[j] = block._replace(
-                    writes=block.writes + (("C", (1,), ("1",)),))
+            if "37" in block.labels:  # C's cell 1 at the block's base
+                home = block.home
+                blocks[j] = block._replace(writes=block.writes + (
+                    ("C", ((1 - home, 2 - home, ("1",)),)),))
                 doctored += 1
     assert doctored and s.rows["C"][1] == "0"
     again = run(s, StepBudget(10 ** 5))
