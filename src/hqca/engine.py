@@ -29,16 +29,17 @@ its heads are offsets from the base, its sites those at the base it was
 learnt at, and it replays at any base of its range, where every probe stays
 inside the chain and every cell on it; a block with a probe at an end
 replays only at its own base.  The store is indexed by the head's register,
-symbol and forward probe key (_Cursor.index_key), which the step that
-follows a miss reuses, and holds the blocks of an index longest first.
+symbol and forward probe key (_Cursor.key), and holds the blocks of an
+index longest first.  run() reads that key once per state and passes it
+on to the step that follows a miss; a block replayed at its home passes
+on the key after it (its next), so the state it leaves reads none.
 Blocks come two ways.  A stretch of single steps, which ends where its
 window reaches an end of the chain, where the head is back at its first
 head, or after STRETCH_STEPS steps, is learnt once it has come up twice, at
-any base.  And a replay, the single steps after it and the replay after
-those compose into one block once the three come up twice, as do single
-steps and the replay after them, or a replay and single steps up to an end
-of the chain (blocks of blocks, as in Hashlife's memo, Gosper 1984); no
-block runs past a step that reaches an end.  The store is emptied at
+any base.  And single steps and the replay after them compose into one
+block once they come up twice, with the replay before those steps when
+one led into them (blocks of blocks, as in Hashlife's memo, Gosper 1984);
+no block runs past a step that reaches an end.  The store is emptied at
 BLOCK_CAP blocks; the trajectory keeps each block its run replayed, so
 emptying the store takes none from its replays.  Steps no block fits and
 those after a flagged repeat go one by one.
@@ -151,6 +152,7 @@ class Trajectory:
             kept.sort(key=lambda bl: -len(bl[1]))
         if watched is None or t == 0:
             yield k, cur
+        key = None  # the forward probe key a replay at home hands on
         while k < t:
             block = None
             if blocks:  # the longest that holds to the record and fits
@@ -166,8 +168,9 @@ class Trajectory:
                         break
             if block:
                 k += len(block.labels)
+                key = block.next if base == block.home else None
             else:
-                fired = cur.step()
+                fired, key = cur.step(key or cur.key(FORWARD)), None
                 if (fired is None or fired[0] != sites[k]
                         or fired[1].rule.label != labels[k]):
                     raise ValueError(f"replay left the record at step {k}")
@@ -220,19 +223,18 @@ class _Cursor:
     head is the (site, register, symbol) of the one active cell, and
     __init__ raises ValueError for a start with another count.  rows maps
     each register to a list that a step rewrites in its window cells only.
-    lookup(direction) looks the head's window up in the rule set's compiled
-    matcher through the symbol's probe in _probes[direction], bound to these
-    lists once per run, and appends the key to rec while it is a list.  A
-    memo Hit is ready to fire: its key fixes the window's P and CP cells, so
-    it carries the window's active cells after the firing.  fire() writes
-    the Hit's cells in place, runs its gate through rules._apply_gate_effect
-    (apply()'s rewrite too), appending to rec what the gate read and did,
-    and takes the new head from it, with no rescan, or raises ValueError
-    naming a rule that left other than one active cell; replay() writes a
-    block at the head's site and applies its gates.  index_key() reads the
-    block store's index at the head; the forward key it reads, or the one
-    a block replayed at its home names (its next), waits in _fkey for
-    lookup(FORWARD), and no other change of state leaves it set.
+    key(direction) reads the head's probe key through the symbol's probe in
+    _probes[direction], bound to these lists once per run; lookup(direction,
+    key) looks that key up in the rule set's compiled matcher and appends
+    it to rec while rec is a list.  The caller passes each key on, and the
+    cursor keeps none.  A memo Hit is ready to fire: its key fixes the
+    window's P and CP cells, so it carries the window's active cells after
+    the firing.  fire() writes the Hit's cells in place, runs its gate
+    through rules._apply_gate_effect (apply()'s rewrite too), appending to
+    rec what the gate read and did, and takes the new head from it, with no
+    rescan, or raises ValueError naming a rule that left other than one
+    active cell; replay() writes a block at the head's site and applies its
+    gates.
 
     Trajectory._replay yields the cursor as the view of each state it
     reaches: tier, L, rows (live lists, read-only, valid until the next
@@ -240,7 +242,7 @@ class _Cursor:
     """
 
     __slots__ = ("tier", "L", "rows", "work", "head", "rec", "_rs",
-                 "_probes", "_fkey")
+                 "_probes")
 
     def __init__(self, state: ChainState, rs: RuleSet):
         active = active_sites(state)
@@ -249,7 +251,7 @@ class _Cursor:
         self.head = active[0]
         self.tier, self.L, self.work = state.tier, state.L, state.work
         self.rows = {reg: list(row) for reg, row in state.rows.items()}
-        self.rec, self._rs, self._fkey = None, rs, None
+        self.rec, self._rs = None, rs
         # direction -> symbol -> ([(row, shift)...], memo)
         self._probes = {FORWARD: {}, REVERSE: {}}
 
@@ -259,46 +261,35 @@ class _Cursor:
         bound[symbol] = ([(self.rows[reg], k) for reg, k in probe], memo)
         return bound[symbol]
 
-    def index_key(self):
-        """(register, symbol, forward probe key) of the head, the block
-        store's index; the key, as lookup(FORWARD) reads it (None off the
-        chain), is kept for that lookup, or taken from the replay that led
-        here."""
-        site, reg, s = self.head
-        if self._fkey is not None:
-            return reg, s, self._fkey
-        bound, L = self._probes[FORWARD], self.L
-        cells, _memo = bound.get(s) or self._bind(bound, FORWARD, s)
+    def key(self, direction):
+        """The head's probe key in direction: the cells its symbol's probe
+        reads, None off the chain."""
+        site, _reg, s = self.head
+        bound, L = self._probes[direction], self.L
+        cells, _memo = bound.get(s) or self._bind(bound, direction, s)
         if 1 < site < L:
-            key = tuple([row[site + k] for row, k in cells])
-        else:
-            key = tuple([row[site + k] if 0 <= site + k < L else None
-                         for row, k in cells])
-        self._fkey = key
-        return reg, s, key
+            return tuple([row[site + k] for row, k in cells])
+        return tuple([row[site + k] if 0 <= site + k < L else None
+                      for row, k in cells])
 
-    def lookup(self, direction):
+    def lookup(self, direction, key):
         """((offset, Hit), ...): the matches in direction anchored at the
-        head."""
+        head, whose probe key is key."""
         site, _reg, s = self.head
         bound = self._probes[direction]
-        cells, memo = bound.get(s) or self._bind(bound, direction, s)
-        if direction == FORWARD and self._fkey is not None:
-            key, self._fkey = self._fkey, None
-        else:
-            key = (tuple([row[site + k] for row, k in cells])
-                   if 1 < site < self.L else None)
+        _cells, memo = bound.get(s) or self._bind(bound, direction, s)
         found = memo.get(key)
-        if found is None:  # an end of the chain, or a window not yet seen
-            key, found = self._rs.hits(direction, self, site, s)
+        if found is None:  # a window not yet seen
+            found = self._rs.hits(direction, self, site, s)
         if self.rec is not None:
             self.rec.append(key)
         return found
 
-    def step(self):
-        """Fire the unique forward hit in place: (site, Hit), or None at a
-        dead end.  Several hits raise Ambiguous before any cell changes."""
-        found = self.lookup(FORWARD)
+    def step(self, key):
+        """Fire the unique forward hit at the head, whose forward probe key
+        is key, in place: (site, Hit), or None at a dead end.  Several hits
+        raise Ambiguous before any cell changes."""
+        found = self.lookup(FORWARD, key)
         site = self.head[0]
         if len(found) != 1:
             if not found:
@@ -357,7 +348,6 @@ class _Cursor:
             self.work = self.work.apply_gate(kind, i, i + 1)
         off, reg, s = block.head
         self.head = (base + off, reg, s)
-        self._fkey = block.next if base == block.home else None
         return block
 
     def _passes(self, block, base, start) -> bool:
@@ -377,8 +367,8 @@ class _Cursor:
                           self.work)
 
 
-class _Block(namedtuple("_Block", "reads writes gates head labels sites heads"
-                        " lo hi home key next")):
+class _Block(namedtuple("_Block", "reads footprint writes gates head labels"
+                        " sites heads lo hi home key next")):
     """Steps as run() replays them, relative to their first head site, the
     base: cell offset o is row[base + o], site offset i is site base + i.
     Its sites, though, are those of its steps at home, the base it was
@@ -389,22 +379,16 @@ class _Block(namedtuple("_Block", "reads writes gates head labels sites heads"
     writes holds runs (a, b, cells) of the final cells at offsets a..b-1.
     gates, the (kind, site offset) of each gate on the work vector, in
     order; head, the head after the steps (site as an offset); heads, the
-    site offsets of the heads under check_uog by register and symbol.  The
-    block replays at the bases lo..hi, where every probe stays inside the
-    chain (1 < site < L); one with a probe at an end has lo = hi = home.
-    key is the index key of its first state (_Cursor.index_key); next, the
-    forward probe key after it at home, where its writes and footprint hold
-    that key's cells, else None."""
+    site offsets of the heads under check_uog by register and symbol.
+    footprint holds the same cells as reads, per register (register,
+    offsets, values), for a composition to read.  The block replays at the
+    bases lo..hi, where every probe stays inside the chain (1 < site < L);
+    one with a probe at an end has lo = hi = home.  key is the store's
+    index of its first state: head register, symbol and forward probe key;
+    next, the forward probe key after it at home, where its writes and
+    footprint hold that key's cells, else None."""
 
     __slots__ = ()
-
-    def footprint(self):
-        """(register, offsets, values) of the cells the block reads before
-        it writes them, per register."""
-        for reg, get, want in self.reads:
-            at = get.__reduce__()[1]  # the getter's indices: lo + offsets
-            yield (reg, [k - self.lo for k in at],
-                   want if len(at) > 1 else (want,))
 
 
 # BLOCK_STEPS caps the length of a composed block and STRETCH_STEPS that of
@@ -489,7 +473,7 @@ class _Build:
         """Add a block that replays at base + shift after what is here: its
         reads of cells not written here join the footprint."""
         reads, final = self.reads, self.final
-        for reg, offs, values in block.footprint():
+        for reg, offs, values in block.footprint:
             done, read = final[reg], reads[reg]
             for k, v in zip(offs, values):
                 if (k := k + shift) not in done:
@@ -512,7 +496,8 @@ class _Build:
 
     def freeze(self, key):
         """The block, stored under the index key of its first state."""
-        reads, writes, lo, (off, _reg, head_s) = [], [], self.lo, self.head
+        reads, footprint, writes = [], [], []
+        lo, (off, _reg, head_s) = self.lo, self.head
         after, home = [], self.base  # the probe key after it, at home
         for reg, shift in self.rs.compiled(FORWARD, head_s)[0]:
             k = off + shift
@@ -531,6 +516,7 @@ class _Build:
             want = tuple(map(cells.__getitem__, offs))
             reads.append((reg, itemgetter(*[lo + k for k in offs]),
                           want if len(want) > 1 else want[0]))
+            footprint.append((reg, tuple(offs), want))
         for reg, cells in self.final.items():
             if not cells:
                 continue
@@ -542,11 +528,11 @@ class _Build:
                 runs.append((offs[j], offs[e - 1] + 1,
                              tuple(map(cells.__getitem__, offs[j:e]))))
             writes.append((reg, tuple(runs)))
-        return _Block(tuple(reads), tuple(writes), tuple(self.gates),
-                      self.head, tuple(self.labels), tuple(self.sites),
-                      {symbol: tuple(offs) for symbol, offs
-                       in self.heads.items()}, lo, self.hi, home, key,
-                      after and tuple(after))
+        return _Block(tuple(reads), tuple(footprint), tuple(writes),
+                      tuple(self.gates), self.head, tuple(self.labels),
+                      tuple(self.sites), {symbol: tuple(offs) for symbol, offs
+                                          in self.heads.items()},
+                      lo, self.hi, home, key, after and tuple(after))
 
 
 def _keep(store: dict, rs: RuleSet, block):
@@ -575,9 +561,10 @@ def _learn(store: dict, cur: _Cursor, first, head, labels, second,
            check_uog: bool):
     """Build the block of a replay, first = (block, base) or None, the
     single steps after it, from head, and the replay after them, second =
-    (block, base) or None, once these come up a second time, else note
-    that they came up.  Single steps alone are a stretch, learnt at any
-    base: the sites follow from the head and labels.  Their keys are the
+    (block, base), once these come up a second time, else note that they
+    came up; with second None, first is None too and the single steps
+    alone are a stretch, learnt at any base: the sites follow from the head
+    and labels.  Their keys are the
     probe keys in cur.rec (the reverse ones too under check_uog) and,
     after the key of a gate step, fire()'s record of the gate: its two data
     cells, the cells a classical gate wrote (or None) and whether it ran
@@ -634,10 +621,13 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     last = None  # (block, base) of a replay that ended at step t
     t, max_steps, period = 0, budget.max_steps, None
     ends = (1, cur.L - 1)  # the windows at the chain's ends
+    key = None  # the state's forward probe key, once read or handed on
     while t < max_steps:
+        if key is None:
+            key = cur.key(FORWARD)
         if store:
-            base = cur.head[0]
-            if ((blocks := store.get(cur.index_key()))
+            base, reg, s = cur.head
+            if ((blocks := store.get((reg, s, key)))
                     and (block := cur.replay(blocks, max_steps - t,
                                              uog_start))):
                 traj.blocks[id(block)] = block
@@ -660,9 +650,10 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
                 last = None if sites[-1] in ends and sites[-2] != sites[-1] \
                     else (block, base)
                 seg, seg_head = t, cur.head
+                key = block.next if base == block.home else None
                 continue
         try:
-            fired = cur.step()
+            fired, key = cur.step(key), None
         except (Ambiguous, NonClassicalGateError) as err:
             err.traj = traj  # the steps before the state that raised it
             raise
@@ -687,7 +678,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
             if period is not None:
                 traj.uog_violations.append(
                     (t, f"configuration equals state {t - period}"))
-            rev = cur.lookup(REVERSE)
+            rev = cur.lookup(REVERSE, cur.key(REVERSE))
             if len(rev) != 1:
                 traj.uog_violations.append((t, f"{len(rev)} reverse matches"))
                 seg_head = None  # no block holds this step
@@ -698,15 +689,9 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
                      f" {cur.head[0] - rev[0][0]}, but {hit.rule.label} at"
                      f" {i} fired"))
                 seg_head = None
-        if store is None:
-            continue
-        if i in ends and sites[-2:-1] != [i]:  # reaches an end
-            if last and seg_head and (
-                    len(last[0].labels) + t - seg <= BLOCK_STEPS):
-                _learn(store, cur, last, seg_head, labels[seg:], None,
-                       check_uog)
-        elif t < seg + STRETCH_STEPS and cur.head != seg_head:
-            continue
+        if store is None or (t < seg + STRETCH_STEPS and cur.head != seg_head
+                             and (i not in ends or sites[-2:-1] == [i])):
+            continue  # the stretch goes on: its window reaches no end
         if seg_head and t - seg > 1:  # one step is no shortcut
             _learn(store, cur, None, seg_head, labels[seg:], None, check_uog)
         seg, seg_head, last, cur.rec = t, cur.head, None, []

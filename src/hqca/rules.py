@@ -452,9 +452,9 @@ class RuleSet:
         return compiled
 
     def hits(self, direction, state, site, symbol):
-        """(key, ((offset, Hit), ...)): the memo key of the active site and
-        the candidates anchored there whose window (site - offset, site -
-        offset + 1) matches, in (window site, label) order.
+        """((offset, Hit), ...): the candidates anchored at the active site
+        whose window (site - offset, site - offset + 1) matches, in (window
+        site, label) order.
 
         state is read through its tier, L and rows mapping only.
         """
@@ -469,7 +469,7 @@ class RuleSet:
         found = memo.get(key)
         if found is None:
             found = memo[key] = self._fill(direction, symbol, state, site)
-        return key, found
+        return found
 
     def _probe(self, direction, symbol):
         """((register, shift), ...) of every cell a candidate reads, of
@@ -600,7 +600,7 @@ def applicable(state: ChainState, direction: str, rules: RuleSet | None = None,
         # a rule anchors one active cell and the P and CP active pools are
         # disjoint, so no (rule, window) pair comes up twice
         found = [(site - offset, hit) for site, _reg, s in active_sites(state)
-                 for offset, hit in rs.hits(direction, state, site, s)[1]]
+                 for offset, hit in rs.hits(direction, state, site, s)]
     found.sort(key=lambda f: (f[0], f[1].rule._sort_key))
     return [as_match(i, hit, direction) for i, hit in found]
 

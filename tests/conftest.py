@@ -87,6 +87,22 @@ def single_steps(tier):
         yield rs
 
 
+def count_steps(m, stop=None):
+    """A list that grows by one entry per _Cursor.step call, whatever its
+    arguments, while the spy patched in through the monkeypatch m is in
+    place.  Given stop, the call that would make stop entries fails, so a
+    replay that goes one step at a time ends early."""
+    calls, step = [], engine._Cursor.step
+
+    def spy(cur, *args):
+        calls.append(1)
+        assert stop is None or len(calls) < stop, "replay single-steps"
+        return step(cur, *args)
+
+    m.setattr(engine._Cursor, "step", spy)
+    return calls
+
+
 def stepped(start, budget, check_uog=False):
     """run() one step at a time (see single_steps)."""
     with single_steps(start.tier):

@@ -19,7 +19,8 @@ from hqca.rules import ANY, _RULESET_CACHE, Rule, RuleSet, gv, lit, mgv
 from hqca.verify import FIDELITY_TOL, check_claim_b
 from hqca.symbols import BULLET, C, D, P, QUANTUM, TURN
 
-from conftest import first_handback, random_state, small_circuit, stepped
+from conftest import (count_steps, first_handback, random_state, small_circuit,
+                      stepped)
 
 
 def test_single_pass_step_count_small():
@@ -413,7 +414,7 @@ def _assert_cursor_equals_recomputation(start, steps):
     start_rows = {r: list(row) for r, row in start.rows.items()}
     cur = _Cursor(start, rule_set(start.tier))
     for _ in range(steps):
-        if cur.step() is None:
+        if cur.step(cur.key(FORWARD)) is None:
             break
         snap = cur.chain_state()
         assert [cur.head] == active_sites(snap)
@@ -627,9 +628,9 @@ def test_check_uog_names_a_reverse_match_at_another_window(example_circuit,
     # reverse lookup reports rule 5a's reverse match one window left of
     # where 5a fired, and every state 5a reaches is flagged
     lookup = _Cursor.lookup
-    monkeypatch.setattr(_Cursor, "lookup", lambda cur, direction: tuple(
+    monkeypatch.setattr(_Cursor, "lookup", lambda cur, direction, *a: tuple(
         (off + (direction == REVERSE and h.rule.label == "5a"), h)
-        for off, h in lookup(cur, direction)))
+        for off, h in lookup(cur, direction, *a)))
     _fresh_rules(monkeypatch, "I")
     start = build_initial(BuildSpec(example_circuit, "I"))
     budget = StepBudget(200, "dead_end")
@@ -647,10 +648,7 @@ def test_block_memo_replays_most_steps(example_circuit, monkeypatch):
     _fresh_rules(monkeypatch, "IV")
     start = _x9_start(example_circuit)
     run(start, StepBudget(10 ** 5))
-    calls = []
-    step = _Cursor.step
-    monkeypatch.setattr(_Cursor, "step",
-                        lambda cur: calls.append(1) or step(cur))
+    calls = count_steps(monkeypatch)
     traj = run(start, StepBudget(10 ** 5))
     assert traj.n_steps == 26342 and len(calls) < 0.1 * traj.n_steps
     calls.clear()
@@ -733,9 +731,7 @@ def test_a_record_replays_at_block_speed_after_its_store_is_emptied(
     rs = _fresh_rules(monkeypatch, "III")
     start = build_initial(BuildSpec(example_circuit, "III"))
     traj = run(start, StepBudget(2 * 10 ** 4))
-    calls, step = [], _Cursor.step
-    monkeypatch.setattr(_Cursor, "step",
-                        lambda cur: calls.append(1) or step(cur))
+    calls = count_steps(monkeypatch)
 
     def single_steps():
         calls.clear()
@@ -831,7 +827,8 @@ def test_block_memo_raises_a_non_classical_gate_where_a_step_does(
     before, budget = traj.state(t), StepBudget(500)
     for _ in range(3):
         assert run(before, budget).n_steps == 500
-    key = _Cursor(before, rs).index_key()
+    cur = _Cursor(before, rs)
+    key = (*cur.head[1:], cur.key(FORWARD))
     assert any(block.labels[0] == "5a"
                for block in rs.blocks[(before.L, False)][key])
     effect, raised = engine._apply_gate_effect, []
@@ -863,10 +860,7 @@ def test_block_memo_replays_most_tier3_steps(example_circuit, monkeypatch):
     start = build_initial(BuildSpec(example_circuit, "III"))
     budget = StepBudget(2 * 10 ** 4)
     run(start, budget)
-    calls = []
-    step = _Cursor.step
-    monkeypatch.setattr(_Cursor, "step",
-                        lambda cur: calls.append(1) or step(cur))
+    calls = count_steps(monkeypatch)
     traj = run(start, budget)
     assert traj.n_steps == 2 * 10 ** 4 and len(calls) < 0.01 * traj.n_steps
     assert len(traj.marker_steps("5a")) > 1000
@@ -923,9 +917,7 @@ def test_sweeping_chain_replays_most_steps_when_warm(monkeypatch):
     _fresh_rules(monkeypatch, "III")
     start, budget = _sweeping_start(), StepBudget(6000)
     run(start, budget, check_uog=True)
-    calls, step = [], _Cursor.step
-    monkeypatch.setattr(_Cursor, "step",
-                        lambda cur: calls.append(1) or step(cur))
+    calls = count_steps(monkeypatch)
     traj = run(start, budget, check_uog=True)
     assert traj.n_steps == 6000 and len(calls) < 0.25 * traj.n_steps
 
@@ -959,10 +951,22 @@ def _blind_second(monkeypatch):
     block = engine._Build.block
 
     def mutant(build, part, shift):
-        return block(build, part._replace(reads=()) if build.labels else part,
-                     shift)
+        return block(build, part._replace(footprint=()) if build.labels
+                     else part, shift)
 
     monkeypatch.setattr(engine._Build, "block", mutant)
+
+
+def _first_key(monkeypatch):
+    """Mutant: a replay at home hands on its first state's key, not the
+    key after it (next)."""
+    freeze = engine._Build.freeze
+
+    def mutant(build, key):
+        block = freeze(build, key)
+        return block._replace(next=block.key[2])
+
+    monkeypatch.setattr(engine._Build, "freeze", mutant)
 
 
 def _absolute_heads(monkeypatch):
@@ -979,8 +983,9 @@ def _absolute_heads(monkeypatch):
 
 @pytest.mark.parametrize("mutant, tier, n, k, seed, steps, check_uog", [
     (_unbounded, "III", 4, 17, 1, 6000, False),
-    (_blind_second, "IV", 3, 2, 2, 8000, False)],
-    ids=["base_range", "second_reads"])
+    (_blind_second, "IV", 3, 2, 2, 8000, False),
+    (_first_key, "III", 3, 2, 3, 6000, False)],
+    ids=["base_range", "second_reads", "next_key"])
 def test_relative_block_mutants_leave_the_single_steps(
         monkeypatch, mutant, tier, n, k, seed, steps, check_uog):
     start, budget = _start(tier, n, k, seed), StepBudget(steps)
@@ -1038,22 +1043,17 @@ def test_tier3_runs_to_its_dead_end(example_circuit):
 def _replayed_stretches(traj, watched):
     """The (first, last) steps of each stretch that a watched replay of
     traj takes from a block, in order."""
-    stretches, k = [], [0]
-    step, replay = _Cursor.step, _Cursor.replay
-
-    def spy_step(cur):
-        k[0] += 1
-        return step(cur)
+    stretches, replay = [], _Cursor.replay
 
     def spy_replay(cur, *args):
         block = replay(cur, *args)
         if block is not None:
-            stretches.append((k[0], k[0] + len(block.labels) - 1))
-            k[0] += len(block.labels)
+            k = len(calls) + sum(b - a + 1 for a, b in stretches)
+            stretches.append((k, k + len(block.labels) - 1))
         return block
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_Cursor, "step", spy_step)
+        calls = count_steps(m)
         m.setattr(_Cursor, "replay", spy_replay)
         for _ in traj._replay(traj.n_steps, watched):
             pass
@@ -1262,14 +1262,7 @@ def test_state_replays_the_full_width_run_at_block_speed(monkeypatch):
                                     bullet_offset=full_width_offset(16, 1)))
     traj = run(start, StepBudget(10 ** 7))
     assert start.L == 16 and traj.n_steps == 192 * 2 ** 15 + 218
-    calls, step = [], _Cursor.step
-
-    def spy(cur):
-        calls.append(1)
-        assert len(calls) < 0.01 * traj.n_steps, "replay single-steps"
-        return step(cur)
-
-    monkeypatch.setattr(_Cursor, "step", spy)
+    count_steps(monkeypatch, stop=0.01 * traj.n_steps)
     end = traj.state(traj.n_steps)
     assert end.rows == traj.final.rows
     assert np.array_equal(end.work.amps, traj.final.work.amps)
@@ -1301,7 +1294,7 @@ def test_replay_equals_the_observed_states(tier, n, k, seed, target, steps,
         traj = run(start, StepBudget(steps, "dead_end"))
     n_steps = traj.n_steps
     cur, seen = _Cursor(start, rule_set(tier)), [start]
-    while len(seen) <= n_steps and cur.step():
+    while len(seen) <= n_steps and cur.step(cur.key(FORWARD)):
         seen.append(cur.chain_state())
     assert len(seen) == n_steps + 1
     assert not (long and tier == "III") or n_steps > 2048

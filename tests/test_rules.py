@@ -340,7 +340,7 @@ def test_compiled_lookup_equals_plain_try_match(case):
     for state in (start, *_one_cell_edits(start, i)):
         hits = sorted(((site - offset, h) for site, _reg, s in
                        active_sites(state) for offset, h in
-                       rs.hits(direction, state, site, s)[1]),
+                       rs.hits(direction, state, site, s)),
                       key=lambda f: (f[0], f[1].rule._sort_key))
         got = [(j, h.rule.label, h.bindings, tuple(sorted(h.writes)), h.gate)
                for j, h in hits]

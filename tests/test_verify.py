@@ -17,7 +17,8 @@ from hqca.verify import (build_clock_chain, build_comparator_chain,
                          clock_increment, comparator_verdict,
                          cross_check_backends)
 
-from conftest import every_state, random_state, single_steps, small_circuit
+from conftest import (count_steps, every_state, random_state, single_steps,
+                      small_circuit)
 
 
 def test_work_oracle_tier1(example_circuit, random_work):
@@ -629,9 +630,7 @@ def test_posttarget_freeze_runs_at_block_speed(example_circuit, monkeypatch):
     s = build_initial(BuildSpec(example_circuit, "IV", target_x=9,
                                 bullet_offset=3))
     run(s, StepBudget(10 ** 5))
-    calls, step = [], engine._Cursor.step
-    monkeypatch.setattr(engine._Cursor, "step",
-                        lambda cur: calls.append(1) or step(cur))
+    calls = count_steps(monkeypatch)
     traj = run(s, StepBudget(10 ** 5))
     res = check_posttarget_freeze(traj)
     assert res.passed and traj.n_steps == 26342
