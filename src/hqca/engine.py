@@ -21,18 +21,25 @@ compares the head with the start's, and the rows only where those agree.
 
 run() replays blocks of up to BLOCK_STEPS steps from a store on the rule
 set, one per (L, check_uog).  The rules are translation invariant, so a
-block is kept relative to its base, the site of its first head: its
-footprint (the cells its probes, reverse ones too under check_uog, and its
-gates read before it wrote them), its writes, its gates on the work vector
-(which a replay applies in order: the kernel calls of its single steps) and
-its heads are offsets from the base, its sites those at the base it was
-learnt at, and it replays at any base of its range, where every probe stays
-inside the chain and every cell on it; a block with a probe at an end
-replays only at its own base.  The store is indexed by the head's register,
-symbol and forward probe key (_Cursor.key), and holds the blocks of an
-index longest first.  run() reads that key once per state and passes it
-on to the step that follows a miss; a block replayed at its home passes
-on the key after it (its next), so the state it leaves reads none.
+block is kept relative to its base, the site of its first head: its reads
+(the cells its probes, reverse ones too under check_uog, and its gates read
+before it wrote them) and its writes are runs of cells at offsets from the
+base, its gates on the work vector (which a replay applies in order: the
+kernel calls of its single steps) are offsets too, and its sites are those
+at the base it was learnt at.  It replays at any base where the rows hold
+its reads; a read that reaches off the chain there comes back short, so
+every probe reads the chain as it did where the block was learnt.  A block
+whose probes read a cell off the chain is pinned to its own base.  A run
+under check_uog from a start with a reverse match passes over a block
+that fires one of those (label, window site) pairs, the only steps into
+the start, and writes every cell where the rows differ from the start's,
+so that its repeat check sees the first return.  The store is
+indexed by the head's register, symbol and forward probe key
+(_Cursor.key), and holds the blocks of an index longest first.  run()
+reads that key once per state and passes it on to the step that follows a
+miss; a replay passes on the key after the block (its next), so the state
+it leaves reads none: a next is kept only where the block read or wrote
+its cells, and with a cell off the chain only on a pinned block.
 Blocks come two ways.  A stretch of single steps, which ends where its
 window reaches an end of the chain, where the head is back at its first
 head, or after STRETCH_STEPS steps, is learnt once it has come up twice, at
@@ -50,7 +57,7 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from itertools import dropwhile, islice
-from operator import index, itemgetter
+from operator import index
 
 import numpy as np
 
@@ -168,7 +175,7 @@ class Trajectory:
                         break
             if block:
                 k += len(block.labels)
-                key = block.next if base == block.home else None
+                key = block.next
             else:
                 fired, key = cur.step(key or cur.key(FORWARD)), None
                 if (fired is None or fired[0] != sites[k]
@@ -320,29 +327,27 @@ class _Cursor:
         off, reg, s = hit.active[0]
         self.head = (i + off, reg, s)
 
-    def replay(self, blocks, left: int, start):
+    def replay(self, blocks, left: int, into):
         """Write, and apply the gates of, the first block that fits in left
-        steps at the head's site, its base: the base is in the block's
-        range and the rows hold its footprint there.  Return it, or None.
-        If it passes the head of start, (head, rows), it must leave alone a
-        cell that differs from start's."""
+        steps at the head's site, its base: each of its read runs is in the
+        rows there (a slice off the chain comes back short), and a pinned
+        block replays at home only.  Return it, or None.  A block that
+        might pass the start that into names (see _passes) is passed
+        over."""
         rows, base = self.rows, self.head[0]
         for block in blocks:
-            if not block.lo <= base <= block.hi or len(block.labels) > left:
+            if len(block.labels) > left or block.pinned and base != block.home:
                 continue
-            d = base - block.lo  # the getters read the rows from cell d on
-            for reg, get, want in block.reads:
-                if get(rows[reg][d:] if d else rows[reg]) != want:
+            for reg, a, b, cells in block.reads:
+                if rows[reg][base + a:base + b] != cells:
                     break
             else:
-                if not (start and self._passes(block, base, start)):
+                if not (into and self._passes(block, base, into)):
                     break
         else:
             return None
-        for reg, runs in block.writes:
-            row = rows[reg]
-            for a, b, cells in runs:
-                row[base + a:base + b] = cells
+        for reg, a, b, cells in block.writes:
+            rows[reg][base + a:base + b] = cells
         for kind, i in block.gates:  # fire()'s kernel calls, in order
             i += base
             self.work = self.work.apply_gate(kind, i, i + 1)
@@ -350,16 +355,20 @@ class _Cursor:
         self.head = (base + off, reg, s)
         return block
 
-    def _passes(self, block, base, start) -> bool:
-        """Whether block, at base, might pass the configuration start."""
-        if start[0][0] - base not in block.heads.get(start[0][1:], ()):
+    def _passes(self, block, base, into) -> bool:
+        """Whether block, at base, might pass the start: into holds the
+        (label, window site) pairs of the start's reverse matches, the only
+        steps that lead into it, and its rows.  Such a block fires one of
+        those pairs and writes every cell where the rows differ from them."""
+        pairs, start = into
+        moved = base - block.home
+        if not any((label, i + moved) in pairs
+                   for label, i in zip(block.labels, block.sites)):
             return False
         kept = {reg: row[:] for reg, row in self.rows.items()}
-        for reg, runs in block.writes:
-            for a, b, _cells in runs:
-                a, b = base + a, base + b
-                kept[reg][a:b] = start[1][reg][a:b]
-        return kept == start[1]
+        for reg, a, b, _cells in block.writes:
+            kept[reg][base + a:base + b] = start[reg][base + a:base + b]
+        return kept == start
 
     def chain_state(self) -> ChainState:
         return ChainState(self.tier, {reg: tuple(row)
@@ -367,28 +376,39 @@ class _Cursor:
                           self.work)
 
 
-class _Block(namedtuple("_Block", "reads footprint writes gates head labels"
-                        " sites heads lo hi home key next")):
+class _Block(namedtuple("_Block", "reads writes gates head labels sites"
+                        " home pinned key next")):
     """Steps as run() replays them, relative to their first head site, the
     base: cell offset o is row[base + o], site offset i is site base + i.
     Its sites, though, are those of its steps at home, the base it was
     learnt at, as run() records them there; elsewhere each moves by base -
-    home.  Per register, reads holds (get, want): get, an itemgetter on
-    row[base - lo:] at lo plus the offsets of the cells the probes and
-    gates read before the steps wrote them, returns want, their values;
-    writes holds runs (a, b, cells) of the final cells at offsets a..b-1.
-    gates, the (kind, site offset) of each gate on the work vector, in
-    order; head, the head after the steps (site as an offset); heads, the
-    site offsets of the heads under check_uog by register and symbol.
-    footprint holds the same cells as reads, per register (register,
-    offsets, values), for a composition to read.  The block replays at the
-    bases lo..hi, where every probe stays inside the chain (1 < site < L);
-    one with a probe at an end has lo = hi = home.  key is the store's
-    index of its first state: head register, symbol and forward probe key;
-    next, the forward probe key after it at home, where its writes and
-    footprint hold that key's cells, else None."""
+    home.  reads and writes are runs (register, a, b, cells) of the cells
+    at offsets a..b-1, cells a list: reads, the cells its probes and gates
+    read before it wrote them; writes, its final cells.  gates, the (kind,
+    site offset) of each gate on the work vector, in order; head, the head
+    after the steps (site as an offset).  It replays wherever its reads
+    are in the rows, for then every probe reads the chain; pinned, a block
+    whose probes read a cell off the chain at home, replays at home only.
+    key is the store's index of its first state: head register, symbol and
+    forward probe key; next, the forward probe key after it, where its
+    reads and writes hold that key's cells, and, unless it is pinned, the
+    key has none off the chain at home; else None."""
 
     __slots__ = ()
+
+
+def _runs(cells: dict) -> tuple:
+    """(register, a, b, cells) of each run of consecutive offsets in
+    {register: {offset: cell}}, its cells a list."""
+    runs = []
+    for reg, by_off in cells.items():
+        for k in sorted(by_off):
+            if runs and runs[-1][0] == reg and runs[-1][2] == k:
+                runs[-1][2] += 1
+                runs[-1][3].append(by_off[k])
+            else:
+                runs.append([reg, k, k + 1, [by_off[k]]])
+    return tuple(map(tuple, runs))
 
 
 # BLOCK_STEPS caps the length of a composed block and STRETCH_STEPS that of
@@ -409,37 +429,31 @@ BLOCK_CAP = 256
 
 
 class _Build:
-    """A block under construction at base: its footprint and final cells by
-    register and offset, its gates and heads as offsets, its labels and
-    sites, and the range of bases it replays at."""
+    """A block under construction at base: its reads and final cells by
+    register and offset, its gates as offsets, its labels and sites, and
+    whether a probe read a cell off the chain."""
 
-    __slots__ = ("rs", "base", "L", "reads", "final", "gates", "heads",
-                 "labels", "sites", "head", "lo", "hi")
+    __slots__ = ("rs", "base", "L", "reads", "final", "gates", "labels",
+                 "sites", "head", "pinned")
 
     def __init__(self, rs, base, L):
-        self.rs, self.base, self.L = rs, base, L
-        self.lo, self.hi = -L, 2 * L  # any base
+        self.rs, self.base, self.L, self.pinned = rs, base, L, False
         self.reads, self.final = defaultdict(dict), defaultdict(dict)
-        self.heads, self.gates, self.labels, self.sites = {}, [], [], []
+        self.gates, self.labels, self.sites = [], [], []
 
     def steps(self, keys, head, labels, check_uog):
         """Add the single steps from head whose probe keys (the reverse ones
         too under check_uog) and gate records fire() left in keys."""
-        base, L, reads, final = self.base, self.L, self.reads, self.final
-        sites, gates, heads, compiled = (self.sites, self.gates, self.heads,
-                                         self.rs.compiled)
-        low = high = head[0]  # the probes' sites
+        base, reads, final = self.base, self.reads, self.final
+        sites, gates, compiled = self.sites, self.gates, self.rs.compiled
         for direction in (FORWARD, REVERSE)[:1 + check_uog] * len(labels):
             key = next(keys)
             site, _reg, s = head
-            if site < low:
-                low = site
-            elif site > high:
-                high = site
             cells, memo = compiled(direction, s)
             for (reg, shift), v in zip(cells, key):
-                k = site + shift
-                if 0 <= k < L and (k := k - base) not in final[reg]:
+                if v is None:  # off the chain
+                    self.pinned = True
+                elif (k := site + shift - base) not in final[reg]:
                     reads[reg].setdefault(k, v)
             if direction == FORWARD:
                 ((offset, hit),) = memo[key]
@@ -459,80 +473,43 @@ class _Build:
                     final[reg][i - 1 + off - base] = s
                 off, reg, s = hit.active[0]
                 head = (i + off, reg, s)
-            else:
-                heads.setdefault(head[1:], set()).add(head[0] - base)
-        if 1 < low and high < L:  # every probe lies on the chain
-            self.lo = max(self.lo, 2 + base - low)
-            self.hi = min(self.hi, L - 1 + base - high)
-        else:
-            self.lo = self.hi = base
         self.labels += labels
         self.head = (head[0] - base, head[1], head[2])
 
     def block(self, block, shift):
         """Add a block that replays at base + shift after what is here: its
-        reads of cells not written here join the footprint."""
+        reads of cells not written here join the reads."""
         reads, final = self.reads, self.final
-        for reg, offs, values in block.footprint:
+        for reg, a, b, cells in block.reads:
             done, read = final[reg], reads[reg]
-            for k, v in zip(offs, values):
-                if (k := k + shift) not in done:
+            for k, v in zip(range(a + shift, b + shift), cells):
+                if k not in done:
                     read.setdefault(k, v)
-        for reg, runs in block.writes:
-            done = final[reg]
-            for a, b, cells in runs:
-                done.update(zip(range(a + shift, b + shift), cells))
+        for reg, a, b, cells in block.writes:
+            final[reg].update(zip(range(a + shift, b + shift), cells))
         self.gates += [(kind, i + shift) for kind, i in block.gates]
-        for symbol, offs in block.heads.items():
-            self.heads.setdefault(symbol, set()).update(h + shift
-                                                        for h in offs)
         self.labels += block.labels
         moved = self.base + shift - block.home  # its sites here
         self.sites += [i + moved for i in block.sites]
-        self.lo = max(self.lo, block.lo - shift)
-        self.hi = min(self.hi, block.hi - shift)
+        self.pinned = self.pinned or block.pinned
         off, reg, s = block.head
         self.head = (off + shift, reg, s)
 
     def freeze(self, key):
         """The block, stored under the index key of its first state."""
-        reads, footprint, writes = [], [], []
-        lo, (off, _reg, head_s) = self.lo, self.head
-        after, home = [], self.base  # the probe key after it, at home
+        (off, _reg, head_s), home = self.head, self.base
+        after = []  # the probe key after it, at home
         for reg, shift in self.rs.compiled(FORWARD, head_s)[0]:
             k = off + shift
-            if not 0 <= home + k < self.L:  # off the chain
-                after.append(None)
-            elif (v := self.final[reg].get(k, self.reads[reg].get(k))) \
-                    is not None:
-                after.append(v)
-            else:  # a cell the block neither read nor wrote
+            on = 0 <= home + k < self.L
+            v = self.final[reg].get(k, self.reads[reg].get(k)) if on else None
+            if v is None and (on or not self.pinned):  # see _Block's next
                 after = None
                 break
-        for reg, cells in self.reads.items():
-            if not cells:
-                continue
-            offs = sorted(cells)
-            want = tuple(map(cells.__getitem__, offs))
-            reads.append((reg, itemgetter(*[lo + k for k in offs]),
-                          want if len(want) > 1 else want[0]))
-            footprint.append((reg, tuple(offs), want))
-        for reg, cells in self.final.items():
-            if not cells:
-                continue
-            offs = sorted(cells)
-            cut = [j for j in range(1, len(offs))
-                   if offs[j] != offs[j - 1] + 1]
-            runs = []  # contiguous runs, one slice write each
-            for j, e in zip([0, *cut], [*cut, len(offs)]):
-                runs.append((offs[j], offs[e - 1] + 1,
-                             tuple(map(cells.__getitem__, offs[j:e]))))
-            writes.append((reg, tuple(runs)))
-        return _Block(tuple(reads), tuple(footprint), tuple(writes),
-                      tuple(self.gates), self.head, tuple(self.labels),
-                      tuple(self.sites), {symbol: tuple(offs) for symbol, offs
-                                          in self.heads.items()},
-                      lo, self.hi, home, key, after and tuple(after))
+            after.append(v)
+        return _Block(_runs(self.reads), _runs(self.final), tuple(self.gates),
+                      self.head, tuple(self.labels), tuple(self.sites), home,
+                      self.pinned, key, after and tuple(after))
 
 
 def _keep(store: dict, rs: RuleSet, block):
@@ -615,8 +592,10 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
     start_head = cur.head
     start_rows = {reg: list(row) for reg, row in start.rows.items()}
     store = rs.blocks.setdefault((cur.L, check_uog), {})
+    pairs = check_uog and {(hit.rule.label, start_head[0] - o) for o, hit
+                           in cur.lookup(REVERSE, cur.key(REVERSE))}
+    into = pairs and (pairs, start_rows)  # the start, for _Cursor._passes
     cur.rec = []
-    uog_start = (start_head, start_rows) if check_uog else None
     seg, seg_head = 0, start_head  # the stretch cur.rec holds the keys of
     last = None  # (block, base) of a replay that ended at step t
     t, max_steps, period = 0, budget.max_steps, None
@@ -628,8 +607,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
         if store:
             base, reg, s = cur.head
             if ((blocks := store.get((reg, s, key)))
-                    and (block := cur.replay(blocks, max_steps - t,
-                                             uog_start))):
+                    and (block := cur.replay(blocks, max_steps - t, into))):
                 traj.blocks[id(block)] = block
                 n = len(block.labels)
                 if seg_head and (seg < t or last):  # what came before it
@@ -650,7 +628,7 @@ def run(start: ChainState, budget: StepBudget, keep_states: bool = False,
                 last = None if sites[-1] in ends and sites[-2] != sites[-1] \
                     else (block, base)
                 seg, seg_head = t, cur.head
-                key = block.next if base == block.home else None
+                key = block.next
                 continue
         try:
             fired, key = cur.step(key), None

@@ -406,17 +406,17 @@ class RuleSet:
     matcher's memo fills as windows come up.  For each (direction, active
     symbol) a probe lists the (register, offset -1/0/+1) cells around the
     active site that any candidate rule reads or keeps, and the P and CP
-    cells of each candidate's window.  The memo maps the probe's values
-    (None off the chain or for a missing register), with the flags
-    site == 1 and site == L, to the Hits that try_match finds there, so
-    the table stays the only hand-written matcher.  Because the probe
-    reads the window's P and CP cells, the key fixes the window's active
-    cells after a firing too, and each Hit carries them; so a rule set
-    serves states of its own tier, whose registers its probes read.  Each
-    instance owns its memo and engine.run's block store: a copy from
-    without() drops rules, so it sees neither of its parent's.  Two threads
-    filling one memo entry store equal values; the block store serves one
-    run at a time.  Matches come in deterministic (site, label) order.
+    cells of each candidate's window.  The memo maps the probe's key, the
+    cells it reads (None off the chain or for a missing register), to the
+    Hits that try_match finds there, so the table stays the only
+    hand-written matcher.  Because the probe reads the window's P and CP
+    cells, the key fixes the window's active cells after a firing too, and
+    each Hit carries them; so a rule set serves states of its own tier,
+    whose registers its probes read.  Each instance owns its memo and
+    engine.run's block store: a copy from without() drops rules, so it
+    sees neither of its parent's.  Two threads filling one memo entry store
+    equal values; the block store serves one run at a time.  Matches come
+    in deterministic (site, label) order.
     """
 
     def __init__(self, tier: str, rules):

@@ -195,8 +195,9 @@ def clock_increment(bits: str):
     labels end at the transition's first clock-done label (15, 16 or 20).
     The run goes on through a 21 -> 10 -> dead-end tail that leaves the
     clock row unchanged, so bits' is read from the final state.  bits' is
-    None when the chain dead-ends before a clock-done label (the all-ones
-    value has no successor and the pointer parks at the left edge).
+    None when no clock-done label comes: the chain dead-ends first (the
+    all-ones value has no successor and the pointer parks at the left
+    edge), or the transition does not end within its step budget.
     """
     traj = run(build_clock_chain(bits),
                StepBudget(8 * len(bits) + 8, "step_limit"))
@@ -204,14 +205,13 @@ def clock_increment(bits: str):
     if done:
         return ("".join(traj.final.rows[C][1:]), traj.labels[:done[0] + 1],
                 traj.final)
-    if traj.stop_reason == "dead_end":
-        return None, traj.labels, traj.final
-    raise RuntimeError("clock transition did not terminate")
+    return None, traj.labels, traj.final
 
 
 def check_clock_counter(l_bits: int) -> CheckResult:
     """Drive the standalone clock through every increment and compare with
-    plain integer arithmetic; verify the all-ones saturation behaviour."""
+    plain integer arithmetic; verify the all-ones saturation behaviour.  An
+    increment with no clock-done label is a detail."""
     top = 2 ** l_bits - 1
     details = []
     for v in range(top):
@@ -264,18 +264,19 @@ _VERDICTS = {
 def comparator_verdict(clock_bits: str, target_digits: str):
     """Run the compare sweep to its verdict: 'match' (crossed return mode)
     or 'mismatch' (failure flag raised), with the labels up to the
-    verdict's."""
+    verdict's; None, with every label, for a sweep that reaches neither, at
+    a dead end or its step budget."""
     traj = run(build_comparator_chain(clock_bits, target_digits),
                StepBudget(4 * len(clock_bits) + 8, "step_limit"))
     verdicts = traj.marker_steps(*_VERDICTS)
     if not verdicts:
-        raise RuntimeError("comparator sweep did not reach a verdict")
+        return None, traj.labels
     return _VERDICTS[traj.labels[verdicts[0]]], traj.labels[:verdicts[0] + 1]
 
 
 def check_comparator(l_bits: int) -> CheckResult:
     """Exhaustive (clock, target) sweep at l_bits digits: the verdict must
-    be 'match' exactly on equality."""
+    be 'match' exactly on equality; a pair with none is a detail."""
     details = []
     for k in range(2 ** l_bits):
         for x in range(2 ** l_bits):
@@ -284,7 +285,8 @@ def check_comparator(l_bits: int) -> CheckResult:
             verdict, _ = comparator_verdict(clock, target)
             expect = "match" if k == x else "mismatch"
             if verdict != expect:
-                details.append(f"k={k} x={x}: {verdict}, expected {expect}")
+                details.append(f"k={k} x={x}: {verdict or 'no verdict'},"
+                               f" expected {expect}")
     # a set clock bit over the target's bullet padding is a mismatch even
     # though every digit column agrees
     verdict, _ = comparator_verdict("01" + "0" * l_bits,

@@ -230,6 +230,26 @@ def test_walk_two_site(tmp_path, capsys):
     assert float(p1.split()[1]) > 1.0 - 1e-9
 
 
+def test_walk_dump_lists_the_time_average(tmp_path, capsys):
+    # --dump appends one `m p(m)` line per position of the time-averaged
+    # distribution to the report; its distance from the limiting
+    # distribution is the reported one
+    argv = ["walk", write(tmp_path, TIER1), "--length", "4", "--samples",
+            "10", "--seed", "1"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--dump"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(report)] == report and len(out) == len(report) + 4
+    rows = [line.split() for line in out[len(report):]]
+    assert [m for m, _ in rows] == ["0", "1", "2", "3"]
+    p = [float(v) for _, v in rows]
+    limit = [3 / 10, 2 / 10, 2 / 10, 3 / 10]  # (2 + [end]) / (2 (l + 1))
+    tv = 0.5 * sum(abs(a - b) for a, b in zip(p, limit))
+    assert abs(sum(p) - 1) < 1e-9
+    assert f"tv_to_limiting={tv:.6f}" in report
+
+
 def test_walk_instance_tau(tmp_path, capsys):
     inst = write(tmp_path, TIER1 + "tau=3.0\n")
     rc = main(["walk", inst, "--length", "4", "--samples", "10"])
@@ -302,6 +322,22 @@ def test_verify_uog_fails_without_a_reverse_rule(tmp_path, capsys,
     # the report lists the first ten details
     assert out[5:] == [f"  ({t + 1}, '0 reverse matches')"
                        for t in fired][:10]
+
+
+def test_verify_comparator_fails_without_rule_25(tmp_path, capsys,
+                                                 monkeypatch):
+    # a compare sweep with no verdict is a FAIL line with its pairs, not a
+    # traceback
+    from hqca.rules import _RULESET_CACHE, rule_set
+    monkeypatch.setitem(_RULESET_CACHE, "IV", rule_set("IV").without("25"))
+    rc = main(["verify", write(tmp_path, TIER1), "--suite", "comparator",
+               "--l-bits", "3"])
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert rc == 1 and captured.err == ""
+    assert out[:2] == ["CHECK comparator[3b] FAIL pairs=64 exact",
+                       "  k=0 x=1: no verdict, expected mismatch"]
+    assert len(out) == 11
 
 
 def test_verify_claim_b_fails_under_a_wrong_kernel(tmp_path, capsys,
@@ -650,6 +686,32 @@ def test_bad_instance_names_its_line(tmp_path, capsys, text, line, message,
     # one error line and no traceback
     assert captured.err.startswith(f"error: {inst}: line {line}: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (TIER1.replace("round 2: S W", "round 2 S W"), 4,
+     "round line needs a ':'"),
+    (TIER1.replace("round 2:", "round two:"), 4,
+     "bad round header 'round two'"),
+    (TIER1 + "budget 5\n", 7, "cannot parse 'budget 5'"),
+    (TIER1.replace("construction=I", "construction=V"), 6,
+     "unknown construction 'V'"),
+    (TIER1.replace("n=3\n", ""), 0, "missing n="),
+    (TIER1.replace("round 2: S W\n", ""), 0, "missing round 2"),
+    (TIER1 + "round 3: W W\n", 7, "round 3 out of range 1..2"),
+    (TIER1.replace("work=000", "work=00"), 5,
+     "work bitstring length 2 != n=3"),
+    (TIER1.replace("construction=I", "construction=IV"), 6,
+     "construction IV needs target=<int>"),
+], ids=["round_colon", "round_header", "no_equals", "construction",
+        "missing_n", "missing_round", "round_range", "work_length",
+        "tier_iv_target"])
+def test_parse_errors_name_their_line(tmp_path, capsys, text, line, message):
+    inst = write(tmp_path, text)
+    rc = main(["compile", inst])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {inst}: line {line}: {message}\n"
 
 
 def test_non_utf8_instance_names_its_line(tmp_path, capsys):

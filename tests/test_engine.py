@@ -581,7 +581,7 @@ def test_block_memo_reads_the_reverse_probe_under_check_uog(
     # cell on the left, so a rule-11 firing over a set clock bit leaves two
     # reverse matches (its left side holds a tier-IV symbol and never
     # fires).  No forward probe of the reset sweep reads the clock: only
-    # the reverse-probe cells in a block's footprint keep a sweep stored
+    # the reverse-probe cells in a block's reads keep a sweep stored
     # over 0 bits from replaying over set ones
     extra = Rule("99", "III", {P: (lit("▷x"), gv("A")), C: (lit("1"), ANY)},
                  {P: (gv("A"), lit("▷")), C: (lit("1"), ANY)})
@@ -809,7 +809,7 @@ def test_block_memo_replays_a_classical_gate_write(example_circuit,
     (8, 1, 8, "0"), (8, 1, 9, "0"), (11, 0, 11, "1"), (11, 0, 12, QUANTUM)])
 def test_block_memo_raises_a_non_classical_gate_where_a_step_does(
         example_circuit, monkeypatch, gate, nth, site, symbol):
-    # the data cells under a gate are in the footprint of a block that holds
+    # the data cells under a gate are in the reads of a block that holds
     # it.  Three runs from the state before the nth gate at (gate, gate + 1)
     # (a quantum S at (8, 9), a classical W at (11, 12)) store a block that
     # starts with that gate step (the second may replay, after that step, a
@@ -867,17 +867,48 @@ def test_block_memo_replays_most_tier3_steps(example_circuit, monkeypatch):
 
 
 def _spy_replays(monkeypatch):
-    """The (base, block) of every block replay from here on."""
+    """The (base, block) of every block replay from here on.  After each,
+    the block's next, when it has one, must be the forward probe key read
+    there: the key that run() and Trajectory._replay hand on."""
     seen, replay = [], _Cursor.replay
 
     def spy(cur, *args):
         base, block = cur.head[0], replay(cur, *args)
         if block is not None:
             seen.append((base, block))
+            assert block.next in (None, cur.key(FORWARD)), (
+                f"next after a replay at {base} (home {block.home})")
         return block
 
     monkeypatch.setattr(_Cursor, "replay", spy)
     return seen
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["movable", "pinned"])
+def test_next_holds_a_cell_off_the_chain_only_on_a_pinned_block(
+        example_circuit, pinned):
+    # steps 13 and 14 of the tier-IV worked example (20, then 25) leave the
+    # head at site L, where the forward probe reads cells off the chain,
+    # and read or write every cell of that probe on it.  Their block read
+    # none off the chain: it may replay away from home, where those cells
+    # are on the chain, so it keeps no next.  Marked pinned, as a block is
+    # when a probe of it reads a cell off the chain, it replays at home
+    # only and keeps that key
+    start = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
+                                    bullet_offset=3))
+    traj = run(start, StepBudget(15))
+    cur = _Cursor(traj.state(13), rule_set("IV"))
+    head, cur.rec = cur.head, []
+    for _ in range(2):
+        cur.step(cur.key(FORWARD))
+    after = cur.key(FORWARD)
+    assert cur.head[0] == cur.L and None in after
+    build = engine._Build(cur._rs, head[0], cur.L)
+    build.steps(iter(cur.rec), head, traj.labels[13:], False)
+    assert traj.labels[13:] == ["20", "25"] and not build.pinned
+    build.pinned = pinned
+    block = build.freeze((*head[1:], cur.rec[0]))
+    assert block.next == (after if pinned else None)
 
 
 def _sweeping_start(seed=1):
@@ -907,7 +938,14 @@ def test_translated_replays_match_single_steps(monkeypatch, tier, n, k, seed,
     traj = stepped(start, budget, check_uog)
     seen = _spy_replays(monkeypatch)
     _assert_bare_runs_match(start, budget, check_uog, traj)
+    traj = run(start, budget, check_uog=check_uog)
+    traj.state(traj.n_steps)  # Trajectory._replay hands on next too
     assert any(base != block.home for base, block in seen)
+    # the spy held next to the key read there, at home and away from it;
+    # tier I's few away replays end where the probe after them reads a
+    # cell they never read, so they hand on no next
+    at_home = {base == block.home for base, block in seen if block.next}
+    assert at_home == ({True} if tier == "I" else {True, False})
 
 
 def test_sweeping_chain_replays_most_steps_when_warm(monkeypatch):
@@ -935,13 +973,24 @@ def _leaves_the_single_steps(start, budget, check_uog, traj):
 # Mutation probes of the relative blocks: each mutant, patched in, must
 # leave the single-step path on some chain the differential test runs.
 
-def _unbounded(monkeypatch):
-    """Mutant: a block replays at any base above its range's lower end."""
+class _OnChain(list):
+    """Read cells that a slice of the rows reaching off the chain, which
+    comes back short, still equals where its cells on the chain do."""
+
+    def __ne__(self, other):
+        return list(other) != self[:len(other)]
+
+
+def _off_chain_reads(monkeypatch):
+    """Mutant: a block replays where its reads reach off the chain, if
+    their cells on it fit: its base leaves the range where every probe
+    reads the chain."""
     freeze = engine._Build.freeze
 
     def mutant(build, key):
-        build.hi = 2 * build.L
-        return freeze(build, key)
+        block = freeze(build, key)
+        return block._replace(reads=tuple(
+            (reg, a, b, _OnChain(cells)) for reg, a, b, cells in block.reads))
 
     monkeypatch.setattr(engine._Build, "freeze", mutant)
 
@@ -951,7 +1000,7 @@ def _blind_second(monkeypatch):
     block = engine._Build.block
 
     def mutant(build, part, shift):
-        return block(build, part._replace(footprint=()) if build.labels
+        return block(build, part._replace(reads=()) if build.labels
                      else part, shift)
 
     monkeypatch.setattr(engine._Build, "block", mutant)
@@ -969,20 +1018,13 @@ def _first_key(monkeypatch):
     monkeypatch.setattr(engine._Build, "freeze", mutant)
 
 
-def _absolute_heads(monkeypatch):
-    """Mutant: a block keeps its uog heads at the sites it was learnt at."""
-    freeze = engine._Build.freeze
-
-    def mutant(build, key):
-        build.heads = {symbol: {h + build.base for h in offs}
-                       for symbol, offs in build.heads.items()}
-        return freeze(build, key)
-
-    monkeypatch.setattr(engine._Build, "freeze", mutant)
+def _no_start_pass_check(monkeypatch):
+    """Mutant: no block might pass the start (_Cursor._passes)."""
+    monkeypatch.setattr(_Cursor, "_passes", lambda *args: False)
 
 
 @pytest.mark.parametrize("mutant, tier, n, k, seed, steps, check_uog", [
-    (_unbounded, "III", 4, 17, 1, 6000, False),
+    (_off_chain_reads, "III", 3, 2, 3, 6000, False),
     (_blind_second, "IV", 3, 2, 2, 8000, False),
     (_first_key, "III", 3, 2, 3, 6000, False)],
     ids=["base_range", "second_reads", "next_key"])
@@ -997,18 +1039,48 @@ def test_relative_block_mutants_leave_the_single_steps(
     assert _leaves_the_single_steps(start, budget, check_uog, traj)
 
 
+def test_the_replay_spy_catches_a_wrong_next(monkeypatch):
+    # negative control for the spy of _spy_replays: blocks whose next is
+    # their first state's key (_first_key) fail it at the first replay
+    # that hands one on
+    _fresh_rules(monkeypatch, "III")
+    _first_key(monkeypatch)
+    _spy_replays(monkeypatch)
+    with pytest.raises(AssertionError, match="next after a replay"):
+        for _ in range(2):
+            run(_start("III", 3, 2, 3), StepBudget(6000))
+
+
+def test_a_checked_run_from_inside_its_path_replays_at_block_speed(
+        example_circuit, monkeypatch):
+    # a start taken from inside the tier-III path has a reverse match, so
+    # run tests each block against it; only a block that also leaves alone
+    # every cell that differs from the start's might pass it.  A warm
+    # checked run of 6000 steps from there takes 26 one at a time; with
+    # the (label, window site) test alone it took 521
+    _fresh_rules(monkeypatch, "III")
+    budget = StepBudget(6000)
+    inside = run(build_initial(BuildSpec(example_circuit, "III")), budget,
+                 check_uog=True).final
+    run(inside, budget, check_uog=True)
+    calls = count_steps(monkeypatch)
+    traj = run(inside, budget, check_uog=True)
+    assert traj.n_steps == 6000 and not traj.uog_violations
+    assert len(calls) < 0.02 * traj.n_steps
+
+
 @pytest.mark.parametrize("mutate", [False, True], ids=["kept", "mutant"])
-def test_untranslated_uog_heads_pass_the_start_unflagged(example_circuit,
-                                                         monkeypatch, mutate):
+def test_a_run_without_the_start_pass_check_passes_the_start_unflagged(
+        example_circuit, monkeypatch, mutate):
     # mutation probe, on the scenario of
     # test_block_memo_tier2_repeats_over_three_periods: runs from inside the
-    # tier-II cycle store blocks that pass the start's configuration.  With
-    # their uog heads as offsets, a run from the start single-steps them;
-    # kept at the sites they were learnt at, the heads no longer name the
-    # start's, and the run replays one past its first return unflagged
+    # tier-II cycle store blocks that pass the start's configuration.  Such
+    # a block fires the start's reverse match (13b at site 1), so a run from
+    # the start single-steps it; with no start-pass check (_Cursor._passes
+    # always False) the run replays one past its first return unflagged
     _fresh_rules(monkeypatch, "II")
     if mutate:
-        _absolute_heads(monkeypatch)
+        _no_start_pass_check(monkeypatch)
     period = predicted_cycle_steps(3, 2)
     start = build_initial(BuildSpec(example_circuit, "II",
                                     random_state(3, 4)))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hqca import (FORWARD, REVERSE, BuildSpec, StepBudget, applicable,
                   apply_circuit_power, build_initial, clock_value,
                   predicted_single_pass_steps, run, verify_uog)
-from hqca import engine, rules
+from hqca import engine, rules, verify
 from hqca.builder import full_width_offset
 from hqca.rules import _RULESET_CACHE, RuleSet, rule_set
 from hqca.state import DenseData, WorkState
@@ -90,6 +90,19 @@ def test_claim_b_k0_before_any_application(example_circuit, random_work):
     st = traj.state(14)  # clearing prefix completes the clock at 0 (C mode)
     assert "C" in st.rows["CP"] and clock_value(st) == 0
     assert np.max(np.abs(st.work.amps - random_work)) < 1e-12
+
+
+def test_claim_b_compares_a_start_that_shows_c(example_circuit):
+    # state 14 of the tier-III worked example already shows C with the
+    # clock at 0: used as a start, claim B compares it (k = 0) as well as
+    # the C-states at k = 1..4 that the next 800 steps reach
+    traj = run(build_initial(BuildSpec(example_circuit, "III")),
+               StepBudget(14))
+    start = traj.state(14)
+    assert start.rows["CP"][-1] == "C" and clock_value(start) == 0
+    res = check_claim_b(run(start, StepBudget(800)), example_circuit)
+    assert res.passed, res.details
+    assert res.measured.startswith("states=5 k_max=4")
 
 
 def test_claim_b_negative_control(example_circuit, random_work):
@@ -194,6 +207,43 @@ def test_clock_counter_negative_control(monkeypatch):
                         rule_set("III").without("16"))
     got, _, _ = clock_increment("0101")
     assert got is None
+
+
+def test_check_comparator_fails_on_a_pair_with_no_verdict(monkeypatch):
+    # negative control: without rule 25 a compare sweep that meets a set
+    # target bit over a 0 clock bit ends with no verdict, and the check
+    # names each such pair instead of raising
+    monkeypatch.setitem(_RULESET_CACHE, "IV", rule_set("IV").without("25"))
+    assert comparator_verdict("0000", "001")[0] is None
+    res = check_comparator(3)
+    assert not res.passed and len(res.details) == 32
+    assert res.details[:2] == ["k=0 x=1: no verdict, expected mismatch",
+                               "k=0 x=3: no verdict, expected mismatch"]
+
+
+def test_check_clock_counter_fails_on_an_increment_with_no_done_label(
+        monkeypatch):
+    # negative control: without rule 16 two increments of 3 bits dead-end
+    # before a clock-done label
+    monkeypatch.setitem(_RULESET_CACHE, "III", rule_set("III").without("16"))
+    res = check_clock_counter(3)
+    assert res.line() == ("CHECK clock_counter[3b] FAIL"
+                          " increments=7+saturation exact")
+    assert res.details == ["1 -> None, expected 2", "5 -> None, expected 6"]
+
+
+def test_clock_and_comparator_checks_fail_on_runs_cut_short(monkeypatch):
+    # a transition or sweep that does not end within its step budget (here
+    # cut to 2 steps: the carry of 011 takes more) is a detail of a failing
+    # check, not an exception
+    budget = engine.StepBudget
+    monkeypatch.setattr(verify, "StepBudget",
+                        lambda n, stop: budget(2, stop))
+    clock = check_clock_counter(3)
+    assert clock.details == ["3 -> None, expected 4"]
+    comparator = check_comparator(3)
+    assert not comparator.passed and len(comparator.details) == 17
+    assert comparator.details[0] == "k=0 x=0: no verdict, expected match"
 
 
 def test_comparator_verdicts():
@@ -573,6 +623,23 @@ def test_posttarget_freeze_catches_a_work_change_after_the_match(
     assert res.measured == f"success_at={match + 1} tail=119 stop=step_limit"
 
 
+def test_posttarget_freeze_fails_on_a_record_it_cannot_replay(
+        example_circuit):
+    # negative control for the replay-error detail: one label of the
+    # record changed, the check's replay leaves the record at that step
+    s = build_initial(BuildSpec(example_circuit, "IV", target_x=3,
+                                bullet_offset=3))
+    traj = run(s, StepBudget(10 ** 5))
+    assert check_posttarget_freeze(traj).passed
+    labels = list(traj.labels)
+    assert labels[1000] != "5a"
+    labels[1000] = "5a"
+    res = check_posttarget_freeze(engine.Trajectory(
+        s, traj.rules, labels, traj.sites, traj.final, traj.stop_reason))
+    assert not res.passed
+    assert res.details == ["replay left the record at step 1000"]
+
+
 def test_posttarget_freeze_catches_a_block_that_writes_the_clock(
         example_circuit, monkeypatch):
     # negative control: blocks of the crossed return (rule 37) in the store
@@ -594,7 +661,7 @@ def test_posttarget_freeze_catches_a_block_that_writes_the_clock(
             if "37" in block.labels:  # C's cell 1 at the block's base
                 home = block.home
                 blocks[j] = block._replace(writes=block.writes + (
-                    ("C", ((1 - home, 2 - home, ("1",)),)),))
+                    ("C", 1 - home, 2 - home, ["1"]),))
                 doctored += 1
     assert doctored and s.rows["C"][1] == "0"
     again = run(s, StepBudget(10 ** 5))
